@@ -8,6 +8,7 @@ prefactors, positivity floors) is a function of the certified triple
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ from .density_grid import (
     integrate,
     log_transform,
 )
-from .errors import InvalidAlpha
+from .errors import CertificationError, InvalidAlpha
 
 # Estimated Hoelder coefficients are lower bounds of the node-pair sup;
 # class membership checks allow this much slack on top of the cap.
@@ -91,8 +92,14 @@ def compute_ledger(m: ExpandingMap, alpha: float) -> ConstantsLedger:
         raise InvalidAlpha(f"alpha must lie in (0, 1], got {alpha}")
     lam = m.lam
     omega = m.d2_sup / (lam * (lam - 1.0))
+    log_big_k = 4.0 * (omega + 1.0)
+    if log_big_k > math.log(sys.float_info.max):
+        raise CertificationError(
+            f"K = exp(4(Omega+1)) = exp({log_big_k:.6g}) overflows float64 "
+            f"on {m!r} (Omega = {omega:.6g})"
+        )
     a = math.exp(-(omega + 1.0)) / 2.0
-    big_k = math.exp(4.0 * (omega + 1.0))
+    big_k = math.exp(log_big_k)
     log_lam = math.log(lam)
     n_big_k = int(math.floor(math.log(big_k) / (alpha * log_lam))) + 1
     return ConstantsLedger(

@@ -2,21 +2,27 @@
 
     (L u)(x) = sum over the w preimages y of x of  u(y) / T'(y).
 
-Node preimages are solved once per (map, resolution) and cached.  Between
-nodes u is evaluated with a 4-point Lagrange stencil, clamped at zero when
-the input is nonnegative so positivity survives exactly.  The grid
-representation and all norms stay piecewise-linear; the higher-order
-stencil is confined to this module because the linear one plateaus near
-1e-6 on node-level operator identities (mass conservation, exact
-trigonometric pushforwards) that are audited at the 1e-10 scale.
+Between nodes u is evaluated with a 4-point Lagrange stencil.  Per (map,
+resolution) the node preimages are solved once and the stencil is stored
+as a sparse matrix E of shape (w*M, M), four weights per row, together
+with the (w, M) weights 1/T'; the pair lives as long as its map.  An
+application is then one product E u, clamped at zero when the input is
+nonnegative so positivity survives exactly, and a weighted sum over the
+w branches.  The grid representation and all norms stay piecewise-linear;
+the higher-order stencil is confined to this module because the linear
+one plateaus near 1e-6 on node-level operator identities (mass
+conservation, exact trigonometric pushforwards) that are audited at the
+1e-10 scale.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
+from scipy import sparse
 
 from .circle_map import ExpandingMap
 from .density_grid import (
@@ -36,51 +42,61 @@ DRIFT_WARN = density_grid.DRIFT_WARN
 logger = density_grid.logger
 
 
-@lru_cache(maxsize=None)
-def _node_tables(m: ExpandingMap, resolution: int):
-    """Preimages of all nodes under each depth-one branch, with weights
-    1/T' at the preimage.  Arrays are (winding, resolution), read-only."""
-    x = np.arange(resolution) / resolution
+# Per-map operators, keyed by resolution; an entry lives as long as its map.
+# The lock makes audits running in parallel on one map share a single build.
+_OPERATORS: "weakref.WeakKeyDictionary[ExpandingMap, dict]" = weakref.WeakKeyDictionary()
+_OPERATORS_LOCK = threading.Lock()
+
+
+def _build_operator(m: ExpandingMap, resolution: int):
+    """(E, wgt): E is the (winding*M, M) CSR matrix whose row b*M + i holds
+    the 4-point Lagrange weights of node i's preimage under branch b, in
+    column order j-1, j, j+1, j+2 so that E @ v sums the stencil terms in
+    that order; wgt is the read-only (winding, M) array of 1/T' there."""
+    M = resolution
+    x = np.arange(M) / M
     m0 = _anchor_offset(m)
-    y = np.empty((m.winding, resolution))
+    y = np.empty((m.winding, M))
     for b in range(m.winding):
         y[b] = _solve_lift(m, m0 + b + x)
     wgt = 1.0 / m.dlift(y)
-    y %= 1.0
-    y.setflags(write=False)
     wgt.setflags(write=False)
-    return y, wgt
-
-
-def _stencil_eval(values: np.ndarray, y: np.ndarray, clamp: bool) -> np.ndarray:
-    """Periodic 4-point Lagrange evaluation of the node sequence at y."""
-    M = values.size
-    u = (y % 1.0) * M
+    u = (y.ravel() % 1.0) * M
     j = np.floor(u).astype(np.int64)
     t = u - j
     j %= M
-    vm1 = values[(j - 1) % M]
-    v0 = values[j]
-    v1 = values[(j + 1) % M]
-    v2 = values[(j + 2) % M]
-    out = (
-        vm1 * (-t * (t - 1.0) * (t - 2.0) / 6.0)
-        + v0 * ((t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0)
-        + v1 * (-(t + 1.0) * t * (t - 2.0) / 2.0)
-        + v2 * ((t + 1.0) * t * (t - 1.0) / 6.0)
+    cols = np.stack([(j - 1) % M, j, (j + 1) % M, (j + 2) % M], axis=1)
+    coef = np.stack([
+        -t * (t - 1.0) * (t - 2.0) / 6.0,
+        (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
+        -(t + 1.0) * t * (t - 2.0) / 2.0,
+        (t + 1.0) * t * (t - 1.0) / 6.0,
+    ], axis=1)
+    rows = y.size
+    E = sparse.csr_array(
+        (coef.ravel(), cols.ravel(), np.arange(0, 4 * rows + 1, 4)),
+        shape=(rows, M),
     )
-    if clamp:
-        np.maximum(out, 0.0, out=out)
-    return out
+    return E, wgt
+
+
+def _operator(m: ExpandingMap, resolution: int):
+    """The cached (E, wgt) of ``m`` at ``resolution``, built on first use."""
+    with _OPERATORS_LOCK:
+        per_map = _OPERATORS.setdefault(m, {})
+        op = per_map.get(resolution)
+        if op is None:
+            op = per_map[resolution] = _build_operator(m, resolution)
+    return op
 
 
 def apply_function(m: ExpandingMap, f: GridFunction) -> GridFunction:
     """L f without any renormalization; preserves node-wise nonnegativity."""
-    y, wgt = _node_tables(m, f.resolution)
-    nonneg = bool(np.all(f.values >= 0.0))
-    ev = _stencil_eval(f.values, y.ravel(), clamp=nonneg)
-    out = (ev.reshape(y.shape) * wgt).sum(axis=0)
-    return GridFunction(out)
+    E, wgt = _operator(m, f.resolution)
+    ev = E @ f.values
+    if np.all(f.values >= 0.0):
+        np.maximum(ev, 0.0, out=ev)
+    return GridFunction((ev.reshape(wgt.shape) * wgt).sum(axis=0))
 
 
 def apply(m: ExpandingMap, psi: GridDensity) -> GridDensity:

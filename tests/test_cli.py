@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import expcircle
 from expcircle.cli import main
 
 
@@ -169,6 +172,15 @@ def test_invalid_alpha_exits_two(tmp_path, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+def test_overflowing_ledger_exits_two(tmp_path, capsys):
+    # lambda = 2 - 2 pi eps is barely above 1 here, so 4(Omega+1) lies far
+    # past the float64 exponent range and K = exp(4(Omega+1)) overflows
+    cfg = write_config(tmp_path, {"map": {"family": "perturbed", "w": 2, "eps": 0.159}})
+    assert main(["constants", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "overflows float64" in capsys.readouterr().err
+    assert not (tmp_path / "constants.json").exists()
+
+
 def test_unreachable_tolerance_exits_three(tmp_path, capsys):
     cfg = write_config(tmp_path, {"resolution": 16, "tol": 0.0})
     assert main(["invariant", "--config", cfg, "--out", str(tmp_path)]) == 3
@@ -176,10 +188,15 @@ def test_unreachable_tolerance_exits_three(tmp_path, capsys):
 
 
 def test_module_entry_point(tmp_path):
+    # the child imports the same package as this process, installed or not
+    src = str(Path(expcircle.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "expcircle", "constants", "--out", str(tmp_path)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert (tmp_path / "constants.json").exists()
@@ -187,6 +204,7 @@ def test_module_entry_point(tmp_path):
         [sys.executable, "-m", "expcircle", "--help"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     for sub in ("constants", "invariant", "decay", "coupling", "verify"):

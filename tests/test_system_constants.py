@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from expcircle import (
+    CertificationError,
     GridDensity,
     InvalidAlpha,
     compute_ledger,
@@ -77,6 +78,14 @@ def test_invalid_alpha_rejected(doubling):
     for bad in (0.0, -1.0, 1.0001, 2.0):
         with pytest.raises(InvalidAlpha):
             compute_ledger(doubling, bad)
+
+
+def test_ledger_refuses_an_overflowing_class_cap():
+    # lambda is barely above 1, so 4(Omega+1) is past the float64 exponent range
+    with pytest.raises(CertificationError, match="overflows float64"):
+        compute_ledger(perturbed_map(2, 0.159), 1.0)
+    # the largest eps of the standard maps is well inside the range
+    assert math.isfinite(compute_ledger(perturbed_map(2, 0.1), 1.0).big_k)
 
 
 def test_class_membership_checks():

@@ -1,6 +1,14 @@
+import gc
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
+from expcircle import transfer_operator
+from expcircle.audits import standard_maps
+from expcircle.inverse_branches import _anchor_offset, _solve_lift
 from expcircle import (
     GridDensity,
     GridFunction,
@@ -15,6 +23,8 @@ from expcircle import (
     inf_value,
     iterate,
     l1_distance,
+    linear_map,
+    perturbed_map,
     sup_norm,
     uniform_density,
 )
@@ -148,3 +158,118 @@ def test_iterate_sup_and_c1_caps(bent):
         assert ok and lhs <= rhs * 1.02
         lhs, rhs, ok = check_c1_bound(bent, f, n)
         assert ok and lhs <= rhs * 1.02
+
+
+def reference_tables(m, resolution):
+    """Node preimages under each depth-one branch and the weights 1/T'
+    there, both (winding, resolution), solved from scratch."""
+    x = np.arange(resolution) / resolution
+    m0 = _anchor_offset(m)
+    y = np.empty((m.winding, resolution))
+    for b in range(m.winding):
+        y[b] = _solve_lift(m, m0 + b + x)
+    wgt = 1.0 / m.dlift(y)
+    return y % 1.0, wgt
+
+
+def reference_stencil_eval(values, y, clamp):
+    """Periodic 4-point Lagrange evaluation of the node sequence at y."""
+    M = values.size
+    u = (y % 1.0) * M
+    j = np.floor(u).astype(np.int64)
+    t = u - j
+    j %= M
+    vm1 = values[(j - 1) % M]
+    v0 = values[j]
+    v1 = values[(j + 1) % M]
+    v2 = values[(j + 2) % M]
+    out = (
+        vm1 * (-t * (t - 1.0) * (t - 2.0) / 6.0)
+        + v0 * ((t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0)
+        + v1 * (-(t + 1.0) * t * (t - 2.0) / 2.0)
+        + v2 * ((t + 1.0) * t * (t - 1.0) / 6.0)
+    )
+    if clamp:
+        np.maximum(out, 0.0, out=out)
+    return out
+
+
+def reference_apply(tables, values):
+    y, wgt = tables
+    ev = reference_stencil_eval(values, y.ravel(), clamp=bool(np.all(values >= 0.0)))
+    return (ev.reshape(y.shape) * wgt).sum(axis=0)
+
+
+@pytest.mark.parametrize("resolution", [16, 512, 4096, 65536])
+def test_apply_matches_the_pointwise_stencil_bit_for_bit(resolution):
+    x = np.arange(resolution) / resolution
+    rng = np.random.Generator(np.random.Philox(key=resolution))
+    inputs = {
+        "density": np.exp(0.3 * np.cos(2 * np.pi * x)),
+        "signed": np.cos(2 * np.pi * x) + 0.1 * rng.normal(size=resolution),
+    }
+    for m in standard_maps():
+        tables = reference_tables(m, resolution)
+        for kind, v in inputs.items():
+            ref, cur = v, GridFunction(v)
+            for step in range(1, 21):
+                ref = reference_apply(tables, ref)
+                cur = apply_function(m, cur)
+                assert np.array_equal(cur.values, ref), (m, kind, step)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Resolutions of the operators built while the test runs, in order."""
+    built = []
+    build = transfer_operator._build_operator
+
+    def counting_build(m, resolution):
+        built.append(resolution)
+        return build(m, resolution)
+
+    monkeypatch.setattr(transfer_operator, "_build_operator", counting_build)
+    return built
+
+
+def test_operator_is_built_once_and_freed_with_its_map(builds):
+    cache = transfer_operator._OPERATORS
+    m = linear_map(2)
+    f = GridFunction(cos_k(1))
+    apply_function(m, f)
+    apply_function(m, f)
+    assert builds == [M]
+    assert list(cache[m]) == [M]
+    alive = weakref.ref(m)
+    gc.collect()
+    held = len(cache)
+    del m
+    gc.collect()
+    assert alive() is None
+    assert len(cache) == held - 1
+
+
+def test_concurrent_first_applies_share_one_build(builds):
+    m = perturbed_map(2, 0.05)
+    f = GridFunction(cos_k(1))
+    outs = []
+    start = threading.Barrier(8, timeout=60)
+
+    def first_apply():
+        start.wait()
+        outs.append(apply_function(m, f))
+
+    threads = [threading.Thread(target=first_apply) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert builds == [M]
+    assert len(outs) == 8
+    assert all(np.array_equal(o.values, outs[0].values) for o in outs)
