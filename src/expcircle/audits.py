@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.stats
@@ -157,6 +156,14 @@ def density_family(resolution: int = DEFAULT_RESOLUTION) -> list:
     ]
 
 
+def cosine_density(resolution: int = DEFAULT_RESOLUTION) -> GridDensity:
+    """exp(0.3 cos 2 pi x), normalized: the second start of the invariant
+    density and the first density of the coupling pair."""
+    x = np.arange(resolution) / resolution
+    v = np.exp(0.3 * np.cos(2.0 * np.pi * x))
+    return GridDensity(v / v.mean())
+
+
 def observable_family(resolution: int, alpha: float):
     """(label, f) test observables plus (label, g) Hoelder observables."""
     x = np.arange(resolution) / resolution
@@ -173,10 +180,17 @@ def observable_family(resolution: int, alpha: float):
     return fs, gs
 
 
-@lru_cache(maxsize=32)
+# Per-map invariant densities, keyed by resolution; an entry lives as long
+# as its map.
+_INVARIANTS: "weakref.WeakKeyDictionary[ExpandingMap, dict]" = weakref.WeakKeyDictionary()
+
+
 def cached_invariant(m: ExpandingMap, resolution: int = DEFAULT_RESOLUTION):
-    phi, diag = invariant_density(m, resolution=resolution)
-    return phi, diag
+    """(phi, diagnostics) of ``m`` at ``resolution``, computed on first use."""
+    per_map = _INVARIANTS.setdefault(m, {})
+    if resolution not in per_map:
+        per_map[resolution] = invariant_density(m, resolution=resolution)
+    return per_map[resolution]
 
 
 def _result(name: str, ok: bool, detail: str, t0: float) -> AuditResult:
@@ -552,10 +566,8 @@ def audit_invariant_density(m: ExpandingMap, *,
     led = compute_ledger(m, 1.0)
     phi, diag = cached_invariant(m, resolution)
     residual = l1_distance(apply_function(m, phi), phi)
-    x = np.arange(resolution) / resolution
-    v = np.exp(0.3 * np.cos(2.0 * np.pi * x))
     phi2, _ = invariant_density(m, resolution=resolution,
-                                psi0=GridDensity(v / v.mean()))
+                                psi0=cosine_density(resolution))
     seed_gap = l1_distance(phi, phi2)
     lip = lipschitz_estimate(phi)
     lip_cap = 1.05 * (1.0 + led.omega) ** 2
@@ -598,9 +610,7 @@ def audit_coupling_deterministic(m: ExpandingMap, *, alpha: float = 1.0,
     """Epoch decomposition run: envelopes and reconstruction at every step."""
     t0 = time.perf_counter()
     led = compute_ledger(m, alpha)
-    x = np.arange(resolution) / resolution
-    v = np.exp(0.3 * np.cos(2.0 * np.pi * x))
-    psi1 = GridDensity(v / v.mean())
+    psi1 = cosine_density(resolution)
     phi, _ = cached_invariant(m, resolution)
     n_max = max(2 * led.n_big_k + 5, 60)
     try:
@@ -620,9 +630,7 @@ def audit_coupling_monte_carlo(m: ExpandingMap, *, alpha: float = 1.0,
                                resolution: int = DEFAULT_RESOLUTION) -> AuditResult:
     """Simulated pair: mismatch envelope, coupling inequality, marginals."""
     t0 = time.perf_counter()
-    x = np.arange(resolution) / resolution
-    v = np.exp(0.3 * np.cos(2.0 * np.pi * x))
-    psi1 = GridDensity(v / v.mean())
+    psi1 = cosine_density(resolution)
     psi2 = uniform_density(resolution)
     try:
         trace = monte_carlo_coupling(m, psi1, psi2, alpha,
@@ -817,47 +825,32 @@ def audit_constants_monotonic() -> AuditResult:
 
 
 def run_all(m: ExpandingMap, *, seed: int = 42, trials: int = 100_000,
-            resolution: int = DEFAULT_RESOLUTION, n_max: int = 60,
-            threads: int | None = None, include_global: bool = True) -> list:
-    """Every audit for one map (plus the map-independent ones), in a fixed
-    order.  Audits run concurrently but are individually seeded, so the
-    report is identical regardless of thread count."""
-    jobs = [
-        lambda: audit_certificate(m),
-        lambda: audit_second_derivative(m),
-        lambda: audit_arc_expansion(m),
-        lambda: audit_preimage_roundtrip(m),
-        lambda: audit_partition(m),
-        lambda: audit_backward_contraction(m),
-        lambda: audit_distortion(m),
-        lambda: audit_operator_identities(m, resolution=resolution),
-        lambda: audit_duality(m, resolution=resolution),
-        lambda: audit_sup_c1_bounds(m, resolution=resolution),
-        lambda: audit_regularity_sweep(m, resolution=resolution),
-        lambda: audit_class_entry(m, resolution=resolution),
-        lambda: audit_invariant_density(m, resolution=resolution),
-        lambda: audit_cesaro(m, resolution=resolution),
-        lambda: audit_coupling_deterministic(m, resolution=resolution),
-        lambda: audit_coupling_monte_carlo(m, trials=trials, seed=seed,
-                                           resolution=resolution),
-        lambda: audit_correlation_decay(m, n_max=n_max, resolution=resolution),
-        lambda: audit_reduction_chain(m, n_max=n_max, resolution=resolution),
-        lambda: audit_density_convergence(m, n_max=n_max, resolution=resolution),
+            resolution: int = DEFAULT_RESOLUTION, n_max: int = 60) -> list:
+    """Every audit for one map, then the map-independent ones, run one
+    after another in a fixed order; each audit is individually seeded."""
+    return [
+        audit_certificate(m),
+        audit_second_derivative(m),
+        audit_arc_expansion(m),
+        audit_preimage_roundtrip(m),
+        audit_partition(m),
+        audit_backward_contraction(m),
+        audit_distortion(m),
+        *audit_operator_identities(m, resolution=resolution),
+        audit_duality(m, resolution=resolution),
+        audit_sup_c1_bounds(m, resolution=resolution),
+        *audit_regularity_sweep(m, resolution=resolution),
+        audit_class_entry(m, resolution=resolution),
+        audit_invariant_density(m, resolution=resolution),
+        audit_cesaro(m, resolution=resolution),
+        audit_coupling_deterministic(m, resolution=resolution),
+        audit_coupling_monte_carlo(m, trials=trials, seed=seed,
+                                   resolution=resolution),
+        audit_correlation_decay(m, n_max=n_max, resolution=resolution),
+        audit_reduction_chain(m, n_max=n_max, resolution=resolution),
+        audit_density_convergence(m, n_max=n_max, resolution=resolution),
+        audit_quadrature(resolution=resolution),
+        audit_sampling(resolution=resolution),
+        audit_constants_reference(resolution=resolution),
+        audit_constants_monotonic(),
     ]
-    if include_global:
-        jobs += [
-            lambda: audit_quadrature(resolution=resolution),
-            lambda: audit_sampling(resolution=resolution),
-            lambda: audit_constants_reference(resolution=resolution),
-            lambda: audit_constants_monotonic(),
-        ]
-    results: list[AuditResult] = []
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        for fut in futures:
-            out = fut.result()
-            if isinstance(out, AuditResult):
-                results.append(out)
-            else:
-                results.extend(out)
-    return results

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audits import run_all
+from .audits import cosine_density, run_all
 from .circle_map import linear_map, perturbed_map
 from .correlation_suite import decay_report
 from .coupling_lab import monte_carlo_coupling
@@ -54,7 +54,7 @@ from .system_constants import compute_ledger
 from .transfer_operator import invariant_density
 
 CONFIG_KEYS = {"map", "alpha", "resolution", "seed", "trials", "n_max",
-               "threads", "tol", "out"}
+               "tol", "out"}
 MAP_KEYS = {"family", "w", "eps"}
 
 _CONFIG_ERRORS = (ConfigError, CertificationError, InvalidAlpha,
@@ -74,7 +74,6 @@ class RunConfig:
     trials: int = 100_000
     n_max: int | None = None
     tol: float = 1e-12
-    threads: int | None = None
     out: str = "."
 
 
@@ -109,10 +108,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         cfg.w = map_cfg.get("w", cfg.w)
         cfg.eps = map_cfg.get("eps", cfg.eps)
         for key in ("alpha", "resolution", "seed", "trials", "n_max",
-                    "threads", "tol", "out"):
+                    "tol", "out"):
             if key in raw:
                 setattr(cfg, key, raw[key])
-    for key in ("alpha", "resolution", "seed", "trials", "n_max", "threads"):
+    for key in ("alpha", "resolution", "seed", "trials", "n_max"):
         value = getattr(args, key.replace("-", "_"), None)
         if value is not None:
             setattr(cfg, key, value)
@@ -133,10 +132,8 @@ def _validate(cfg: RunConfig) -> None:
     for key in ("resolution", "seed", "trials"):
         if not isinstance(getattr(cfg, key), int):
             raise ConfigError(f"{key} must be an integer")
-    for key in ("n_max", "threads"):
-        value = getattr(cfg, key)
-        if value is not None and not isinstance(value, int):
-            raise ConfigError(f"{key} must be an integer")
+    if cfg.n_max is not None and not isinstance(cfg.n_max, int):
+        raise ConfigError("n_max must be an integer")
     M = cfg.resolution
     if M < 16 or M & (M - 1):
         raise ConfigError(f"resolution must be a power of two >= 16, got {M}")
@@ -191,9 +188,7 @@ def _cos_observable(resolution: int) -> GridFunction:
 
 
 def _coupling_pair(resolution: int):
-    x = np.arange(resolution) / resolution
-    v = np.exp(0.3 * np.cos(2.0 * np.pi * x))
-    return GridDensity(v / v.mean()), GridDensity(np.ones(resolution))
+    return cosine_density(resolution), GridDensity(np.ones(resolution))
 
 
 def cmd_constants(cfg: RunConfig) -> int:
@@ -279,8 +274,7 @@ def cmd_coupling(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     m = make_map(cfg)
     results = run_all(m, seed=cfg.seed, trials=cfg.trials,
-                      resolution=cfg.resolution, n_max=cfg.n_max or 60,
-                      threads=cfg.threads)
+                      resolution=cfg.resolution, n_max=cfg.n_max or 60)
     for r in results:
         print(f"{'PASS' if r.ok else 'FAIL'} {r.name}: {r.detail}")
     failed = [r.name for r in results if not r.ok]
@@ -326,8 +320,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory "
                        "(default: config, then $EXPCIRCLE_OUT, then cwd)")
         p.add_argument("--seed", type=int, help="RNG seed (default 42)")
-        p.add_argument("--threads", type=int,
-                       help="worker pool size (default: hardware)")
         p.add_argument("--resolution", type=int,
                        help="grid nodes, power of two (default 4096)")
         p.add_argument("--alpha", type=float,

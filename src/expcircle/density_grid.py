@@ -113,23 +113,23 @@ class GridDensity(GridFunction):
 
     def __init__(self, values, *, normalize: bool = True):
         v = np.asarray(values, dtype=float)
-        if v.size and np.min(v) < 0.0:
-            raise NonPositiveDensity(
-                f"density has negative node value {np.min(v):.6g}"
-            )
+        lo = float(v.min()) if v.size else 0.0
+        if lo < 0.0:
+            raise NonPositiveDensity(f"density has negative node value {lo:.6g}")
         mean = float(v.mean()) if v.size else 0.0
         if normalize:
+            # The exact node mean lies in [min, max] but the rounded one can
+            # miss it (a constant vector need not sum exactly).  Pinned back,
+            # it makes every normalized density straddle 1, and a constant
+            # one exactly 1, as unit mass implies.
+            if v.size:
+                mean = min(max(mean, lo), float(v.max()))
             if mean <= 0.0:
                 raise NonPositiveDensity("density has zero total mass")
             v = v / mean
         elif abs(mean - 1.0) > 1e-12:
             raise ValueError(f"density mean {mean!r} is not 1 within 1e-12")
         super().__init__(v)
-
-    @classmethod
-    def from_function(cls, fn, resolution: int = DEFAULT_RESOLUTION):
-        x = np.arange(resolution) / resolution
-        return cls(np.asarray(fn(x), dtype=float))
 
 
 def uniform_density(resolution: int = DEFAULT_RESOLUTION) -> GridDensity:

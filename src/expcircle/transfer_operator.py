@@ -36,6 +36,7 @@ from .density_grid import (
 )
 from .errors import NoConvergence
 from .inverse_branches import _anchor_offset, _solve_lift
+from .system_constants import compute_ledger
 from . import density_grid
 
 DRIFT_WARN = density_grid.DRIFT_WARN
@@ -43,7 +44,8 @@ logger = density_grid.logger
 
 
 # Per-map operators, keyed by resolution; an entry lives as long as its map.
-# The lock makes audits running in parallel on one map share a single build.
+# The lock makes callers applying one map from several threads share a
+# single build.
 _OPERATORS: "weakref.WeakKeyDictionary[ExpandingMap, dict]" = weakref.WeakKeyDictionary()
 _OPERATORS_LOCK = threading.Lock()
 
@@ -218,17 +220,13 @@ def invariant_density(
     )
 
 
-def _omega(m: ExpandingMap) -> float:
-    return m.d2_sup / (m.lam * (m.lam - 1.0))
-
-
 def check_sup_bound(m: ExpandingMap, f: GridFunction, n: int):
     """sup |L^n f| <= (1 + Omega) sup |f|; returns (lhs, rhs, ok)."""
     cur = f
     for _ in range(n):
         cur = apply_function(m, cur)
     lhs = sup_norm(cur)
-    rhs = (1.0 + _omega(m)) * sup_norm(f)
+    rhs = (1.0 + compute_ledger(m, 1.0).omega) * sup_norm(f)
     return lhs, rhs, lhs <= rhs * 1.02
 
 
@@ -245,5 +243,5 @@ def check_c1_bound(m: ExpandingMap, f: GridFunction, n: int):
     for _ in range(n):
         cur = apply_function(m, cur)
     lhs = _c1_size(cur)
-    rhs = (1.0 + _omega(m)) ** 2 * _c1_size(f)
+    rhs = (1.0 + compute_ledger(m, 1.0).omega) ** 2 * _c1_size(f)
     return lhs, rhs, lhs <= rhs * 1.02

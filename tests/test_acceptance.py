@@ -190,6 +190,21 @@ def test_positivity_floor_sweep(capsys, regularity_sweeps):
     )
 
 
+def test_regularity_sweep_passes_on_all_maps(capsys, regularity_sweeps):
+    bad = [f"{label} {r.name} ({r.detail})"
+           for label, results in regularity_sweeps.items()
+           for r in results if not r.ok]
+    names = [r.name for r in next(iter(regularity_sweeps.values()))]
+    report(
+        capsys,
+        "every regularity-sweep entry on all maps",
+        not bad,
+        f"{len(names)} entries ({', '.join(names)}) on {len(MAPS)} maps"
+        if not bad
+        else "violations: " + ", ".join(bad),
+    )
+
+
 def test_monte_carlo_coupling_certified(capsys):
     m = perturbed_map(2, 0.05)
     v = np.exp(0.3 * np.cos(2 * np.pi * X))

@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 
-from expcircle import AuditResult, integrate, standard_maps
+from expcircle import AuditResult, integrate, perturbed_map, standard_maps
+from expcircle import audits, transfer_operator
 from expcircle.audits import (
     audit_arc_expansion,
     audit_certificate,
@@ -80,3 +84,17 @@ def test_partition_audit_returns_per_depth_details(doubling):
     res = audit_partition(doubling)
     assert res.ok
     assert "arc defect" in res.detail and "route mismatch" in res.detail
+
+
+def test_cached_invariant_is_freed_with_its_map():
+    gc.collect()
+    held = len(transfer_operator._OPERATORS)
+    maps = [perturbed_map(2, 0.05) for _ in range(3)]
+    for m in maps:
+        phi, _ = audits.cached_invariant(m, 512)
+        assert audits.cached_invariant(m, 512)[0] is phi
+    alive = [weakref.ref(m) for m in maps]
+    del m, maps
+    gc.collect()
+    assert all(ref() is None for ref in alive)
+    assert len(transfer_operator._OPERATORS) == held

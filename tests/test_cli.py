@@ -104,9 +104,10 @@ def test_coupling_seed_changes_stream(tmp_path):
     assert chi1 != chi2
 
 
-def test_verify_doubling(tmp_path, capsys):
+@pytest.mark.parametrize("w", [2, 3])
+def test_verify_linear_maps(tmp_path, capsys, w):
     cfg = write_config(
-        tmp_path, {"map": {"family": "linear", "w": 2}, "trials": 20000}
+        tmp_path, {"map": {"family": "linear", "w": w}, "trials": 20000}
     )
     assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
@@ -157,6 +158,16 @@ def test_bad_configs_exit_two(tmp_path, payload, capsys):
     cfg = write_config(tmp_path, payload)
     assert main(["constants", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_removed_threads_knob_is_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"threads": 2})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "unknown config keys" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--threads", "2", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not (tmp_path / "verify.json").exists()
 
 
 def test_malformed_and_missing_config_exit_two(tmp_path, capsys):

@@ -62,6 +62,12 @@ def test_density_normalizes_and_rejects_negatives():
         GridDensity(1.5 + COS, normalize=False)
 
 
+def test_constant_density_normalizes_to_exactly_one():
+    # the rounded node mean of these constant vectors is off by an ulp or two
+    for c in (0.1, 0.3, 0.9, 3.3):
+        assert np.all(GridDensity(np.full(M, c)).values == 1.0)
+
+
 def test_evaluate_interpolates_linearly():
     f = GridFunction.from_function(lambda x: x * 0 + np.arange(8), resolution=8)
     assert f.evaluate(0.0) == 0.0
