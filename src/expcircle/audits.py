@@ -23,7 +23,8 @@ from .circle_map import (
     linear_map,
     perturbed_map,
 )
-from .coupling_lab import decompose, deterministic_contraction_run, monte_carlo_coupling
+from .coupling_lab import (CHI2_P_FLOOR, decompose, deterministic_contraction_run,
+                           monte_carlo_coupling)
 from .correlation_suite import (
     decay_report,
     density_convergence_report,
@@ -48,11 +49,9 @@ from .errors import ExpCircleError
 from .inverse_branches import (
     BranchId,
     _solve_lift,
-    branch_contraction_check,
-    distortion_ratio,
     inverse_weight_sum,
     preimages,
-    pullback_orbit,
+    walk,
 )
 from .system_constants import (
     ESTIMATOR_SLACK,
@@ -263,16 +262,15 @@ def audit_preimage_roundtrip(m: ExpandingMap, *, seed: int = 6, samples: int = 6
     rng = _rng(seed)
     xs = rng.random(samples)
     worst = 0.0
-    cells = 0
-    for depth in range(1, max_depth + 1):
-        for bid in _sampled_paths(m.winding, depth, rng, cap=40):
-            y = pullback_orbit(m, xs, bid)[-1]
-            for _ in range(depth):
-                y = evaluate(m, y)
-            worst = max(worst, float(circle_distance(y, xs).max()))
-            cells += samples
+    paths = _sampled_paths(m.winding, max_depth, rng, cap=40)
+    for bid, orbit, _, _ in walk(m, paths, xs):
+        y = orbit[-1]
+        for _ in range(bid.depth):
+            y = evaluate(m, y)
+        worst = max(worst, float(circle_distance(y, xs).max()))
     return _result("preimage-roundtrip", worst <= 1e-9,
-                   f"worst return distance {worst:.3e} over {cells} cells", t0)
+                   f"worst return distance {worst:.3e} over "
+                   f"{len(paths) * samples} cells", t0)
 
 
 def audit_partition(m: ExpandingMap, *, seed: int = 8,
@@ -308,22 +306,16 @@ def audit_partition(m: ExpandingMap, *, seed: int = 8,
                    f"{worst_mass:.1e}, route mismatch {worst_route:.1e}", t0)
 
 
-def _sampled_paths(w: int, depth: int, rng: np.random.Generator, cap: int = 600):
-    """All branch paths of the given depth, or a seeded subsample when the
-    tree exceeds cap."""
-    total = w ** depth
-    if total <= cap:
-        idx = np.arange(total)
-    else:
-        idx = rng.choice(total, size=cap, replace=False)
+def _sampled_paths(w: int, max_depth: int, rng: np.random.Generator, cap: int = 600):
+    """Branch paths of every depth 1..max_depth: all of them, or a seeded
+    subsample of cap paths at a depth whose tree exceeds cap."""
     out = []
-    for t in idx:
-        t = int(t)
-        path = []
-        for _ in range(depth):
-            path.append(t % w)
-            t //= w
-        out.append(BranchId(depth, tuple(path)))
+    for depth in range(1, max_depth + 1):
+        total = w ** depth
+        idx = np.arange(total) if total <= cap else rng.choice(total, size=cap, replace=False)
+        # path[k] is digit k of the index in base w, least significant first
+        digits = np.unravel_index(idx, (w,) * depth, order="F")
+        out += [BranchId(depth, path) for path in zip(*digits)]
     return out
 
 
@@ -335,15 +327,15 @@ def audit_backward_contraction(m: ExpandingMap, *, seed: int = 9, pairs: int = 1
     rng = _rng(seed)
     xs = rng.random(pairs)
     ys = rng.random(pairs)
+    d = np.atleast_1d(circle_distance(xs, ys))
     worst = -np.inf
-    cells = 0
-    for depth in range(1, max_depth + 1):
-        for bid in _sampled_paths(m.winding, depth, rng, cap=path_cap):
-            lhs, rhs, _ = branch_contraction_check(m, xs, ys, depth, bid)
-            worst = max(worst, float((lhs - rhs).max()))
-            cells += pairs
+    paths = _sampled_paths(m.winding, max_depth, rng, cap=path_cap)
+    for bid, _, _, gaps in walk(m, paths, xs, ys):
+        rhs = m.lam ** (-bid.depth) * d
+        worst = max(worst, float((gaps[-1] - rhs).max()))
     return _result("backward-contraction", worst <= PAIR_SLACK,
-                   f"worst lhs - rhs = {worst:.3e} over {cells} pair-path cells", t0)
+                   f"worst lhs - rhs = {worst:.3e} over {len(paths) * pairs} "
+                   "pair-path cells", t0)
 
 
 def audit_distortion(m: ExpandingMap, *, seed: int = 10, pairs: int = 1000,
@@ -359,14 +351,13 @@ def audit_distortion(m: ExpandingMap, *, seed: int = 10, pairs: int = 1000,
     lo = np.exp(-omega * d) - DISTORTION_SLACK
     hi = np.exp(omega * d) + DISTORTION_SLACK
     worst = -np.inf
-    cells = 0
-    for depth in range(1, max_depth + 1):
-        for bid in _sampled_paths(m.winding, depth, rng, cap=path_cap):
-            ratio = distortion_ratio(m, xs, ys, depth, bid)
-            worst = max(worst, float((ratio - hi).max()), float((lo - ratio).max()))
-            cells += pairs
+    paths = _sampled_paths(m.winding, max_depth, rng, cap=path_cap)
+    for _, us, vs, _ in walk(m, paths, xs, ys):
+        ratio = np.prod(m.dlift(us), axis=0) / np.prod(m.dlift(vs), axis=0)
+        worst = max(worst, float((ratio - hi).max()), float((lo - ratio).max()))
     return _result("distortion", worst <= 0.0,
-                   f"worst band excess {worst:.3e} over {cells} pair-path cells", t0)
+                   f"worst band excess {worst:.3e} over {len(paths) * pairs} "
+                   "pair-path cells", t0)
 
 
 def audit_operator_identities(m: ExpandingMap, *, seed: int = 11, cases: int = 100,
@@ -638,7 +629,7 @@ def audit_coupling_monte_carlo(m: ExpandingMap, *, alpha: float = 1.0,
     except ExpCircleError as exc:
         return _result("coupling-monte-carlo", False, str(exc), t0)
     min_p = min((c["p_value"] for c in trace.chi2), default=1.0)
-    ok = min_p > 1e-4
+    ok = min_p > CHI2_P_FLOOR
     return _result(
         "coupling-monte-carlo", ok,
         f"{trials} trials, n_max={int(trace.ns[-1])}, "

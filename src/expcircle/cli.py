@@ -132,8 +132,8 @@ def _validate(cfg: RunConfig) -> None:
     for key in ("resolution", "seed", "trials"):
         if not isinstance(getattr(cfg, key), int):
             raise ConfigError(f"{key} must be an integer")
-    if cfg.n_max is not None and not isinstance(cfg.n_max, int):
-        raise ConfigError("n_max must be an integer")
+    if cfg.n_max is not None and (not isinstance(cfg.n_max, int) or cfg.n_max < 1):
+        raise ConfigError(f"n_max must be an integer of at least 1, got {cfg.n_max!r}")
     M = cfg.resolution
     if M < 16 or M & (M - 1):
         raise ConfigError(f"resolution must be a power of two >= 16, got {M}")
@@ -178,7 +178,10 @@ def _write_json(path: Path, payload) -> None:
 
 def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 

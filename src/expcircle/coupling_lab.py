@@ -33,6 +33,8 @@ from .transfer_operator import apply
 
 DETERMINISTIC_SLACK = 5e-6
 RECONSTRUCTION_TOL = 1e-8
+# A marginal chi-square p-value at or below this fails a Monte-Carlo run.
+CHI2_P_FLOOR = 1e-4
 
 
 def decompose(psi: GridDensity, a: float) -> GridDensity:
@@ -241,7 +243,8 @@ def monte_carlo_coupling(
     regenerates jointly from the uniform pool with probability a, and
     otherwise resamples independently from the two epoch residuals.
     Audits the mismatch envelope and the tv <= 2 P(X != Y) inequality at
-    every step with Monte-Carlo slack 5/sqrt(trials).
+    every step with Monte-Carlo slack 5/sqrt(trials), and the sampled
+    marginals against the evolved densities by chi-square tests.
     """
     led = ledger if ledger is not None else compute_ledger(m, alpha)
     if n_max is None:
@@ -311,4 +314,8 @@ def monte_carlo_coupling(
             f"tv {tv[bad][0]:.6g} exceeds twice the empirical mismatch "
             f"+ {slack:.3g} at n = {n_bad}"
         )
+    for c in chi2:
+        if c["p_value"] <= CHI2_P_FLOOR:
+            raise AuditViolation(f"marginal chi2 p-value {c['p_value']:.3g} <= "
+                                 f"{CHI2_P_FLOOR:g} at n = {c['n']}")
     return trace

@@ -2,10 +2,11 @@
 backward-contraction / bounded-distortion audits built on them.
 
 Depth-n preimages are always composed from single-step pullbacks; nothing
-here inverts the n-fold composition directly.  Depth-one branch i is the
-monotone piece of the lift whose image covers [m0 + i, m0 + i + 1) with
-m0 = ceil(F(0)); equivalently, the arc between consecutive preimages of
-the anchor point 0.
+here inverts the n-fold composition directly.  Every depth-n caller goes
+through ``walk``, which solves each shared path prefix once.  Depth-one
+branch i is the monotone piece of the lift whose image covers
+[m0 + i, m0 + i + 1) with m0 = ceil(F(0)); equivalently, the arc between
+consecutive preimages of the anchor point 0.
 """
 
 from __future__ import annotations
@@ -82,15 +83,6 @@ def _solve_lift(m: ExpandingMap, target, lo=0.0, hi=2.0):
     )
 
 
-def _pull_step(m: ExpandingMap, x, branch: int):
-    """Single-step preimage of x (array ok) through depth-one branch ``branch``."""
-    if not 0 <= branch < m.winding:
-        raise ValueError(f"branch {branch} outside 0..{m.winding - 1}")
-    x = np.asarray(wrap(x))
-    y = _solve_lift(m, _anchor_offset(m) + branch + x)
-    return wrap(y)
-
-
 def preimages(m: ExpandingMap, x):
     """All single-step preimages of x as (BranchId, point), sorted by point."""
     x = wrap(float(x))
@@ -101,58 +93,62 @@ def preimages(m: ExpandingMap, x):
     return pairs
 
 
-def _check_path(m: ExpandingMap, bid: BranchId) -> None:
-    if bid.depth > MAX_DEPTH:
-        raise ValueError(f"depth {bid.depth} exceeds the cap {MAX_DEPTH}")
-    if any(b >= m.winding for b in bid.path):
-        raise ValueError(f"path {bid.path} has entries >= winding {m.winding}")
+def walk(m: ExpandingMap, bids, x, y=None):
+    """Yield ``(bid, us, vs, gaps)`` for every path in ``bids``, in
+    lexicographic path order: the backward orbit u_1..u_n of x stacked over
+    depth and, given y, the orbit of y and the distances |u_k - v_k| of the
+    lifts (else None).
+
+    Only the current path's chain of nodes is held; each path keeps the
+    prefix it shares with the previous one and solves only its new steps.
+    y is carried as a lifted displacement from x, so both points follow the
+    same monotone piece at every step instead of being re-anchored
+    independently.
+    """
+    bids = sorted(bids, key=lambda bid: bid.path)
+    for bid in bids:
+        if bid.depth > MAX_DEPTH:
+            raise ValueError(f"depth {bid.depth} exceeds the cap {MAX_DEPTH}")
+        if any(b >= m.winding for b in bid.path):
+            raise ValueError(f"path {bid.path} has entries >= winding {m.winding}")
+    # index k holds depth k of the current path (u, v, signed lifted gap)
+    us, vs, gaps = [np.atleast_1d(np.asarray(wrap(x), dtype=float))], [None], [None]
+    if y is not None:
+        gaps[0] = np.atleast_1d(np.asarray(signed_gap(x, y), dtype=float))
+        if not np.all(np.abs(gaps[0]) <= 0.5):      # also refuses NaN and inf
+            raise ArcViolation("pair does not fit in a common arc of length 1/2")
+    m0 = _anchor_offset(m)
+    prev = ()
+    for bid in bids:
+        keep = 0
+        while keep < min(len(prev), bid.depth) and prev[keep] == bid.path[keep]:
+            keep += 1
+        del us[keep + 1:], vs[keep + 1:], gaps[keep + 1:]
+        for b in bid.path[keep:]:
+            tu = m0 + b + us[-1]
+            pu = _solve_lift(m, tu)
+            us.append(wrap(pu))
+            if y is not None:
+                pv = _solve_lift(m, tu + gaps[-1], lo=-1.0, hi=3.0)
+                vs.append(wrap(pv))
+                gaps.append(pv - pu)
+        prev = bid.path
+        if y is None:
+            yield bid, np.stack(us[1:]), None, None
+        else:
+            yield bid, np.stack(us[1:]), np.stack(vs[1:]), np.abs(np.stack(gaps[1:]))
 
 
 def pullback(m: ExpandingMap, x, bid: BranchId):
     """Depth-n preimage of x along ``bid``; path[0] acts on x itself."""
-    _check_path(m, bid)
-    y = np.asarray(wrap(x))
-    for b in bid.path:
-        y = _pull_step(m, y, b)
-    return float(y.reshape(-1)[0]) if np.ndim(x) == 0 else y
+    y = pullback_orbit(m, x, bid)[-1]
+    return float(y[0]) if np.ndim(x) == 0 else y
 
 
 def pullback_orbit(m: ExpandingMap, x, bid: BranchId):
     """Backward orbit u_1..u_n of x along ``bid`` (u_k at depth k)."""
-    _check_path(m, bid)
-    y = np.asarray(wrap(x))
-    orbit = []
-    for b in bid.path:
-        y = _pull_step(m, y, b)
-        orbit.append(y)
-    return np.stack(orbit)
-
-
-def _pair_orbits(m: ExpandingMap, x, y, bid: BranchId):
-    """Continued pullback of the pair (x, y) along one branch path.
-
-    The second point is carried as a lifted displacement from the first,
-    so both points follow the same monotone piece at every step instead of
-    being re-anchored independently.  Returns (u_orbit, v_orbit, gaps).
-    """
-    _check_path(m, bid)
-    u = np.atleast_1d(np.asarray(wrap(x), dtype=float))
-    gap = np.atleast_1d(np.asarray(signed_gap(x, y), dtype=float))
-    d0 = np.abs(gap)
-    if np.any(~np.isfinite(d0)) or np.any(d0 > 0.5):
-        raise ArcViolation("pair does not fit in a common arc of length 1/2")
-    m0 = _anchor_offset(m)
-    us, vs, gaps = [], [], []
-    for b in bid.path:
-        tu = m0 + b + u
-        pu = _solve_lift(m, tu)
-        pv = _solve_lift(m, tu + gap, lo=-1.0, hi=3.0)
-        gap = pv - pu
-        u = wrap(pu)
-        us.append(u)
-        vs.append(wrap(pv))
-        gaps.append(np.abs(gap))
-    return np.stack(us), np.stack(vs), np.stack(gaps)
+    _, orbit, _, _ = next(walk(m, [bid], x))
+    return orbit
 
 
 def branch_contraction_check(m: ExpandingMap, x, y, n: int, bid: BranchId):
@@ -163,7 +159,7 @@ def branch_contraction_check(m: ExpandingMap, x, y, n: int, bid: BranchId):
     """
     if n != bid.depth:
         raise ValueError(f"n = {n} does not match branch depth {bid.depth}")
-    _, _, gaps = _pair_orbits(m, x, y, bid)
+    _, _, _, gaps = next(walk(m, [bid], x, y))
     lhs = gaps[-1]
     rhs = m.lam ** (-n) * np.atleast_1d(circle_distance(x, y))
     ok = bool(np.all(lhs <= rhs + 1e-10))
@@ -176,7 +172,7 @@ def distortion_ratio(m: ExpandingMap, x, y, n: int, bid: BranchId):
     """(T^n)'(x_-n) / (T^n)'(y_-n) along one branch, with continuation."""
     if n != bid.depth:
         raise ValueError(f"n = {n} does not match branch depth {bid.depth}")
-    us, vs, _ = _pair_orbits(m, x, y, bid)
+    _, us, vs, _ = next(walk(m, [bid], x, y))
     ratio = np.prod(m.dlift(us), axis=0) / np.prod(m.dlift(vs), axis=0)
     return float(ratio[0]) if np.ndim(x) == 0 else ratio
 
@@ -184,10 +180,8 @@ def distortion_ratio(m: ExpandingMap, x, y, n: int, bid: BranchId):
 def deep_preimages(m: ExpandingMap, x, depth: int):
     """All w^depth preimages of x under the depth-fold composition,
     as (BranchId, point) in lexicographic path order."""
-    out = []
-    for bid in branch_ids(m.winding, depth):
-        out.append((bid, pullback(m, x, bid)))
-    return out
+    return [(bid, float(us[-1][0]) if np.ndim(x) == 0 else us[-1])
+            for bid, us, _, _ in walk(m, branch_ids(m.winding, depth), x)]
 
 
 def inverse_weight_sum(m: ExpandingMap, x, depth: int):
@@ -198,9 +192,7 @@ def inverse_weight_sum(m: ExpandingMap, x, depth: int):
     and it equals 1 pointwise exactly when T'' = 0.  Vectorized over base
     points.
     """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    total = np.zeros_like(xs)
-    for bid in branch_ids(m.winding, depth):
-        orbit = pullback_orbit(m, xs, bid)
+    total = 0.0
+    for _, orbit, _, _ in walk(m, branch_ids(m.winding, depth), x):
         total += 1.0 / np.prod(m.dlift(orbit), axis=0)
     return float(total[0]) if np.ndim(x) == 0 else total

@@ -16,12 +16,13 @@ import numpy as np
 from .circle_map import ExpandingMap
 from .density_grid import (
     GridDensity,
+    _check_alpha,
     holder_coefficient,
     inf_value,
     integrate,
     log_transform,
 )
-from .errors import CertificationError, InvalidAlpha
+from .errors import CertificationError
 
 # Estimated Hoelder coefficients are lower bounds of the node-pair sup;
 # class membership checks allow this much slack on top of the cap.
@@ -87,9 +88,7 @@ class ConstantsLedger:
 
 
 def compute_ledger(m: ExpandingMap, alpha: float) -> ConstantsLedger:
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 1.0:
-        raise InvalidAlpha(f"alpha must lie in (0, 1], got {alpha}")
+    alpha = _check_alpha(alpha)
     lam = m.lam
     omega = m.d2_sup / (lam * (lam - 1.0))
     log_big_k = 4.0 * (omega + 1.0)
@@ -102,7 +101,7 @@ def compute_ledger(m: ExpandingMap, alpha: float) -> ConstantsLedger:
     big_k = math.exp(log_big_k)
     log_lam = math.log(lam)
     n_big_k = int(math.floor(math.log(big_k) / (alpha * log_lam))) + 1
-    return ConstantsLedger(
+    led = ConstantsLedger(
         alpha=alpha,
         lam=lam,
         winding=m.winding,
@@ -121,6 +120,12 @@ def compute_ledger(m: ExpandingMap, alpha: float) -> ConstantsLedger:
         c_corr=96.0 * (2.0 + omega) ** 2,
         lower_floor=math.exp(-(omega + 1.0)),
     )
+    if not (led.theta_exact < 1.0 and led.theta_paper < 1.0):
+        raise CertificationError(
+            f"theta_exact = {led.theta_exact!r} and theta_paper = {led.theta_paper!r} "
+            f"must both be below 1 in float64 on {m!r}; every envelope built from "
+            "them would hold vacuously")
+    return led
 
 
 def hoelder_class_check(psi: GridDensity, cap: float, alpha: float) -> bool:

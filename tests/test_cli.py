@@ -192,6 +192,44 @@ def test_overflowing_ledger_exits_two(tmp_path, capsys):
     assert not (tmp_path / "constants.json").exists()
 
 
+def test_vacuous_ledger_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"map": {"family": "perturbed", "w": 2, "eps": 0.11}})
+    assert main(["constants", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "must both be below 1" in capsys.readouterr().err
+    assert not (tmp_path / "constants.json").exists()
+    cfg = write_config(tmp_path, {"map": {"family": "perturbed", "w": 2, "eps": 0.1}})
+    assert main(["constants", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["decay", "--n-max", "-5"],
+    ["decay", "--n-max", "0"],
+    ["coupling", "--n-max", "-5"],
+])
+def test_nonpositive_horizon_exits_two(tmp_path, argv, capsys):
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert "n_max must be an integer of at least 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_uncreatable_output_directory_exits_two(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):
+        assert main(["constants", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.count("cannot create output directory") == 2
+
+
+def test_collapsed_coupling_marginals_exit_four(tmp_path, capsys):
+    # float orbits of x -> 2x mod 1 reach 0 after ~53 steps, while coupled
+    # pairs flow for up to 80 steps at alpha 0.3: the marginals collapse
+    cfg = write_config(tmp_path, {"map": {"family": "linear", "w": 2},
+                                  "alpha": 0.3, "trials": 20000})
+    assert main(["coupling", "--config", cfg, "--out", str(tmp_path)]) == 4
+    assert "marginal chi2 p-value" in capsys.readouterr().err
+    assert not (tmp_path / "coupling.json").exists()
+
+
 def test_unreachable_tolerance_exits_three(tmp_path, capsys):
     cfg = write_config(tmp_path, {"resolution": 16, "tol": 0.0})
     assert main(["invariant", "--config", cfg, "--out", str(tmp_path)]) == 3

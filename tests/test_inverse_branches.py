@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expcircle import (
+    ArcViolation,
     BranchId,
     branch_contraction_check,
     branch_ids,
@@ -18,6 +19,9 @@ from expcircle import (
     pullback,
     pullback_orbit,
 )
+from expcircle import inverse_branches as ib
+from expcircle.audits import _sampled_paths, standard_maps
+from expcircle.circle_map import signed_gap, wrap
 
 unit = st.floats(min_value=0, max_value=1, exclude_max=True)
 
@@ -165,3 +169,117 @@ def test_depth_validation(bent):
         pullback(bent, 0.5, BranchId(1, (5,)))
     with pytest.raises(ValueError):
         branch_contraction_check(bent, 0.1, 0.2, 2, BranchId(1, (0,)))
+
+
+# Reference: the per-step loops that walked every path from scratch.  The
+# walk must reproduce them bit for bit, since each of its solves receives
+# the same point array.
+
+
+def _ref_pull_step(m, x, branch):
+    x = np.asarray(wrap(x))
+    y = ib._solve_lift(m, ib._anchor_offset(m) + branch + x)
+    return wrap(y)
+
+
+def _ref_orbit(m, x, bid):
+    y = np.asarray(wrap(x))
+    orbit = []
+    for b in bid.path:
+        y = _ref_pull_step(m, y, b)
+        orbit.append(y)
+    return np.stack(orbit)
+
+
+def _ref_pair_orbits(m, x, y, bid):
+    u = np.atleast_1d(np.asarray(wrap(x), dtype=float))
+    gap = np.atleast_1d(np.asarray(signed_gap(x, y), dtype=float))
+    m0 = ib._anchor_offset(m)
+    us, vs, gaps = [], [], []
+    for b in bid.path:
+        tu = m0 + b + u
+        pu = ib._solve_lift(m, tu)
+        pv = ib._solve_lift(m, tu + gap, lo=-1.0, hi=3.0)
+        gap = pv - pu
+        u = wrap(pu)
+        us.append(u)
+        vs.append(wrap(pv))
+        gaps.append(np.abs(gap))
+    return np.stack(us), np.stack(vs), np.stack(gaps)
+
+
+def _walk_paths(m):
+    """Every path to depth 8 for w = 2, a seeded sample of them for w = 3."""
+    if m.winding == 2:
+        return [b for depth in range(1, 9) for b in branch_ids(2, depth)]
+    rng = np.random.Generator(np.random.Philox(key=3))
+    return _sampled_paths(m.winding, 8, rng, cap=24)
+
+
+@pytest.mark.parametrize("m", standard_maps(), ids=repr)
+def test_walk_matches_per_step_reference(m):
+    rng = np.random.Generator(np.random.Philox(key=5))
+    x = rng.random(6)
+    y = np.concatenate([rng.random(5), [x[0]]])   # one pair at distance 0
+    paths = _walk_paths(m)
+    single = list(ib.walk(m, paths, x))
+    pairs = list(ib.walk(m, paths, x, y))
+    assert [b.path for b, *_ in single] == sorted(b.path for b in paths)
+    for (bid, us, vs, gaps), (bid2, us2, vs2, gaps2) in zip(single, pairs):
+        assert bid == bid2 and vs is None and gaps is None
+        assert np.array_equal(us, _ref_orbit(m, x, bid))
+        ref_us, ref_vs, ref_gaps = _ref_pair_orbits(m, x, y, bid)
+        assert np.array_equal(us2, ref_us)
+        assert np.array_equal(vs2, ref_vs)
+        assert np.array_equal(gaps2, ref_gaps)
+    for bid in paths[-m.winding ** 2:]:        # the one-path callers, at depth 8
+        ref_us, ref_vs, ref_gaps = _ref_pair_orbits(m, x, y, bid)
+        assert np.array_equal(pullback_orbit(m, x, bid), _ref_orbit(m, x, bid))
+        ratio = np.prod(m.dlift(ref_us), axis=0) / np.prod(m.dlift(ref_vs), axis=0)
+        assert np.array_equal(distortion_ratio(m, x, y, bid.depth, bid), ratio)
+        lhs, _, _ = branch_contraction_check(m, x, y, bid.depth, bid)
+        assert np.array_equal(lhs, ref_gaps[-1])
+    depth = 8 if m.winding == 2 else 4
+    ref_sum = np.zeros_like(x)
+    for bid in branch_ids(m.winding, depth):
+        ref_sum += 1.0 / np.prod(m.dlift(_ref_orbit(m, x, bid)), axis=0)
+    assert np.array_equal(inverse_weight_sum(m, x, depth), ref_sum)
+    ref_deep = [_ref_orbit(m, 0.3, bid)[-1, 0] for bid in branch_ids(m.winding, depth)]
+    assert [p for _, p in deep_preimages(m, 0.3, depth)] == ref_deep
+
+
+def test_walk_solves_each_prefix_once(bent, monkeypatch):
+    calls = []
+    solve = ib._solve_lift
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(ib, "_solve_lift", counted)
+    paths = [b for depth in range(1, 9) for b in branch_ids(2, depth)]
+    x, y = np.array([0.1, 0.7]), np.array([0.2, 0.5])
+    assert len(paths) == 510
+
+    def solves(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    assert solves(lambda: list(ib.walk(bent, paths, x))) == 510
+    assert solves(lambda: list(ib.walk(bent, paths, x, y))) == 1020
+    # in any order: the walk sorts the paths itself
+    assert solves(lambda: list(ib.walk(bent, paths[::-1], x, y))) == 1020
+    assert solves(lambda: deep_preimages(bent, 0.3, 8)) == 510
+    assert solves(lambda: inverse_weight_sum(bent, x, 8)) == 510
+    # one path from scratch per call, as the per-step reference does
+    assert solves(lambda: [_ref_orbit(bent, x, b) for b in paths]) == 3586
+    assert solves(lambda: [_ref_pair_orbits(bent, x, y, b) for b in paths]) == 7172
+
+
+def test_walk_validates_before_solving(bent):
+    # the bad second path is refused before the first one is yielded
+    with pytest.raises(ValueError):
+        next(ib.walk(bent, [BranchId(1, (0,)), BranchId(1, (2,))], 0.1, 0.9))
+    with pytest.raises(ArcViolation):
+        next(ib.walk(bent, [BranchId(1, (0,))], 0.1, np.nan))

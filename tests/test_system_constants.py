@@ -88,6 +88,14 @@ def test_ledger_refuses_an_overflowing_class_cap():
     assert math.isfinite(compute_ledger(perturbed_map(2, 0.1), 1.0).big_k)
 
 
+def test_ledger_refuses_vacuous_rates():
+    # from eps = 0.11 on, theta_paper rounds to exactly 1.0 in float64
+    with pytest.raises(CertificationError, match="must both be below 1"):
+        compute_ledger(perturbed_map(2, 0.11), 1.0)
+    led = compute_ledger(perturbed_map(2, 0.1), 1.0)
+    assert led.theta_paper < 1.0 and led.theta_exact < 1.0
+
+
 def test_class_membership_checks():
     psi = GridDensity(np.exp(0.3 * COS))
     assert hoelder_class_check(psi, 0.3 * 2 * math.pi * 1.01, 1.0)
