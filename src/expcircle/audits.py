@@ -54,7 +54,7 @@ from .inverse_branches import (
     walk,
 )
 from .system_constants import (
-    ESTIMATOR_SLACK,
+    ROUNDING_SLACK,
     compute_ledger,
     hoelder_class_check,
     holder_iteration_cap,
@@ -494,15 +494,15 @@ def audit_regularity_sweep(m: ExpandingMap, *, alphas=DEFAULT_ALPHAS, n_max: int
                     worst_floor = min(worst_floor, low - floor)
     elapsed = time.perf_counter() - t0
     return [
-        AuditResult("holder-log-contraction", worst_log <= ESTIMATOR_SLACK,
+        AuditResult("holder-log-contraction", worst_log <= ROUNDING_SLACK,
                     f"worst excess {worst_log:.3e}", elapsed),
-        AuditResult("holder-growth-cap", worst_cap <= ESTIMATOR_SLACK,
+        AuditResult("holder-growth-cap", worst_cap <= ROUNDING_SLACK,
                     f"worst excess {worst_cap:.3e}", 0.0),
         AuditResult("positivity-floor", worst_floor >= 0.0,
                     f"worst inf - floor = {worst_floor:.3e}", 0.0),
         AuditResult("pointwise-log-bounds", pointwise_ok,
                     "checkpoints n in {0,1,2,5,10,20,30}", 0.0),
-        AuditResult("holder-from-log", worst_chain <= ESTIMATOR_SLACK,
+        AuditResult("holder-from-log", worst_chain <= ROUNDING_SLACK,
                     f"worst excess {worst_chain:.3e}", 0.0),
     ]
 
@@ -687,7 +687,7 @@ def audit_reduction_chain(m: ExpandingMap, *, alphas=DEFAULT_ALPHAS,
             rep = density_convergence_report(m, side, a, n_max=n_max,
                                              phi=phi, ledger=led)
             ok = ok and rep.all_ok()
-    ok = ok and worst_cap <= ESTIMATOR_SLACK
+    ok = ok and worst_cap <= ROUNDING_SLACK
     return _result("reduction-chain", ok,
                    f"worst side-density cap excess {worst_cap:.3e}", t0)
 
@@ -717,7 +717,7 @@ def audit_density_convergence(m: ExpandingMap, *, alphas=DEFAULT_ALPHAS,
 
 def audit_quadrature(*, seed: int = 13, resolution: int = DEFAULT_RESOLUTION) -> AuditResult:
     """Node-mean quadrature: linearity, monotonicity, the l1 triangle
-    inequality, estimator scaling laws, and the refinement-rate check."""
+    inequality, Hoelder scaling laws, and the refinement-rate check."""
     t0 = time.perf_counter()
     rng = _rng(seed)
     checks = {}

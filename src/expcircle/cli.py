@@ -17,8 +17,8 @@ by flags; the map itself is configured in the file, e.g.::
 Defaults: perturbed{2,0.05}, alpha=1, resolution=4096, seed=42,
 trials=100000.  Output directory: ``--out``, else the config ``out`` key,
 else ``$EXPCIRCLE_OUT``, else the working directory.  Exit codes: 0 ok,
-2 configuration/map error, 3 numerical non-convergence, 4 audit
-violation.
+2 configuration/map error (including a resolution whose arrays do not
+fit in memory), 3 numerical non-convergence, 4 audit violation.
 """
 from __future__ import annotations
 
@@ -341,6 +341,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](cfg)
     except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except _CONVERGENCE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

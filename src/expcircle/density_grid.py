@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     InvalidAlpha,
@@ -22,11 +23,6 @@ from .errors import (
 
 DEFAULT_RESOLUTION = 4096
 DRIFT_WARN = 1e-8
-
-# Subsampling thresholds of the Hoelder estimator, see holder_coefficient.
-FULL_SCAN_LIMIT = 1024
-SAMPLE_NODES = 256
-RANDOM_PAIRS_PER_NODE = 512
 
 logger = logging.getLogger(__name__)
 
@@ -160,7 +156,9 @@ def inf_value(f: GridFunction) -> float:
 
 
 def lipschitz_estimate(f: GridFunction) -> float:
-    """Max adjacent-node slope, a lower bound for the Lipschitz constant."""
+    """Max adjacent-node slope: the exact Lipschitz constant (= H_1) of the
+    grid function, since by the triangle inequality along the shorter arc
+    no node pair has a steeper chord."""
     d = np.abs(np.diff(f.values, append=f.values[:1]))
     return float(d.max() * f.resolution)
 
@@ -180,80 +178,50 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-_PAIR_CACHE: dict = {}
-
-
-def _subsample_pairs(M: int):
-    """Deterministic long-range pair set used above the full-scan limit:
-    all pairs among 256 equispaced nodes plus 512 random long lags per
-    sample node (fixed internal seed)."""
-    cached = _PAIR_CACHE.get(M)
-    if cached is not None:
-        return cached
-    stride = M // SAMPLE_NODES
-    samples = np.arange(SAMPLE_NODES) * stride
-    ii, jj = np.triu_indices(SAMPLE_NODES, k=1)
-    pi, pj = samples[ii], samples[jj]
-    lo, hi = FULL_SCAN_LIMIT + 1, M // 2
-    if hi >= lo:
-        rng = np.random.Generator(np.random.Philox(key=0x9E3779B97F4A7C15))
-        lags = rng.integers(lo, hi + 1, size=(SAMPLE_NODES, RANDOM_PAIRS_PER_NODE))
-        qi = np.repeat(samples, RANDOM_PAIRS_PER_NODE)
-        qj = (qi + lags.ravel()) % M
-        pi = np.concatenate([pi, qi])
-        pj = np.concatenate([pj, qj])
-    _PAIR_CACHE[M] = (pi, pj)
-    return pi, pj
-
-
 def _gap_profile(f: GridFunction):
     """Max |f_j - f_k| grouped by node distance, as (dists, gaps) pairs.
 
-    One scan serves every alpha: within a lag class the distance is
-    constant, so the per-class max gap determines the quotient.
+    One exact scan over every lag 1..M/2 serves every alpha: within a lag
+    class the distance is constant, so the per-class max gap determines
+    the quotient.  The scan is lag-major, 16 lags at a time: row l of the
+    sliding window over the wrapped values is f rolled by l, and the
+    differences are reduced in one reused (16, M) buffer.
     """
     v = f.values
     M = f.resolution
-    top = M // 2 if M <= FULL_SCAN_LIMIT else FULL_SCAN_LIMIT
-    lags = np.arange(1, top + 1)
+    half = M // 2
+    lags = np.arange(1, half + 1)
     dists = np.minimum(lags, M - lags) / M
-    gaps = np.array([np.abs(v - np.roll(v, -int(lag))).max() for lag in lags])
-    if M > FULL_SCAN_LIMIT:
-        pi, pj = _subsample_pairs(M)
-        lag = (pj - pi) % M
-        pd = np.minimum(lag, M - lag) / M
-        pg = np.abs(v[pi] - v[pj])
-        hi, lo = int(np.argmax(v)), int(np.argmin(v))
-        if hi != lo:
-            pd = np.append(pd, circle_dist_nodes(hi, lo, M))
-            pg = np.append(pg, abs(v[hi] - v[lo]))
-        dists = np.concatenate([dists, pd])
-        gaps = np.concatenate([gaps, pg])
+    rolled = sliding_window_view(np.concatenate([v, v[:half]]), M)[1:]
+    gaps = np.empty(half)
+    buf = np.empty((16, M))
+    for s in range(0, half, 16):
+        block = rolled[s:s + 16]
+        out = buf[:len(block)]
+        np.subtract(block, v, out=out)
+        np.abs(out, out=out)
+        out.max(axis=1, out=gaps[s:s + len(block)])
     return dists, gaps
 
 
 def holder_profile(f: GridFunction, alphas) -> tuple:
-    """holder_coefficient for several alphas from a single pair scan."""
+    """holder_coefficient for several alphas from a single lag scan.
+
+    alpha = 1 needs no scan: it is lipschitz_estimate(f).  For alpha < 1
+    the scan costs O(M^2): about 7 ms at M = 4096, 0.2 s at M = 16384 and
+    3.5 s at M = 65536 (see the README for the measurement).
+    """
     alphas = tuple(_check_alpha(a) for a in alphas)
-    dists, gaps = _gap_profile(f)
-    return tuple(float((gaps / dists ** a).max()) for a in alphas)
+    if any(a < 1.0 for a in alphas):
+        dists, gaps = _gap_profile(f)
+    return tuple(lipschitz_estimate(f) if a == 1.0
+                 else float((gaps / dists ** a).max()) for a in alphas)
 
 
 def holder_coefficient(f: GridFunction, alpha: float) -> float:
-    """Estimated Hoelder coefficient sup |f(x)-f(y)| / d(x,y)^alpha.
-
-    Exhaustive over all node pairs for M <= 1024.  Above that the scan is
-    restricted to lags 1..1024, all pairs among 256 equispaced sample
-    nodes, 512 random long-range lags per sample node (fixed seed), and
-    the (argmax, argmin) pair.  The result is a lower bound of the true
-    node-pair supremum; callers allow a small audit slack.
-    """
+    """Hoelder coefficient sup |f(x)-f(y)| / d(x,y)^alpha over node pairs,
+    exact: every pair is compared (see holder_profile for the cost)."""
     return holder_profile(f, (alpha,))[0]
-
-
-def circle_dist_nodes(i: int, j: int, M: int) -> float:
-    lag = (i - j) % M
-    return min(lag, M - lag) / M
 
 
 def sample(psi: GridDensity, rng: np.random.Generator, size=None):

@@ -24,9 +24,10 @@ from .density_grid import (
 )
 from .errors import CertificationError
 
-# Estimated Hoelder coefficients are lower bounds of the node-pair sup;
-# class membership checks allow this much slack on top of the cap.
-ESTIMATOR_SLACK = 1e-6
+# Hoelder coefficients are exact node-pair suprema; class membership checks
+# allow only this much rounding (of the iterates, not of the scan) on top
+# of the cap.
+ROUNDING_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -130,19 +131,19 @@ def compute_ledger(m: ExpandingMap, alpha: float) -> ConstantsLedger:
 
 def hoelder_class_check(psi: GridDensity, cap: float, alpha: float) -> bool:
     """Membership in the class of unit-mass densities with positive values
-    and Hoelder-log coefficient at most ``cap`` (estimator + slack)."""
+    and Hoelder-log coefficient at most ``cap`` (up to ROUNDING_SLACK)."""
     if inf_value(psi) <= 0.0:
         return False
     if abs(integrate(psi) - 1.0) > 1e-10:
         return False
     h = holder_coefficient(log_transform(psi), alpha)
-    return h <= cap + ESTIMATOR_SLACK
+    return h <= cap + ROUNDING_SLACK
 
 
 def pointwise_log_bounds_check(psi: GridDensity, alpha: float) -> bool:
-    """exp(-H) <= psi <= exp(H) node-wise with H the estimated
-    Hoelder-log coefficient.  Unit mass pins log psi across zero, so the
-    (argmax, argmin) pair inside the estimator makes this self-consistent."""
+    """exp(-H) <= psi <= exp(H) node-wise with H the Hoelder-log
+    coefficient.  Unit mass pins log psi across zero, and H bounds the gap
+    between its extreme nodes."""
     if inf_value(psi) <= 0.0:
         return False
     h = holder_coefficient(log_transform(psi), alpha)

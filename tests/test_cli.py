@@ -220,6 +220,15 @@ def test_uncreatable_output_directory_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.count("cannot create output directory") == 2
 
 
+def test_unallocatable_resolution_exits_two(tmp_path, capsys):
+    # 2**50 nodes of float64 exceed the 2**47-byte user address space, so
+    # the first allocation fails without touching memory
+    assert main(["invariant", "--resolution", str(2**50), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
 def test_collapsed_coupling_marginals_exit_four(tmp_path, capsys):
     # float orbits of x -> 2x mod 1 reach 0 after ~53 steps, while coupled
     # pairs flow for up to 80 steps at alpha 0.3: the marginals collapse

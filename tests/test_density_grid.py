@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import expcircle.density_grid as density_grid
 from expcircle import (
     GridDensity,
     GridFunction,
@@ -25,6 +26,7 @@ from expcircle import (
     uniform_density,
     write_csv,
 )
+from expcircle.audits import density_family, smooth_function
 
 M = 4096
 X = np.arange(M) / M
@@ -118,9 +120,62 @@ def test_holder_known_coefficients():
         1.0, abs=1e-12
     )
     # ... and its alpha-th power is exactly alpha-Hoelder with coefficient 1
-    assert holder_coefficient(GridFunction(DIST0**0.5), 0.5) == pytest.approx(
-        1.0, rel=1e-9
-    )
+    for a in (0.3, 0.5):
+        assert holder_coefficient(GridFunction(DIST0**a), a) == pytest.approx(
+            1.0, rel=1e-9
+        )
+
+
+def brute_force_holder(rows, alphas, block=64):
+    """Reference sup |f_i - f_j| / d(i, j)^alpha over every node pair i != j
+    of each row of ``rows``, one block of i at a time."""
+    k, n = rows.shape
+    j = np.arange(n)
+    best = np.zeros((k, len(alphas)))
+    for i0 in range(0, n, block):
+        i = np.arange(i0, min(i0 + block, n))[:, None]
+        lag = np.abs(i - j)
+        dist = np.minimum(lag, n - lag) / n
+        dist[lag == 0] = np.inf
+        gaps = np.abs(rows[:, i0:i0 + block, None] - rows[:, None, :])
+        for col, a in enumerate(alphas):
+            best[:, col] = np.maximum(best[:, col], (gaps / dist**a).max(axis=(1, 2)))
+    return best
+
+
+@pytest.mark.parametrize("res", [512, 4096])
+def test_holder_profile_matches_every_node_pair(res):
+    x = np.arange(res) / res
+    dist0 = np.minimum(x, 1.0 - x)
+    densities = density_family(res)
+    rng = np.random.Generator(np.random.Philox(key=104))
+    inputs = [
+        *densities,
+        *(log_transform(psi) for psi in densities),
+        GridFunction(dist0**0.3),
+        GridFunction(dist0),  # for alpha < 1 its sup is at the antipodal lag M/2
+        smooth_function(rng, res),
+        GridFunction(rng.normal(size=res)),
+        GridFunction(np.full(res, 2.5)),
+    ]
+    alphas = (0.3, 0.5, 1.0)
+    ref = brute_force_holder(np.stack([f.values for f in inputs]), alphas)
+    for f, row in zip(inputs, ref):
+        assert holder_profile(f, alphas) == tuple(row.tolist())
+
+
+def test_lipschitz_coefficient_needs_no_lag_scan(monkeypatch):
+    scans = []
+    real = density_grid._gap_profile
+    monkeypatch.setattr(density_grid, "_gap_profile",
+                        lambda f: scans.append(f) or real(f))
+    res = 65536
+    cos = GridFunction(np.cos(2 * np.pi * np.arange(res) / res))
+    assert holder_coefficient(cos, 1.0) == lipschitz_estimate(cos)
+    assert holder_profile(cos, (1.0, 1.0)) == (lipschitz_estimate(cos),) * 2
+    assert not scans
+    holder_profile(GridFunction(COS), (0.5, 1.0))
+    assert len(scans) == 1
 
 
 def test_holder_profile_matches_pointwise_calls():
