@@ -2,15 +2,18 @@
 
 Each audit exercises one guaranteed property of the library on a concrete
 map and returns AuditResult records.  Audits are pure functions of their
-seeds, so results are reproducible and independent of scheduling; the
-tolerances pinned here are the ones quoted by the acceptance tests.
+seeds, so results are reproducible; the tolerances pinned here are the
+ones quoted by the acceptance tests.  ``_audit`` registers each audit in
+run order and times it, fails it on a violation and builds its results.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.stats
@@ -45,7 +48,7 @@ from .density_grid import (
     sup_norm,
     uniform_density,
 )
-from .errors import ExpCircleError
+from .errors import VIOLATIONS
 from .inverse_branches import (
     BranchId,
     _solve_lift,
@@ -86,6 +89,7 @@ class AuditResult:
     ok: bool
     detail: str = ""
     seconds: float = 0.0
+    margin: float | None = None     # bound minus measured; None if compound
 
     def __bool__(self) -> bool:
         return self.ok
@@ -192,18 +196,59 @@ def cached_invariant(m: ExpandingMap, resolution: int = DEFAULT_RESOLUTION):
     return per_map[resolution]
 
 
-def _result(name: str, ok: bool, detail: str, t0: float) -> AuditResult:
-    return AuditResult(name, bool(ok), detail, time.perf_counter() - t0)
+class Verdict(NamedTuple):
+    """One result as an audit body measured it; ``margin`` is bound minus
+    measured (>= 0 passes), None where the verdict is not one comparison."""
+    ok: bool
+    detail: str
+    margin: float | None = None
+
+
+def _gate(margin: float, detail: str, slack: float = 0.0, strict: bool = False) -> Verdict:
+    """A single numeric comparison: pass at margin >= -slack (> if strict)."""
+    return Verdict(margin > -slack if strict else margin >= -slack, detail, float(margin))
+
+
+# (attribute, result count, run_all arguments taken, per-map), in run order.
+_AUDITS: list = []
+
+
+def _audit(*names: str, takes: tuple = (), per_map: bool = True):
+    """Register an audit body that returns one Verdict per result name (a
+    bare Verdict for one) and receives the run_all arguments it ``takes``,
+    after the map if per-map.  The registered function times the body,
+    fails every name on a violation and returns the AuditResults, a list
+    for several names with the wall time on the first; the body's return
+    annotation is that of the registered function."""
+    def register(body):
+        @functools.wraps(body)
+        def run(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                out = body(*args, **kwargs)
+            except VIOLATIONS as exc:
+                verdicts = [Verdict(False, str(exc))] * len(names)
+            else:
+                verdicts = out if len(names) > 1 else [out]
+            seconds = [time.perf_counter() - t0] + [0.0] * (len(names) - 1)
+            results = [AuditResult(name, bool(v.ok), v.detail, s, v.margin)
+                       for name, v, s in zip(names, verdicts, seconds, strict=True)]
+            return results if len(names) > 1 else results[0]
+
+        _AUDITS.append((body.__name__, len(names), takes, per_map))
+        return run
+
+    return register
 
 
 # ---------------------------------------------------------------------------
 # map-level audits
 
 
+@_audit("certificate")
 def audit_certificate(m: ExpandingMap, *, seed: int = 3, samples: int = 4096) -> AuditResult:
     """Certified lambda really is a lower bound of T' on fresh samples, and
     forward steps are d1_sup-Lipschitz."""
-    t0 = time.perf_counter()
     rng = _rng(seed)
     cert = certify(m)
     xs = rng.random(samples)
@@ -219,29 +264,28 @@ def audit_certificate(m: ExpandingMap, *, seed: int = 3, samples: int = 4096) ->
         and cert["d2_sup"] == m.d2_sup
         and lip <= 1e-12
     )
-    return _result(
-        "certificate", ok,
-        f"min sampled T' - lambda = {dmin - cert['lambda']:.3e}, "
-        f"worst forward-Lipschitz excess = {lip:.3e}", t0,
+    return Verdict(
+        ok, f"min sampled T' - lambda = {dmin - cert['lambda']:.3e}, "
+        f"worst forward-Lipschitz excess = {lip:.3e}",
     )
 
 
+@_audit("second-derivative-fd")
 def audit_second_derivative(m: ExpandingMap, *, seed: int = 4, samples: int = 100) -> AuditResult:
     """T'' agrees with a central finite difference of T' (h=1e-5, tol 1e-5)."""
-    t0 = time.perf_counter()
     rng = _rng(seed)
     xs = rng.random(samples)
     h = 1e-5
     fd = (m.dlift(xs + h) - m.dlift(xs - h)) / (2.0 * h)
     worst = float(np.abs(fd - m.d2lift(xs)).max())
-    return _result("second-derivative-fd", worst <= 1e-5,
-                   f"worst |fd - T''| = {worst:.3e} over {samples} points", t0)
+    return _gate(-worst, f"worst |fd - T''| = {worst:.3e} over {samples} points",
+                 slack=1e-5)
 
 
+@_audit("arc-expansion")
 def audit_arc_expansion(m: ExpandingMap, *, seed: int = 5, samples: int = 200) -> AuditResult:
     """Arcs expand: pulling an arc of image-length ell through one branch
     yields an arc of length <= ell / lambda (strict expansion)."""
-    t0 = time.perf_counter()
     rng = _rng(seed)
     worst = -np.inf
     for _ in range(samples):
@@ -251,14 +295,13 @@ def audit_arc_expansion(m: ExpandingMap, *, seed: int = 5, samples: int = 200) -
         lo = float(_solve_lift(m, branch + x)[0])
         hi = float(_solve_lift(m, branch + x + ell)[0])
         worst = max(worst, m.lam * (hi - lo) - ell)
-    return _result("arc-expansion", worst <= 1e-12,
-                   f"worst lambda*|J| - |T(J)| = {worst:.3e}", t0)
+    return _gate(-worst, f"worst lambda*|J| - |T(J)| = {worst:.3e}", slack=1e-12)
 
 
+@_audit("preimage-roundtrip")
 def audit_preimage_roundtrip(m: ExpandingMap, *, seed: int = 6, samples: int = 64,
                              max_depth: int = 6) -> AuditResult:
     """Forward-iterating a depth-n pullback recovers the base point."""
-    t0 = time.perf_counter()
     rng = _rng(seed)
     xs = rng.random(samples)
     worst = 0.0
@@ -268,18 +311,17 @@ def audit_preimage_roundtrip(m: ExpandingMap, *, seed: int = 6, samples: int = 6
         for _ in range(bid.depth):
             y = evaluate(m, y)
         worst = max(worst, float(circle_distance(y, xs).max()))
-    return _result("preimage-roundtrip", worst <= 1e-9,
-                   f"worst return distance {worst:.3e} over "
-                   f"{len(paths) * samples} cells", t0)
+    return _gate(-worst, f"worst return distance {worst:.3e} over "
+                 f"{len(paths) * samples} cells", slack=1e-9)
 
 
+@_audit("preimage-partition")
 def audit_partition(m: ExpandingMap, *, seed: int = 8,
                     depths=(1, 2, 3), resolution: int = 512) -> AuditResult:
     """Preimage arcs partition the circle (depth-1 gaps sum to 1), the
     branch-enumerated transfer of the constant density has unit node mean,
     and it matches the single-step grid operator iterated to the same
     depth (two independent evaluation routes for L^n 1)."""
-    t0 = time.perf_counter()
     rng = _rng(seed)
     worst_arc = 0.0
     for x in rng.random(16):
@@ -301,9 +343,8 @@ def audit_partition(m: ExpandingMap, *, seed: int = 8,
                 worst_route = max(worst_route,
                                   float(np.abs(branch - 1.0).max()))
     ok = worst_arc <= 1e-9 and worst_mass <= 1e-10 and worst_route <= 1e-9
-    return _result("preimage-partition", ok,
-                   f"worst arc defect {worst_arc:.1e}, mass defect "
-                   f"{worst_mass:.1e}, route mismatch {worst_route:.1e}", t0)
+    return Verdict(ok, f"worst arc defect {worst_arc:.1e}, mass defect "
+                   f"{worst_mass:.1e}, route mismatch {worst_route:.1e}")
 
 
 def _sampled_paths(w: int, max_depth: int, rng: np.random.Generator, cap: int = 600):
@@ -319,11 +360,11 @@ def _sampled_paths(w: int, max_depth: int, rng: np.random.Generator, cap: int = 
     return out
 
 
+@_audit("backward-contraction")
 def audit_backward_contraction(m: ExpandingMap, *, seed: int = 9, pairs: int = 1000,
                                max_depth: int = 8, path_cap: int = 600) -> AuditResult:
     """d(pullback x, pullback y) <= lambda^-n d(x, y) for sampled pairs over
     (all, or a seeded subsample of) branch paths up to depth 8."""
-    t0 = time.perf_counter()
     rng = _rng(seed)
     xs = rng.random(pairs)
     ys = rng.random(pairs)
@@ -333,16 +374,15 @@ def audit_backward_contraction(m: ExpandingMap, *, seed: int = 9, pairs: int = 1
     for bid, _, _, gaps in walk(m, paths, xs, ys):
         rhs = m.lam ** (-bid.depth) * d
         worst = max(worst, float((gaps[-1] - rhs).max()))
-    return _result("backward-contraction", worst <= PAIR_SLACK,
-                   f"worst lhs - rhs = {worst:.3e} over {len(paths) * pairs} "
-                   "pair-path cells", t0)
+    return _gate(-worst, f"worst lhs - rhs = {worst:.3e} over {len(paths) * pairs} "
+                 "pair-path cells", slack=PAIR_SLACK)
 
 
+@_audit("distortion")
 def audit_distortion(m: ExpandingMap, *, seed: int = 10, pairs: int = 1000,
                      max_depth: int = 8, path_cap: int = 600) -> AuditResult:
     """Derivative-product ratios along shared inverse orbits stay inside
     [exp(-Omega d), exp(Omega d)] uniformly in depth."""
-    t0 = time.perf_counter()
     rng = _rng(seed)
     xs = rng.random(pairs)
     ys = rng.random(pairs)
@@ -355,16 +395,16 @@ def audit_distortion(m: ExpandingMap, *, seed: int = 10, pairs: int = 1000,
     for _, us, vs, _ in walk(m, paths, xs, ys):
         ratio = np.prod(m.dlift(us), axis=0) / np.prod(m.dlift(vs), axis=0)
         worst = max(worst, float((ratio - hi).max()), float((lo - ratio).max()))
-    return _result("distortion", worst <= 0.0,
-                   f"worst band excess {worst:.3e} over {len(paths) * pairs} "
-                   "pair-path cells", t0)
+    return _gate(-worst, f"worst band excess {worst:.3e} over {len(paths) * pairs} "
+                 "pair-path cells")
 
 
+@_audit("operator-mass", "operator-positivity", "operator-contraction",
+        takes=("resolution",))
 def audit_operator_identities(m: ExpandingMap, *, seed: int = 11, cases: int = 100,
                               resolution: int = DEFAULT_RESOLUTION) -> list:
     """Mass conservation (raw, pre-renormalization), exact positivity, and
     L1 contraction of single applications over random densities."""
-    t0 = time.perf_counter()
     rng = _rng(seed)
     worst_mass = 0.0
     min_value = np.inf
@@ -388,22 +428,19 @@ def audit_operator_identities(m: ExpandingMap, *, seed: int = 11, cases: int = 1
         v = np.abs(rng.normal(size=resolution)) + 1e-9
         rough = GridDensity(v / v.mean())
         min_value = min(min_value, float(apply_function(m, rough).values.min()))
-    elapsed = time.perf_counter() - t0
     return [
-        AuditResult("operator-mass", worst_mass <= MASS_TOL,
-                    f"worst raw mass drift {worst_mass:.3e} over {cases} densities",
-                    elapsed),
-        AuditResult("operator-positivity", min_value >= 0.0,
-                    f"min output node value {min_value:.3e}", 0.0),
-        AuditResult("operator-contraction", worst_contr <= MASS_TOL,
-                    f"worst ||Lu||_1 - ||u||_1 = {worst_contr:.3e}", 0.0),
+        _gate(-worst_mass, f"worst raw mass drift {worst_mass:.3e} over {cases} "
+              "densities", slack=MASS_TOL),
+        _gate(min_value, f"min output node value {min_value:.3e}"),
+        _gate(-worst_contr, f"worst ||Lu||_1 - ||u||_1 = {worst_contr:.3e}",
+              slack=MASS_TOL),
     ]
 
 
+@_audit("operator-duality", takes=("resolution",))
 def audit_duality(m: ExpandingMap, *, seed: int = 12, cases: int = 20,
                   resolution: int = DEFAULT_RESOLUTION) -> AuditResult:
     """int (f o T) g dm == int f (L g) dm up to interpolation error."""
-    t0 = time.perf_counter()
     rng = _rng(seed)
     x = np.arange(resolution) / resolution
     tx = evaluate(m, x)
@@ -415,14 +452,13 @@ def audit_duality(m: ExpandingMap, *, seed: int = 12, cases: int = 20,
         rhs = integrate(GridFunction(f.values * apply_function(m, g).values))
         tol = DUALITY_REL_TOL * sup_norm(f) * sup_norm(g)
         worst = max(worst, abs(lhs - rhs) - tol)
-    return _result("operator-duality", worst <= 0.0,
-                   f"worst |defect| - tol = {worst:.3e} over {cases} pairs", t0)
+    return _gate(-worst, f"worst |defect| - tol = {worst:.3e} over {cases} pairs")
 
 
+@_audit("sup-c1-bounds", takes=("resolution",))
 def audit_sup_c1_bounds(m: ExpandingMap, *, resolution: int = DEFAULT_RESOLUTION,
                         steps=(1, 5, 15, 30)) -> AuditResult:
     """sup and C1-size growth caps (1+Omega), (1+Omega)^2 for iterates."""
-    t0 = time.perf_counter()
     x = np.arange(resolution) / resolution
     fam = [
         GridFunction(np.cos(2.0 * np.pi * x)),
@@ -438,10 +474,11 @@ def audit_sup_c1_bounds(m: ExpandingMap, *, resolution: int = DEFAULT_RESOLUTION
             worst = max(worst, lhs - rhs)
             lhs, rhs, fine = check_c1_bound(m, f, n)
             ok = ok and fine
-    return _result("sup-c1-bounds", ok,
-                   f"worst sup-bound excess {worst:.3e} (2% slack applies)", t0)
+    return Verdict(ok, f"worst sup-bound excess {worst:.3e} (2% slack applies)")
 
 
+@_audit("holder-log-contraction", "holder-growth-cap", "positivity-floor",
+        "pointwise-log-bounds", "holder-from-log", takes=("resolution",))
 def audit_regularity_sweep(m: ExpandingMap, *, alphas=DEFAULT_ALPHAS, n_max: int = 30,
                            resolution: int = DEFAULT_RESOLUTION) -> list:
     """The n <= 30 iterate sweep over the canonical density family:
@@ -452,7 +489,6 @@ def audit_regularity_sweep(m: ExpandingMap, *, alphas=DEFAULT_ALPHAS, n_max: int
     * pointwise log bounds      exp(-H) <= psi <= exp(H) at checkpoints
     * Hoelder-from-log          H(psi) <= H_log exp(H_log)
     """
-    t0 = time.perf_counter()
     ledgers = {a: compute_ledger(m, a) for a in alphas}
     pointwise_ns = {0, 1, 2, 5, 10, 20, 30}
     worst_log = worst_cap = -np.inf
@@ -492,27 +528,21 @@ def audit_regularity_sweep(m: ExpandingMap, *, alphas=DEFAULT_ALPHAS, n_max: int
                 n1, floor = floors[a]
                 if n >= n1:
                     worst_floor = min(worst_floor, low - floor)
-    elapsed = time.perf_counter() - t0
     return [
-        AuditResult("holder-log-contraction", worst_log <= ROUNDING_SLACK,
-                    f"worst excess {worst_log:.3e}", elapsed),
-        AuditResult("holder-growth-cap", worst_cap <= ROUNDING_SLACK,
-                    f"worst excess {worst_cap:.3e}", 0.0),
-        AuditResult("positivity-floor", worst_floor >= 0.0,
-                    f"worst inf - floor = {worst_floor:.3e}", 0.0),
-        AuditResult("pointwise-log-bounds", pointwise_ok,
-                    "checkpoints n in {0,1,2,5,10,20,30}", 0.0),
-        AuditResult("holder-from-log", worst_chain <= ROUNDING_SLACK,
-                    f"worst excess {worst_chain:.3e}", 0.0),
+        _gate(-worst_log, f"worst excess {worst_log:.3e}", slack=ROUNDING_SLACK),
+        _gate(-worst_cap, f"worst excess {worst_cap:.3e}", slack=ROUNDING_SLACK),
+        _gate(worst_floor, f"worst inf - floor = {worst_floor:.3e}"),
+        Verdict(pointwise_ok, "checkpoints n in {0,1,2,5,10,20,30}"),
+        _gate(-worst_chain, f"worst excess {worst_chain:.3e}", slack=ROUNDING_SLACK),
     ]
 
 
+@_audit("class-entry", takes=("resolution",))
 def audit_class_entry(m: ExpandingMap, *, alphas=CLASS_ALPHAS,
                       resolution: int = DEFAULT_RESOLUTION) -> AuditResult:
     """Densities with log-Hoelder coefficient below B land in the limit
     class after N(B) steps: iterates keep H(log) <= Omega+1, stay above
     2a, and their residual (psi - a)/(1 - a) stays within cap K."""
-    t0 = time.perf_counter()
     x = np.arange(resolution) / resolution
     cos_g = GridFunction(np.cos(2.0 * np.pi * x))
     ok = True
@@ -544,16 +574,15 @@ def audit_class_entry(m: ExpandingMap, *, alphas=CLASS_ALPHAS,
                     ok = False
                     details.append(f"residual cap breach at n={n}, alpha={a}")
                 cur = apply(m, cur)
-    return _result("class-entry", ok,
-                   "; ".join(details) if details else
-                   f"B sweep {{5, 20, K}} x alpha {alphas}", t0)
+    return Verdict(ok, "; ".join(details) if details else
+                   f"B sweep {{5, 20, K}} x alpha {alphas}")
 
 
+@_audit("invariant-density", takes=("resolution",))
 def audit_invariant_density(m: ExpandingMap, *,
                             resolution: int = DEFAULT_RESOLUTION) -> AuditResult:
     """Fixed density: residual below tol, unit mass, strict positivity with
     the class floor, Lipschitz cap (1+Omega)^2, and seed independence."""
-    t0 = time.perf_counter()
     led = compute_ledger(m, 1.0)
     phi, diag = cached_invariant(m, resolution)
     residual = l1_distance(apply_function(m, phi), phi)
@@ -572,18 +601,17 @@ def audit_invariant_density(m: ExpandingMap, *,
     if m.d2_sup == 0.0:
         checks["lebesgue"] = float(np.abs(phi.values - 1.0).max()) <= 1e-10
     bad = [k for k, good in checks.items() if not good]
-    return _result(
-        "invariant-density", not bad,
-        (f"failed: {bad}; " if bad else "")
+    return Verdict(
+        not bad, (f"failed: {bad}; " if bad else "")
         + f"residual {residual:.2e}, seed gap {seed_gap:.2e}, "
-        f"Lipschitz {lip:.3g} <= {lip_cap:.3g}, {diag.n_steps} steps", t0,
+        f"Lipschitz {lip:.3g} <= {lip_cap:.3g}, {diag.n_steps} steps",
     )
 
 
+@_audit("cesaro-almost-invariance", takes=("resolution",))
 def audit_cesaro(m: ExpandingMap, *, resolution: int = DEFAULT_RESOLUTION,
                  terms=(1, 5, 25)) -> AuditResult:
     """Cesaro averages are 2/N-almost-invariant."""
-    t0 = time.perf_counter()
     x = np.arange(resolution) / resolution
     v = np.exp(np.cos(2.0 * np.pi * x))
     psi = GridDensity(v / v.mean())
@@ -592,58 +620,48 @@ def audit_cesaro(m: ExpandingMap, *, resolution: int = DEFAULT_RESOLUTION,
         c = cesaro(m, psi, n_terms)
         moved = l1_distance(apply_function(m, c), c)
         worst = max(worst, moved - 2.0 / n_terms)
-    return _result("cesaro-almost-invariance", worst <= 1e-10,
-                   f"worst moved - 2/N = {worst:.3e}", t0)
+    return _gate(-worst, f"worst moved - 2/N = {worst:.3e}", slack=1e-10)
 
 
+@_audit("coupling-deterministic", takes=("resolution",))
 def audit_coupling_deterministic(m: ExpandingMap, *, alpha: float = 1.0,
                                  resolution: int = DEFAULT_RESOLUTION) -> AuditResult:
     """Epoch decomposition run: envelopes and reconstruction at every step."""
-    t0 = time.perf_counter()
     led = compute_ledger(m, alpha)
     psi1 = cosine_density(resolution)
     phi, _ = cached_invariant(m, resolution)
     n_max = max(2 * led.n_big_k + 5, 60)
-    try:
-        det = deterministic_contraction_run(m, psi1, phi, alpha, n_max, ledger=led)
-    except ExpCircleError as exc:
-        return _result("coupling-deterministic", False, str(exc), t0)
+    det = deterministic_contraction_run(m, psi1, phi, alpha, n_max, ledger=led)
     recon = max((e for _, e in det.reconstruction_errors), default=0.0)
-    return _result(
-        "coupling-deterministic", True,
-        f"n_max={n_max}, worst tv excess {det.max_tv_excess():.3e}, "
-        f"worst reconstruction {recon:.3e}", t0,
+    return Verdict(
+        True, f"n_max={n_max}, worst tv excess {det.max_tv_excess():.3e}, "
+        f"worst reconstruction {recon:.3e}",
     )
 
 
+@_audit("coupling-monte-carlo", takes=("trials", "seed", "resolution"))
 def audit_coupling_monte_carlo(m: ExpandingMap, *, alpha: float = 1.0,
                                trials: int = 100_000, seed: int = 42,
                                resolution: int = DEFAULT_RESOLUTION) -> AuditResult:
     """Simulated pair: mismatch envelope, coupling inequality, marginals."""
-    t0 = time.perf_counter()
     psi1 = cosine_density(resolution)
     psi2 = uniform_density(resolution)
-    try:
-        trace = monte_carlo_coupling(m, psi1, psi2, alpha,
-                                     trials=trials, seed=seed)
-    except ExpCircleError as exc:
-        return _result("coupling-monte-carlo", False, str(exc), t0)
+    trace = monte_carlo_coupling(m, psi1, psi2, alpha, trials=trials, seed=seed)
     min_p = min((c["p_value"] for c in trace.chi2), default=1.0)
-    ok = min_p > CHI2_P_FLOOR
-    return _result(
-        "coupling-monte-carlo", ok,
+    return _gate(
+        min_p - CHI2_P_FLOOR,
         f"{trials} trials, n_max={int(trace.ns[-1])}, "
         f"final mismatch {trace.empirical_mismatch[-1]:.4f}, "
-        f"min chi2 p {min_p:.3g}", t0,
+        f"min chi2 p {min_p:.3g}", strict=True,
     )
 
 
+@_audit("correlation-decay", takes=("n_max", "resolution"))
 def audit_correlation_decay(m: ExpandingMap, *, alphas=DEFAULT_ALPHAS,
                             n_max: int = 60,
                             resolution: int = DEFAULT_RESOLUTION) -> AuditResult:
     """Main decay bound plus the reduction inequality over the full
     (f, g, alpha) sweep."""
-    t0 = time.perf_counter()
     phi, _ = cached_invariant(m, resolution)
     cells = 0
     bad = []
@@ -664,16 +682,16 @@ def audit_correlation_decay(m: ExpandingMap, *, alphas=DEFAULT_ALPHAS,
         detail += f", fitted rates {min(rates):.3g}..{max(rates):.3g}"
     if bad:
         detail += f", failed: {bad}"
-    return _result("correlation-decay", not bad, detail, t0)
+    return Verdict(not bad, detail)
 
 
+@_audit("reduction-chain", takes=("n_max", "resolution"))
 def audit_reduction_chain(m: ExpandingMap, *, alphas=DEFAULT_ALPHAS,
                           n_max: int = 60,
                           resolution: int = DEFAULT_RESOLUTION) -> AuditResult:
     """The observable-to-density reduction, link by link: the normalized
     observable density obeys its Hoelder cap and converges inside the
     generic density envelope."""
-    t0 = time.perf_counter()
     phi, _ = cached_invariant(m, resolution)
     ok = True
     worst_cap = -np.inf
@@ -688,15 +706,14 @@ def audit_reduction_chain(m: ExpandingMap, *, alphas=DEFAULT_ALPHAS,
                                              phi=phi, ledger=led)
             ok = ok and rep.all_ok()
     ok = ok and worst_cap <= ROUNDING_SLACK
-    return _result("reduction-chain", ok,
-                   f"worst side-density cap excess {worst_cap:.3e}", t0)
+    return Verdict(ok, f"worst side-density cap excess {worst_cap:.3e}")
 
 
+@_audit("density-convergence", takes=("n_max", "resolution"))
 def audit_density_convergence(m: ExpandingMap, *, alphas=DEFAULT_ALPHAS,
                               n_max: int = 60,
                               resolution: int = DEFAULT_RESOLUTION) -> AuditResult:
     """||L^n psi - phi||_1 against the 8 (1 + H) theta^(alpha n) envelope."""
-    t0 = time.perf_counter()
     phi, _ = cached_invariant(m, resolution)
     worst = -np.inf
     ok = True
@@ -707,18 +724,17 @@ def audit_density_convergence(m: ExpandingMap, *, alphas=DEFAULT_ALPHAS,
                                              phi=phi, ledger=led)
             ok = ok and rep.all_ok()
             worst = max(worst, float((rep.l1_err - rep.bound).max()))
-    return _result("density-convergence", ok,
-                   f"worst l1 - bound = {worst:.3e}", t0)
+    return Verdict(ok, f"worst l1 - bound = {worst:.3e}")
 
 
 # ---------------------------------------------------------------------------
 # map-independent audits
 
 
+@_audit("grid-quadrature", takes=("resolution",), per_map=False)
 def audit_quadrature(*, seed: int = 13, resolution: int = DEFAULT_RESOLUTION) -> AuditResult:
     """Node-mean quadrature: linearity, monotonicity, the l1 triangle
     inequality, Hoelder scaling laws, and the refinement-rate check."""
-    t0 = time.perf_counter()
     rng = _rng(seed)
     checks = {}
     f = smooth_function(rng, resolution)
@@ -744,16 +760,15 @@ def audit_quadrature(*, seed: int = 13, resolution: int = DEFAULT_RESOLUTION) ->
     r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
     checks["refinement"] = 2.5 <= r1 <= 6.0 and 2.5 <= r2 <= 6.0
     bad = [k for k, good in checks.items() if not good]
-    return _result("grid-quadrature", not bad,
-                   f"failed: {bad}" if bad else
-                   f"refinement ratios {r1:.2f}, {r2:.2f}", t0)
+    return Verdict(not bad, f"failed: {bad}" if bad else
+                   f"refinement ratios {r1:.2f}, {r2:.2f}")
 
 
+@_audit("sampling", takes=("resolution",), per_map=False)
 def audit_sampling(*, seed: int = 14, draws: int = 100_000,
                    resolution: int = DEFAULT_RESOLUTION) -> AuditResult:
     """Inverse-CDF sampling: uniform KS distance, point-mass localization,
     and bit-reproducibility under a fixed seed."""
-    t0 = time.perf_counter()
     rng = _rng(seed)
     u = sample(uniform_density(resolution), rng, draws)
     ks = scipy.stats.kstest(u, "uniform").statistic
@@ -764,15 +779,14 @@ def audit_sampling(*, seed: int = 14, draws: int = 100_000,
     again = sample(uniform_density(resolution), _rng(seed), draws)
     repro = bool(np.array_equal(u, again))
     ok = ks < 0.01 and loc <= 1.0 / resolution and repro
-    return _result("sampling", ok,
-                   f"KS {ks:.4f}, point-mass radius {loc:.2e}, "
-                   f"reproducible={repro}", t0)
+    return Verdict(ok, f"KS {ks:.4f}, point-mass radius {loc:.2e}, "
+                   f"reproducible={repro}")
 
 
+@_audit("constants-reference", takes=("resolution",), per_map=False)
 def audit_constants_reference(*, resolution: int = DEFAULT_RESOLUTION) -> AuditResult:
     """The zero-curvature column of the ledger in closed form, plus the
     range invariants every ledger must satisfy."""
-    t0 = time.perf_counter()
     led = compute_ledger(linear_map(2), 1.0)
     column = {
         "omega": led.omega == 0.0,
@@ -796,19 +810,17 @@ def audit_constants_reference(*, resolution: int = DEFAULT_RESOLUTION) -> AuditR
             )
     bad = [k for k, good in column.items() if not good]
     ok = not bad and ranges
-    return _result("constants-reference", ok,
-                   f"failed: {bad}" if bad else "closed-form column reproduced", t0)
+    return Verdict(ok, f"failed: {bad}" if bad else "closed-form column reproduced")
 
 
+@_audit("constants-monotonic", per_map=False)
 def audit_constants_monotonic() -> AuditResult:
     """Omega increases along the perturbation sweep (d2_sup up, lambda down)."""
-    t0 = time.perf_counter()
     eps = np.linspace(0.01, 0.1, 10)
     omegas = [compute_ledger(perturbed_map(2, float(e)), 1.0).omega for e in eps]
     lams = [perturbed_map(2, float(e)).lam for e in eps]
     ok = bool(np.all(np.diff(omegas) > 0.0) and np.all(np.diff(lams) < 0.0))
-    return _result("constants-monotonic", ok,
-                   f"omega {omegas[0]:.3g} -> {omegas[-1]:.3g}", t0)
+    return Verdict(ok, f"omega {omegas[0]:.3g} -> {omegas[-1]:.3g}")
 
 
 # ---------------------------------------------------------------------------
@@ -817,31 +829,14 @@ def audit_constants_monotonic() -> AuditResult:
 
 def run_all(m: ExpandingMap, *, seed: int = 42, trials: int = 100_000,
             resolution: int = DEFAULT_RESOLUTION, n_max: int = 60) -> list:
-    """Every audit for one map, then the map-independent ones, run one
-    after another in a fixed order; each audit is individually seeded."""
-    return [
-        audit_certificate(m),
-        audit_second_derivative(m),
-        audit_arc_expansion(m),
-        audit_preimage_roundtrip(m),
-        audit_partition(m),
-        audit_backward_contraction(m),
-        audit_distortion(m),
-        *audit_operator_identities(m, resolution=resolution),
-        audit_duality(m, resolution=resolution),
-        audit_sup_c1_bounds(m, resolution=resolution),
-        *audit_regularity_sweep(m, resolution=resolution),
-        audit_class_entry(m, resolution=resolution),
-        audit_invariant_density(m, resolution=resolution),
-        audit_cesaro(m, resolution=resolution),
-        audit_coupling_deterministic(m, resolution=resolution),
-        audit_coupling_monte_carlo(m, trials=trials, seed=seed,
-                                   resolution=resolution),
-        audit_correlation_decay(m, n_max=n_max, resolution=resolution),
-        audit_reduction_chain(m, n_max=n_max, resolution=resolution),
-        audit_density_convergence(m, n_max=n_max, resolution=resolution),
-        audit_quadrature(resolution=resolution),
-        audit_sampling(resolution=resolution),
-        audit_constants_reference(resolution=resolution),
-        audit_constants_monotonic(),
-    ]
+    """Every registered audit, one after another in registration order: the
+    per-map ones on ``m``, then the map-independent ones.  Each gets only
+    the arguments it registered (its seed is otherwise its own) and is
+    called through its module attribute, so a patched attribute runs."""
+    given = {"seed": seed, "trials": trials, "resolution": resolution, "n_max": n_max}
+    results = []
+    for attr, count, takes, per_map in _AUDITS:
+        args = (m,) if per_map else ()
+        out = globals()[attr](*args, **{k: given[k] for k in takes})
+        results += out if count > 1 else [out]
+    return results

@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,15 +38,12 @@ from .correlation_suite import decay_report
 from .coupling_lab import monte_carlo_coupling
 from .density_grid import GridDensity, GridFunction, write_csv
 from .errors import (
-    ArcViolation,
-    AuditViolation,
+    VIOLATIONS,
     CertificationError,
     ConfigError,
-    FloorViolation,
     InvalidAlpha,
     NoConvergence,
     NonPositiveDensity,
-    NotInvariant,
     ResolutionMismatch,
     RootFindingFailure,
     ZeroObservable,
@@ -60,7 +58,6 @@ MAP_KEYS = {"family", "w", "eps"}
 _CONFIG_ERRORS = (ConfigError, CertificationError, InvalidAlpha,
                   ZeroObservable, ResolutionMismatch, NonPositiveDensity)
 _CONVERGENCE_ERRORS = (NoConvergence, RootFindingFailure)
-_AUDIT_ERRORS = (AuditViolation, FloorViolation, ArcViolation, NotInvariant)
 
 
 @dataclass
@@ -127,8 +124,11 @@ def _validate(cfg: RunConfig) -> None:
     if not isinstance(cfg.w, int) or isinstance(cfg.w, bool):
         raise ConfigError(f"map winding must be an integer, got {cfg.w!r}")
     for key in ("alpha", "eps", "tol"):
-        if not isinstance(getattr(cfg, key), (int, float)):
-            raise ConfigError(f"{key} must be a number")
+        value = getattr(cfg, key)
+        if not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    if cfg.eps < 0:
+        raise ConfigError(f"eps must be nonnegative, got {cfg.eps!r}")
     for key in ("resolution", "seed", "trials"):
         if not isinstance(getattr(cfg, key), int):
             raise ConfigError(f"{key} must be an integer")
@@ -289,8 +289,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         "seed": cfg.seed,
         "trials": cfg.trials,
         "resolution": cfg.resolution,
-        "results": [{"name": r.name, "ok": r.ok, "detail": r.detail,
-                     "seconds": round(r.seconds, 3)} for r in results],
+        "results": [{**asdict(r), "seconds": round(r.seconds, 3)} for r in results],
     })
     print(f"wrote {out / 'verify.json'}")
     return 4 if failed else 0
@@ -348,7 +347,7 @@ def main(argv=None) -> int:
     except _CONVERGENCE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except _AUDIT_ERRORS as exc:
+    except VIOLATIONS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

@@ -59,3 +59,7 @@ class AuditViolation(ExpCircleError):
 
 class ConfigError(ExpCircleError):
     """Malformed run configuration."""
+
+
+# An audited bound failed: an audit reports these as FAIL, the CLI exits 4.
+VIOLATIONS = (AuditViolation, FloorViolation, ArcViolation, NotInvariant)

@@ -80,10 +80,55 @@ def test_geometric_audits_pass_quickly(bent):
         assert res.ok, f"{res.name}: {res.detail}"
 
 
-def test_partition_audit_returns_per_depth_details(doubling):
+def test_partition_audit_reports_arc_mass_and_route_defects(doubling):
     res = audit_partition(doubling)
     assert res.ok
     assert "arc defect" in res.detail and "route mismatch" in res.detail
+
+
+def test_run_all_roster_and_forwarding(monkeypatch):
+    calls = []
+
+    def recorder(attr):
+        def record(*args, **kwargs):
+            calls.append((attr, args, kwargs))
+            return [AuditResult(attr, True)]
+        return record
+
+    attrs = [a for a in dir(audits) if a.startswith("audit_")]
+    assert len(attrs) == 23
+    for attr in attrs:
+        monkeypatch.setattr(audits, attr, recorder(attr))
+    m = object()            # the recorders never look at the map
+    audits.run_all(m, seed=7, trials=2000, resolution=512, n_max=40)
+    res = {"resolution": 512}
+    horizon = {"n_max": 40, "resolution": 512}
+    assert calls == [
+        ("audit_certificate", (m,), {}),
+        ("audit_second_derivative", (m,), {}),
+        ("audit_arc_expansion", (m,), {}),
+        ("audit_preimage_roundtrip", (m,), {}),
+        ("audit_partition", (m,), {}),
+        ("audit_backward_contraction", (m,), {}),
+        ("audit_distortion", (m,), {}),
+        ("audit_operator_identities", (m,), res),
+        ("audit_duality", (m,), res),
+        ("audit_sup_c1_bounds", (m,), res),
+        ("audit_regularity_sweep", (m,), res),
+        ("audit_class_entry", (m,), res),
+        ("audit_invariant_density", (m,), res),
+        ("audit_cesaro", (m,), res),
+        ("audit_coupling_deterministic", (m,), res),
+        ("audit_coupling_monte_carlo", (m,),
+         {"trials": 2000, "seed": 7, "resolution": 512}),
+        ("audit_correlation_decay", (m,), horizon),
+        ("audit_reduction_chain", (m,), horizon),
+        ("audit_density_convergence", (m,), horizon),
+        ("audit_quadrature", (), res),
+        ("audit_sampling", (), res),
+        ("audit_constants_reference", (), res),
+        ("audit_constants_monotonic", (), {}),
+    ]
 
 
 def test_cached_invariant_is_freed_with_its_map():

@@ -1,15 +1,20 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import expcircle
+from expcircle.audits import MASS_TOL, PAIR_SLACK
 from expcircle.cli import main
+from expcircle.coupling_lab import CHI2_P_FLOOR
+from expcircle.system_constants import ROUNDING_SLACK
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -104,6 +109,41 @@ def test_coupling_seed_changes_stream(tmp_path):
     assert chi1 != chi2
 
 
+VERIFY_NAMES = [
+    "certificate", "second-derivative-fd", "arc-expansion",
+    "preimage-roundtrip", "preimage-partition", "backward-contraction",
+    "distortion", "operator-mass", "operator-positivity",
+    "operator-contraction", "operator-duality", "sup-c1-bounds",
+    "holder-log-contraction", "holder-growth-cap", "positivity-floor",
+    "pointwise-log-bounds", "holder-from-log", "class-entry",
+    "invariant-density", "cesaro-almost-invariance", "coupling-deterministic",
+    "coupling-monte-carlo", "correlation-decay", "reduction-chain",
+    "density-convergence", "grid-quadrature", "sampling",
+    "constants-reference", "constants-monotonic",
+]
+
+# Every result with a numeric margin: (the number its detail prints last,
+# as a function of the margin; the slack; whether the comparison is
+# strict).  Every other result reports margin null.
+MARGINS = {
+    "second-derivative-fd": (lambda g: -g, 1e-5, False),
+    "arc-expansion": (lambda g: -g, 1e-12, False),
+    "preimage-roundtrip": (lambda g: -g, 1e-9, False),
+    "backward-contraction": (lambda g: -g, PAIR_SLACK, False),
+    "distortion": (lambda g: -g, 0.0, False),   # its band already has a slack
+    "operator-mass": (lambda g: -g, MASS_TOL, False),
+    "operator-positivity": (lambda g: g, 0.0, False),
+    "operator-contraction": (lambda g: -g, MASS_TOL, False),
+    "operator-duality": (lambda g: -g, 0.0, False),
+    "holder-log-contraction": (lambda g: -g, ROUNDING_SLACK, False),
+    "holder-growth-cap": (lambda g: -g, ROUNDING_SLACK, False),
+    "positivity-floor": (lambda g: g, 0.0, False),
+    "holder-from-log": (lambda g: -g, ROUNDING_SLACK, False),
+    "cesaro-almost-invariance": (lambda g: -g, 1e-10, False),
+    "coupling-monte-carlo": (lambda g: g + CHI2_P_FLOOR, 0.0, True),
+}
+
+
 @pytest.mark.parametrize("w", [2, 3])
 def test_verify_linear_maps(tmp_path, capsys, w):
     cfg = write_config(
@@ -113,12 +153,21 @@ def test_verify_linear_maps(tmp_path, capsys, w):
     out = capsys.readouterr().out
     report = json.loads((tmp_path / "verify.json").read_text())
     assert all(r["ok"] for r in report["results"])
-    assert len(report["results"]) >= 25
+    assert [r["name"] for r in report["results"]] == VERIFY_NAMES
     assert out.count("PASS") == len(report["results"])
     assert "FAIL" not in out
-    names = {r["name"] for r in report["results"]}
-    assert {"distortion", "holder-log-contraction", "positivity-floor",
-            "coupling-monte-carlo", "correlation-decay"} <= names
+    for r in report["results"]:
+        assert set(r) == {"name", "ok", "detail", "seconds", "margin"}
+        if r["name"] not in MARGINS:
+            assert r["margin"] is None, r
+            continue
+        printed, slack, strict = MARGINS[r["name"]]
+        margin = r["margin"]
+        assert r["ok"] == (margin > -slack if strict else margin >= -slack), r
+        # the detail's last decimal number, to its printed precision
+        token = re.findall(r"-?\d+\.\d+(?:e[-+]\d+)?", r["detail"])[-1]
+        half_ulp = 0.5 * 10.0 ** Decimal(token).as_tuple().exponent
+        assert abs(printed(margin) - float(token)) <= half_ulp * (1 + 1e-9), r
 
 
 def test_env_var_output_fallback(tmp_path, monkeypatch):
@@ -152,6 +201,8 @@ def test_flag_beats_config_beats_default(tmp_path):
         {"resolution": 3000},
         {"trials": 10},
         {"seed": -1},
+        {"map": {"family": "perturbed", "w": 2, "eps": -0.01}},
+        {"map": {"family": "perturbed", "w": 2, "eps": float("nan")}},
     ],
 )
 def test_bad_configs_exit_two(tmp_path, payload, capsys):
@@ -197,6 +248,10 @@ def test_vacuous_ledger_exits_two(tmp_path, capsys):
     assert main(["constants", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "must both be below 1" in capsys.readouterr().err
     assert not (tmp_path / "constants.json").exists()
+    # verify reaches the same refusal inside an audit; it is no audit FAIL
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "must both be below 1" in capsys.readouterr().err
+    assert not (tmp_path / "verify.json").exists()
     cfg = write_config(tmp_path, {"map": {"family": "perturbed", "w": 2, "eps": 0.1}})
     assert main(["constants", "--config", cfg, "--out", str(tmp_path)]) == 0
 
