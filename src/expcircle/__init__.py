@@ -83,7 +83,7 @@ from .system_constants import (
     compute_ledger,
     hoelder_class_check,
     holder_iteration_cap,
-    pointwise_log_bounds_check,
+    pointwise_log_bounds_hold,
     positivity_floor,
 )
 from .transfer_operator import (
@@ -91,8 +91,7 @@ from .transfer_operator import (
     apply,
     apply_function,
     cesaro,
-    check_c1_bound,
-    check_sup_bound,
+    check_growth_bounds,
     invariant_density,
     iterate,
 )

@@ -61,15 +61,14 @@ from .system_constants import (
     compute_ledger,
     hoelder_class_check,
     holder_iteration_cap,
-    pointwise_log_bounds_check,
+    pointwise_log_bounds_hold,
     positivity_floor,
 )
 from .transfer_operator import (
     apply,
     apply_function,
-    check_c1_bound,
-    check_sup_bound,
     cesaro,
+    check_growth_bounds,
     invariant_density,
 )
 
@@ -145,17 +144,24 @@ def smooth_function(seed, resolution: int = DEFAULT_RESOLUTION,
     return GridFunction(a @ np.cos(phase) + b @ np.sin(phase))
 
 
+def cos_observable(resolution: int = DEFAULT_RESOLUTION) -> GridFunction:
+    """cos 2 pi x, the observable of ``expcircle decay``."""
+    x = np.arange(resolution) / resolution
+    return GridFunction(np.cos(2.0 * np.pi * x))
+
+
 def density_family(resolution: int = DEFAULT_RESOLUTION) -> list:
     """Canonical strictly positive densities for the contraction sweeps."""
     x = np.arange(resolution) / resolution
+    cos = cos_observable(resolution).values
 
     def norm(v):
         return GridDensity(v / v.mean())
 
     return [
-        norm(1.0 + 0.5 * np.cos(2.0 * np.pi * x)),
-        norm(np.exp(np.cos(2.0 * np.pi * x))),
-        norm(np.exp(0.3 * np.cos(2.0 * np.pi * x) + 0.2 * np.sin(4.0 * np.pi * x))),
+        norm(1.0 + 0.5 * cos),
+        norm(np.exp(cos)),
+        norm(np.exp(0.3 * cos + 0.2 * np.sin(4.0 * np.pi * x))),
     ]
 
 
@@ -167,20 +173,21 @@ def cosine_density(resolution: int = DEFAULT_RESOLUTION) -> GridDensity:
     return GridDensity(v / v.mean())
 
 
+def _test_functions(resolution: int, ripple_seed: int) -> list:
+    """(label, f): cos 2 pi x, a tanh step of it and a seeded ripple."""
+    cos = cos_observable(resolution)
+    return [
+        ("cos", cos),
+        ("step", GridFunction(0.5 * (1.0 + np.tanh(cos.values / 0.15)))),
+        ("ripple", smooth_function(ripple_seed, resolution)),
+    ]
+
+
 def observable_family(resolution: int, alpha: float):
     """(label, f) test observables plus (label, g) Hoelder observables."""
+    fs = _test_functions(resolution, 2024)
     x = np.arange(resolution) / resolution
-    dist0 = np.minimum(x, 1.0 - x)
-    fs = [
-        ("cos", GridFunction(np.cos(2.0 * np.pi * x))),
-        ("step", GridFunction(0.5 * (1.0 + np.tanh(np.cos(2.0 * np.pi * x) / 0.15)))),
-        ("ripple", smooth_function(2024, resolution)),
-    ]
-    gs = [
-        ("cos", GridFunction(np.cos(2.0 * np.pi * x))),
-        ("cusp", GridFunction(dist0 ** alpha)),
-    ]
-    return fs, gs
+    return fs, [fs[0], ("cusp", GridFunction(np.minimum(x, 1.0 - x) ** alpha))]
 
 
 # Per-map invariant densities, keyed by resolution; an entry lives as long
@@ -459,21 +466,12 @@ def audit_duality(m: ExpandingMap, *, seed: int = 12, cases: int = 20,
 def audit_sup_c1_bounds(m: ExpandingMap, *, resolution: int = DEFAULT_RESOLUTION,
                         steps=(1, 5, 15, 30)) -> AuditResult:
     """sup and C1-size growth caps (1+Omega), (1+Omega)^2 for iterates."""
-    x = np.arange(resolution) / resolution
-    fam = [
-        GridFunction(np.cos(2.0 * np.pi * x)),
-        GridFunction(0.5 * (1.0 + np.tanh(np.cos(2.0 * np.pi * x) / 0.15))),
-        smooth_function(77, resolution),
-    ]
     ok = True
     worst = -np.inf
-    for f in fam:
-        for n in steps:
-            lhs, rhs, fine = check_sup_bound(m, f, n)
+    for _, f in _test_functions(resolution, 77):
+        for sup_lhs, sup_rhs, _, _, fine in check_growth_bounds(m, f, steps):
             ok = ok and fine
-            worst = max(worst, lhs - rhs)
-            lhs, rhs, fine = check_c1_bound(m, f, n)
-            ok = ok and fine
+            worst = max(worst, sup_lhs - sup_rhs)
     return Verdict(ok, f"worst sup-bound excess {worst:.3e} (2% slack applies)")
 
 
@@ -505,7 +503,7 @@ def audit_regularity_sweep(m: ExpandingMap, *, alphas=DEFAULT_ALPHAS, n_max: int
             caps[a] = holder_iteration_cap(h_plain0[i], ledgers[a])
             floors[a] = positivity_floor(h_plain0[i], ledgers[a])
             extra = max(extra, floors[a][0] + 12 - n_max)
-            pointwise_ok = pointwise_ok and pointwise_log_bounds_check(psi, a)
+            pointwise_ok = pointwise_ok and pointwise_log_bounds_hold(psi, h_log0[i])
         cur = psi
         for n in range(1, n_max + max(extra, 0) + 1):
             cur = apply(m, cur)
@@ -521,8 +519,8 @@ def audit_regularity_sweep(m: ExpandingMap, *, alphas=DEFAULT_ALPHAS, n_max: int
                         worst_chain, h_plain[i] - h_log[i] * math.exp(h_log[i])
                     )
                 if n in pointwise_ns:
-                    for a in alphas:
-                        pointwise_ok = pointwise_ok and pointwise_log_bounds_check(cur, a)
+                    for h in h_log:
+                        pointwise_ok = pointwise_ok and pointwise_log_bounds_hold(cur, h)
             low = float(cur.values.min())
             for a in alphas:
                 n1, floor = floors[a]
@@ -543,8 +541,7 @@ def audit_class_entry(m: ExpandingMap, *, alphas=CLASS_ALPHAS,
     """Densities with log-Hoelder coefficient below B land in the limit
     class after N(B) steps: iterates keep H(log) <= Omega+1, stay above
     2a, and their residual (psi - a)/(1 - a) stays within cap K."""
-    x = np.arange(resolution) / resolution
-    cos_g = GridFunction(np.cos(2.0 * np.pi * x))
+    cos_g = cos_observable(resolution)
     ok = True
     details = []
     for a in alphas:
@@ -553,7 +550,7 @@ def audit_class_entry(m: ExpandingMap, *, alphas=CLASS_ALPHAS,
         for cap in CLASS_CAPS:
             big_b = led.big_k if cap is None else cap
             c = min(0.7 * big_b / h_unit, 6.0)
-            v = np.exp(c * np.cos(2.0 * np.pi * x))
+            v = np.exp(c * cos_g.values)
             psi = GridDensity(v / v.mean())
             if not hoelder_class_check(psi, big_b, a):
                 ok = False
@@ -612,9 +609,7 @@ def audit_invariant_density(m: ExpandingMap, *,
 def audit_cesaro(m: ExpandingMap, *, resolution: int = DEFAULT_RESOLUTION,
                  terms=(1, 5, 25)) -> AuditResult:
     """Cesaro averages are 2/N-almost-invariant."""
-    x = np.arange(resolution) / resolution
-    v = np.exp(np.cos(2.0 * np.pi * x))
-    psi = GridDensity(v / v.mean())
+    psi = density_family(resolution)[1]          # exp(cos 2 pi x)
     worst = -np.inf
     for n_terms in terms:
         c = cesaro(m, psi, n_terms)
@@ -669,9 +664,10 @@ def audit_correlation_decay(m: ExpandingMap, *, alphas=DEFAULT_ALPHAS,
     for a in alphas:
         led = compute_ledger(m, a)
         fs, gs = observable_family(resolution, a)
-        for f_label, f in fs:
-            for g_label, g in gs:
-                rep = decay_report(m, f, g, a, n_max=n_max, phi=phi, ledger=led)
+        for g_label, g in gs:
+            reps = decay_report(m, [f for _, f in fs], g, a, n_max=n_max,
+                                phi=phi, ledger=led)
+            for (f_label, _), rep in zip(fs, reps, strict=True):
                 cells += 1
                 if not rep.all_ok():
                     bad.append(f"{f_label}/{g_label}@alpha={a}")
@@ -700,10 +696,10 @@ def audit_reduction_chain(m: ExpandingMap, *, alphas=DEFAULT_ALPHAS,
         _, gs = observable_family(resolution, a)
         for _, g in gs:
             side = normalized_observable_density(g, phi)
-            cap = (holder_coefficient(g, a) / sup_norm(g) + 3.0) * (2.0 + led.omega) ** 2
-            worst_cap = max(worst_cap, holder_coefficient(side, a) - cap)
             rep = density_convergence_report(m, side, a, n_max=n_max,
                                              phi=phi, ledger=led)
+            cap = (holder_coefficient(g, a) / sup_norm(g) + 3.0) * (2.0 + led.omega) ** 2
+            worst_cap = max(worst_cap, rep.psi_holder - cap)
             ok = ok and rep.all_ok()
     ok = ok and worst_cap <= ROUNDING_SLACK
     return Verdict(ok, f"worst side-density cap excess {worst_cap:.3e}")

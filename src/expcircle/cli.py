@@ -32,11 +32,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .audits import cosine_density, run_all
+from .audits import cos_observable, cosine_density, run_all
 from .circle_map import linear_map, perturbed_map
 from .correlation_suite import decay_report
 from .coupling_lab import monte_carlo_coupling
-from .density_grid import GridDensity, GridFunction, write_csv
+from .density_grid import GridDensity, write_csv
 from .errors import (
     VIOLATIONS,
     CertificationError,
@@ -185,11 +185,6 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _cos_observable(resolution: int) -> GridFunction:
-    x = np.arange(resolution) / resolution
-    return GridFunction(np.cos(2.0 * np.pi * x))
-
-
 def _coupling_pair(resolution: int):
     return cosine_density(resolution), GridDensity(np.ones(resolution))
 
@@ -227,8 +222,8 @@ def cmd_invariant(cfg: RunConfig) -> int:
 
 def cmd_decay(cfg: RunConfig) -> int:
     m = make_map(cfg)
-    f = _cos_observable(cfg.resolution)
-    rep = decay_report(m, f, f, cfg.alpha, n_max=cfg.n_max or 60)
+    f = cos_observable(cfg.resolution)
+    rep, = decay_report(m, [f], f, cfg.alpha, n_max=cfg.n_max or 60)
     out = _out_dir(cfg)
     csv_path = out / "decay.csv"
     rep.to_csv(csv_path)

@@ -140,15 +140,12 @@ def hoelder_class_check(psi: GridDensity, cap: float, alpha: float) -> bool:
     return h <= cap + ROUNDING_SLACK
 
 
-def pointwise_log_bounds_check(psi: GridDensity, alpha: float) -> bool:
-    """exp(-H) <= psi <= exp(H) node-wise with H the Hoelder-log
-    coefficient.  Unit mass pins log psi across zero, and H bounds the gap
-    between its extreme nodes."""
-    if inf_value(psi) <= 0.0:
-        return False
-    h = holder_coefficient(log_transform(psi), alpha)
+def pointwise_log_bounds_hold(psi: GridDensity, h_log: float) -> bool:
+    """exp(-h_log) <= psi <= exp(h_log) node-wise for h_log the Hoelder-log
+    coefficient of psi at any alpha.  Unit mass pins log psi across zero,
+    and h_log bounds the gap between its extreme nodes."""
     v = psi.values
-    return bool(np.all(v <= math.exp(h)) and np.all(v >= math.exp(-h)))
+    return bool(np.all(v <= math.exp(h_log)) and np.all(v >= math.exp(-h_log)))
 
 
 def holder_iteration_cap(h: float, ledger: ConstantsLedger) -> float:

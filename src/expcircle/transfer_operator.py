@@ -220,16 +220,6 @@ def invariant_density(
     )
 
 
-def check_sup_bound(m: ExpandingMap, f: GridFunction, n: int):
-    """sup |L^n f| <= (1 + Omega) sup |f|; returns (lhs, rhs, ok)."""
-    cur = f
-    for _ in range(n):
-        cur = apply_function(m, cur)
-    lhs = sup_norm(cur)
-    rhs = (1.0 + compute_ledger(m, 1.0).omega) * sup_norm(f)
-    return lhs, rhs, lhs <= rhs * 1.02
-
-
 def _c1_size(f: GridFunction) -> float:
     v = f.values
     M = v.size
@@ -237,11 +227,22 @@ def _c1_size(f: GridFunction) -> float:
     return sup_norm(f) + float(fd)
 
 
-def check_c1_bound(m: ExpandingMap, f: GridFunction, n: int):
-    """sup + sup|fd| of L^n f <= (1 + Omega)^2 (same size of f), 2% slack."""
+def check_growth_bounds(m: ExpandingMap, f: GridFunction, steps) -> list:
+    """Growth caps of the iterates L^n f, n in ``steps``, from one walk of L
+    up to max(steps): sup |L^n f| <= (1 + Omega) sup |f|, and the C1 size
+    sup + sup|fd| of L^n f <= (1 + Omega)^2 (same size of f), each with 2%
+    slack.  Returns (sup_lhs, sup_rhs, c1_lhs, c1_rhs, ok) per step, in
+    the order of ``steps``."""
+    omega = compute_ledger(m, 1.0).omega
+    sup_rhs = (1.0 + omega) * sup_norm(f)
+    c1_rhs = (1.0 + omega) ** 2 * _c1_size(f)
+    rows = {}
     cur = f
-    for _ in range(n):
-        cur = apply_function(m, cur)
-    lhs = _c1_size(cur)
-    rhs = (1.0 + compute_ledger(m, 1.0).omega) ** 2 * _c1_size(f)
-    return lhs, rhs, lhs <= rhs * 1.02
+    for n in range(max(steps) + 1):
+        if n:
+            cur = apply_function(m, cur)
+        if n in steps:
+            sup_lhs, c1_lhs = sup_norm(cur), _c1_size(cur)
+            rows[n] = (sup_lhs, sup_rhs, c1_lhs, c1_rhs,
+                       sup_lhs <= sup_rhs * 1.02 and c1_lhs <= c1_rhs * 1.02)
+    return [rows[n] for n in steps]

@@ -1,20 +1,28 @@
+import collections
 import gc
+import logging
+import sys
 import weakref
 
 import numpy as np
+import pytest
 
-from expcircle import AuditResult, integrate, perturbed_map, standard_maps
-from expcircle import audits, transfer_operator
+from expcircle import AuditResult, integrate, linear_map, perturbed_map, standard_maps
+from expcircle import audits, density_grid, transfer_operator
 from expcircle.audits import (
     audit_arc_expansion,
     audit_certificate,
     audit_constants_monotonic,
     audit_constants_reference,
+    audit_correlation_decay,
     audit_distortion,
     audit_partition,
     audit_preimage_roundtrip,
     audit_quadrature,
+    audit_reduction_chain,
+    audit_regularity_sweep,
     audit_sampling,
+    audit_sup_c1_bounds,
     density_family,
     observable_family,
     smooth_density,
@@ -143,3 +151,56 @@ def test_cached_invariant_is_freed_with_its_map():
     gc.collect()
     assert all(ref() is None for ref in alive)
     assert len(transfer_operator._OPERATORS) == held
+
+
+def count_work(monkeypatch):
+    """Counter of operator applications ("apply") and all-lag Hoelder
+    scans ("scan"), with apply_function wrapped in every expcircle
+    namespace that bound it."""
+    counts = collections.Counter()
+    apply_function = transfer_operator.apply_function
+    gap_profile = density_grid._gap_profile
+
+    def counted_apply(m, f):
+        counts["apply"] += 1
+        return apply_function(m, f)
+
+    def counted_scan(f):
+        counts["scan"] += 1
+        return gap_profile(f)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("expcircle") and getattr(mod, "apply_function", None) is apply_function:
+            monkeypatch.setattr(mod, "apply_function", counted_apply)
+    monkeypatch.setattr(density_grid, "_gap_profile", counted_scan)
+    return counts
+
+
+@pytest.mark.parametrize("audit, applies, scans", [
+    # one g phi chain and one side-density chain per (alpha, g), read by all
+    # three f: 6 x (1 invariance check + 60 + 60)
+    (audit_correlation_decay, 726, 4),
+    # one walk to n = 30 per test function
+    (audit_sup_c1_bounds, 90, 0),
+    # one 60-step chain per (alpha, g); H(g) and H(psi_g) per alpha < 1
+    (audit_reduction_chain, 360, 8),
+    # pointwise log bounds read the scans the sweep has already made
+    (audit_regularity_sweep, 90, 186),
+])
+def test_orbits_and_scans_are_walked_once(monkeypatch, audit, applies, scans):
+    m = linear_map(2)
+    audits.cached_invariant(m)
+    counts = count_work(monkeypatch)
+    out = audit(m)
+    assert all(r.ok for r in (out if isinstance(out, list) else [out]))
+    assert (counts["apply"], counts["scan"]) == (applies, scans)
+
+
+def test_each_drift_warning_is_logged_once(bent, caplog):
+    audits.cached_invariant(bent)
+    with caplog.at_level(logging.WARNING, logger="expcircle"):
+        assert audit_correlation_decay(bent).ok
+    drifts = collections.Counter(r.getMessage() for r in caplog.records
+                                 if "mass drift" in r.getMessage())
+    assert len(drifts) == 3                 # one per cusp side chain
+    assert set(drifts.values()) == {1}

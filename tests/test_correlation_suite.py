@@ -23,7 +23,7 @@ COS = GridFunction(np.cos(2 * np.pi * X))
 
 def test_zero_lag_is_the_variance(doubling):
     phi = uniform_density(M)
-    series = correlation_series(doubling, phi, COS, COS, 3)
+    series = correlation_series(doubling, phi, [COS], COS, 3)[0]
     assert series[0] == pytest.approx(0.5, abs=1e-10)  # int cos^2 dm
     # the doubling operator annihilates frequency one immediately
     assert np.max(np.abs(series[1:])) < 1e-9
@@ -31,30 +31,27 @@ def test_zero_lag_is_the_variance(doubling):
 
 def test_constant_observable_decorrelates(bent, bent_phi):
     g = GridFunction(np.full(M, 2.5))
-    series = correlation_series(bent, bent_phi, COS, g, 10)
+    series = correlation_series(bent, bent_phi, [COS], g, 10)[0]
     assert np.max(np.abs(series)) < 1e-12
     f = GridFunction(np.full(M, -1.0))
-    series = correlation_series(bent, bent_phi, f, COS, 10)
+    series = correlation_series(bent, bent_phi, [f], COS, 10)[0]
     assert np.max(np.abs(series)) < 1e-12
 
 
 def test_series_is_bilinear(bent, bent_phi):
     g1 = COS
     g2 = GridFunction(np.sin(2 * np.pi * 2 * X))
-    lhs = correlation_series(bent, bent_phi, COS, g1 + 2.0 * g2, 6)
-    rhs = correlation_series(bent, bent_phi, COS, g1, 6) + 2.0 * correlation_series(
-        bent, bent_phi, COS, g2, 6
-    )
+    lhs = correlation_series(bent, bent_phi, [COS], g1 + 2.0 * g2, 6)[0]
+    rhs = correlation_series(bent, bent_phi, [COS], g1, 6)[0] + 2.0 * correlation_series(
+        bent, bent_phi, [COS], g2, 6
+    )[0]
     assert np.max(np.abs(lhs - rhs)) < 1e-10
-    lhs = correlation_series(bent, bent_phi, g1 + 2.0 * g2, COS, 6)
-    rhs = correlation_series(bent, bent_phi, g1, COS, 6) + 2.0 * correlation_series(
-        bent, bent_phi, g2, COS, 6
-    )
-    assert np.max(np.abs(lhs - rhs)) < 1e-10
+    rows = correlation_series(bent, bent_phi, [g1 + 2.0 * g2, g1, g2], COS, 6)
+    assert np.max(np.abs(rows[0] - (rows[1] + 2.0 * rows[2]))) < 1e-10
 
 
 def test_single_lag_matches_series(bent, bent_phi):
-    series = correlation_series(bent, bent_phi, COS, COS, 5)
+    series = correlation_series(bent, bent_phi, [COS], COS, 5)[0]
     assert correlation(bent, bent_phi, COS, COS, 5) == pytest.approx(
         series[5], abs=1e-15
     )
@@ -65,7 +62,7 @@ def test_single_lag_matches_series(bent, bent_phi):
 def test_non_invariant_reference_is_rejected(bent):
     fake = GridDensity(1.0 + 0.5 * COS.values)
     with pytest.raises(NotInvariant):
-        correlation_series(bent, fake, COS, COS, 2)
+        correlation_series(bent, fake, [COS], COS, 2)
 
 
 def test_observable_density_normalization(bent_phi):
@@ -77,7 +74,7 @@ def test_observable_density_normalization(bent_phi):
 
 
 def test_decay_report_doubling(doubling):
-    rep = decay_report(doubling, COS, COS, 1.0, n_max=40)
+    rep, = decay_report(doubling, [COS], COS, 1.0, n_max=40)
     assert rep.all_ok()
     assert len(rep.ns) == 41  # bound decays slowly, no early stop
     assert np.max(np.abs(rep.corr[1:])) < 1e-9
@@ -89,15 +86,31 @@ def test_decay_report_doubling(doubling):
 
 def test_decay_report_perturbed_cusp(bent, bent_phi):
     cusp = GridFunction(np.minimum(X, 1.0 - X) ** 0.5)
-    rep = decay_report(bent, COS, cusp, 0.5, phi=bent_phi, n_max=50)
+    rep, = decay_report(bent, [COS], cusp, 0.5, phi=bent_phi, n_max=50)
     assert rep.all_ok()
     # the curve genuinely decays to noise level
     assert abs(rep.corr[-1]) < 1e-10
     assert rep.g_holder == pytest.approx(1.0, rel=1e-6)
 
 
+def test_multi_f_decay_report_matches_single_f_reports(bent, bent_phi):
+    cusp = GridFunction(np.minimum(X, 1.0 - X) ** 0.5)
+    ripple = GridFunction(np.sin(2 * np.pi * 3 * X) + 0.3 * COS.values)
+    tiny = GridFunction(1e-30 * COS.values)      # its curve stops at n = 0
+    fs = [COS, tiny, ripple]
+    reps = decay_report(bent, fs, cusp, 0.5, phi=bent_phi, n_max=30)
+    assert [len(r.ns) for r in reps] == [31, 1, 31]
+    for f, rep in zip(fs, reps, strict=True):
+        one, = decay_report(bent, [f], cusp, 0.5, phi=bent_phi, n_max=30)
+        for name in ("ns", "corr", "bound", "ok", "reduction_ok"):
+            a, b = getattr(rep, name), getattr(one, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert (rep.f_sup, rep.g_sup, rep.g_holder) == (one.f_sup, one.g_sup, one.g_holder)
+        assert np.array_equal([rep.fitted_rate], [one.fitted_rate], equal_nan=True)
+
+
 def test_decay_csv_matches_report(tmp_path, doubling):
-    rep = decay_report(doubling, COS, COS, 1.0, n_max=10)
+    rep, = decay_report(doubling, [COS], COS, 1.0, n_max=10)
     path = tmp_path / "decay.csv"
     rep.to_csv(path)
     lines = path.read_text().splitlines()

@@ -9,9 +9,11 @@ from expcircle import (
     InvalidAlpha,
     compute_ledger,
     hoelder_class_check,
+    holder_coefficient,
     holder_iteration_cap,
+    log_transform,
     perturbed_map,
-    pointwise_log_bounds_check,
+    pointwise_log_bounds_hold,
     positivity_floor,
     uniform_density,
 )
@@ -101,8 +103,10 @@ def test_class_membership_checks():
     assert hoelder_class_check(psi, 0.3 * 2 * math.pi * 1.01, 1.0)
     assert not hoelder_class_check(psi, 0.1, 1.0)
     assert hoelder_class_check(uniform_density(M), 1e-6, 1.0)
-    assert pointwise_log_bounds_check(psi, 1.0)
-    assert pointwise_log_bounds_check(uniform_density(M), 0.5)
+    h_log = holder_coefficient(log_transform(psi), 1.0)
+    assert pointwise_log_bounds_hold(psi, h_log)
+    assert not pointwise_log_bounds_hold(psi, 0.1)
+    assert pointwise_log_bounds_hold(uniform_density(M), 0.0)
 
 
 def test_iteration_cap_formula(doubling, bent):

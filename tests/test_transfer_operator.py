@@ -16,8 +16,7 @@ from expcircle import (
     apply,
     apply_function,
     cesaro,
-    check_c1_bound,
-    check_sup_bound,
+    check_growth_bounds,
     integrate,
     invariant_density,
     inf_value,
@@ -153,11 +152,10 @@ def test_invariant_density_budget(bent):
 
 def test_iterate_sup_and_c1_caps(bent):
     f = GridFunction(np.exp(0.2 * cos_k(1)))
-    for n in (1, 5, 15):
-        lhs, rhs, ok = check_sup_bound(bent, f, n)
-        assert ok and lhs <= rhs * 1.02
-        lhs, rhs, ok = check_c1_bound(bent, f, n)
-        assert ok and lhs <= rhs * 1.02
+    rows = check_growth_bounds(bent, f, (1, 5, 15))
+    assert len(rows) == 3
+    for sup_lhs, sup_rhs, c1_lhs, c1_rhs, ok in rows:
+        assert ok and sup_lhs <= sup_rhs * 1.02 and c1_lhs <= c1_rhs * 1.02
 
 
 def reference_tables(m, resolution):
