@@ -173,6 +173,11 @@ def cosine_density(resolution: int = DEFAULT_RESOLUTION) -> GridDensity:
     return GridDensity(v / v.mean())
 
 
+def coupling_pair(resolution: int = DEFAULT_RESOLUTION) -> tuple:
+    """The start densities of every Monte-Carlo coupling run."""
+    return cosine_density(resolution), uniform_density(resolution)
+
+
 def _test_functions(resolution: int, ripple_seed: int) -> list:
     """(label, f): cos 2 pi x, a tanh step of it and a seeded ripple."""
     cos = cos_observable(resolution)
@@ -183,11 +188,13 @@ def _test_functions(resolution: int, ripple_seed: int) -> list:
     ]
 
 
-def observable_family(resolution: int, alpha: float):
-    """(label, f) test observables plus (label, g) Hoelder observables."""
+def observable_family(resolution: int, alphas):
+    """(label, f) test observables plus (label, g, alphas served) Hoelder
+    observables: cos 2 pi x serves every alpha, the cusp d(x, 0)^a only a."""
     fs = _test_functions(resolution, 2024)
     x = np.arange(resolution) / resolution
-    return fs, [fs[0], ("cusp", GridFunction(np.minimum(x, 1.0 - x) ** alpha))]
+    cusps = [("cusp", GridFunction(np.minimum(x, 1.0 - x) ** a), (a,)) for a in alphas]
+    return fs, [(*fs[0], tuple(alphas)), *cusps]
 
 
 # Per-map invariant densities, keyed by resolution; an entry lives as long
@@ -626,7 +633,7 @@ def audit_coupling_deterministic(m: ExpandingMap, *, alpha: float = 1.0,
     psi1 = cosine_density(resolution)
     phi, _ = cached_invariant(m, resolution)
     n_max = max(2 * led.n_big_k + 5, 60)
-    det = deterministic_contraction_run(m, psi1, phi, alpha, n_max, ledger=led)
+    det = deterministic_contraction_run(m, psi1, phi, alpha, n_max)
     recon = max((e for _, e in det.reconstruction_errors), default=0.0)
     return Verdict(
         True, f"n_max={n_max}, worst tv excess {det.max_tv_excess():.3e}, "
@@ -639,8 +646,7 @@ def audit_coupling_monte_carlo(m: ExpandingMap, *, alpha: float = 1.0,
                                trials: int = 100_000, seed: int = 42,
                                resolution: int = DEFAULT_RESOLUTION) -> AuditResult:
     """Simulated pair: mismatch envelope, coupling inequality, marginals."""
-    psi1 = cosine_density(resolution)
-    psi2 = uniform_density(resolution)
+    psi1, psi2 = coupling_pair(resolution)
     trace = monte_carlo_coupling(m, psi1, psi2, alpha, trials=trials, seed=seed)
     min_p = min((c["p_value"] for c in trace.chi2), default=1.0)
     return _gate(
@@ -661,13 +667,11 @@ def audit_correlation_decay(m: ExpandingMap, *, alphas=DEFAULT_ALPHAS,
     cells = 0
     bad = []
     rates = []
-    for a in alphas:
-        led = compute_ledger(m, a)
-        fs, gs = observable_family(resolution, a)
-        for g_label, g in gs:
-            reps = decay_report(m, [f for _, f in fs], g, a, n_max=n_max,
-                                phi=phi, ledger=led)
-            for (f_label, _), rep in zip(fs, reps, strict=True):
+    fs, gs = observable_family(resolution, alphas)
+    for g_label, g, g_alphas in gs:
+        reps = decay_report(m, [f for _, f in fs], g, g_alphas, n_max=n_max, phi=phi)
+        for a, per_f in zip(g_alphas, reps, strict=True):
+            for (f_label, _), rep in zip(fs, per_f, strict=True):
                 cells += 1
                 if not rep.all_ok():
                     bad.append(f"{f_label}/{g_label}@alpha={a}")
@@ -691,14 +695,14 @@ def audit_reduction_chain(m: ExpandingMap, *, alphas=DEFAULT_ALPHAS,
     phi, _ = cached_invariant(m, resolution)
     ok = True
     worst_cap = -np.inf
-    for a in alphas:
-        led = compute_ledger(m, a)
-        _, gs = observable_family(resolution, a)
-        for _, g in gs:
-            side = normalized_observable_density(g, phi)
-            rep = density_convergence_report(m, side, a, n_max=n_max,
-                                             phi=phi, ledger=led)
-            cap = (holder_coefficient(g, a) / sup_norm(g) + 3.0) * (2.0 + led.omega) ** 2
+    _, gs = observable_family(resolution, alphas)
+    for _, g, g_alphas in gs:
+        side = normalized_observable_density(g, phi)
+        reps = density_convergence_report(m, side, g_alphas, n_max=n_max, phi=phi)
+        g_hs = holder_profile(g, g_alphas)
+        for a, g_h, rep in zip(g_alphas, g_hs, reps, strict=True):
+            omega = compute_ledger(m, a).omega
+            cap = (g_h / sup_norm(g) + 3.0) * (2.0 + omega) ** 2
             worst_cap = max(worst_cap, rep.psi_holder - cap)
             ok = ok and rep.all_ok()
     ok = ok and worst_cap <= ROUNDING_SLACK
@@ -713,11 +717,8 @@ def audit_density_convergence(m: ExpandingMap, *, alphas=DEFAULT_ALPHAS,
     phi, _ = cached_invariant(m, resolution)
     worst = -np.inf
     ok = True
-    for a in alphas:
-        led = compute_ledger(m, a)
-        for psi in density_family(resolution):
-            rep = density_convergence_report(m, psi, a, n_max=n_max,
-                                             phi=phi, ledger=led)
+    for psi in density_family(resolution):
+        for rep in density_convergence_report(m, psi, alphas, n_max=n_max, phi=phi):
             ok = ok and rep.all_ok()
             worst = max(worst, float((rep.l1_err - rep.bound).max()))
     return Verdict(ok, f"worst l1 - bound = {worst:.3e}")

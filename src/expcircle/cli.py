@@ -32,11 +32,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .audits import cos_observable, cosine_density, run_all
+from .audits import cos_observable, coupling_pair, run_all
 from .circle_map import linear_map, perturbed_map
 from .correlation_suite import decay_report
 from .coupling_lab import monte_carlo_coupling
-from .density_grid import GridDensity, write_csv
+from .density_grid import write_csv
 from .errors import (
     VIOLATIONS,
     CertificationError,
@@ -185,10 +185,6 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _coupling_pair(resolution: int):
-    return cosine_density(resolution), GridDensity(np.ones(resolution))
-
-
 def cmd_constants(cfg: RunConfig) -> int:
     led = compute_ledger(make_map(cfg), cfg.alpha)
     path = _out_dir(cfg) / "constants.json"
@@ -223,7 +219,7 @@ def cmd_invariant(cfg: RunConfig) -> int:
 def cmd_decay(cfg: RunConfig) -> int:
     m = make_map(cfg)
     f = cos_observable(cfg.resolution)
-    rep, = decay_report(m, [f], f, cfg.alpha, n_max=cfg.n_max or 60)
+    (rep,), = decay_report(m, [f], f, (cfg.alpha,), n_max=cfg.n_max or 60)
     out = _out_dir(cfg)
     csv_path = out / "decay.csv"
     rep.to_csv(csv_path)
@@ -246,7 +242,7 @@ def cmd_decay(cfg: RunConfig) -> int:
 
 def cmd_coupling(cfg: RunConfig) -> int:
     m = make_map(cfg)
-    psi1, psi2 = _coupling_pair(cfg.resolution)
+    psi1, psi2 = coupling_pair(cfg.resolution)
     trace = monte_carlo_coupling(m, psi1, psi2, cfg.alpha, cfg.n_max,
                                  trials=cfg.trials, seed=cfg.seed)
     out = _out_dir(cfg)

@@ -19,7 +19,7 @@ from .circle_map import ExpandingMap
 from .density_grid import (
     GridDensity,
     GridFunction,
-    holder_coefficient,
+    holder_profile,
     integrate,
     l1_distance,
     sup_norm,
@@ -142,39 +142,41 @@ def decay_report(
     m: ExpandingMap,
     fs: list[GridFunction],
     g: GridFunction,
-    alpha: float,
+    alphas,
     *,
     n_max: int = 60,
     phi: GridDensity | None = None,
-    ledger: ConstantsLedger | None = None,
-) -> list[DecayReport]:
-    """Per f in ``fs``, the correlation curve with the explicit envelope
+) -> list[list[DecayReport]]:
+    """Per alpha in ``alphas`` and f in ``fs``, indexed [alpha][f], the
+    correlation curve with the explicit envelope
     C sup|f| (sup|g| + H_alpha(g)) theta_paper^(alpha n), audited per step,
     plus the reduction route through the normalized observable density.
-    A curve stops early once it and its envelope drop below 1e-14; every
-    curve reads one walk of g phi and one of the normalized density."""
-    led = ledger if ledger is not None else compute_ledger(m, alpha)
+    A curve stops early once it and its envelope drop below 1e-14.  Every
+    report reads one walk of g phi, one Hoelder profile of g and one walk
+    of the normalized density, taken as far as the longest curve."""
+    ledgers = [compute_ledger(m, a) for a in alphas]
     if phi is None:
         phi, _ = invariant_density(m, resolution=g.resolution)
     g_sup = sup_norm(g)
-    g_h = holder_coefficient(g, led.alpha)
+    g_hs = holder_profile(g, alphas)
     corr = correlation_series(m, phi, fs, g, n_max)
     curves = []
-    for f, row in zip(fs, corr):
-        f_sup = sup_norm(f)
-        prefactor = led.c_corr * f_sup * (g_sup + g_h)
-        # Python ** per n: numpy's vector power differs in the last bit in 542 of
-        # 13,545 (map, alpha, n) cases on the five standard maps, changing decay.csv.
-        bound = []
-        for n in range(n_max + 1):
-            bound.append(prefactor * led.theta_paper ** (led.alpha * n))
-            if abs(row[n]) < EARLY_STOP and bound[-1] < EARLY_STOP:
-                break
-        curves.append((f_sup, np.array(bound)))
-    longest = max(b.size for _, b in curves)
+    for led, g_h in zip(ledgers, g_hs):
+        for f, row in zip(fs, corr):
+            f_sup = sup_norm(f)
+            prefactor = led.c_corr * f_sup * (g_sup + g_h)
+            # Python ** per n: numpy's vector power differs in the last bit in 542 of
+            # 13,545 (map, alpha, n) cases on the five standard maps, changing decay.csv.
+            bound = []
+            for n in range(n_max + 1):
+                bound.append(prefactor * led.theta_paper ** (led.alpha * n))
+                if abs(row[n]) < EARLY_STOP and bound[-1] < EARLY_STOP:
+                    break
+            curves.append((led, g_h, f_sup, row, np.array(bound)))
+    longest = max(c[-1].size for c in curves)
     side_err = _l1_errors(m, normalized_observable_density(g, phi), phi, longest - 1)
     reports = []
-    for (f_sup, bound), row in zip(curves, corr):
+    for led, g_h, f_sup, row, bound in curves:
         ns = np.arange(bound.size)
         c = row[:bound.size]
         red = 3.0 * g_sup * f_sup * side_err[:bound.size]
@@ -192,7 +194,7 @@ def decay_report(
             reduction_ok=np.abs(c) <= red + REDUCTION_SLACK,
             fitted_rate=_fitted_rate(ns, c),
         ))
-    return reports
+    return [reports[i:i + len(fs)] for i in range(0, len(reports), len(fs))]
 
 
 @dataclass
@@ -222,27 +224,30 @@ def _l1_errors(m: ExpandingMap, psi: GridDensity, phi: GridDensity,
 def density_convergence_report(
     m: ExpandingMap,
     psi: GridDensity,
-    alpha: float,
+    alphas,
     *,
     n_max: int = 60,
     phi: GridDensity | None = None,
-    ledger: ConstantsLedger | None = None,
-) -> ConvergenceReport:
-    """||L^n psi - phi||_1 against 8 (1 + H_alpha(psi)) theta_paper^(alpha n)."""
-    led = ledger if ledger is not None else compute_ledger(m, alpha)
+) -> list[ConvergenceReport]:
+    """||L^n psi - phi||_1 against 8 (1 + H_alpha(psi)) theta_paper^(alpha n),
+    one report per alpha in ``alphas``, from one walk of L and one Hoelder
+    profile of psi."""
+    ledgers = [compute_ledger(m, a) for a in alphas]
     if phi is None:
         phi, _ = invariant_density(m, resolution=psi.resolution)
-    h = holder_coefficient(psi, led.alpha)
-    prefactor = led.d_tilde * (1.0 + h)
+    hs = holder_profile(psi, alphas)
     ns = np.arange(n_max + 1)
     err = _l1_errors(m, psi, phi, n_max)
-    bound = prefactor * led.theta_paper ** (led.alpha * ns)
-    return ConvergenceReport(
-        map_label=repr(m),
-        alpha=led.alpha,
-        psi_holder=h,
-        ns=ns,
-        l1_err=err,
-        bound=bound,
-        ok=err <= bound + CONVERGENCE_SLACK,
-    )
+    reports = []
+    for led, h in zip(ledgers, hs):
+        bound = led.d_tilde * (1.0 + h) * led.theta_paper ** (led.alpha * ns)
+        reports.append(ConvergenceReport(
+            map_label=repr(m),
+            alpha=led.alpha,
+            psi_holder=h,
+            ns=ns,
+            l1_err=err,
+            bound=bound,
+            ok=err <= bound + CONVERGENCE_SLACK,
+        ))
+    return reports

@@ -13,7 +13,7 @@ coins of head probability a.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import chi2 as _chi2_dist
@@ -35,6 +35,7 @@ DETERMINISTIC_SLACK = 5e-6
 RECONSTRUCTION_TOL = 1e-8
 # A marginal chi-square p-value at or below this fails a Monte-Carlo run.
 CHI2_P_FLOOR = 1e-4
+CHI2_BINS = 64
 
 
 def decompose(psi: GridDensity, a: float) -> GridDensity:
@@ -82,14 +83,11 @@ def deterministic_contraction_run(
     psi2: GridDensity,
     alpha: float,
     n_max: int,
-    *,
-    ledger: ConstantsLedger | None = None,
-    slack: float = DETERMINISTIC_SLACK,
-    check: bool = True,
 ) -> DeterministicCoupling:
     """Evolve the pair for n_max steps, extracting the uniform component at
-    every epoch and auditing tv against both envelope forms at every step."""
-    led = ledger if ledger is not None else compute_ledger(m, alpha)
+    every epoch and auditing tv against both envelope forms at every step,
+    with slack DETERMINISTIC_SLACK."""
+    led = compute_ledger(m, alpha)
     for which, psi in (("psi1", psi1), ("psi2", psi2)):
         if not hoelder_class_check(psi, led.big_k, led.alpha):
             raise AuditViolation(f"{which} is not in the admissible class (cap K)")
@@ -130,7 +128,7 @@ def deterministic_contraction_run(
                 for i in range(2)
             )
             recon_errors.append((n, err))
-            if check and err > RECONSTRUCTION_TOL:
+            if err > RECONSTRUCTION_TOL:
                 raise AuditViolation(
                     f"epoch reconstruction off by {err:.3e} at n = {n}"
                 )
@@ -144,9 +142,8 @@ def deterministic_contraction_run(
             bound_theta=led.d_exact * led.theta_exact ** (led.alpha * n),
         )
         records.append(rec)
-        if check and (
-            tv > rec.bound_coupling + slack or tv > rec.bound_theta + slack
-        ):
+        if (tv > rec.bound_coupling + DETERMINISTIC_SLACK
+                or tv > rec.bound_theta + DETERMINISTIC_SLACK):
             raise AuditViolation(
                 f"tv = {tv:.6g} exceeds envelope at n = {n} "
                 f"(coupling {rec.bound_coupling:.6g}, theta {rec.bound_theta:.6g})"
@@ -162,21 +159,21 @@ def deterministic_contraction_run(
     )
 
 
-def _chi2_marginal(points: np.ndarray, density: GridDensity, bins: int) -> dict:
-    """Chi-square comparison of sampled points against the binned density."""
+def _chi2_marginal(points: np.ndarray, density: GridDensity) -> dict:
+    """Chi-square comparison of sampled points against the density binned
+    into CHI2_BINS equal arcs."""
     M = density.resolution
     v = density.values
     cell = (v + np.roll(v, -1)) / (2.0 * M)
-    per_bin = cell.reshape(bins, M // bins).sum(axis=1)
+    per_bin = cell.reshape(CHI2_BINS, M // CHI2_BINS).sum(axis=1)
     expected = per_bin / per_bin.sum() * points.size
-    counts = np.bincount(
-        np.minimum((points * bins).astype(np.int64), bins - 1), minlength=bins
-    ).astype(float)
+    counts = np.bincount(np.minimum((points * CHI2_BINS).astype(np.int64), CHI2_BINS - 1),
+                         minlength=CHI2_BINS).astype(float)
     stat = float(((counts - expected) ** 2 / expected).sum())
     return {
         "statistic": stat,
-        "dof": bins - 1,
-        "p_value": float(_chi2_dist.sf(stat, bins - 1)),
+        "dof": CHI2_BINS - 1,
+        "p_value": float(_chi2_dist.sf(stat, CHI2_BINS - 1)),
     }
 
 
@@ -194,7 +191,7 @@ class CouplingTrace:
     bound_coupling: np.ndarray
     bound_theta: np.ndarray
     coins: np.ndarray                    # (epochs, trials); inert once coupled
-    chi2: list = field(default_factory=list)
+    chi2: list                           # {n, statistic, dof, p_value} per check
 
     def to_csv(self, path) -> None:
         data = np.column_stack(
@@ -232,9 +229,6 @@ def monte_carlo_coupling(
     *,
     trials: int = 100_000,
     seed: int = 42,
-    slack: float | None = None,
-    chi2_bins: int = 64,
-    ledger: ConstantsLedger | None = None,
 ) -> CouplingTrace:
     """Simulate the coupled pair over ``trials`` independent runs.
 
@@ -246,14 +240,11 @@ def monte_carlo_coupling(
     every step with Monte-Carlo slack 5/sqrt(trials), and the sampled
     marginals against the evolved densities by chi-square tests.
     """
-    led = ledger if ledger is not None else compute_ledger(m, alpha)
+    led = compute_ledger(m, alpha)
     if n_max is None:
         n_max = 5 * led.n_big_k
-    if slack is None:
-        slack = 5.0 / np.sqrt(trials)
-    det = deterministic_contraction_run(
-        m, psi1, psi2, alpha, n_max, ledger=led, check=True
-    )
+    slack = 5.0 / np.sqrt(trials)
+    det = deterministic_contraction_run(m, psi1, psi2, alpha, n_max)
     a, n_epoch = led.a, led.n_big_k
     rng = np.random.Generator(np.random.Philox(key=seed))
     x = sample(psi1, rng, trials)
@@ -279,10 +270,10 @@ def monte_carlo_coupling(
             y[tails] = sample(res2, rng, int(tails.sum()))
             coupled |= newly
             coins.append(coin)
-            chi2.append({"n": n, **_chi2_marginal(x, det.marginals[n], chi2_bins)})
+            chi2.append({"n": n, **_chi2_marginal(x, det.marginals[n])})
         mismatch[n] = float(np.mean(x != y))
     if n_max % n_epoch != 0:
-        chi2.append({"n": n_max, **_chi2_marginal(x, det.marginals[n_max], chi2_bins)})
+        chi2.append({"n": n_max, **_chi2_marginal(x, det.marginals[n_max])})
     ns = np.arange(n_max + 1)
     ks = ns // n_epoch
     tv = np.array([r.tv_true for r in det.records])
@@ -298,8 +289,8 @@ def monte_carlo_coupling(
         bound_coupling=2.0 * theoretical,
         bound_theta=led.d_exact * led.theta_exact ** (led.alpha * ns),
         coins=np.array(coins, dtype=bool).reshape(len(coins), trials),
+        chi2=chi2,
     )
-    trace.chi2 = chi2
     bad = mismatch > theoretical + slack
     if np.any(bad):
         n_bad = int(ns[bad][0])

@@ -1,20 +1,20 @@
 import collections
 import gc
 import logging
-import sys
 import weakref
 
 import numpy as np
 import pytest
 
 from expcircle import AuditResult, integrate, linear_map, perturbed_map, standard_maps
-from expcircle import audits, density_grid, transfer_operator
+from expcircle import audits, transfer_operator
 from expcircle.audits import (
     audit_arc_expansion,
     audit_certificate,
     audit_constants_monotonic,
     audit_constants_reference,
     audit_correlation_decay,
+    audit_density_convergence,
     audit_distortion,
     audit_partition,
     audit_preimage_roundtrip,
@@ -62,9 +62,11 @@ def test_families_have_expected_shape():
     dens = density_family(512)
     assert len(dens) == 3
     assert all(abs(integrate(d) - 1.0) < 1e-14 for d in dens)
-    fs, gs = observable_family(512, 0.5)
+    fs, gs = observable_family(512, (0.3, 0.5))
     assert [name for name, _ in fs] == ["cos", "step", "ripple"]
-    assert [name for name, _ in gs] == ["cos", "cusp"]
+    assert [(name, alphas) for name, _, alphas in gs] == [
+        ("cos", (0.3, 0.5)), ("cusp", (0.3,)), ("cusp", (0.5,))]
+    assert gs[0][1] is fs[0][1]
 
 
 def test_map_free_audits_pass():
@@ -153,44 +155,24 @@ def test_cached_invariant_is_freed_with_its_map():
     assert len(transfer_operator._OPERATORS) == held
 
 
-def count_work(monkeypatch):
-    """Counter of operator applications ("apply") and all-lag Hoelder
-    scans ("scan"), with apply_function wrapped in every expcircle
-    namespace that bound it."""
-    counts = collections.Counter()
-    apply_function = transfer_operator.apply_function
-    gap_profile = density_grid._gap_profile
-
-    def counted_apply(m, f):
-        counts["apply"] += 1
-        return apply_function(m, f)
-
-    def counted_scan(f):
-        counts["scan"] += 1
-        return gap_profile(f)
-
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("expcircle") and getattr(mod, "apply_function", None) is apply_function:
-            monkeypatch.setattr(mod, "apply_function", counted_apply)
-    monkeypatch.setattr(density_grid, "_gap_profile", counted_scan)
-    return counts
-
-
 @pytest.mark.parametrize("audit, applies, scans", [
-    # one g phi chain and one side-density chain per (alpha, g), read by all
-    # three f: 6 x (1 invariance check + 60 + 60)
-    (audit_correlation_decay, 726, 4),
+    # one g phi chain and one side-density chain per g (cos and three cusps),
+    # read by every (alpha, f) it serves: 4 x (1 invariance check + 60 + 60);
+    # one Hoelder profile per g with an alpha < 1
+    (audit_correlation_decay, 484, 3),
     # one walk to n = 30 per test function
     (audit_sup_c1_bounds, 90, 0),
-    # one 60-step chain per (alpha, g); H(g) and H(psi_g) per alpha < 1
-    (audit_reduction_chain, 360, 8),
+    # one 60-step chain per g; H(g) and H(psi_g) once per g with an alpha < 1
+    (audit_reduction_chain, 240, 6),
     # pointwise log bounds read the scans the sweep has already made
     (audit_regularity_sweep, 90, 186),
+    # one 60-step chain and one profile per density, for all three alphas
+    (audit_density_convergence, 180, 3),
 ])
-def test_orbits_and_scans_are_walked_once(monkeypatch, audit, applies, scans):
+def test_orbits_and_scans_are_walked_once(count_work, audit, applies, scans):
     m = linear_map(2)
     audits.cached_invariant(m)
-    counts = count_work(monkeypatch)
+    counts = count_work()
     out = audit(m)
     assert all(r.ok for r in (out if isinstance(out, list) else [out]))
     assert (counts["apply"], counts["scan"]) == (applies, scans)

@@ -144,12 +144,19 @@ MARGINS = {
 }
 
 
+# Operator applications and all-lag Hoelder scans of one whole verify run:
+# a chain or scan walked again per alpha or per f shows up here.
+VERIFY_WORK = {2: (1910, 277), 3: (1848, 277)}
+
+
 @pytest.mark.parametrize("w", [2, 3])
-def test_verify_linear_maps(tmp_path, capsys, w):
+def test_verify_linear_maps(tmp_path, capsys, count_work, w):
     cfg = write_config(
         tmp_path, {"map": {"family": "linear", "w": w}, "trials": 20000}
     )
+    counts = count_work()
     assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert (counts["apply"], counts["scan"]) == VERIFY_WORK[w]
     out = capsys.readouterr().out
     report = json.loads((tmp_path / "verify.json").read_text())
     assert all(r["ok"] for r in report["results"])

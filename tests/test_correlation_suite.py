@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -74,7 +76,7 @@ def test_observable_density_normalization(bent_phi):
 
 
 def test_decay_report_doubling(doubling):
-    rep, = decay_report(doubling, [COS], COS, 1.0, n_max=40)
+    (rep,), = decay_report(doubling, [COS], COS, (1.0,), n_max=40)
     assert rep.all_ok()
     assert len(rep.ns) == 41  # bound decays slowly, no early stop
     assert np.max(np.abs(rep.corr[1:])) < 1e-9
@@ -86,7 +88,7 @@ def test_decay_report_doubling(doubling):
 
 def test_decay_report_perturbed_cusp(bent, bent_phi):
     cusp = GridFunction(np.minimum(X, 1.0 - X) ** 0.5)
-    rep, = decay_report(bent, [COS], cusp, 0.5, phi=bent_phi, n_max=50)
+    (rep,), = decay_report(bent, [COS], cusp, (0.5,), phi=bent_phi, n_max=50)
     assert rep.all_ok()
     # the curve genuinely decays to noise level
     assert abs(rep.corr[-1]) < 1e-10
@@ -98,10 +100,10 @@ def test_multi_f_decay_report_matches_single_f_reports(bent, bent_phi):
     ripple = GridFunction(np.sin(2 * np.pi * 3 * X) + 0.3 * COS.values)
     tiny = GridFunction(1e-30 * COS.values)      # its curve stops at n = 0
     fs = [COS, tiny, ripple]
-    reps = decay_report(bent, fs, cusp, 0.5, phi=bent_phi, n_max=30)
+    reps, = decay_report(bent, fs, cusp, (0.5,), phi=bent_phi, n_max=30)
     assert [len(r.ns) for r in reps] == [31, 1, 31]
     for f, rep in zip(fs, reps, strict=True):
-        one, = decay_report(bent, [f], cusp, 0.5, phi=bent_phi, n_max=30)
+        (one,), = decay_report(bent, [f], cusp, (0.5,), phi=bent_phi, n_max=30)
         for name in ("ns", "corr", "bound", "ok", "reduction_ok"):
             a, b = getattr(rep, name), getattr(one, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
@@ -109,8 +111,40 @@ def test_multi_f_decay_report_matches_single_f_reports(bent, bent_phi):
         assert np.array_equal([rep.fitted_rate], [one.fitted_rate], equal_nan=True)
 
 
+def assert_same_report(multi, single):
+    """Every field of two reports is equal, arrays bit for bit."""
+    assert type(multi) is type(single)
+    for field in dataclasses.fields(multi):
+        a, b = getattr(multi, field.name), getattr(single, field.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+        elif isinstance(a, float):
+            assert np.array_equal([a], [b], equal_nan=True), field.name
+        else:
+            assert a == b, field.name
+
+
+def test_multi_alpha_reports_match_single_alpha_reports(bent, bent_phi):
+    alphas = (0.3, 0.5, 1.0)
+    cusp = GridFunction(np.minimum(X, 1.0 - X) ** 0.5)
+    ripple = GridFunction(np.sin(2 * np.pi * 3 * X) + 0.3 * COS.values)
+    fs = [COS, ripple]
+    reps = decay_report(bent, fs, cusp, alphas, phi=bent_phi, n_max=30)
+    assert [[r.alpha for r in per_f] for per_f in reps] == [[a, a] for a in alphas]
+    for a, per_f in zip(alphas, reps, strict=True):
+        singles, = decay_report(bent, fs, cusp, (a,), phi=bent_phi, n_max=30)
+        for multi, single in zip(per_f, singles, strict=True):
+            assert_same_report(multi, single)
+    v = np.exp(np.cos(2 * np.pi * X))
+    psi = GridDensity(v / v.mean())
+    reps = density_convergence_report(bent, psi, alphas, n_max=40, phi=bent_phi)
+    for a, multi in zip(alphas, reps, strict=True):
+        single, = density_convergence_report(bent, psi, (a,), n_max=40, phi=bent_phi)
+        assert_same_report(multi, single)
+
+
 def test_decay_csv_matches_report(tmp_path, doubling):
-    rep, = decay_report(doubling, [COS], COS, 1.0, n_max=10)
+    (rep,), = decay_report(doubling, [COS], COS, (1.0,), n_max=10)
     path = tmp_path / "decay.csv"
     rep.to_csv(path)
     lines = path.read_text().splitlines()
@@ -125,10 +159,9 @@ def test_decay_csv_matches_report(tmp_path, doubling):
 def test_density_convergence_perturbed(bent, bent_phi):
     v = np.exp(np.cos(2 * np.pi * X))
     psi = GridDensity(v / v.mean())
-    for alpha in (0.5, 1.0):
-        rep = density_convergence_report(
-            bent, psi, alpha, n_max=120, phi=bent_phi
-        )
+    reps = density_convergence_report(bent, psi, (0.5, 1.0), n_max=120, phi=bent_phi)
+    assert [rep.alpha for rep in reps] == [0.5, 1.0]
+    for rep in reps:
         assert rep.all_ok()
         assert rep.l1_err[0] > 1e-2          # genuinely far at the start
         assert rep.l1_err[-1] < 1e-12        # and converged at the end
@@ -137,7 +170,7 @@ def test_density_convergence_perturbed(bent, bent_phi):
 
 def test_density_convergence_bound_tracks_holder(doubling):
     psi = GridDensity(1.0 + 0.5 * COS.values)
-    rep = density_convergence_report(doubling, psi, 1.0, n_max=10)
+    rep, = density_convergence_report(doubling, psi, (1.0,), n_max=10)
     led = compute_ledger(doubling, 1.0)
     expected0 = led.d_tilde * (1.0 + rep.psi_holder)
     assert rep.bound[0] == pytest.approx(expected0, rel=1e-12)
