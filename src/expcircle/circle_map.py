@@ -27,11 +27,17 @@ TWO_PI = 2.0 * np.pi
 
 
 def wrap(x):
-    """Reduce a point (or array) to the fundamental domain [0, 1)."""
-    r = np.asarray(x, dtype=float) % 1.0
-    # x % 1.0 can round up to exactly 1.0 for tiny negative x
-    r = np.where(r >= 1.0, 0.0, r)
-    return float(r) if np.ndim(x) == 0 else r
+    """Reduce a point (or array) to the fundamental domain [0, 1).
+
+    x - floor(x) rounds once, to the same bits as x % 1.0; it is computed
+    in a fresh buffer, so x itself is never written.
+    """
+    a = np.asarray(x, dtype=float)
+    r = np.floor(a, out=np.empty_like(a))
+    np.subtract(a, r, out=r)
+    # x - floor(x) rounds up to exactly 1.0 for tiny negative x
+    r[r >= 1.0] = 0.0
+    return float(r) if r.ndim == 0 else r
 
 
 def circle_distance(x, y):
@@ -140,6 +146,17 @@ def linear_map(w: int) -> ExpandingMap:
     return m
 
 
+def _perturbed_lift(w: int, eps: float, x):
+    """w x + eps sin(2 pi x), built in one buffer; the same bits as the
+    textbook expression, since float addition and product commute."""
+    x = np.asarray(x, dtype=float)
+    out = np.multiply(TWO_PI, x, out=np.empty_like(x))
+    np.sin(out, out=out)
+    out *= eps
+    out += w * x
+    return out if out.ndim else out[()]
+
+
 def perturbed_map(w: int, eps: float) -> ExpandingMap:
     """T(x) = w x + eps sin(2 pi x) mod 1 with eps < (w - 1) / (2 pi)."""
     w = int(w)
@@ -157,7 +174,7 @@ def perturbed_map(w: int, eps: float) -> ExpandingMap:
         lam=lam,
         d1_sup=w + TWO_PI * eps,
         d2_sup=TWO_PI ** 2 * eps,
-        lift=lambda x: w * np.asarray(x, dtype=float) + eps * np.sin(TWO_PI * np.asarray(x, dtype=float)),
+        lift=lambda x: _perturbed_lift(w, eps, x),
         dlift=lambda x: w + TWO_PI * eps * np.cos(TWO_PI * np.asarray(x, dtype=float)),
         d2lift=lambda x: -(TWO_PI ** 2) * eps * np.sin(TWO_PI * np.asarray(x, dtype=float)),
         params=(w, eps),

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2 as _chi2_dist
+from scipy.special import chdtrc
 
 from .circle_map import ExpandingMap, evaluate
 from .density_grid import (
@@ -173,7 +173,7 @@ def _chi2_marginal(points: np.ndarray, density: GridDensity) -> dict:
     return {
         "statistic": stat,
         "dof": CHI2_BINS - 1,
-        "p_value": float(_chi2_dist.sf(stat, CHI2_BINS - 1)),
+        "p_value": float(chdtrc(CHI2_BINS - 1, stat)),
     }
 
 

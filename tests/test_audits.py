@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from expcircle import AuditResult, integrate, linear_map, perturbed_map, standard_maps
 from expcircle import audits, transfer_operator
@@ -78,6 +79,15 @@ def test_map_free_audits_pass():
     ):
         assert res.ok, f"{res.name}: {res.detail}"
         assert res.seconds >= 0.0
+
+
+@pytest.mark.parametrize("draws", [1, 2, 300, 8000, 100_000])
+def test_ks_statistic_matches_scipy_stats(draws):
+    rng = np.random.default_rng(draws)
+    for u in (rng.random(draws), rng.beta(2.0, 2.0, draws)):
+        want = stats.kstest(u, "uniform").statistic
+        got = audits._ks_uniform(u)
+        assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
 
 
 def test_geometric_audits_pass_quickly(bent):

@@ -45,6 +45,52 @@ def test_wrap_range_and_idempotence(x):
     assert wrap(r) == r
 
 
+def mod_wrap(x):
+    """The textbook reduction: np.mod, with its round-up to 1.0 clamped."""
+    r = np.mod(np.asarray(x, dtype=float), 1.0)
+    return np.where(r >= 1.0, 0.0, r)
+
+
+WRAP_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-20, -1e-20,
+              -1e-18, 1.0, -1.0, 3.0, -7.0, 1e6, -1e6, 1e6 + 0.25, -1e6 - 0.25,
+              0.5, -0.5, 1.0 - 2.0 ** -53, -(1.0 - 2.0 ** -53)]
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1))
+@settings(max_examples=300)
+def test_wrap_matches_mod_bit_for_bit(xs):
+    x = np.array(xs + WRAP_EDGES)
+    assert np.array_equal(wrap(x).view(np.int64), mod_wrap(x).view(np.int64))
+
+
+def test_wrap_scalars_are_floats_and_inputs_stay_put():
+    for x in WRAP_EDGES:
+        r = wrap(x)
+        assert type(r) is float
+        assert np.float64(r).view(np.int64) == mod_wrap(x).view(np.int64)
+    assert type(wrap(np.float64(2.5))) is float
+    m = perturbed_map(2, 0.1)
+    x = np.array(WRAP_EDGES)
+    before = x.copy()
+    wrap(x)
+    evaluate(m, x)
+    assert np.array_equal(x.view(np.int64), before.view(np.int64))
+
+
+@pytest.mark.parametrize("w, eps", [(2, 0.1), (3, 0.05)])
+def test_perturbed_lift_matches_textbook_bits(w, eps):
+    m = perturbed_map(w, eps)
+    x = np.concatenate([np.random.default_rng(5).uniform(-3.0, 3.0, 10_000),
+                        WRAP_EDGES])
+    ref = w * x + eps * np.sin(2 * np.pi * x)
+    assert np.array_equal(m.lift(x).view(np.int64), ref.view(np.int64))
+    for v in WRAP_EDGES[:8] + [0.25, -1.7, np.float64(0.9)]:
+        got = m.lift(v)
+        assert np.ndim(got) == 0
+        want = w * np.asarray(v) + eps * np.sin(2 * np.pi * np.asarray(v))
+        assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+
+
 @given(finite, finite)
 @settings(max_examples=300)
 def test_distance_symmetry_and_range(x, y):

@@ -307,11 +307,31 @@ def test_unreachable_tolerance_exits_three(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_module_entry_point(tmp_path):
-    # the child imports the same package as this process, installed or not
+def child_env() -> dict:
+    """Environment in which a child imports the same package as this
+    process, installed or not."""
     src = str(Path(expcircle.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats would dominate start-up; the package needs only
+    # scipy.sparse and scipy.special
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, expcircle.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_module_entry_point(tmp_path):
+    env = child_env()
     proc = subprocess.run(
         [sys.executable, "-m", "expcircle", "constants", "--out", str(tmp_path)],
         capture_output=True,

@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from expcircle import (
     AuditViolation,
     FloorViolation,
     GridDensity,
     compute_ledger,
+    coupling_lab,
     decompose,
     deterministic_contraction_run,
     monte_carlo_coupling,
+    perturbed_map,
+    sample,
     uniform_density,
 )
 
@@ -139,3 +143,37 @@ def test_trace_csv_layout(tmp_path, doubling):
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "0"
     assert float(first[4]) == 2.0
+
+
+def textbook_evaluate(m, x):
+    """T(x) for perturbed{w, eps} as w x + eps sin(2 pi x), reduced by np.mod."""
+    w, eps = m.params
+    x = np.asarray(x, dtype=float)
+    r = np.mod(w * x + eps * np.sin(2 * np.pi * x), 1.0)
+    return np.where(r >= 1.0, 0.0, r)
+
+
+def test_monte_carlo_matches_textbook_evaluate(monkeypatch):
+    # the same run with the map step spelled out must agree bit for bit
+    m = perturbed_map(2, 0.1)
+    args = (m, tilted(), uniform_density(M), 1.0)
+    fast = monte_carlo_coupling(*args, trials=2000, seed=42)
+    monkeypatch.setattr(coupling_lab, "evaluate", textbook_evaluate)
+    slow = monte_carlo_coupling(*args, trials=2000, seed=42)
+    assert int(fast.ns[-1]) == 5 * fast.ledger.n_big_k
+    for field in ("ns", "ks", "tv_true", "empirical_mismatch", "bound_coupling",
+                  "bound_theta", "coins"):
+        a, b = getattr(fast, field), getattr(slow, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+    assert fast.chi2 == slow.chi2
+
+
+@pytest.mark.parametrize("points", [300, 8000, 100_000])
+def test_chi2_p_values_match_scipy_stats(points):
+    rng = np.random.default_rng(points)
+    for density, draws in ((uniform_density(M), rng.random(points)),
+                           (tilted(), sample(tilted(), rng, points)),
+                           (tilted(0.1), sample(tilted(), rng, points))):
+        got = coupling_lab._chi2_marginal(draws, density)
+        want = stats.chi2.sf(got["statistic"], coupling_lab.CHI2_BINS - 1)
+        assert np.float64(got["p_value"]).view(np.int64) == np.float64(want).view(np.int64)
