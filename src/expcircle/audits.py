@@ -789,8 +789,8 @@ def audit_sampling(*, seed: int = 14, draws: int = 100_000,
                    f"reproducible={repro}")
 
 
-@_audit("constants-reference", takes=("resolution",), per_map=False)
-def audit_constants_reference(*, resolution: int = DEFAULT_RESOLUTION) -> AuditResult:
+@_audit("constants-reference", per_map=False)
+def audit_constants_reference() -> AuditResult:
     """The zero-curvature column of the ledger in closed form, plus the
     range invariants every ledger must satisfy."""
     led = compute_ledger(linear_map(2), 1.0)

@@ -18,11 +18,13 @@ Defaults: perturbed{2,0.05}, alpha=1, resolution=4096, seed=42,
 trials=100000.  Output directory: ``--out``, else the config ``out`` key,
 else ``$EXPCIRCLE_OUT``, else the working directory.  Exit codes: 0 ok,
 2 configuration/map error (including a resolution whose arrays do not
-fit in memory), 3 numerical non-convergence, 4 audit violation.
+fit in memory and an output file that cannot be written), 3 numerical
+non-convergence, 4 audit violation.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -121,7 +123,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
-    if not isinstance(cfg.w, int) or isinstance(cfg.w, bool):
+    if not isinstance(cfg.out, str):
+        raise ConfigError(f"out must be a string, got {cfg.out!r}")
+    for key in ("w", "eps", "alpha", "tol", "resolution", "seed", "trials",
+                "n_max"):
+        value = getattr(cfg, key)
+        if isinstance(value, bool):
+            raise ConfigError(f"{key} must be a number, not {value!r}")
+    if not isinstance(cfg.w, int):
         raise ConfigError(f"map winding must be an integer, got {cfg.w!r}")
     for key in ("alpha", "eps", "tol"):
         value = getattr(cfg, key)
@@ -154,26 +163,43 @@ def make_map(cfg: RunConfig):
     )
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+@contextlib.contextmanager
+def _writing(path: Path):
+    """Report a file that cannot be written as a configuration error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _numpy_to_json(value):
+    """``json.dump``'s fallback: numpy arrays and scalars as Python values."""
     if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    return value
+        return value.tolist()
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _write_json(path: Path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(_jsonable(payload), fh, indent=2)
+    with _writing(path), open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, default=_numpy_to_json)
         fh.write("\n")
+
+
+def _write_table(out: Path, stem: str, columns, payload: dict) -> None:
+    """Write ``columns``, a list of (name, values, printf format), as
+    ``<stem>.csv`` and as the ``rows`` of ``payload`` in ``<stem>.json``."""
+    names, values, fmt = zip(*columns)
+    csv_path = out / f"{stem}.csv"
+    with _writing(csv_path):
+        np.savetxt(csv_path, np.column_stack(values), fmt=fmt, delimiter=",",
+                   header=",".join(names), comments="")
+    payload["rows"] = [dict(zip(names, row))
+                       for row in zip(*(v.tolist() for v in values))]
+    _write_json(out / f"{stem}.json", payload)
+    print(f"wrote {csv_path}")
+    print(f"wrote {out / f'{stem}.json'}")
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -198,7 +224,8 @@ def cmd_invariant(cfg: RunConfig) -> int:
     phi, diag = invariant_density(m, resolution=cfg.resolution, tol=cfg.tol)
     out = _out_dir(cfg)
     csv_path = out / "invariant.csv"
-    write_csv(phi, csv_path)
+    with _writing(csv_path):
+        write_csv(phi, csv_path)
     payload = {
         "map": repr(m),
         "resolution": cfg.resolution,
@@ -220,20 +247,12 @@ def cmd_decay(cfg: RunConfig) -> int:
     m = make_map(cfg)
     f = cos_observable(cfg.resolution)
     (rep,), = decay_report(m, [f], f, (cfg.alpha,), n_max=cfg.n_max or 60)
-    out = _out_dir(cfg)
-    csv_path = out / "decay.csv"
-    rep.to_csv(csv_path)
-    payload = {
-        "summary": rep.summary(),
-        "observables": "f = g = cos(2 pi x)",
-        "rows": [
-            {"n": n, "corr": c, "bound": b, "ok": o}
-            for n, c, b, o in zip(rep.ns, rep.corr, rep.bound, rep.ok)
-        ],
-    }
-    _write_json(out / "decay.json", payload)
-    print(f"wrote {csv_path}")
-    print(f"wrote {out / 'decay.json'}")
+    _write_table(_out_dir(cfg), "decay", [
+        ("n", rep.ns, "%d"),
+        ("corr", rep.corr, "%.17g"),
+        ("bound", rep.bound, "%.17g"),
+        ("ok", rep.ok, "%d"),
+    ], {"summary": rep.summary(), "observables": "f = g = cos(2 pi x)"})
     if not rep.all_ok():
         print("decay bound violated", file=sys.stderr)
         return 4
@@ -245,23 +264,14 @@ def cmd_coupling(cfg: RunConfig) -> int:
     psi1, psi2 = coupling_pair(cfg.resolution)
     trace = monte_carlo_coupling(m, psi1, psi2, cfg.alpha, cfg.n_max,
                                  trials=cfg.trials, seed=cfg.seed)
-    out = _out_dir(cfg)
-    csv_path = out / "coupling.csv"
-    trace.to_csv(csv_path)
-    payload = {
-        "map": repr(m),
-        "summary": trace.summary(),
-        "rows": [
-            {"n": n, "k": k, "tv_true": tv, "empirical_mismatch": em,
-             "bound_coupling": bc, "bound_theta": bt}
-            for n, k, tv, em, bc, bt in zip(
-                trace.ns, trace.ks, trace.tv_true, trace.empirical_mismatch,
-                trace.bound_coupling, trace.bound_theta)
-        ],
-    }
-    _write_json(out / "coupling.json", payload)
-    print(f"wrote {csv_path}")
-    print(f"wrote {out / 'coupling.json'}")
+    _write_table(_out_dir(cfg), "coupling", [
+        ("n", trace.ns, "%d"),
+        ("k", trace.ks, "%d"),
+        ("tv_true", trace.tv_true, "%.17g"),
+        ("empirical_mismatch", trace.empirical_mismatch, "%.17g"),
+        ("bound_coupling", trace.bound_coupling, "%.17g"),
+        ("bound_theta", trace.bound_theta, "%.17g"),
+    ], {"map": repr(m), "summary": trace.summary()})
     return 0
 
 

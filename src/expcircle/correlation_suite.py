@@ -104,17 +104,6 @@ class DecayReport:
     def all_ok(self) -> bool:
         return bool(np.all(self.ok) and np.all(self.reduction_ok))
 
-    def to_csv(self, path) -> None:
-        data = np.column_stack([self.ns, self.corr, self.bound, self.ok.astype(int)])
-        np.savetxt(
-            path,
-            data,
-            fmt=["%d", "%.17g", "%.17g", "%d"],
-            delimiter=",",
-            header="n,corr,bound,ok",
-            comments="",
-        )
-
     def summary(self) -> dict:
         return {
             "map": self.map_label,

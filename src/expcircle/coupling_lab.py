@@ -193,20 +193,6 @@ class CouplingTrace:
     coins: np.ndarray                    # (epochs, trials); inert once coupled
     chi2: list                           # {n, statistic, dof, p_value} per check
 
-    def to_csv(self, path) -> None:
-        data = np.column_stack(
-            [self.ns, self.ks, self.tv_true, self.empirical_mismatch,
-             self.bound_coupling, self.bound_theta]
-        )
-        np.savetxt(
-            path,
-            data,
-            fmt=["%d", "%d", "%.17g", "%.17g", "%.17g", "%.17g"],
-            delimiter=",",
-            header="n,k,tv_true,empirical_mismatch,bound_coupling,bound_theta",
-            comments="",
-        )
-
     def summary(self) -> dict:
         return {
             "trials": self.trials,

@@ -146,7 +146,7 @@ def test_run_all_roster_and_forwarding(monkeypatch):
         ("audit_density_convergence", (m,), horizon),
         ("audit_quadrature", (), res),
         ("audit_sampling", (), res),
-        ("audit_constants_reference", (), res),
+        ("audit_constants_reference", (), {}),
         ("audit_constants_monotonic", (), {}),
     ]
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -11,8 +12,10 @@ import numpy as np
 import pytest
 
 import expcircle
-from expcircle.audits import MASS_TOL, PAIR_SLACK
-from expcircle.cli import main
+from expcircle.audits import MASS_TOL, PAIR_SLACK, cos_observable
+from expcircle.circle_map import linear_map
+from expcircle.cli import _write_json, main
+from expcircle.correlation_suite import decay_report
 from expcircle.coupling_lab import CHI2_P_FLOOR
 from expcircle.system_constants import ROUNDING_SLACK
 
@@ -21,6 +24,48 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+# sha256 of every file a fixed run writes, keyed by run and file name: the
+# output contract is byte for byte.  verify.json is hashed with its wall
+# times blanked.
+GOLDEN = {
+    "constants": {
+        "constants.json": "d01c96c6e1ca4668ee881f85e0833c971fb5518de70e032f035e96b601ce5877",
+    },
+    "invariant --resolution 512": {
+        "invariant.csv": "12bc1f0f67c850cd04d97422b2a2e8c52331e16ce0bda8afea93845cf58d8748",
+        "invariant.json": "2a3a6eb6540986b700f59b12c213cad5e5fc9703f66b35e510abafa4a95b8f13",
+    },
+    "decay --n-max 12": {
+        "decay.csv": "4ee40fb380eb941f611cf8f89ce88067ad3e8628f083a696da5ffd76e00e7540",
+        "decay.json": "6378a66c5a17a3dcb5eb530487c8f9cc9a7deccb34419ba971b129a4ae045161",
+    },
+    "decay --n-max 12 on linear{2}": {
+        "decay.csv": "5643daf7708fffc4a93807fdb30557ebc073557c63ca1c9ca0804bd4d0b67bcc",
+        "decay.json": "1830d1ad80cb84e5a1ac1c9ab487a1a449bad38e39661235bbdac89c568ee702",
+    },
+    "coupling --trials 20000 --n-max 21": {
+        "coupling.csv": "cd0198987ada4852a7aa2c704a1cb5bf5c53629f118780bf64112c022037f8b8",
+        "coupling.json": "a96c25c35f0e1ad3d4c361a48da5075fb071e3db97b4868bde00392f2488c05c",
+    },
+    "verify on linear{2}": {
+        "verify.json": "daf321b334c41b0a64c6cc8469496e3db69318ebb9bb1ad44cc3410bb0b8d173",
+    },
+    "verify on linear{3}": {
+        "verify.json": "567c1947d248274e78e87a3bde6449375110be1ba4befb40c5a266bdbaf1c206",
+    },
+}
+
+
+def assert_golden(out: Path, run: str) -> None:
+    written = {p.name for p in out.iterdir() if p.name != "config.json"}
+    assert written == set(GOLDEN[run])
+    for name, digest in GOLDEN[run].items():
+        data = (out / name).read_bytes()
+        if name == "verify.json":
+            data = re.sub(rb'"seconds": [^,\n]+', b'"seconds": 0', data)
+        assert hashlib.sha256(data).hexdigest() == digest, name
 
 
 def test_constants_defaults(tmp_path, capsys):
@@ -35,6 +80,7 @@ def test_constants_defaults(tmp_path, capsys):
         "theta_exact", "theta_paper", "C", "lower_floor",
     }
     assert "constants.json" in capsys.readouterr().out
+    assert_golden(tmp_path, "constants")
 
 
 def test_constants_doubling_closed_form(tmp_path):
@@ -65,6 +111,7 @@ def test_invariant_outputs(tmp_path):
 def test_invariant_honors_resolution(tmp_path):
     assert main(["invariant", "--resolution", "512", "--out", str(tmp_path)]) == 0
     assert len((tmp_path / "invariant.csv").read_text().splitlines()) == 513
+    assert_golden(tmp_path, "invariant --resolution 512")
 
 
 def test_decay_outputs(tmp_path):
@@ -81,6 +128,38 @@ def test_decay_outputs(tmp_path):
         assert row["corr"] == float(corr)
         assert row["bound"] == float(bound)
         assert row["ok"] == bool(int(ok))
+    assert_golden(tmp_path, "decay --n-max 12")
+
+
+def test_decay_csv_layout(tmp_path):
+    cfg = write_config(tmp_path, {"map": {"family": "linear", "w": 2}})
+    assert main(["decay", "--n-max", "12", "--config", cfg, "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "decay.csv").read_text().splitlines()
+    assert lines[0] == "n,corr,bound,ok"
+    f = cos_observable(4096)
+    (rep,), = decay_report(linear_map(2), [f], f, (1.0,), n_max=12)
+    assert len(lines) == len(rep.ns) + 1
+    n, corr, bound, ok = np.loadtxt(tmp_path / "decay.csv", delimiter=",",
+                                    skiprows=1, unpack=True)
+    assert np.array_equal(n, rep.ns) and np.array_equal(ok, rep.ok)
+    assert np.array_equal(corr, rep.corr) and np.array_equal(bound, rep.bound)
+    assert lines[1].startswith("0,") and lines[1].endswith(",1")
+    # cos(2 pi x) decorrelates in one doubling step: nothing left to fit
+    data = json.loads((tmp_path / "decay.json").read_text())
+    assert math.isnan(data["summary"]["fitted_rate"])
+    assert_golden(tmp_path, "decay --n-max 12 on linear{2}")
+
+
+def test_json_encodes_numpy_values_as_python_values(tmp_path):
+    payload = {"i": np.int64(3), "b": np.bool_(True), "f": np.float32(0.5),
+               "a": np.arange(3), "m": np.eye(2, dtype=bool), "t": (np.uint8(7),)}
+    _write_json(tmp_path / "x.json", payload)
+    assert json.loads((tmp_path / "x.json").read_text()) == {
+        "i": 3, "b": True, "f": 0.5, "a": [0, 1, 2],
+        "m": [[True, False], [False, True]], "t": [7],
+    }
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        _write_json(tmp_path / "y.json", {"s": {1}})
 
 
 def test_coupling_reproducible_byte_for_byte(tmp_path):
@@ -95,6 +174,24 @@ def test_coupling_reproducible_byte_for_byte(tmp_path):
     assert data["summary"]["seed"] == 42
     assert all(c["p_value"] > 1e-4 for c in data["summary"]["chi2"])
     assert len(data["rows"]) == 43
+
+
+def test_coupling_csv_layout(tmp_path):
+    args = ["coupling", "--trials", "20000", "--n-max", "21"]
+    assert main(args + ["--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "coupling.csv").read_text().splitlines()
+    assert lines[0] == "n,k,tv_true,empirical_mismatch,bound_coupling,bound_theta"
+    assert len(lines) == 23  # header + n = 0..21
+    first = lines[1].split(",")
+    assert first[0] == "0" and first[1] == "0"
+    assert float(first[4]) == 2.0
+    # the JSON rows are the CSV rows, column for column
+    rows = json.loads((tmp_path / "coupling.json").read_text())["rows"]
+    header = lines[0].split(",")
+    for line, row in zip(lines[1:], rows, strict=True):
+        assert list(row) == header
+        assert [float(v) for v in line.split(",")] == list(row.values())
+    assert_golden(tmp_path, "coupling --trials 20000 --n-max 21")
 
 
 def test_coupling_seed_changes_stream(tmp_path):
@@ -175,6 +272,7 @@ def test_verify_linear_maps(tmp_path, capsys, count_work, w):
         token = re.findall(r"-?\d+\.\d+(?:e[-+]\d+)?", r["detail"])[-1]
         half_ulp = 0.5 * 10.0 ** Decimal(token).as_tuple().exponent
         assert abs(printed(margin) - float(token)) <= half_ulp * (1 + 1e-9), r
+    assert_golden(tmp_path, f"verify on linear{{{w}}}")
 
 
 def test_env_var_output_fallback(tmp_path, monkeypatch):
@@ -210,12 +308,22 @@ def test_flag_beats_config_beats_default(tmp_path):
         {"seed": -1},
         {"map": {"family": "perturbed", "w": 2, "eps": -0.01}},
         {"map": {"family": "perturbed", "w": 2, "eps": float("nan")}},
+        {"out": 5},
+        {"out": None},
+        {"n_max": True},
+        {"seed": True},
+        {"alpha": True},
     ],
 )
-def test_bad_configs_exit_two(tmp_path, payload, capsys):
+def test_bad_configs_exit_two(tmp_path, monkeypatch, payload, capsys):
+    # no --out, so a config "out" is the output directory
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("EXPCIRCLE_OUT", raising=False)
     cfg = write_config(tmp_path, payload)
-    assert main(["constants", "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert main(["constants", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 def test_removed_threads_knob_is_rejected(tmp_path, capsys):
@@ -280,6 +388,19 @@ def test_uncreatable_output_directory_exits_two(tmp_path, capsys):
     for out in (blocker, blocker / "sub"):
         assert main(["constants", "--out", str(out)]) == 2
     assert capsys.readouterr().err.count("cannot create output directory") == 2
+
+
+@pytest.mark.parametrize("argv, blocked", [
+    (["constants"], "constants.json"),
+    (["decay", "--n-max", "2"], "decay.csv"),
+    (["invariant", "--resolution", "16"], "invariant.csv"),
+])
+def test_unwritable_output_file_exits_two(tmp_path, argv, blocked, capsys):
+    (tmp_path / blocked).mkdir()
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {tmp_path / blocked}: ")
+    assert err.count("\n") == 1
 
 
 def test_unallocatable_resolution_exits_two(tmp_path, capsys):

@@ -143,19 +143,6 @@ def test_multi_alpha_reports_match_single_alpha_reports(bent, bent_phi):
         assert_same_report(multi, single)
 
 
-def test_decay_csv_matches_report(tmp_path, doubling):
-    (rep,), = decay_report(doubling, [COS], COS, (1.0,), n_max=10)
-    path = tmp_path / "decay.csv"
-    rep.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "n,corr,bound,ok"
-    assert len(lines) == len(rep.ns) + 1
-    n, corr, bound, ok = lines[1].split(",")
-    assert (int(n), float(corr), float(bound), int(ok)) == (
-        0, rep.corr[0], rep.bound[0], 1,
-    )
-
-
 def test_density_convergence_perturbed(bent, bent_phi):
     v = np.exp(np.cos(2 * np.pi * X))
     psi = GridDensity(v / v.mean())

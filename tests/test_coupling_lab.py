@@ -131,20 +131,6 @@ def test_monte_carlo_is_seed_deterministic(doubling):
     assert not np.array_equal(runs[0].coins, other.coins)
 
 
-def test_trace_csv_layout(tmp_path, doubling):
-    trace = monte_carlo_coupling(
-        doubling, tilted(), uniform_density(M), 1.0, 12, trials=20_000, seed=1
-    )
-    path = tmp_path / "coupling.csv"
-    trace.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "n,k,tv_true,empirical_mismatch,bound_coupling,bound_theta"
-    assert len(lines) == 14  # header + n = 0..12
-    first = lines[1].split(",")
-    assert first[0] == "0" and first[1] == "0"
-    assert float(first[4]) == 2.0
-
-
 def textbook_evaluate(m, x):
     """T(x) for perturbed{w, eps} as w x + eps sin(2 pi x), reduced by np.mod."""
     w, eps = m.params
