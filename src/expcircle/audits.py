@@ -28,6 +28,7 @@ from .circle_map import (
 from .coupling_lab import (CHI2_P_FLOOR, decompose, deterministic_contraction_run,
                            monte_carlo_coupling)
 from .correlation_suite import (
+    convergence_reports,
     decay_report,
     density_convergence_report,
     normalized_observable_density,
@@ -557,16 +558,16 @@ def audit_class_entry(m: ExpandingMap, *, alphas=CLASS_ALPHAS,
             big_b = led.big_k if cap is None else cap
             c = min(0.7 * big_b / h_unit, 6.0)
             v = np.exp(c * cos_g.values)
-            psi = GridDensity(v / v.mean())
-            if not hoelder_class_check(psi, big_b, a):
+            cur = GridDensity(v / v.mean())          # the iterate, from n = 0
+            if not hoelder_class_check(cur, big_b, a):
                 ok = False
                 details.append(f"seed density left class B={big_b:.3g}")
                 continue
             nb = led.n_of(big_b)
-            cur = psi
-            for _ in range(nb + 1):
+            for _ in range(nb):
                 cur = apply(m, cur)
             for n in range(nb + 1, nb + 13):
+                cur = apply(m, cur)
                 if not hoelder_class_check(cur, led.omega + 1.0, a):
                     ok = False
                     details.append(f"class exit at n={n}, B={big_b:.3g}, alpha={a}")
@@ -576,7 +577,6 @@ def audit_class_entry(m: ExpandingMap, *, alphas=CLASS_ALPHAS,
                 if not hoelder_class_check(decompose(cur, led.a), led.big_k, a):
                     ok = False
                     details.append(f"residual cap breach at n={n}, alpha={a}")
-                cur = apply(m, cur)
     return Verdict(ok, "; ".join(details) if details else
                    f"B sweep {{5, 20, K}} x alpha {alphas}")
 
@@ -656,20 +656,30 @@ def audit_coupling_monte_carlo(m: ExpandingMap, *, alpha: float = 1.0,
     )
 
 
-@_audit("correlation-decay", takes=("n_max", "resolution"))
+@_audit("correlation-decay", "reduction-chain", takes=("n_max", "resolution"))
 def audit_correlation_decay(m: ExpandingMap, *, alphas=DEFAULT_ALPHAS,
                             n_max: int = 60,
-                            resolution: int = DEFAULT_RESOLUTION) -> AuditResult:
+                            resolution: int = DEFAULT_RESOLUTION) -> list:
     """Main decay bound plus the reduction inequality over the full
-    (f, g, alpha) sweep."""
+    (f, g, alpha) sweep; then the reduction link by link, from the same walk
+    of each normalized observable density psi_g: psi_g obeys its Hoelder
+    cap and converges inside the generic density envelope."""
     phi, _ = cached_invariant(m, resolution)
     cells = 0
     bad = []
     rates = []
+    chain_ok = True
+    worst_cap = -np.inf
     fs, gs = observable_family(resolution, alphas)
     for g_label, g, g_alphas in gs:
         reps = decay_report(m, [f for _, f in fs], g, g_alphas, n_max=n_max, phi=phi)
-        for a, per_f in zip(g_alphas, reps, strict=True):
+        chains = convergence_reports(m, normalized_observable_density(g, phi),
+                                     reps[0][0].side_l1, [r.ledger for r, *_ in reps])
+        for a, per_f, chain in zip(g_alphas, reps, chains, strict=True):
+            g_rep = per_f[0]
+            cap = (g_rep.g_holder / g_rep.g_sup + 3.0) * (2.0 + g_rep.ledger.omega) ** 2
+            worst_cap = max(worst_cap, chain.psi_holder - cap)
+            chain_ok = chain_ok and chain.all_ok()
             for (f_label, _), rep in zip(fs, per_f, strict=True):
                 cells += 1
                 if not rep.all_ok():
@@ -681,31 +691,9 @@ def audit_correlation_decay(m: ExpandingMap, *, alphas=DEFAULT_ALPHAS,
         detail += f", fitted rates {min(rates):.3g}..{max(rates):.3g}"
     if bad:
         detail += f", failed: {bad}"
-    return Verdict(not bad, detail)
-
-
-@_audit("reduction-chain", takes=("n_max", "resolution"))
-def audit_reduction_chain(m: ExpandingMap, *, alphas=DEFAULT_ALPHAS,
-                          n_max: int = 60,
-                          resolution: int = DEFAULT_RESOLUTION) -> AuditResult:
-    """The observable-to-density reduction, link by link: the normalized
-    observable density obeys its Hoelder cap and converges inside the
-    generic density envelope."""
-    phi, _ = cached_invariant(m, resolution)
-    ok = True
-    worst_cap = -np.inf
-    _, gs = observable_family(resolution, alphas)
-    for _, g, g_alphas in gs:
-        side = normalized_observable_density(g, phi)
-        reps = density_convergence_report(m, side, g_alphas, n_max=n_max, phi=phi)
-        g_hs = holder_profile(g, g_alphas)
-        for a, g_h, rep in zip(g_alphas, g_hs, reps, strict=True):
-            omega = compute_ledger(m, a).omega
-            cap = (g_h / sup_norm(g) + 3.0) * (2.0 + omega) ** 2
-            worst_cap = max(worst_cap, rep.psi_holder - cap)
-            ok = ok and rep.all_ok()
-    ok = ok and worst_cap <= ROUNDING_SLACK
-    return Verdict(ok, f"worst side-density cap excess {worst_cap:.3e}")
+    return [Verdict(not bad, detail),
+            Verdict(chain_ok and worst_cap <= ROUNDING_SLACK,
+                    f"worst side-density cap excess {worst_cap:.3e}")]
 
 
 @_audit("density-convergence", takes=("n_max", "resolution"))

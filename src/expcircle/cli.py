@@ -37,7 +37,7 @@ import numpy as np
 from .audits import cos_observable, coupling_pair, run_all
 from .circle_map import linear_map, perturbed_map
 from .correlation_suite import decay_report
-from .coupling_lab import monte_carlo_coupling
+from .coupling_lab import CHI2_BINS, monte_carlo_coupling
 from .density_grid import write_csv
 from .errors import (
     VIOLATIONS,
@@ -53,6 +53,7 @@ from .errors import (
 from .system_constants import compute_ledger
 from .transfer_operator import invariant_density
 
+TOL_CEILING = 1e-6       # the loosest fixed-point tolerance invariant accepts
 CONFIG_KEYS = {"map", "alpha", "resolution", "seed", "trials", "n_max",
                "tol", "out"}
 MAP_KEYS = {"family", "w", "eps"}
@@ -118,11 +119,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         cfg.out = args.out
     elif cfg.out == "." and os.environ.get("EXPCIRCLE_OUT"):
         cfg.out = os.environ["EXPCIRCLE_OUT"]
-    _validate(cfg)
+    _validate(cfg, CHI2_BINS if args.command in ("coupling", "verify") else 16)
     return cfg
 
 
-def _validate(cfg: RunConfig) -> None:
+def _validate(cfg: RunConfig, min_resolution: int) -> None:
     if not isinstance(cfg.out, str):
         raise ConfigError(f"out must be a string, got {cfg.out!r}")
     for key in ("w", "eps", "alpha", "tol", "resolution", "seed", "trials",
@@ -138,18 +139,20 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError(f"{key} must be a finite number, got {value!r}")
     if cfg.eps < 0:
         raise ConfigError(f"eps must be nonnegative, got {cfg.eps!r}")
+    if not 0 < cfg.tol <= TOL_CEILING:
+        raise ConfigError(f"tol must lie in (0, {TOL_CEILING:g}], got {cfg.tol!r}")
     for key in ("resolution", "seed", "trials"):
         if not isinstance(getattr(cfg, key), int):
             raise ConfigError(f"{key} must be an integer")
     if cfg.n_max is not None and (not isinstance(cfg.n_max, int) or cfg.n_max < 1):
         raise ConfigError(f"n_max must be an integer of at least 1, got {cfg.n_max!r}")
     M = cfg.resolution
-    if M < 16 or M & (M - 1):
-        raise ConfigError(f"resolution must be a power of two >= 16, got {M}")
+    if M < min_resolution or M & (M - 1):
+        raise ConfigError(f"resolution must be a power of two >= {min_resolution}, got {M}")
     if cfg.trials < 1000:
         raise ConfigError("trials must be at least 1000")
-    if cfg.seed < 0:
-        raise ConfigError("seed must be nonnegative")
+    if not 0 <= cfg.seed < 2**128:
+        raise ConfigError(f"seed must lie in [0, 2**128), got {cfg.seed}")
 
 
 def make_map(cfg: RunConfig):

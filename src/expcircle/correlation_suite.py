@@ -100,6 +100,7 @@ class DecayReport:
     ok: np.ndarray
     reduction_ok: np.ndarray
     fitted_rate: float
+    side_l1: np.ndarray     # ||L^n psi_g - phi||_1, the call's whole side walk
 
     def all_ok(self) -> bool:
         return bool(np.all(self.ok) and np.all(self.reduction_ok))
@@ -182,6 +183,7 @@ def decay_report(
             ok=np.abs(c) <= bound + BOUND_SLACK,
             reduction_ok=np.abs(c) <= red + REDUCTION_SLACK,
             fitted_rate=_fitted_rate(ns, c),
+            side_l1=side_err,
         ))
     return [reports[i:i + len(fs)] for i in range(0, len(reports), len(fs))]
 
@@ -224,9 +226,15 @@ def density_convergence_report(
     ledgers = [compute_ledger(m, a) for a in alphas]
     if phi is None:
         phi, _ = invariant_density(m, resolution=psi.resolution)
-    hs = holder_profile(psi, alphas)
-    ns = np.arange(n_max + 1)
-    err = _l1_errors(m, psi, phi, n_max)
+    return convergence_reports(m, psi, _l1_errors(m, psi, phi, n_max), ledgers)
+
+
+def convergence_reports(m: ExpandingMap, psi: GridDensity, err: np.ndarray,
+                        ledgers) -> list[ConvergenceReport]:
+    """One walk's errors ``err``, ||L^n psi - phi||_1 for n = 0, 1, ..., against
+    8 (1 + H_alpha(psi)) theta_paper^(alpha n), one report per ledger."""
+    ns = np.arange(err.size)
+    hs = holder_profile(psi, [led.alpha for led in ledgers])
     reports = []
     for led, h in zip(ledgers, hs):
         bound = led.d_tilde * (1.0 + h) * led.theta_paper ** (led.alpha * ns)

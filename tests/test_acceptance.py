@@ -256,13 +256,17 @@ def test_correlation_decay_envelope(capsys):
     t0 = time.perf_counter()
     results = [audit_correlation_decay(m) for m in MAPS]
     elapsed = time.perf_counter() - t0
-    bad = [f"{m!r} ({r.detail})" for m, r in zip(MAPS, results) if not r.ok]
+    assert all([r.name for r in pair] == ["correlation-decay", "reduction-chain"]
+               for pair in results)
+    bad = [f"{m!r} {r.name} ({r.detail})"
+           for m, pair in zip(MAPS, results) for r in pair if not r.ok]
     ok = not bad and elapsed < 300.0
     report(
         capsys,
-        "correlation decay inside the explicit bound, 18 cells per map",
+        "correlation decay inside the explicit bound, 18 cells per map, "
+        "and its side densities inside their cap and envelope",
         ok,
-        f"all cells bounded on 5 maps ({elapsed:.1f} s, budget 300 s)"
+        f"all cells and side chains bounded on 5 maps ({elapsed:.1f} s, budget 300 s)"
         if not bad
         else "violations: " + ", ".join(bad),
     )

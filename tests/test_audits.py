@@ -12,6 +12,7 @@ from expcircle import audits, transfer_operator
 from expcircle.audits import (
     audit_arc_expansion,
     audit_certificate,
+    audit_class_entry,
     audit_constants_monotonic,
     audit_constants_reference,
     audit_correlation_decay,
@@ -20,7 +21,6 @@ from expcircle.audits import (
     audit_partition,
     audit_preimage_roundtrip,
     audit_quadrature,
-    audit_reduction_chain,
     audit_regularity_sweep,
     audit_sampling,
     audit_sup_c1_bounds,
@@ -116,7 +116,7 @@ def test_run_all_roster_and_forwarding(monkeypatch):
         return record
 
     attrs = [a for a in dir(audits) if a.startswith("audit_")]
-    assert len(attrs) == 23
+    assert len(attrs) == 22
     for attr in attrs:
         monkeypatch.setattr(audits, attr, recorder(attr))
     m = object()            # the recorders never look at the map
@@ -142,7 +142,6 @@ def test_run_all_roster_and_forwarding(monkeypatch):
         ("audit_coupling_monte_carlo", (m,),
          {"trials": 2000, "seed": 7, "resolution": 512}),
         ("audit_correlation_decay", (m,), horizon),
-        ("audit_reduction_chain", (m,), horizon),
         ("audit_density_convergence", (m,), horizon),
         ("audit_quadrature", (), res),
         ("audit_sampling", (), res),
@@ -167,15 +166,17 @@ def test_cached_invariant_is_freed_with_its_map():
 
 @pytest.mark.parametrize("audit, applies, scans", [
     # one g phi chain and one side-density chain per g (cos and three cusps),
-    # read by every (alpha, f) it serves: 4 x (1 invariance check + 60 + 60);
-    # one Hoelder profile per g with an alpha < 1
-    (audit_correlation_decay, 484, 3),
+    # read by every (alpha, f) it serves and by the reduction chain:
+    # 4 x (1 invariance check + 60 + 60); H(g) and H(psi_g) once per g with
+    # an alpha < 1
+    (audit_correlation_decay, 484, 6),
     # one walk to n = 30 per test function
     (audit_sup_c1_bounds, 90, 0),
-    # one 60-step chain per g; H(g) and H(psi_g) once per g with an alpha < 1
-    (audit_reduction_chain, 240, 6),
     # pointwise log bounds read the scans the sweep has already made
     (audit_regularity_sweep, 90, 186),
+    # N(B) + 12 steps per (alpha, cap) cell, none past the last one checked;
+    # at alpha 0.5, H(cos) once and 25 class checks per cell
+    (audit_class_entry, 112, 76),
     # one 60-step chain and one profile per density, for all three alphas
     (audit_density_convergence, 180, 3),
 ])
@@ -191,7 +192,9 @@ def test_orbits_and_scans_are_walked_once(count_work, audit, applies, scans):
 def test_each_drift_warning_is_logged_once(bent, caplog):
     audits.cached_invariant(bent)
     with caplog.at_level(logging.WARNING, logger="expcircle"):
-        assert audit_correlation_decay(bent).ok
+        results = audit_correlation_decay(bent)
+    assert [r.name for r in results] == ["correlation-decay", "reduction-chain"]
+    assert all(r.ok for r in results), results
     drifts = collections.Counter(r.getMessage() for r in caplog.records
                                  if "mass drift" in r.getMessage())
     assert len(drifts) == 3                 # one per cusp side chain

@@ -1,5 +1,7 @@
+import collections
 import hashlib
 import json
+import logging
 import math
 import os
 import re
@@ -243,7 +245,7 @@ MARGINS = {
 
 # Operator applications and all-lag Hoelder scans of one whole verify run:
 # a chain or scan walked again per alpha or per f shows up here.
-VERIFY_WORK = {2: (1910, 277), 3: (1848, 277)}
+VERIFY_WORK = {2: (1664, 274), 3: (1602, 274)}
 
 
 @pytest.mark.parametrize("w", [2, 3])
@@ -273,6 +275,19 @@ def test_verify_linear_maps(tmp_path, capsys, count_work, w):
         half_ulp = 0.5 * 10.0 ** Decimal(token).as_tuple().exponent
         assert abs(printed(margin) - float(token)) <= half_ulp * (1 + 1e-9), r
     assert_golden(tmp_path, f"verify on linear{{{w}}}")
+
+
+def test_verify_walks_and_logs_each_side_chain_once(tmp_path, caplog, count_work):
+    # the default map: each cusp side density drifts in mass on its first
+    # steps, and correlation-decay and reduction-chain read one walk of it
+    counts = count_work()
+    with caplog.at_level(logging.WARNING, logger="expcircle"):
+        assert main(["verify", "--trials", "20000", "--out", str(tmp_path)]) == 0
+    assert (counts["apply"], counts["scan"]) == (2114, 274)
+    drifts = collections.Counter(r.getMessage() for r in caplog.records
+                                 if "mass drift" in r.getMessage())
+    assert len(drifts) == 3
+    assert set(drifts.values()) == {1}
 
 
 def test_env_var_output_fallback(tmp_path, monkeypatch):
@@ -313,6 +328,9 @@ def test_flag_beats_config_beats_default(tmp_path):
         {"n_max": True},
         {"seed": True},
         {"alpha": True},
+        {"tol": 1e300},
+        {"tol": 0},
+        {"tol": -1},
     ],
 )
 def test_bad_configs_exit_two(tmp_path, monkeypatch, payload, capsys):
@@ -412,6 +430,34 @@ def test_unallocatable_resolution_exits_two(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+COARSE = "resolution must be a power of two >= 64"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["coupling", "--resolution", "16"], COARSE),
+    (["coupling", "--resolution", "32"], COARSE),
+    (["verify", "--resolution", "16"], COARSE),
+    (["verify", "--resolution", "32"], COARSE),
+    (["coupling", "--seed", str(2**128)], "seed must lie in [0, 2**128)"),
+], ids=["coupling-16", "coupling-32", "verify-16", "verify-32", "coupling-seed-2**128"])
+def test_inputs_outside_the_coupling_run_exit_two(tmp_path, argv, message, capsys):
+    # the chi-square bins the sampled marginals into 64 arcs of grid cells,
+    # and Philox takes a key below 2**128
+    assert main([*argv, "--trials", "1000", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_coarse_grid_still_serves_invariant_and_decay(tmp_path, capsys):
+    assert main(["invariant", "--resolution", "16", "--out", str(tmp_path)]) == 0
+    # decay is not refused as a configuration error (its phi check may fail)
+    assert main(["decay", "--resolution", "16", "--n-max", "2",
+                 "--out", str(tmp_path)]) != 2
+    assert "resolution must be" not in capsys.readouterr().err
+    assert (tmp_path / "invariant.csv").exists()
+
+
 def test_collapsed_coupling_marginals_exit_four(tmp_path, capsys):
     # float orbits of x -> 2x mod 1 reach 0 after ~53 steps, while coupled
     # pairs flow for up to 80 steps at alpha 0.3: the marginals collapse
@@ -423,7 +469,8 @@ def test_collapsed_coupling_marginals_exit_four(tmp_path, capsys):
 
 
 def test_unreachable_tolerance_exits_three(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"resolution": 16, "tol": 0.0})
+    # successive iterates at M = 16 keep an L1 difference near 1e-16
+    cfg = write_config(tmp_path, {"resolution": 16, "tol": 1e-300})
     assert main(["invariant", "--config", cfg, "--out", str(tmp_path)]) == 3
     assert "error:" in capsys.readouterr().err
 
