@@ -38,7 +38,7 @@ from .audits import cos_observable, coupling_pair, run_all
 from .circle_map import linear_map, perturbed_map
 from .correlation_suite import decay_report
 from .coupling_lab import CHI2_BINS, monte_carlo_coupling
-from .density_grid import write_csv
+from .density_grid import ROWS_PER_WRITE, _write_rows, write_csv
 from .errors import (
     VIOLATIONS,
     CertificationError,
@@ -176,7 +176,7 @@ def _writing(path: Path):
 
 
 def _numpy_to_json(value):
-    """``json.dump``'s fallback: numpy arrays and scalars as Python values."""
+    """The JSON fallback: numpy arrays and scalars as Python values."""
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, np.generic):
@@ -184,9 +184,62 @@ def _numpy_to_json(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json_key(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
+    return json.encoder.encode_basestring_ascii(key) + ": "
+
+
+def _json_chunks(value, level: int = 0):
+    """The text of ``json.dumps(value, indent=2, default=_numpy_to_json)``
+    in pieces.  A finite 1-D numeric array, whose elements json would
+    print one by one with repr, comes ROWS_PER_WRITE elements a piece.
+    Dict keys must be strings."""
+    if isinstance(value, str):
+        yield json.encoder.encode_basestring_ascii(value)
+    elif value is None or value is True or value is False:
+        yield _JSON_CONSTANTS[value]
+    elif isinstance(value, int):
+        yield int.__repr__(value)
+    elif isinstance(value, float):
+        yield (float.__repr__(value) if math.isfinite(value) else "NaN"
+               if value != value else "Infinity" if value > 0 else "-Infinity")
+    elif isinstance(value, (list, tuple, dict)):
+        if not value:
+            yield "{}" if isinstance(value, dict) else "[]"
+            return
+        inner = "\n" + "  " * (level + 1)
+        if isinstance(value, dict):
+            sep, close = "{" + inner, "}"
+            items = ((_json_key(k), v) for k, v in value.items())
+        else:
+            sep, close = "[" + inner, "]"
+            items = (("", v) for v in value)
+        for prefix, item in items:
+            yield sep + prefix
+            yield from _json_chunks(item, level + 1)
+            sep = "," + inner
+        yield "\n" + "  " * level + close
+    elif (isinstance(value, np.ndarray) and value.ndim == 1 and value.size
+          and value.dtype.kind in "iuf" and np.isfinite(value).all()):
+        sep = ",\n" + "  " * (level + 1)
+        yield "[" + sep[1:]
+        for s in range(0, value.size, ROWS_PER_WRITE):
+            yield (sep if s else "") + sep.join(
+                map(repr, value[s:s + ROWS_PER_WRITE].tolist()))
+        yield "\n" + "  " * level + "]"
+    else:
+        yield from _json_chunks(_numpy_to_json(value), level)
+
+
 def _write_json(path: Path, payload) -> None:
+    """Write ``payload`` as ``json.dump(payload, fh, indent=2,
+    default=_numpy_to_json)`` and a newline would, streamed in pieces."""
     with _writing(path), open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, default=_numpy_to_json)
+        fh.writelines(_json_chunks(payload))
         fh.write("\n")
 
 
@@ -196,8 +249,8 @@ def _write_table(out: Path, stem: str, columns, payload: dict) -> None:
     names, values, fmt = zip(*columns)
     csv_path = out / f"{stem}.csv"
     with _writing(csv_path):
-        np.savetxt(csv_path, np.column_stack(values), fmt=fmt, delimiter=",",
-                   header=",".join(names), comments="")
+        _write_rows(csv_path, ",".join(names), ",".join(fmt),
+                    np.column_stack(values))
     payload["rows"] = [dict(zip(names, row))
                        for row in zip(*(v.tolist() for v in values))]
     _write_json(out / f"{stem}.json", payload)

@@ -36,7 +36,8 @@ class ConstantsLedger:
 
     ``n_k_paper_raw`` is the un-floored epoch exponent 4(Omega+1)/(alpha
     log lambda); ``n_big_k`` applies the uniform integer recipe N(B) =
-    floor(log B / (alpha log lambda)) + 1 to B = K.
+    floor(log B / (alpha log lambda)) + 1 to B = K, and compute_ledger
+    refuses an alpha that would make it exceed 2**53.
     """
 
     alpha: float
@@ -101,7 +102,15 @@ def compute_ledger(m: ExpandingMap, alpha: float) -> ConstantsLedger:
     a = math.exp(-(omega + 1.0)) / 2.0
     big_k = math.exp(log_big_k)
     log_lam = math.log(lam)
-    n_big_k = int(math.floor(math.log(big_k) / (alpha * log_lam))) + 1
+    scale = alpha * log_lam
+    exponent = math.log(big_k) / scale if scale > 0.0 else math.inf
+    if not exponent < 2.0 ** 53:
+        raise CertificationError(
+            f"N_K = floor({exponent:.6g}) + 1 exceeds 2**53 on {m!r} at "
+            f"alpha = {alpha!r}: an integer that large is neither exact in "
+            "float64 nor safe in common JSON readers"
+        )
+    n_big_k = int(math.floor(exponent)) + 1
     led = ConstantsLedger(
         alpha=alpha,
         lam=lam,

@@ -12,13 +12,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import expcircle
 from expcircle.audits import MASS_TOL, PAIR_SLACK, cos_observable
 from expcircle.circle_map import linear_map
-from expcircle.cli import _write_json, main
+from expcircle.cli import _json_chunks, _numpy_to_json, _write_json, main
 from expcircle.correlation_suite import decay_report
 from expcircle.coupling_lab import CHI2_P_FLOOR
+from expcircle.density_grid import ROWS_PER_WRITE
 from expcircle.system_constants import ROUNDING_SLACK
 
 
@@ -38,6 +42,10 @@ GOLDEN = {
     "invariant --resolution 512": {
         "invariant.csv": "12bc1f0f67c850cd04d97422b2a2e8c52331e16ce0bda8afea93845cf58d8748",
         "invariant.json": "2a3a6eb6540986b700f59b12c213cad5e5fc9703f66b35e510abafa4a95b8f13",
+    },
+    "invariant --resolution 16384": {
+        "invariant.csv": "2981a28aeb71af4fb839db1f8ef63a3a83bd895062976c694dc40d5055484508",
+        "invariant.json": "1ce3b2ad5f71fa812ab68a8c52f02beec1d13b5cb75a8084f3d6faddbff7a492",
     },
     "decay --n-max 12": {
         "decay.csv": "4ee40fb380eb941f611cf8f89ce88067ad3e8628f083a696da5ffd76e00e7540",
@@ -116,6 +124,12 @@ def test_invariant_honors_resolution(tmp_path):
     assert_golden(tmp_path, "invariant --resolution 512")
 
 
+def test_invariant_crosses_write_blocks(tmp_path):
+    # 16384 nodes: four CSV blocks, and four pieces per JSON density array
+    assert main(["invariant", "--resolution", "16384", "--out", str(tmp_path)]) == 0
+    assert_golden(tmp_path, "invariant --resolution 16384")
+
+
 def test_decay_outputs(tmp_path):
     assert main(["decay", "--n-max", "12", "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "decay.csv").read_text().splitlines()
@@ -162,6 +176,92 @@ def test_json_encodes_numpy_values_as_python_values(tmp_path):
     }
     with pytest.raises(TypeError, match="set is not JSON serializable"):
         _write_json(tmp_path / "y.json", {"s": {1}})
+
+
+def reference_json(payload) -> str:
+    return json.dumps(payload, indent=2, default=_numpy_to_json) + "\n"
+
+
+def first_difference(a: str, b: str):
+    """None for equal texts, else both texts around their first difference
+    (pytest's own diff of megabyte strings would take minutes)."""
+    if a == b:
+        return None
+    i = next((k for k, (x, y) in enumerate(zip(a, b)) if x != y),
+             min(len(a), len(b)))
+    return i, a[max(i - 40, 0):i + 40], b[max(i - 40, 0):i + 40]
+
+
+def block_array(length, dtype, with_nan):
+    rng = np.random.Generator(np.random.Philox(key=length))
+    a = (rng.standard_normal(length) * 1e6).astype(dtype)
+    if with_nan:
+        a[length // 2] = np.nan
+    return a
+
+
+JSON_FLOATS = st.one_of(
+    st.floats(), st.floats(width=32),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e16, 5e-324]))
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), JSON_FLOATS, st.text(),
+    st.builds(np.float64, JSON_FLOATS),
+    st.builds(np.float32, st.floats(width=32)),
+    st.builds(np.bool_, st.booleans()),
+    st.builds(np.int8, st.integers(-128, 127)),
+    st.builds(np.int64, st.integers(-2**63, 2**63 - 1)),
+    st.builds(np.uint64, st.integers(0, 2**64 - 1)))
+JSON_ARRAYS = hnp.arrays(
+    st.sampled_from([np.bool_, np.int32, np.int64, np.uint16, np.float32,
+                     np.float64]),
+    hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4))
+BLOCK_ARRAYS = st.tuples(
+    st.sampled_from([ROWS_PER_WRITE - 1, ROWS_PER_WRITE, ROWS_PER_WRITE + 1,
+                     2 * ROWS_PER_WRITE + 3]),
+    st.sampled_from([(np.int64, False), (np.float32, False), (np.float32, True),
+                     (np.float64, False), (np.float64, True)]),
+).map(lambda spec: block_array(spec[0], *spec[1]))
+JSON_PAYLOADS = st.recursive(
+    st.one_of(JSON_SCALARS, JSON_ARRAYS, BLOCK_ARRAYS),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=12)
+
+
+@given(JSON_PAYLOADS)
+@settings(max_examples=150, deadline=None)
+@example({"": {}, "\u00e9\u2603\U0001f600": [], '"\\\n\x00\x1f': (),
+          "floats": [math.nan, math.inf, -math.inf, -0.0, 1e16, 5e-324],
+          "scalars": (None, True, False, np.int8(-3), np.uint64(2**64 - 1),
+                      np.float32(0.1), np.float64(-0.0), np.bool_(False)),
+          "arrays": [np.zeros(0), np.float64(2.5) * np.ones(()),
+                     np.eye(2, dtype=np.uint8), np.arange(3.0) / 3,
+                     np.array([True, False]), np.arange(4, dtype=np.float32),
+                     np.arange(-2, 3), np.arange(3, dtype=np.uint64)],
+          "blocks": [block_array(n, dtype, False) for n in
+                     (ROWS_PER_WRITE - 1, ROWS_PER_WRITE, ROWS_PER_WRITE + 1,
+                      2 * ROWS_PER_WRITE + 3)
+                     for dtype in (np.int64, np.float32, np.float64)],
+          "nan block": block_array(ROWS_PER_WRITE + 1, np.float64, True)})
+def test_json_writer_matches_json_dumps(tmp_path_factory, payload):
+    path = tmp_path_factory.mktemp("json") / "x.json"
+    _write_json(path, payload)
+    assert first_difference(path.read_text(), reference_json(payload)) is None
+
+
+def test_json_writer_formats_finite_arrays_a_block_at_a_time():
+    n = 2 * ROWS_PER_WRITE + 3
+    # "[" and "]" around three blocks of elements
+    assert len(list(_json_chunks(np.arange(n, dtype=float)))) == 5
+    # NaN needs json's own spelling: the array goes element by element
+    assert len(list(_json_chunks(block_array(n, np.float64, True)))) > n
+
+
+@pytest.mark.parametrize("key", [1, 0.5, None, True, (1, 2)])
+def test_json_writer_refuses_keys_that_are_not_strings(tmp_path, key):
+    with pytest.raises(TypeError, match="keys must be str"):
+        _write_json(tmp_path / "x.json", {"a": [{key: 1}]})
 
 
 def test_coupling_reproducible_byte_for_byte(tmp_path):
@@ -374,6 +474,23 @@ def test_overflowing_ledger_exits_two(tmp_path, capsys):
     assert main(["constants", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "overflows float64" in capsys.readouterr().err
     assert not (tmp_path / "constants.json").exists()
+
+
+@pytest.mark.parametrize("alpha", ["1e-300", "5e-324"])
+def test_unrepresentable_epoch_count_exits_two(tmp_path, alpha, capsys):
+    # N_K grows like 1/alpha; past 2**53 neither float64 nor a common JSON
+    # reader holds it exactly (at 5e-324 alpha log lambda underflows)
+    assert main(["constants", "--alpha", alpha, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: N_K") and "exceeds 2**53" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "constants.json").exists()
+
+
+def test_large_exact_epoch_count_is_kept(tmp_path):
+    assert main(["constants", "--alpha", "1e-12", "--out", str(tmp_path)]) == 0
+    data = json.loads((tmp_path / "constants.json").read_text())
+    assert data["N_K"] == 20734491884924
 
 
 def test_vacuous_ledger_exits_two(tmp_path, capsys):

@@ -244,6 +244,42 @@ def test_csv_roundtrip_is_exact(tmp_path):
     assert np.max(np.abs(back.values - psi.values)) < 1e-15
 
 
+ROWS = density_grid.ROWS_PER_WRITE
+CSV_SPECIALS = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2e-310,
+                         1e16, 0.1, -1.0 / 3.0])
+CSV_LAYOUTS = {   # the row formats the CLI writes, and each column's kind
+    "invariant": ("%.17g,%.17g", "ff"),
+    "decay": ("%d,%.17g,%.17g,%d", "iffb"),
+    "coupling": ("%d,%d,%.17g,%.17g,%.17g,%.17g", "iiffff"),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(CSV_LAYOUTS))
+@pytest.mark.parametrize("rows", [1, ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 7])
+def test_block_writer_matches_savetxt(tmp_path, layout, rows):
+    row_format, kinds = CSV_LAYOUTS[layout]
+    rng = np.random.Generator(np.random.Philox(key=rows))
+    columns = []
+    for kind in kinds:
+        if kind == "i":
+            columns.append(np.arange(rows))
+        elif kind == "b":
+            columns.append(rng.random(rows) < 0.5)
+        else:
+            v = rng.standard_normal(rows) * 10.0 ** rng.integers(-320, 300, rows)
+            k = min(rows, CSV_SPECIALS.size)
+            v[rng.choice(rows, k, replace=False)] = CSV_SPECIALS[:k]
+            columns.append(v)
+    data = np.column_stack(columns)
+    header = ",".join(f"c{i}" for i in range(len(kinds)))
+    density_grid._write_rows(tmp_path / "block.csv", header, row_format, data)
+    np.savetxt(tmp_path / "savetxt.csv", data, fmt=row_format.split(","),
+               delimiter=",", header=header, comments="")
+    written = (tmp_path / "block.csv").read_bytes()
+    assert written == (tmp_path / "savetxt.csv").read_bytes()
+    assert written.count(b"\n") == rows + 1
+
+
 @given(st.floats(min_value=-5, max_value=5, allow_nan=False))
 @settings(max_examples=100)
 def test_holder_scaling_property(c):
