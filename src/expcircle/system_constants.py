@@ -20,6 +20,7 @@ from .density_grid import (
     holder_coefficient,
     inf_value,
     integrate,
+    lipschitz_estimate,
     log_transform,
 )
 from .errors import CertificationError
@@ -140,13 +141,25 @@ def compute_ledger(m: ExpandingMap, alpha: float) -> ConstantsLedger:
 
 def hoelder_class_check(psi: GridDensity, cap: float, alpha: float) -> bool:
     """Membership in the class of unit-mass densities with positive values
-    and Hoelder-log coefficient at most ``cap`` (up to ROUNDING_SLACK)."""
+    and Hoelder-log coefficient at most ``cap`` (up to ROUNDING_SLACK).
+
+    With osc = max - min and Lip = lipschitz_estimate of log psi, every
+    node gap at distance d is at most min(osc, Lip d) <= osc^(1-alpha)
+    (Lip d)^alpha, so U = osc^(1-alpha) Lip^alpha bounds the coefficient
+    (the factor 1 + 1e-12 covers rounding).  When U already meets the cap
+    the answer is True without a lag scan; otherwise the exact coefficient
+    decides.  Either way the answer is the exact comparison's."""
     if inf_value(psi) <= 0.0:
         return False
     if abs(integrate(psi) - 1.0) > 1e-10:
         return False
-    h = holder_coefficient(log_transform(psi), alpha)
-    return h <= cap + ROUNDING_SLACK
+    alpha = _check_alpha(alpha)
+    log_psi = log_transform(psi)
+    osc = float(log_psi.values.max() - log_psi.values.min())
+    upper = osc ** (1.0 - alpha) * lipschitz_estimate(log_psi) ** alpha
+    if upper * (1.0 + 1e-12) <= cap + ROUNDING_SLACK:
+        return True
+    return holder_coefficient(log_psi, alpha) <= cap + ROUNDING_SLACK
 
 
 def pointwise_log_bounds_hold(psi: GridDensity, h_log: float) -> bool:

@@ -172,11 +172,13 @@ def test_cached_invariant_is_freed_with_its_map():
     (audit_correlation_decay, 484, 6),
     # one walk to n = 30 per test function
     (audit_sup_c1_bounds, 90, 0),
-    # pointwise log bounds read the scans the sweep has already made
-    (audit_regularity_sweep, 90, 186),
+    # pointwise log bounds read the scans the sweep has already made, and
+    # the iterates that the doubling map has made constant need none
+    (audit_regularity_sweep, 90, 50),
     # N(B) + 12 steps per (alpha, cap) cell, none past the last one checked;
-    # at alpha 0.5, H(cos) once and 25 class checks per cell
-    (audit_class_entry, 112, 76),
+    # at alpha 0.5 only H(cos) scans: a closed-form bound decides all 75
+    # class checks
+    (audit_class_entry, 112, 1),
     # one 60-step chain and one profile per density, for all three alphas
     (audit_density_convergence, 180, 3),
 ])

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import expcircle
-from expcircle.audits import MASS_TOL, PAIR_SLACK, cos_observable
+from expcircle.audits import MASS_TOL, PAIR_SLACK, cos_observable, standard_maps
 from expcircle.circle_map import linear_map
 from expcircle.cli import _json_chunks, _numpy_to_json, _write_json, main
 from expcircle.correlation_suite import decay_report
@@ -64,6 +64,15 @@ GOLDEN = {
     },
     "verify on linear{3}": {
         "verify.json": "567c1947d248274e78e87a3bde6449375110be1ba4befb40c5a266bdbaf1c206",
+    },
+    "verify on perturbed{2,0.02}": {
+        "verify.json": "77d20c4fcc3e144bbd96dd5b1408fe3b1f508f559caeb63602445ec042417fdf",
+    },
+    "verify on perturbed{2,0.05}": {
+        "verify.json": "9dc636852abd9eff37547f7564a7033e9a6becb7ea7e7801c1dd9ffef51c6f75",
+    },
+    "verify on perturbed{2,0.1}": {
+        "verify.json": "4ba14939626ab8a38983657c780fc292d804b71e711ffb4ed43ef7650a87b268",
     },
 }
 
@@ -343,21 +352,28 @@ MARGINS = {
 }
 
 
-# Operator applications and all-lag Hoelder scans of one whole verify run:
-# a chain or scan walked again per alpha or per f shows up here.
-VERIFY_WORK = {2: (1664, 274), 3: (1602, 274)}
+# Operator applications, Hoelder lag scans and the lag rows they visit in one
+# whole verify run: a chain or scan walked again per alpha or per f, or a
+# class check or lag block that a bound could have decided, shows up here.
+VERIFY_WORK = {
+    "linear{2}": (1664, 63, 36736),
+    "linear{3}": (1602, 183, 32000),
+    "perturbed{2,0.02}": (1782, 199, 196896),
+    "perturbed{2,0.05}": (2114, 199, 198576),
+    "perturbed{2,0.1}": (5596, 199, 203584),
+}
 
 
-@pytest.mark.parametrize("w", [2, 3])
-def test_verify_linear_maps(tmp_path, capsys, count_work, w):
-    cfg = write_config(
-        tmp_path, {"map": {"family": "linear", "w": w}, "trials": 20000}
-    )
+@pytest.mark.parametrize("m", standard_maps(), ids=repr)
+def test_verify_standard_maps(tmp_path, capsys, count_work, m):
+    config = {"family": m.family, **dict(zip(("w", "eps"), m.params))}
+    cfg = write_config(tmp_path, {"map": config, "trials": 20000})
     counts = count_work()
     assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
-    assert (counts["apply"], counts["scan"]) == VERIFY_WORK[w]
+    assert (counts["apply"], counts["scan"], counts["rows"]) == VERIFY_WORK[repr(m)]
     out = capsys.readouterr().out
     report = json.loads((tmp_path / "verify.json").read_text())
+    assert report["map"] == repr(m)
     assert all(r["ok"] for r in report["results"])
     assert [r["name"] for r in report["results"]] == VERIFY_NAMES
     assert out.count("PASS") == len(report["results"])
@@ -374,7 +390,7 @@ def test_verify_linear_maps(tmp_path, capsys, count_work, w):
         token = re.findall(r"-?\d+\.\d+(?:e[-+]\d+)?", r["detail"])[-1]
         half_ulp = 0.5 * 10.0 ** Decimal(token).as_tuple().exponent
         assert abs(printed(margin) - float(token)) <= half_ulp * (1 + 1e-9), r
-    assert_golden(tmp_path, f"verify on linear{{{w}}}")
+    assert_golden(tmp_path, f"verify on {m!r}")
 
 
 def test_verify_walks_and_logs_each_side_chain_once(tmp_path, caplog, count_work):
@@ -383,7 +399,7 @@ def test_verify_walks_and_logs_each_side_chain_once(tmp_path, caplog, count_work
     counts = count_work()
     with caplog.at_level(logging.WARNING, logger="expcircle"):
         assert main(["verify", "--trials", "20000", "--out", str(tmp_path)]) == 0
-    assert (counts["apply"], counts["scan"]) == (2114, 274)
+    assert (counts["apply"], counts["scan"]) == (2114, 199)
     drifts = collections.Counter(r.getMessage() for r in caplog.records
                                  if "mass drift" in r.getMessage())
     assert len(drifts) == 3

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import stats
 
 import expcircle.density_grid as density_grid
@@ -166,16 +167,112 @@ def test_holder_profile_matches_every_node_pair(res):
 
 def test_lipschitz_coefficient_needs_no_lag_scan(monkeypatch):
     scans = []
-    real = density_grid._gap_profile
-    monkeypatch.setattr(density_grid, "_gap_profile",
-                        lambda f: scans.append(f) or real(f))
+    real = density_grid._lag_scan
+    monkeypatch.setattr(density_grid, "_lag_scan",
+                        lambda *args: scans.append(args) or real(*args))
     res = 65536
     cos = GridFunction(np.cos(2 * np.pi * np.arange(res) / res))
     assert holder_coefficient(cos, 1.0) == lipschitz_estimate(cos)
     assert holder_profile(cos, (1.0, 1.0)) == (lipschitz_estimate(cos),) * 2
+    # a constant has coefficient 0 at every alpha, without a scan
+    assert holder_profile(GridFunction(np.full(res, 2.5)), (0.3, 0.5, 1.0)) == (0.0,) * 3
     assert not scans
     holder_profile(GridFunction(COS), (0.5, 1.0))
     assert len(scans) == 1
+
+
+def full_lag_profile(f, alphas):
+    """holder_profile from a scan of every lag 1..M/2, 16 lags at a time:
+    the kernel before blocks of lags were pruned, kept as the reference."""
+    v = f.values
+    M = f.resolution
+    half = M // 2
+    lags = np.arange(1, half + 1)
+    dists = np.minimum(lags, M - lags) / M
+    rolled = sliding_window_view(np.concatenate([v, v[:half]]), M)[1:]
+    gaps = np.empty(half)
+    buf = np.empty((16, M))
+    for s in range(0, half, 16):
+        block = rolled[s:s + 16]
+        out = buf[:len(block)]
+        np.subtract(block, v, out=out)
+        np.abs(out, out=out)
+        out.max(axis=1, out=gaps[s:s + len(block)])
+    return tuple(lipschitz_estimate(f) if a == 1.0
+                 else float((gaps / dists ** a).max()) for a in alphas)
+
+
+SCAN_KINDS = ("fourier", "exp-fourier", "noise", "spike", "step", "constant",
+              "constant-ulps", "cusp-power", "cusp", "log-density")
+
+
+def scan_input(kind, M, rng):
+    """One input of the pruned-scan property test at resolution M."""
+    x = np.arange(M) / M
+    dist0 = np.minimum(x, 1.0 - x)
+    k = np.arange(1, 5)[:, None]
+    fourier = (rng.normal(size=(4, 1)) * np.cos(2 * np.pi * k * x)
+               + rng.normal(size=(4, 1)) * np.sin(2 * np.pi * k * x)).sum(axis=0)
+    c = float(rng.normal() * 10.0 ** rng.integers(-3, 4))
+    values = {
+        "fourier": lambda: fourier,
+        "exp-fourier": lambda: np.exp(fourier),
+        "noise": lambda: rng.normal(size=M),
+        "spike": lambda: np.where(np.arange(M) == rng.integers(M), c, 0.0),
+        "step": lambda: np.tanh(rng.uniform(1.0, 500.0) * (x - rng.uniform())),
+        "constant": lambda: np.full(M, c),
+        "constant-ulps": lambda: c + np.spacing(c) * rng.integers(-1, 2, M),
+        "cusp-power": lambda: dist0 ** rng.uniform(0.05, 1.0),
+        "cusp": lambda: dist0,
+        "log-density": lambda: log_transform(
+            density_family(M)[rng.integers(3)]).values,
+    }
+    return GridFunction(values[kind]())
+
+
+@given(st.sampled_from(SCAN_KINDS), st.sampled_from((8, 16, 64, 512)),
+       st.integers(min_value=0, max_value=2**32),
+       st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+                max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_pruned_scan_equals_full_lag_scan(kind, M, seed, extra):
+    f = scan_input(kind, M, np.random.Generator(np.random.Philox(key=seed)))
+    alphas = (0.3, 0.5, 1.0, *extra)
+    assert holder_profile(f, alphas) == full_lag_profile(f, alphas)
+
+
+def test_pruned_scan_maximum_in_its_last_block(monkeypatch):
+    # a ripple makes the Lipschitz bound useless, so the block bounds fall
+    # with the lag while the quotients rise to the antipode: every block is
+    # visited, and the last one holds the maximum
+    res = 512
+    x = np.arange(res) / res
+    v = np.minimum(x, 1.0 - x) + 0.01 * (-1.0) ** np.arange(res)
+    f = GridFunction(v)
+    lags = np.arange(1, res // 2 + 1)
+    gaps = np.array([np.abs(np.roll(v, -lag) - v).max() for lag in lags])
+    visited = []
+    real = density_grid._scan_rows
+
+    def record(rows, *args):   # the first lag of the block, from its rows
+        visited.append(next(lag for lag in lags
+                            if np.array_equal(rows[0], np.roll(v, -lag))))
+        return real(rows, *args)
+
+    monkeypatch.setattr(density_grid, "_scan_rows", record)
+    for a in (0.3, 0.5):
+        visited.clear()
+        assert holder_profile(f, (a,)) == full_lag_profile(f, (a,))
+        top = int(lags[np.argmax(gaps / (lags / res) ** a)])
+        assert sorted(visited) == list(range(1, res // 2, 16))
+        assert visited[-1] <= top < visited[-1] + 16
+
+
+def test_scan_buffers_start_on_a_cache_line():
+    for n in (1, 7, 8, 6144, 16 * 4096):
+        a = density_grid._line_aligned(n)
+        assert a.shape == (n,) and a.dtype == np.float64
+        assert a.__array_interface__["data"][0] % 64 == 0
 
 
 def test_holder_profile_matches_pointwise_calls():

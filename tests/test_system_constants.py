@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import expcircle.density_grid as density_grid
 from expcircle import (
     CertificationError,
     GridDensity,
@@ -11,12 +12,15 @@ from expcircle import (
     hoelder_class_check,
     holder_coefficient,
     holder_iteration_cap,
+    lipschitz_estimate,
     log_transform,
     perturbed_map,
     pointwise_log_bounds_hold,
     positivity_floor,
     uniform_density,
 )
+from expcircle.audits import density_family, smooth_density
+from expcircle.system_constants import ROUNDING_SLACK
 
 M = 4096
 X = np.arange(M) / M
@@ -107,6 +111,35 @@ def test_class_membership_checks():
     assert pointwise_log_bounds_hold(psi, h_log)
     assert not pointwise_log_bounds_hold(psi, 0.1)
     assert pointwise_log_bounds_hold(uniform_density(M), 0.0)
+
+
+def test_class_check_agrees_with_the_exact_coefficient(monkeypatch):
+    scans = []
+    real = density_grid._lag_scan
+    monkeypatch.setattr(density_grid, "_lag_scan",
+                        lambda *args: scans.append(args) or real(*args))
+    res = 512
+    densities = [*density_family(res), *(smooth_density(s, res) for s in range(4))]
+    exact_runs = 0
+    for psi in densities:
+        log_psi = log_transform(psi)
+        osc = float(log_psi.values.max() - log_psi.values.min())
+        lip = lipschitz_estimate(log_psi)
+        for alpha in (0.3, 0.5, 1.0):
+            h = holder_coefficient(log_psi, alpha)
+            upper = osc ** (1.0 - alpha) * lip ** alpha
+            assert h <= upper * (1.0 + 1e-12)
+            for cap in (h * (1 - 1e-9), h, h + ROUNDING_SLACK, h * (1 + 1e-9),
+                        upper, h - 2 * ROUNDING_SLACK):
+                scans.clear()
+                got = hoelder_class_check(psi, cap, alpha)
+                assert got == (h <= cap + ROUNDING_SLACK), (psi, alpha, cap)
+                # the bound decides only when it meets the cap; below it
+                # an alpha < 1 needs the exact scan
+                decided = upper * (1.0 + 1e-12) <= cap + ROUNDING_SLACK
+                assert len(scans) == (0 if decided or alpha == 1.0 else 1)
+                exact_runs += not decided
+    assert exact_runs > 0
 
 
 def test_iteration_cap_formula(doubling, bent):
