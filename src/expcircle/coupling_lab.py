@@ -13,6 +13,7 @@ coins of head probability a.
 
 from __future__ import annotations
 
+import concurrent.futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,7 +94,9 @@ def deterministic_contraction_run(
             raise AuditViolation(f"{which} is not in the admissible class (cap K)")
     a, n_epoch = led.a, led.n_big_k
     direct = [psi1, psi2]
-    resid = [psi1, psi2]
+    # Until the first decompose the residuals are the direct densities
+    # themselves, so each is applied once per step.
+    resid = direct
     rho = None
     records = [
         ContractionRecord(0, 0, l1_distance(psi1, psi2), 2.0, led.d_exact)
@@ -103,7 +106,7 @@ def deterministic_contraction_run(
     marginals = {0: psi1}
     for n in range(1, n_max + 1):
         direct = [apply(m, d) for d in direct]
-        resid = [apply(m, r) for r in resid]
+        resid = direct if n <= n_epoch else [apply(m, r) for r in resid]
         if rho is not None:
             rho = apply(m, rho)
         k = n // n_epoch
@@ -177,6 +180,18 @@ def _chi2_marginal(points: np.ndarray, density: GridDensity) -> dict:
     }
 
 
+def _flow(m: ExpandingMap, x: np.ndarray, y: np.ndarray, counts: np.ndarray):
+    """Advance the pairs (x, y) in place by counts.size steps of the map,
+    writing the number of unequal pairs after each step to counts."""
+    u, v = x, y
+    for i in range(counts.size):
+        u = evaluate(m, u)
+        v = evaluate(m, v)
+        counts[i] = np.count_nonzero(u != v)
+    x[...] = u
+    y[...] = v
+
+
 @dataclass
 class CouplingTrace:
     """Per-step series of the Monte-Carlo coupling run."""
@@ -240,24 +255,38 @@ def monte_carlo_coupling(
     mismatch[0] = float(np.mean(x != y))
     coins = []
     chi2 = []
-    for n in range(1, n_max + 1):
-        x = evaluate(m, x)
-        y = evaluate(m, y)
-        if n % n_epoch == 0:
-            k = n // n_epoch
-            coin = rng.random(trials) < a
-            newly = coin & ~coupled
-            tails = ~coin & ~coupled
-            fresh = rng.random(int(newly.sum()))
-            x[newly] = fresh
-            y[newly] = fresh
-            res1, res2 = det.epoch_residuals[k - 1]
-            x[tails] = sample(res1, rng, int(tails.sum()))
-            y[tails] = sample(res2, rng, int(tails.sum()))
-            coupled |= newly
-            coins.append(coin)
-            chi2.append({"n": n, **_chi2_marginal(x, det.marginals[n])})
-        mismatch[n] = float(np.mean(x != y))
+    # Between epochs the pairs flow independently of each other, and
+    # evaluate's ufunc loops release the GIL: a worker advances the first
+    # half of the pairs while this thread advances the second.  The threads
+    # meet once per epoch, not once per step, so each stays busy long
+    # enough for the scheduler to give it a CPU of its own.  Every draw
+    # stays on this thread, in order.
+    half = trials // 2
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+        n = 0
+        while n < n_max:
+            stop = min(n + n_epoch, n_max)
+            counts = np.empty((2, stop - n))
+            head = pool.submit(_flow, m, x[:half], y[:half], counts[0])
+            _flow(m, x[half:], y[half:], counts[1])
+            head.result()
+            mismatch[n + 1:stop + 1] = counts.sum(axis=0) / trials
+            n = stop
+            if n % n_epoch == 0:
+                k = n // n_epoch
+                coin = rng.random(trials) < a
+                newly = coin & ~coupled
+                tails = ~coin & ~coupled
+                fresh = rng.random(int(newly.sum()))
+                x[newly] = fresh
+                y[newly] = fresh
+                res1, res2 = det.epoch_residuals[k - 1]
+                x[tails] = sample(res1, rng, int(tails.sum()))
+                y[tails] = sample(res2, rng, int(tails.sum()))
+                coupled |= newly
+                coins.append(coin)
+                chi2.append({"n": n, **_chi2_marginal(x, det.marginals[n])})
+                mismatch[n] = float(np.mean(x != y))
     if n_max % n_epoch != 0:
         chi2.append({"n": n_max, **_chi2_marginal(x, det.marginals[n_max])})
     ns = np.arange(n_max + 1)

@@ -17,7 +17,6 @@ conservation, exact trigonometric pushforwards) that are audited at the
 
 from __future__ import annotations
 
-import threading
 import weakref
 from dataclasses import dataclass
 
@@ -44,10 +43,10 @@ logger = density_grid.logger
 
 
 # Per-map operators, keyed by resolution; an entry lives as long as its map.
-# The lock makes callers applying one map from several threads share a
-# single build.
+# Operators are built and applied on one thread: the audits run serially,
+# and the Monte-Carlo worker thread only evaluates the map, so the cache
+# takes no lock.
 _OPERATORS: "weakref.WeakKeyDictionary[ExpandingMap, dict]" = weakref.WeakKeyDictionary()
-_OPERATORS_LOCK = threading.Lock()
 
 
 def _build_operator(m: ExpandingMap, resolution: int):
@@ -84,11 +83,10 @@ def _build_operator(m: ExpandingMap, resolution: int):
 
 def _operator(m: ExpandingMap, resolution: int):
     """The cached (E, wgt) of ``m`` at ``resolution``, built on first use."""
-    with _OPERATORS_LOCK:
-        per_map = _OPERATORS.setdefault(m, {})
-        op = per_map.get(resolution)
-        if op is None:
-            op = per_map[resolution] = _build_operator(m, resolution)
+    per_map = _OPERATORS.setdefault(m, {})
+    op = per_map.get(resolution)
+    if op is None:
+        op = per_map[resolution] = _build_operator(m, resolution)
     return op
 
 

@@ -1,4 +1,7 @@
+import collections
+import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -152,6 +155,57 @@ def test_monte_carlo_matches_textbook_evaluate(monkeypatch):
         a, b = getattr(fast, field), getattr(slow, field)
         assert a.dtype == b.dtype and np.array_equal(a, b), field
     assert fast.chi2 == slow.chi2
+
+
+def test_monte_carlo_flows_half_the_pairs_on_a_worker(bent, monkeypatch):
+    # every step evaluates x and y of the first 1000 pairs on one worker
+    # thread and of the other 1001 on the calling thread, whatever the timing
+    trials, n_max = 2001, compute_ledger(bent, 1.0).n_big_k + 3
+    caller = threading.get_ident()
+    calls = []
+    evaluate = coupling_lab.evaluate
+
+    def recorded(m, x):
+        calls.append((threading.get_ident(), np.size(x)))
+        return evaluate(m, x)
+
+    monkeypatch.setattr(coupling_lab, "evaluate", recorded)
+    before = threading.active_count()
+    trace = monte_carlo_coupling(bent, tilted(), uniform_density(M), 1.0, n_max,
+                                 trials=trials, seed=42)
+    assert threading.active_count() == before
+    assert int(trace.ns[-1]) == n_max
+    assert collections.Counter((t == caller, size) for t, size in calls) == {
+        (True, 1001): 2 * n_max, (False, 1000): 2 * n_max}
+    assert len({t for t, _ in calls}) == 2      # one worker for the whole run
+
+
+class LiftFailure(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("on_worker", [True, False], ids=["worker", "caller"])
+def test_monte_carlo_worker_fails_cleanly(bent, on_worker):
+    # a lift that raises on its fourth call of the pair process on either
+    # thread: the same exception leaves the run and no thread is left behind
+    caller = threading.get_ident()
+    calls = {True: 0, False: 0}             # per thread: is it the worker?
+
+    def lift(x):
+        if np.size(x) in (500, 501):        # the two halves of 1001 pairs
+            worker = threading.get_ident() != caller
+            calls[worker] += 1
+            if worker == on_worker and calls[worker] == 4:
+                raise LiftFailure("lift failed")
+        return bent.lift(x)
+
+    m = dataclasses.replace(bent, lift=lift)
+    before = threading.active_count()
+    with pytest.raises(LiftFailure):
+        monte_carlo_coupling(m, tilted(), uniform_density(M), 1.0, 12,
+                             trials=1001, seed=42)
+    assert threading.active_count() == before
+    assert calls[on_worker] == 4
 
 
 @pytest.mark.parametrize("points", [300, 8000, 100_000])

@@ -1,6 +1,4 @@
 import gc
-import sys
-import threading
 import weakref
 
 import numpy as np
@@ -245,29 +243,3 @@ def test_operator_is_built_once_and_freed_with_its_map(builds):
     gc.collect()
     assert alive() is None
     assert len(cache) == held - 1
-
-
-def test_concurrent_first_applies_share_one_build(builds):
-    m = perturbed_map(2, 0.05)
-    f = GridFunction(cos_k(1))
-    outs = []
-    start = threading.Barrier(8, timeout=60)
-
-    def first_apply():
-        start.wait()
-        outs.append(apply_function(m, f))
-
-    threads = [threading.Thread(target=first_apply) for _ in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert builds == [M]
-    assert len(outs) == 8
-    assert all(np.array_equal(o.values, outs[0].values) for o in outs)
