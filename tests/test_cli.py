@@ -410,6 +410,20 @@ def test_verify_standard_maps(tmp_path, capsys, caplog, count_work, m):
     assert_golden(tmp_path, f"verify on {m!r}")
 
 
+def test_verify_walks_and_logs_each_side_chain_once(tmp_path, caplog, count_work):
+    # the default map, with no config: each cusp side density drifts in mass
+    # on its first steps, and correlation-decay and reduction-chain read one
+    # walk of it
+    counts = count_work()
+    with caplog.at_level(logging.WARNING, logger="expcircle"):
+        assert main(["verify", "--trials", "20000", "--out", str(tmp_path)]) == 0
+    assert (counts["apply"], counts["scan"]) == VERIFY_WORK["perturbed{2,0.05}"][:2]
+    drifts = collections.Counter(r.getMessage() for r in caplog.records
+                                 if "mass drift" in r.getMessage())
+    assert len(drifts) == VERIFY_DRIFTS["perturbed{2,0.05}"]
+    assert set(drifts.values()) == {1}
+
+
 def test_env_var_output_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("EXPCIRCLE_OUT", str(tmp_path))
     assert main(["constants"]) == 0
