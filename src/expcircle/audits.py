@@ -301,14 +301,16 @@ def audit_arc_expansion(m: ExpandingMap, *, seed: int = 5, samples: int = 200) -
     """Arcs expand: pulling an arc of image-length ell through one branch
     yields an arc of length <= ell / lambda (strict expansion)."""
     rng = _rng(seed)
-    worst = -np.inf
-    for _ in range(samples):
+    targets = np.empty((2, samples))        # each arc's two ends, solved at once
+    ells = np.empty(samples)
+    for i in range(samples):
         x = rng.random()
         ell = rng.uniform(1e-4, 0.95)
         branch = rng.integers(m.winding)
-        lo = float(_solve_lift(m, branch + x)[0])
-        hi = float(_solve_lift(m, branch + x + ell)[0])
-        worst = max(worst, m.lam * (hi - lo) - ell)
+        targets[:, i] = branch + x, branch + x + ell
+        ells[i] = ell
+    lo, hi = _solve_lift(m, targets)
+    worst = float(np.max(m.lam * (hi - lo) - ells, initial=-np.inf))
     return _gate(-worst, f"worst lambda*|J| - |T(J)| = {worst:.3e}", slack=1e-12)
 
 
@@ -320,9 +322,9 @@ def audit_preimage_roundtrip(m: ExpandingMap, *, seed: int = 6, samples: int = 6
     xs = rng.random(samples)
     worst = 0.0
     paths = _sampled_paths(m.winding, max_depth, rng, cap=40)
-    for bid, orbit, _, _ in walk(m, paths, xs):
-        y = orbit[-1]
-        for _ in range(bid.depth):
+    for end in walk(m, paths, xs):
+        y = end.u
+        for _ in range(end.bid.depth):
             y = evaluate(m, y)
         worst = max(worst, float(circle_distance(y, xs).max()))
     return _gate(-worst, f"worst return distance {worst:.3e} over "
@@ -385,9 +387,9 @@ def audit_backward_contraction(m: ExpandingMap, *, seed: int = 9, pairs: int = 1
     d = np.atleast_1d(circle_distance(xs, ys))
     worst = -np.inf
     paths = _sampled_paths(m.winding, max_depth, rng, cap=path_cap)
-    for bid, _, _, gaps in walk(m, paths, xs, ys):
-        rhs = m.lam ** (-bid.depth) * d
-        worst = max(worst, float((gaps[-1] - rhs).max()))
+    for end in walk(m, paths, xs, ys):
+        rhs = m.lam ** (-end.bid.depth) * d
+        worst = max(worst, float((end.gap - rhs).max()))
     return _gate(-worst, f"worst lhs - rhs = {worst:.3e} over {len(paths) * pairs} "
                  "pair-path cells", slack=PAIR_SLACK)
 
@@ -406,8 +408,8 @@ def audit_distortion(m: ExpandingMap, *, seed: int = 10, pairs: int = 1000,
     hi = np.exp(omega * d) + DISTORTION_SLACK
     worst = -np.inf
     paths = _sampled_paths(m.winding, max_depth, rng, cap=path_cap)
-    for _, us, vs, _ in walk(m, paths, xs, ys):
-        ratio = np.prod(m.dlift(us), axis=0) / np.prod(m.dlift(vs), axis=0)
+    for end in walk(m, paths, xs, ys):
+        ratio = end.du / end.dv
         worst = max(worst, float((ratio - hi).max()), float((lo - ratio).max()))
     return _gate(-worst, f"worst band excess {worst:.3e} over {len(paths) * pairs} "
                  "pair-path cells")
@@ -811,8 +813,9 @@ def audit_constants_reference() -> AuditResult:
 def audit_constants_monotonic() -> AuditResult:
     """Omega increases along the perturbation sweep (d2_sup up, lambda down)."""
     eps = np.linspace(0.01, 0.1, 10)
-    omegas = [compute_ledger(perturbed_map(2, float(e)), 1.0).omega for e in eps]
-    lams = [perturbed_map(2, float(e)).lam for e in eps]
+    maps = [perturbed_map(2, float(e)) for e in eps]
+    omegas = [compute_ledger(pm, 1.0).omega for pm in maps]
+    lams = [pm.lam for pm in maps]
     ok = bool(np.all(np.diff(omegas) > 0.0) and np.all(np.diff(lams) < 0.0))
     return Verdict(ok, f"omega {omegas[0]:.3g} -> {omegas[-1]:.3g}")
 

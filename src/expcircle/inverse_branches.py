@@ -3,8 +3,9 @@ backward-contraction / bounded-distortion audits built on them.
 
 Depth-n preimages are always composed from single-step pullbacks; nothing
 here inverts the n-fold composition directly.  Every depth-n caller goes
-through ``walk``, which solves each shared path prefix once.  Depth-one
-branch i is the monotone piece of the lift whose image covers
+through ``walk``, which solves each node of the path tree once: all the
+children it needs, and both points of a pair, in one vectorized call.
+Depth-one branch i is the monotone piece of the lift whose image covers
 [m0 + i, m0 + i + 1) with m0 = ceil(F(0)); equivalently, the arc between
 consecutive preimages of the anchor point 0.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,10 +61,17 @@ def _anchor_offset(m: ExpandingMap) -> float:
 
 def _solve_lift(m: ExpandingMap, target, lo=0.0, hi=2.0):
     """Solve F(y) = target on [lo, hi]: Newton steps inside a maintained
-    bracket, bisection when a step leaves it.  Vectorized over targets."""
+    bracket, bisection when a step leaves it.  Vectorized over targets;
+    ``lo`` and ``hi`` are scalars or arrays that broadcast against them.
+
+    Each point runs its own iteration: once its residual is within
+    tolerance it never moves again, so its root has the same bits whatever
+    other targets share the call.
+    """
     t = np.atleast_1d(np.asarray(target, dtype=float))
-    lo = np.full_like(t, lo)
-    hi = np.full_like(t, hi)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    # one lift per bracket end, however many targets share it
     if np.any(m.lift(lo) - t > RESIDUAL_TOL) or np.any(m.lift(hi) - t < -RESIDUAL_TOL):
         raise RootFindingFailure("bracket does not enclose the target")
     f0 = float(np.asarray(m.lift(0.0), dtype=float))
@@ -93,17 +102,51 @@ def preimages(m: ExpandingMap, x):
     return pairs
 
 
-def walk(m: ExpandingMap, bids, x, y=None):
-    """Yield ``(bid, us, vs, gaps)`` for every path in ``bids``, in
-    lexicographic path order: the backward orbit u_1..u_n of x stacked over
-    depth and, given y, the orbit of y and the distances |u_k - v_k| of the
-    lifts (else None).
+class Pullback(NamedTuple):
+    """One path's end in ``walk``: its depth-n preimages and the derivative
+    products along it; the whole orbits only when asked for."""
 
-    Only the current path's chain of nodes is held; each path keeps the
-    prefix it shares with the previous one and solves only its new steps.
-    y is carried as a lifted displacement from x, so both points follow the
-    same monotone piece at every step instead of being re-anchored
-    independently.
+    bid: BranchId
+    u: np.ndarray                   # u_n, the depth-n preimage of x
+    du: np.ndarray                  # (T^n)'(u_n) = T'(u_1) ... T'(u_n)
+    v: np.ndarray | None = None     # v_n, given y
+    dv: np.ndarray | None = None    # (T^n)'(v_n), given y
+    gap: np.ndarray | None = None   # |u_n - v_n| of the lifts, given y
+    us: np.ndarray | None = None    # u_1..u_n stacked, given orbits=True
+    vs: np.ndarray | None = None    # v_1..v_n stacked, given y and orbits=True
+
+
+class _Node(NamedTuple):
+    """A node of ``walk``'s tree: the points u (and v) reached along
+    ``path``, their signed lifted gap and their derivative products."""
+
+    path: tuple
+    pts: np.ndarray                 # (rows, N): u, and v given y
+    gap: np.ndarray | None
+    prod: np.ndarray                # (rows, N), or (rows, 1) of ones at the root
+    parent: "_Node | None"
+
+
+# Brackets of the u and the v targets; v's is wider because it is reached
+# from u's lift by a displacement of up to 1/2.
+_LO = np.array([0.0, -1.0]).reshape(2, 1, 1)
+_HI = np.array([2.0, 3.0]).reshape(2, 1, 1)
+
+
+def walk(m: ExpandingMap, bids, x, y=None, *, orbits=False):
+    """Yield a ``Pullback`` for every path in ``bids``, in lexicographic
+    path order: the depth-n preimage u_n of x and (T^n)'(u_n) and, given y,
+    the same for y with the distance |u_n - v_n| of the lifts.
+
+    The paths form a tree walked depth first.  At each node one root solve
+    takes every child branch some path needs, and both points of a pair,
+    so each prefix is solved once.  The derivative products are carried
+    down the tree, multiplied in the order of ``np.prod`` over the stacked
+    orbit, so they have its bits.  Only the chain from the root to the
+    current node (and its pending siblings) is held; ``orbits=True`` also
+    stacks that chain into ``us`` and ``vs``.  y is carried as a lifted
+    displacement from x, so both points follow the same monotone piece at
+    every step instead of being re-anchored independently.
     """
     bids = sorted(bids, key=lambda bid: bid.path)
     for bid in bids:
@@ -111,44 +154,66 @@ def walk(m: ExpandingMap, bids, x, y=None):
             raise ValueError(f"depth {bid.depth} exceeds the cap {MAX_DEPTH}")
         if any(b >= m.winding for b in bid.path):
             raise ValueError(f"path {bid.path} has entries >= winding {m.winding}")
-    # index k holds depth k of the current path (u, v, signed lifted gap)
-    us, vs, gaps = [np.atleast_1d(np.asarray(wrap(x), dtype=float))], [None], [None]
-    if y is not None:
-        gaps[0] = np.atleast_1d(np.asarray(signed_gap(x, y), dtype=float))
-        if not np.all(np.abs(gaps[0]) <= 0.5):      # also refuses NaN and inf
-            raise ArcViolation("pair does not fit in a common arc of length 1/2")
-    m0 = _anchor_offset(m)
-    prev = ()
+    ends, below = {}, {}        # path -> its bids; path -> the branches below it
     for bid in bids:
-        keep = 0
-        while keep < min(len(prev), bid.depth) and prev[keep] == bid.path[keep]:
-            keep += 1
-        del us[keep + 1:], vs[keep + 1:], gaps[keep + 1:]
-        for b in bid.path[keep:]:
-            tu = m0 + b + us[-1]
-            pu = _solve_lift(m, tu)
-            us.append(wrap(pu))
-            if y is not None:
-                pv = _solve_lift(m, tu + gaps[-1], lo=-1.0, hi=3.0)
-                vs.append(wrap(pv))
-                gaps.append(pv - pu)
-        prev = bid.path
-        if y is None:
-            yield bid, np.stack(us[1:]), None, None
-        else:
-            yield bid, np.stack(us[1:]), np.stack(vs[1:]), np.abs(np.stack(gaps[1:]))
+        ends.setdefault(bid.path, []).append(bid)
+        for k, b in enumerate(bid.path):
+            below.setdefault(bid.path[:k], set()).add(b)
+    u = np.atleast_1d(np.asarray(wrap(x), dtype=float))
+    gap = None
+    if y is not None:
+        gap = np.atleast_1d(np.asarray(signed_gap(x, y), dtype=float))
+        if not np.all(np.abs(gap) <= 0.5):      # also refuses NaN and inf
+            raise ArcViolation("pair does not fit in a common arc of length 1/2")
+        u, gap = np.broadcast_arrays(u, gap)
+    rows = 1 if y is None else 2
+    lo, hi = _LO[:rows], _HI[:rows]
+    m0 = _anchor_offset(m)
+    # the root's v is never read, only its gap
+    stack = [_Node((), u[None], gap, np.ones((rows, 1)), None)]
+    while stack:
+        node = stack.pop()
+        for bid in ends.get(node.path, ()):
+            yield _pullback(bid, node, orbits)
+        kids = sorted(below.get(node.path, ()))
+        if not kids:
+            continue
+        tu = (m0 + np.array(kids, dtype=float))[:, None] + node.pts[0]
+        t = tu[None] if y is None else np.stack([tu, tu + node.gap])
+        p = _solve_lift(m, t, lo, hi)
+        pts = wrap(p)
+        prod = node.prod[:, None] * m.dlift(pts)
+        gap = None if y is None else p[1] - p[0]
+        for i in reversed(range(len(kids))):
+            stack.append(_Node(node.path + (kids[i],), pts[:, i],
+                               None if gap is None else gap[i], prod[:, i], node))
+
+
+def _pullback(bid: BranchId, node: _Node, orbits: bool) -> Pullback:
+    pts, gap, prod = node.pts, node.gap, node.prod
+    us = vs = None
+    if orbits:
+        chain = []
+        while node.parent is not None:
+            chain.append(node.pts)
+            node = node.parent
+        stacked = np.stack(chain[::-1], axis=1)     # (rows, depth, N)
+        us = stacked[0]
+        vs = stacked[1] if gap is not None else None
+    if gap is None:
+        return Pullback(bid, pts[0], prod[0], us=us)
+    return Pullback(bid, pts[0], prod[0], pts[1], prod[1], np.abs(gap), us, vs)
 
 
 def pullback(m: ExpandingMap, x, bid: BranchId):
     """Depth-n preimage of x along ``bid``; path[0] acts on x itself."""
-    y = pullback_orbit(m, x, bid)[-1]
+    y = next(walk(m, [bid], x)).u
     return float(y[0]) if np.ndim(x) == 0 else y
 
 
 def pullback_orbit(m: ExpandingMap, x, bid: BranchId):
     """Backward orbit u_1..u_n of x along ``bid`` (u_k at depth k)."""
-    _, orbit, _, _ = next(walk(m, [bid], x))
-    return orbit
+    return next(walk(m, [bid], x, orbits=True)).us
 
 
 def branch_contraction_check(m: ExpandingMap, x, y, n: int, bid: BranchId):
@@ -159,8 +224,7 @@ def branch_contraction_check(m: ExpandingMap, x, y, n: int, bid: BranchId):
     """
     if n != bid.depth:
         raise ValueError(f"n = {n} does not match branch depth {bid.depth}")
-    _, _, _, gaps = next(walk(m, [bid], x, y))
-    lhs = gaps[-1]
+    lhs = next(walk(m, [bid], x, y)).gap
     rhs = m.lam ** (-n) * np.atleast_1d(circle_distance(x, y))
     ok = bool(np.all(lhs <= rhs + 1e-10))
     if np.ndim(x) == 0:
@@ -172,16 +236,16 @@ def distortion_ratio(m: ExpandingMap, x, y, n: int, bid: BranchId):
     """(T^n)'(x_-n) / (T^n)'(y_-n) along one branch, with continuation."""
     if n != bid.depth:
         raise ValueError(f"n = {n} does not match branch depth {bid.depth}")
-    _, us, vs, _ = next(walk(m, [bid], x, y))
-    ratio = np.prod(m.dlift(us), axis=0) / np.prod(m.dlift(vs), axis=0)
+    end = next(walk(m, [bid], x, y))
+    ratio = end.du / end.dv
     return float(ratio[0]) if np.ndim(x) == 0 else ratio
 
 
 def deep_preimages(m: ExpandingMap, x, depth: int):
     """All w^depth preimages of x under the depth-fold composition,
     as (BranchId, point) in lexicographic path order."""
-    return [(bid, float(us[-1][0]) if np.ndim(x) == 0 else us[-1])
-            for bid, us, _, _ in walk(m, branch_ids(m.winding, depth), x)]
+    return [(end.bid, float(end.u[0]) if np.ndim(x) == 0 else end.u)
+            for end in walk(m, branch_ids(m.winding, depth), x)]
 
 
 def inverse_weight_sum(m: ExpandingMap, x, depth: int):
@@ -190,9 +254,9 @@ def inverse_weight_sum(m: ExpandingMap, x, depth: int):
     This is the depth-n transfer of the constant one density, evaluated by
     exhaustive branch enumeration: its node mean is 1 (mass conservation)
     and it equals 1 pointwise exactly when T'' = 0.  Vectorized over base
-    points.
+    points; the branches are summed in lexicographic path order.
     """
     total = 0.0
-    for _, orbit, _, _ in walk(m, branch_ids(m.winding, depth), x):
-        total += 1.0 / np.prod(m.dlift(orbit), axis=0)
+    for end in walk(m, branch_ids(m.winding, depth), x):
+        total += 1.0 / end.du
     return float(total[0]) if np.ndim(x) == 0 else total

@@ -18,7 +18,6 @@ from expcircle import (
     branch_ids,
     circle_distance,
     compute_ledger,
-    distortion_ratio,
     inf_value,
     integrate,
     invariant_density,
@@ -36,6 +35,7 @@ from expcircle.audits import (
     smooth_density,
     standard_maps,
 )
+from expcircle.inverse_branches import walk
 
 M = 4096
 X = np.arange(M) / M
@@ -139,13 +139,13 @@ def test_distortion_all_branches(capsys):
     cells = 0
     worst = -np.inf
     t0 = time.perf_counter()
-    for depth in range(1, 9):
-        hi = np.exp(omega * d) + 1e-9
-        lo = np.exp(-omega * d) - 1e-9
-        for bid in branch_ids(2, depth):
-            r = distortion_ratio(m, x, y, depth, bid)
-            worst = max(worst, float(np.max(np.maximum(r - hi, lo - r))))
-            cells += r.size
+    hi = np.exp(omega * d) + 1e-9
+    lo = np.exp(-omega * d) - 1e-9
+    paths = [bid for depth in range(1, 9) for bid in branch_ids(2, depth)]
+    for end in walk(m, paths, x, y):
+        r = end.du / end.dv
+        worst = max(worst, float(np.max(np.maximum(r - hi, lo - r))))
+        cells += r.size
     elapsed = time.perf_counter() - t0
     ok = worst <= 0.0 and elapsed < 30.0
     report(

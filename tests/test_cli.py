@@ -609,6 +609,18 @@ def test_coarse_grid_still_serves_invariant_and_decay(tmp_path, capsys):
     assert (tmp_path / "invariant.csv").exists()
 
 
+@pytest.mark.parametrize("resolution", [16, 32, 64, 128])
+@pytest.mark.parametrize("m", standard_maps(), ids=repr)
+def test_coarse_grid_decay_passes_its_invariance_check(tmp_path, m, resolution):
+    # phi is the fixed point of the renormalized step, so the check
+    # renormalizes L phi too: the raw image's mass drift on these grids
+    # exceeds the 1e-10 invariance tolerance
+    config = {"family": m.family, **dict(zip(("w", "eps"), m.params))}
+    cfg = write_config(tmp_path, {"map": config})
+    assert main(["decay", "--config", cfg, "--resolution", str(resolution),
+                 "--out", str(tmp_path)]) == 0
+
+
 def test_collapsed_coupling_marginals_exit_four(tmp_path, capsys):
     # float orbits of x -> 2x mod 1 reach 0 after ~53 steps, while coupled
     # pairs flow for up to 80 steps at alpha 0.3: the marginals collapse

@@ -15,6 +15,7 @@ from expcircle import (
     density_convergence_report,
     integrate,
     normalized_observable_density,
+    perturbed_map,
     uniform_density,
 )
 
@@ -65,6 +66,15 @@ def test_non_invariant_reference_is_rejected(bent):
     fake = GridDensity(1.0 + 0.5 * COS.values)
     with pytest.raises(NotInvariant):
         correlation_series(bent, fake, [COS], COS, 2)
+
+
+@pytest.mark.parametrize("resolution", [16, 4096])
+def test_uniform_density_is_not_invariant_under_a_perturbed_map(resolution):
+    # the invariance check renormalizes the image, so only a genuine move fails
+    m = perturbed_map(2, 0.1)
+    g = GridFunction(np.cos(2 * np.pi * np.arange(resolution) / resolution))
+    with pytest.raises(NotInvariant):
+        correlation_series(m, uniform_density(resolution), [g], g, 2)
 
 
 def test_observable_density_normalization(bent_phi):

@@ -222,16 +222,27 @@ def test_walk_matches_per_step_reference(m):
     x = rng.random(6)
     y = np.concatenate([rng.random(5), [x[0]]])   # one pair at distance 0
     paths = _walk_paths(m)
-    single = list(ib.walk(m, paths, x))
-    pairs = list(ib.walk(m, paths, x, y))
-    assert [b.path for b, *_ in single] == sorted(b.path for b in paths)
-    for (bid, us, vs, gaps), (bid2, us2, vs2, gaps2) in zip(single, pairs):
-        assert bid == bid2 and vs is None and gaps is None
-        assert np.array_equal(us, _ref_orbit(m, x, bid))
-        ref_us, ref_vs, ref_gaps = _ref_pair_orbits(m, x, y, bid)
-        assert np.array_equal(us2, ref_us)
-        assert np.array_equal(vs2, ref_vs)
-        assert np.array_equal(gaps2, ref_gaps)
+    single = list(ib.walk(m, paths, x, orbits=True))
+    pairs = list(ib.walk(m, paths, x, y, orbits=True))
+    assert [e.bid.path for e in single] == sorted(b.path for b in paths)
+    for e, e2 in zip(single, pairs):
+        assert e.bid == e2.bid
+        assert e.v is None and e.dv is None and e.gap is None and e.vs is None
+        ref = _ref_orbit(m, x, e.bid)
+        assert np.array_equal(e.us, ref)
+        assert np.array_equal(e.u, ref[-1])
+        assert np.array_equal(e.du, np.prod(m.dlift(ref), axis=0))
+        ref_us, ref_vs, ref_gaps = _ref_pair_orbits(m, x, y, e.bid)
+        assert np.array_equal(e2.us, ref_us) and np.array_equal(e2.vs, ref_vs)
+        assert np.array_equal(e2.u, ref_us[-1]) and np.array_equal(e2.v, ref_vs[-1])
+        assert np.array_equal(e2.gap, ref_gaps[-1])
+        assert np.array_equal(e2.du, np.prod(m.dlift(ref_us), axis=0))
+        assert np.array_equal(e2.dv, np.prod(m.dlift(ref_vs), axis=0))
+    # without orbits=True the ends are the same and no orbit is stacked
+    for e, e2 in zip(pairs, ib.walk(m, paths, x, y)):
+        assert e2.us is None and e2.vs is None
+        for field in ("u", "du", "v", "dv", "gap"):
+            assert np.array_equal(getattr(e, field), getattr(e2, field))
     for bid in paths[-m.winding ** 2:]:        # the one-path callers, at depth 8
         ref_us, ref_vs, ref_gaps = _ref_pair_orbits(m, x, y, bid)
         assert np.array_equal(pullback_orbit(m, x, bid), _ref_orbit(m, x, bid))
@@ -249,32 +260,42 @@ def test_walk_matches_per_step_reference(m):
 
 
 def test_walk_solves_each_prefix_once(bent, monkeypatch):
-    calls = []
+    calls, points = [], []
     solve = ib._solve_lift
 
-    def counted(*args, **kwargs):
+    def counted(m, target, *args, **kwargs):
         calls.append(1)
-        return solve(*args, **kwargs)
+        points.append(np.size(target))
+        return solve(m, target, *args, **kwargs)
 
     monkeypatch.setattr(ib, "_solve_lift", counted)
     paths = [b for depth in range(1, 9) for b in branch_ids(2, depth)]
     x, y = np.array([0.1, 0.7]), np.array([0.2, 0.5])
+    n = x.size
     assert len(paths) == 510
+    internal = 255                              # the tree's nodes above depth 8
 
     def solves(run):
         calls.clear()
+        points.clear()
         run()
-        return len(calls)
+        return sum(points), len(calls)
 
-    assert solves(lambda: list(ib.walk(bent, paths, x))) == 510
-    assert solves(lambda: list(ib.walk(bent, paths, x, y))) == 1020
+    # every prefix is solved once: one point per node and pair member, and
+    # one call per internal node for all its children
+    assert solves(lambda: list(ib.walk(bent, paths, x))) == (510 * n, internal)
+    assert solves(lambda: list(ib.walk(bent, paths, x, y))) == (1020 * n, internal)
     # in any order: the walk sorts the paths itself
-    assert solves(lambda: list(ib.walk(bent, paths[::-1], x, y))) == 1020
-    assert solves(lambda: deep_preimages(bent, 0.3, 8)) == 510
-    assert solves(lambda: inverse_weight_sum(bent, x, 8)) == 510
+    assert solves(lambda: list(ib.walk(bent, paths[::-1], x, y))) == (1020 * n, internal)
+    assert solves(lambda: list(ib.walk(bent, paths, x, y, orbits=True))) == (
+        1020 * n, internal)
+    assert solves(lambda: deep_preimages(bent, 0.3, 8)) == (510, internal)
+    assert solves(lambda: inverse_weight_sum(bent, x, 8)) == (510 * n, internal)
+    # a lone depth-8 path: one call per step
+    assert solves(lambda: list(ib.walk(bent, paths[-1:], x, y))) == (16 * n, 8)
     # one path from scratch per call, as the per-step reference does
-    assert solves(lambda: [_ref_orbit(bent, x, b) for b in paths]) == 3586
-    assert solves(lambda: [_ref_pair_orbits(bent, x, y, b) for b in paths]) == 7172
+    assert solves(lambda: [_ref_orbit(bent, x, b) for b in paths])[0] == 3586 * n
+    assert solves(lambda: [_ref_pair_orbits(bent, x, y, b) for b in paths])[0] == 7172 * n
 
 
 def test_walk_validates_before_solving(bent):
