@@ -18,7 +18,8 @@ Defaults: perturbed{2,0.05}, alpha=1, resolution=4096, seed=42,
 trials=100000.  Output directory: ``--out``, else the config ``out`` key,
 else ``$EXPCIRCLE_OUT``, else the working directory.  Exit codes: 0 ok,
 2 configuration/map error (including a resolution whose arrays do not
-fit in memory and an output file that cannot be written), 3 numerical
+fit in memory or whose operator table would pass its memory cap, and an
+output file that cannot be written), 3 numerical
 non-convergence, 4 audit violation.
 """
 from __future__ import annotations

@@ -17,7 +17,6 @@ import concurrent.futures
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .circle_map import ExpandingMap, evaluate
 from .density_grid import (
@@ -165,6 +164,10 @@ def deterministic_contraction_run(
 def _chi2_marginal(points: np.ndarray, density: GridDensity) -> dict:
     """Chi-square comparison of sampled points against the density binned
     into CHI2_BINS equal arcs."""
+    # imported here: the commands that run no Monte-Carlo coupling never
+    # pay scipy.special's start-up
+    from scipy.special import chdtrc
+
     M = density.resolution
     v = density.values
     cell = (v + np.roll(v, -1)) / (2.0 * M)

@@ -11,6 +11,7 @@ and log a warning when the drift exceeds 1e-8.
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -35,12 +36,18 @@ class GridFunction:
 
     def __init__(self, values):
         v = np.array(values, dtype=float, copy=True)
+        self._hold(v, finite=bool(np.isfinite(v).all()))
+
+    def _hold(self, v: np.ndarray, *, finite: bool) -> None:
+        """Check the float array ``v`` and keep it, read-only and uncopied:
+        no one else may hold it.  ``finite`` says whether every value of
+        ``v`` is finite."""
         if v.ndim != 1:
             raise ValueError("grid values must be one-dimensional")
         M = v.size
         if M < 8 or M & (M - 1):
             raise ValueError(f"resolution must be a power of two >= 8, got {M}")
-        if not np.all(np.isfinite(v)):
+        if not finite:
             raise ValueError("grid values must be finite")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -110,7 +117,7 @@ class GridDensity(GridFunction):
 
     def __init__(self, values, *, normalize: bool = True):
         v = np.asarray(values, dtype=float)
-        lo = float(v.min()) if v.size else 0.0
+        lo, hi = (float(v.min()), float(v.max())) if v.size else (0.0, 0.0)
         if lo < 0.0:
             raise NonPositiveDensity(f"density has negative node value {lo:.6g}")
         mean = float(v.mean()) if v.size else 0.0
@@ -120,13 +127,26 @@ class GridDensity(GridFunction):
             # it makes every normalized density straddle 1, and a constant
             # one exactly 1, as unit mass implies.
             if v.size:
-                mean = min(max(mean, lo), float(v.max()))
+                mean = min(max(mean, lo), hi)
             if mean <= 0.0:
                 raise NonPositiveDensity("density has zero total mass")
             v = v / mean
         elif abs(mean - 1.0) > 1e-12:
             raise ValueError(f"density mean {mean!r} is not 1 within 1e-12")
-        super().__init__(v)
+        else:
+            v = v.copy()
+        # A NaN shows in min and max, an infinity in one of them.  Finite
+        # values keep v / mean finite: the node sum of nonnegative floats is
+        # at least their max, so mean >= max / M.
+        self._hold(v, finite=math.isfinite(lo) and math.isfinite(hi))
+
+
+def _owned(values: np.ndarray) -> GridFunction:
+    """A GridFunction holding ``values``, a fresh float64 array that no one
+    else holds, checked and frozen in place instead of copied."""
+    f = object.__new__(GridFunction)
+    f._hold(values, finite=bool(np.isfinite(values).all()))
+    return f
 
 
 def uniform_density(resolution: int = DEFAULT_RESOLUTION) -> GridDensity:

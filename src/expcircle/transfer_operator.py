@@ -5,18 +5,25 @@
 Between nodes u is evaluated with a 4-point Lagrange stencil.  Per (map,
 resolution) the node preimages are solved once and the stencil is stored
 as a sparse matrix E of shape (w*M, M), four weights per row, together
-with the (w, M) weights 1/T'; the pair lives as long as its map.  An
-application is then one product E u, clamped at zero when the input is
-nonnegative so positivity survives exactly, and a weighted sum over the
-w branches.  The grid representation and all norms stay piecewise-linear;
-the higher-order stencil is confined to this module because the linear
-one plateaus near 1e-6 on node-level operator identities (mass
-conservation, exact trigonometric pushforwards) that are audited at the
-1e-10 scale.
+with the (w, M) weights 1/T'; the pair lives as long as its map.  E's
+weights and its int32 column indices and row pointers (int64 only once
+4*w*M + 1 passes the int32 range) are allocated once and filled one branch
+at a time, so a stencil row costs 60 bytes kept and at most
+TABLE_PEAK_BYTES_PER_ROW while it is built; a table whose build
+would peak above TABLE_BYTES_CAP, half the physical memory, is refused
+with MemoryError before anything is allocated.  An application is one
+product E u, clamped at zero when the input is nonnegative so positivity
+survives exactly, weighted by 1/T' in place and summed over the w
+branches into the one array the result keeps.  The grid representation
+and all norms stay piecewise-linear; the higher-order stencil is confined
+to this module because the linear one plateaus near 1e-6 on node-level
+operator identities (mass conservation, exact trigonometric pushforwards)
+that are audited at the 1e-10 scale.
 """
 
 from __future__ import annotations
 
+import os
 import weakref
 from dataclasses import dataclass
 
@@ -31,6 +38,7 @@ from .density_grid import (
     integrate,
     l1_distance,
     sup_norm,
+    _owned,
     uniform_density,
 )
 from .errors import NoConvergence
@@ -42,6 +50,14 @@ DRIFT_WARN = density_grid.DRIFT_WARN
 logger = density_grid.logger
 
 
+# Bytes per stencil row that _build_operator holds at its peak: the 60 it
+# keeps plus one branch's M-long work arrays, 99 on the w = 2 standard maps
+# and 74 on linear{3} at M = 65536 (tier-1 pins it).  A build whose
+# estimated peak passes TABLE_BYTES_CAP, half the physical memory, is
+# refused.
+TABLE_PEAK_BYTES_PER_ROW = 100
+TABLE_BYTES_CAP = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
+
 # Per-map operators, keyed by resolution; an entry lives as long as its map.
 # Operators are built and applied on one thread: the audits run serially,
 # and the Monte-Carlo worker thread only evaluates the map, so the cache
@@ -49,43 +65,70 @@ logger = density_grid.logger
 _OPERATORS: "weakref.WeakKeyDictionary[ExpandingMap, dict]" = weakref.WeakKeyDictionary()
 
 
+def _index_dtype(winding: int, resolution: int):
+    """The integer type of E's column indices and row pointers: int32 while
+    the largest row pointer, 4 * winding * resolution, fits in it."""
+    return np.int32 if 4 * winding * resolution + 1 <= np.iinfo(np.int32).max else np.int64
+
+
 def _build_operator(m: ExpandingMap, resolution: int):
     """(E, wgt): E is the (winding*M, M) CSR matrix whose row b*M + i holds
     the 4-point Lagrange weights of node i's preimage under branch b, in
     column order j-1, j, j+1, j+2 so that E @ v sums the stencil terms in
-    that order; wgt is the read-only (winding, M) array of 1/T' there."""
+    that order; wgt is the read-only (winding, M) array of 1/T' there.
+
+    E's arrays are allocated once, at their final size, and filled one
+    branch at a time, so that the work arrays are M long, not winding*M."""
     M = resolution
+    w = m.winding
+    rows = w * M
+    itype = _index_dtype(w, M)
+    coef = np.empty((rows, 4))
+    cols = np.empty((rows, 4), dtype=itype)
+    wgt = np.empty((w, M))
     x = np.arange(M) / M
     m0 = _anchor_offset(m)
-    y = np.empty((m.winding, M))
-    for b in range(m.winding):
-        y[b] = _solve_lift(m, m0 + b + x)
-    wgt = 1.0 / m.dlift(y)
+    for b in range(w):
+        y = _solve_lift(m, m0 + b + x)
+        np.divide(1.0, m.dlift(y), out=wgt[b])
+        u = np.remainder(y, 1.0, out=y)
+        u *= M
+        j = np.floor(u)
+        t = np.subtract(u, j, out=u)
+        j = j.astype(itype)
+        j %= M
+        c = cols[b * M:(b + 1) * M]
+        c[:, 0] = (j - 1) % M
+        c[:, 1] = j
+        c[:, 2] = (j + 1) % M
+        c[:, 3] = (j + 2) % M
+        c = coef[b * M:(b + 1) * M]
+        c[:, 0] = -t * (t - 1.0) * (t - 2.0) / 6.0
+        c[:, 1] = (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0
+        c[:, 2] = -(t + 1.0) * t * (t - 2.0) / 2.0
+        c[:, 3] = (t + 1.0) * t * (t - 1.0) / 6.0
     wgt.setflags(write=False)
-    u = (y.ravel() % 1.0) * M
-    j = np.floor(u).astype(np.int64)
-    t = u - j
-    j %= M
-    cols = np.stack([(j - 1) % M, j, (j + 1) % M, (j + 2) % M], axis=1)
-    coef = np.stack([
-        -t * (t - 1.0) * (t - 2.0) / 6.0,
-        (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
-        -(t + 1.0) * t * (t - 2.0) / 2.0,
-        (t + 1.0) * t * (t - 1.0) / 6.0,
-    ], axis=1)
-    rows = y.size
     E = sparse.csr_array(
-        (coef.ravel(), cols.ravel(), np.arange(0, 4 * rows + 1, 4)),
+        (coef.ravel(), cols.ravel(), np.arange(0, 4 * rows + 1, 4, dtype=itype)),
         shape=(rows, M),
     )
     return E, wgt
 
 
 def _operator(m: ExpandingMap, resolution: int):
-    """The cached (E, wgt) of ``m`` at ``resolution``, built on first use."""
+    """The cached (E, wgt) of ``m`` at ``resolution``, built on first use.
+    A table whose build would peak above TABLE_BYTES_CAP is refused with
+    MemoryError before anything is allocated."""
     per_map = _OPERATORS.setdefault(m, {})
     op = per_map.get(resolution)
     if op is None:
+        peak = m.winding * resolution * TABLE_PEAK_BYTES_PER_ROW
+        if peak > TABLE_BYTES_CAP:
+            raise MemoryError(
+                f"the operator table of {m!r} at M={resolution} would peak near "
+                f"{peak / 2**30:.3g} GiB, above the cap of {TABLE_BYTES_CAP / 2**30:.3g} "
+                "GiB (half the physical memory)"
+            )
         op = per_map[resolution] = _build_operator(m, resolution)
     return op
 
@@ -93,10 +136,13 @@ def _operator(m: ExpandingMap, resolution: int):
 def apply_function(m: ExpandingMap, f: GridFunction) -> GridFunction:
     """L f without any renormalization; preserves node-wise nonnegativity."""
     E, wgt = _operator(m, f.resolution)
-    ev = E @ f.values
-    if np.all(f.values >= 0.0):
+    v = f.values
+    ev = E @ v
+    if v.min() >= 0.0:
         np.maximum(ev, 0.0, out=ev)
-    return GridFunction((ev.reshape(wgt.shape) * wgt).sum(axis=0))
+    ev = ev.reshape(wgt.shape)
+    ev *= wgt
+    return _owned(ev.sum(axis=0))
 
 
 def apply(m: ExpandingMap, psi: GridDensity) -> GridDensity:
@@ -148,11 +194,21 @@ class IterationDiagnostics:
         ]
 
 
+def _central_differences(v: np.ndarray) -> np.ndarray:
+    """|v[i+1] - v[i-1]| * M/2 at each node i of the periodic grid values
+    ``v``, taken by slicing."""
+    M = v.size
+    d = np.empty(M)
+    np.subtract(v[2:], v[:-2], out=d[1:-1])
+    d[0] = v[1] - v[-1]
+    d[-1] = v[0] - v[-2]
+    d *= M / 2.0
+    return np.abs(d, out=d)
+
+
 def _derivative_l1(f: GridDensity) -> float:
     """Mean |central finite difference|, an L1 size of the derivative."""
-    v = f.values
-    M = v.size
-    return float(np.abs((np.roll(v, -1) - np.roll(v, 1)) * (M / 2.0)).mean())
+    return float(_central_differences(f.values).mean())
 
 
 def _step_record(step: int, prev: GridDensity, cur: GridDensity) -> StepRecord:
@@ -219,10 +275,7 @@ def invariant_density(
 
 
 def _c1_size(f: GridFunction) -> float:
-    v = f.values
-    M = v.size
-    fd = np.abs((np.roll(v, -1) - np.roll(v, 1)) * (M / 2.0)).max()
-    return sup_norm(f) + float(fd)
+    return sup_norm(f) + float(_central_differences(f.values).max())
 
 
 def check_growth_bounds(m: ExpandingMap, f: GridFunction, steps) -> list:

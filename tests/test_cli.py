@@ -1,5 +1,7 @@
 import collections
+import contextlib
 import hashlib
+import io
 import json
 import logging
 import math
@@ -7,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
 
@@ -19,11 +22,14 @@ from hypothesis.extra import numpy as hnp
 import expcircle
 from expcircle.audits import MASS_TOL, PAIR_SLACK, cos_observable, standard_maps
 from expcircle.circle_map import linear_map
-from expcircle.cli import _json_chunks, _numpy_to_json, _write_json, main
+from expcircle.cli import (RunConfig, _json_chunks, _numpy_to_json, _write_json,
+                           main, make_map)
 from expcircle.correlation_suite import decay_report
 from expcircle.coupling_lab import CHI2_P_FLOOR
 from expcircle.density_grid import ROWS_PER_WRITE
 from expcircle.system_constants import ROUNDING_SLACK
+
+from conftest import start_counting
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -376,20 +382,73 @@ VERIFY_DRIFTS = {
 }
 
 
+class DriftLog(logging.Handler):
+    """Counts each distinct "mass drift" warning logged."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.drifts = collections.Counter()
+
+    def emit(self, record):
+        message = record.getMessage()
+        if "mass drift" in message:
+            self.drifts[message] += 1
+
+
+@dataclass
+class VerifyRun:
+    code: int                        # the exit code
+    out: Path                        # the directory verify.json went to
+    stdout: str
+    counts: collections.Counter      # the work counts of start_counting
+    drifts: collections.Counter      # times each mass-drift warning was logged
+
+
+def run_verify(argv, out: Path) -> VerifyRun:
+    """Run ``main(argv)``, a verify writing to ``out``, capturing its
+    stdout, its mass-drift warnings and its work counts."""
+    logger = logging.getLogger("expcircle")
+    log, level = DriftLog(), logger.level
+    logger.addHandler(log)
+    logger.setLevel(logging.WARNING)
+    stdout = io.StringIO()
+    try:
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(stdout):
+            counts = start_counting(mp)
+            code = main(argv)
+    finally:
+        logger.removeHandler(log)
+        logger.setLevel(level)
+    return VerifyRun(code, out, stdout.getvalue(), counts, log.drifts)
+
+
+DEFAULT_MAP = repr(make_map(RunConfig()))
+
+
+@pytest.fixture(scope="module")
+def default_verify(tmp_path_factory) -> VerifyRun:
+    """The default map's verify run, with no config, shared by the tests
+    that read it: each cusp side density drifts in mass on its first steps,
+    and correlation-decay and reduction-chain read one walk of it."""
+    out = tmp_path_factory.mktemp("verify")
+    return run_verify(["verify", "--trials", "20000", "--out", str(out)], out)
+
+
 @pytest.mark.parametrize("m", standard_maps(), ids=repr)
-def test_verify_standard_maps(tmp_path, capsys, caplog, count_work, m):
-    config = {"family": m.family, **dict(zip(("w", "eps"), m.params))}
-    cfg = write_config(tmp_path, {"map": config, "trials": 20000})
-    counts = count_work()
-    with caplog.at_level(logging.WARNING, logger="expcircle"):
-        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+def test_verify_standard_maps(tmp_path, request, m):
+    if repr(m) == DEFAULT_MAP:
+        run = request.getfixturevalue("default_verify")
+    else:
+        config = {"family": m.family, **dict(zip(("w", "eps"), m.params))}
+        cfg = write_config(tmp_path, {"map": config, "trials": 20000})
+        run = run_verify(["verify", "--config", cfg, "--out", str(tmp_path)], tmp_path)
+    assert run.code == 0
+    counts = run.counts
     assert (counts["apply"], counts["scan"], counts["rows"]) == VERIFY_WORK[repr(m)]
-    drifts = collections.Counter(r.getMessage() for r in caplog.records
-                                 if "mass drift" in r.getMessage())
-    assert len(drifts) == VERIFY_DRIFTS[repr(m)]
-    assert set(drifts.values()) <= {1}
-    out = capsys.readouterr().out
-    report = json.loads((tmp_path / "verify.json").read_text())
+    assert len(run.drifts) == VERIFY_DRIFTS[repr(m)]
+    assert set(run.drifts.values()) <= {1}
+    out = run.stdout
+    report = json.loads((run.out / "verify.json").read_text())
     assert report["map"] == repr(m)
     assert all(r["ok"] for r in report["results"])
     assert [r["name"] for r in report["results"]] == VERIFY_NAMES
@@ -407,21 +466,16 @@ def test_verify_standard_maps(tmp_path, capsys, caplog, count_work, m):
         token = re.findall(r"-?\d+\.\d+(?:e[-+]\d+)?", r["detail"])[-1]
         half_ulp = 0.5 * 10.0 ** Decimal(token).as_tuple().exponent
         assert abs(printed(margin) - float(token)) <= half_ulp * (1 + 1e-9), r
-    assert_golden(tmp_path, f"verify on {m!r}")
+    assert_golden(run.out, f"verify on {m!r}")
 
 
-def test_verify_walks_and_logs_each_side_chain_once(tmp_path, caplog, count_work):
-    # the default map, with no config: each cusp side density drifts in mass
-    # on its first steps, and correlation-decay and reduction-chain read one
-    # walk of it
-    counts = count_work()
-    with caplog.at_level(logging.WARNING, logger="expcircle"):
-        assert main(["verify", "--trials", "20000", "--out", str(tmp_path)]) == 0
-    assert (counts["apply"], counts["scan"]) == VERIFY_WORK["perturbed{2,0.05}"][:2]
-    drifts = collections.Counter(r.getMessage() for r in caplog.records
-                                 if "mass drift" in r.getMessage())
-    assert len(drifts) == VERIFY_DRIFTS["perturbed{2,0.05}"]
-    assert set(drifts.values()) == {1}
+def test_verify_walks_and_logs_each_side_chain_once(default_verify):
+    # the default map, with no config (the shared run above)
+    run = default_verify
+    assert run.code == 0
+    assert (run.counts["apply"], run.counts["scan"]) == VERIFY_WORK[DEFAULT_MAP][:2]
+    assert len(run.drifts) == VERIFY_DRIFTS[DEFAULT_MAP]
+    assert set(run.drifts.values()) == {1}
 
 
 def test_env_var_output_fallback(tmp_path, monkeypatch):
@@ -649,7 +703,7 @@ def child_env() -> dict:
 
 def test_cli_import_leaves_scipy_stats_out():
     # scipy.stats would dominate start-up; the package needs only
-    # scipy.sparse and scipy.special
+    # scipy.sparse, and scipy.special for the chi-square test
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, expcircle.cli; print('scipy.stats' in sys.modules)"],
@@ -659,6 +713,26 @@ def test_cli_import_leaves_scipy_stats_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_invariant_and_decay_leave_scipy_special_out(tmp_path):
+    # only the Monte-Carlo coupling's chi-square test needs scipy.special
+    runs = [["invariant", "--resolution", "512"],
+            ["decay", "--resolution", "512", "--n-max", "4"]]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from expcircle.cli import main\n"
+         f"for argv in {runs!r}:\n"
+         f"    assert main(argv + ['--out', {str(tmp_path)!r}]) == 0\n"
+         "print('scipy.special' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+    assert {p.name for p in tmp_path.iterdir()} == {
+        "invariant.csv", "invariant.json", "decay.csv", "decay.json"}
 
 
 def test_module_entry_point(tmp_path):

@@ -1,11 +1,15 @@
 import gc
+import json
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from expcircle import transfer_operator
+from expcircle import density_grid, transfer_operator
 from expcircle.audits import standard_maps
+from expcircle.cli import main
+from expcircle.errors import NonPositiveDensity
 from expcircle.inverse_branches import _anchor_offset, _solve_lift
 from expcircle import (
     GridDensity,
@@ -214,6 +218,14 @@ def test_apply_matches_the_pointwise_stencil_bit_for_bit(resolution):
                 assert np.array_equal(cur.values, ref), (m, kind, step)
 
 
+def test_central_differences_match_the_rolled_reference():
+    rng = np.random.Generator(np.random.Philox(key=5))
+    for size in (8, 4096):
+        v = rng.normal(size=size)
+        ref = np.abs((np.roll(v, -1) - np.roll(v, 1)) * (size / 2.0))
+        assert np.array_equal(transfer_operator._central_differences(v), ref)
+
+
 @pytest.fixture
 def builds(monkeypatch):
     """Resolutions of the operators built while the test runs, in order."""
@@ -243,3 +255,83 @@ def test_operator_is_built_once_and_freed_with_its_map(builds):
     gc.collect()
     assert alive() is None
     assert len(cache) == held - 1
+
+
+def traced_build(m, resolution):
+    """(E, wgt, peak, kept): the operator of ``m`` at ``resolution`` and the
+    bytes its build allocated at its peak and still holds at its end."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        E, wgt = transfer_operator._build_operator(m, resolution)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return E, wgt, peak - start, kept - start
+
+
+def test_operator_table_bytes_per_row():
+    # a stencil row keeps 4 float64 weights, 4 int32 columns, its int32 row
+    # pointer and one 1/T': 60 bytes; the build works branch by branch
+    for m in standard_maps():
+        rows = m.winding * 65536
+        E, wgt, peak, kept = traced_build(m, 65536)
+        assert E.indices.dtype == E.indptr.dtype == np.int32
+        assert peak <= transfer_operator.TABLE_PEAK_BYTES_PER_ROW * rows, m
+        assert kept <= 64 * rows, m
+        if repr(m) == "linear{3}":
+            assert peak <= 90 * rows
+
+
+def test_index_width_widens_only_past_int32():
+    # the largest row pointer is 4 w M; nothing is allocated here
+    index_dtype = transfer_operator._index_dtype
+    assert index_dtype(3, 65536) == np.int32
+    assert index_dtype(64, 2**22) == np.int32
+    assert index_dtype(1, 536870911) == np.int32       # 4 w M + 1 = 2**31 - 3
+    assert index_dtype(1, 536870912) == np.int64       # 4 w M + 1 = 2**31 + 1
+    assert index_dtype(64, 2**23) == np.int64
+
+
+def test_table_above_the_memory_cap_is_refused_unbuilt(builds, tmp_path, capsys):
+    # linear{64} at the smallest M whose table would peak above the cap
+    # (2**20 with 8 GB of memory); only the M-node starting density is
+    # allocated before the refusal
+    per_node = 64 * transfer_operator.TABLE_PEAK_BYTES_PER_ROW
+    M = 1 << (transfer_operator.TABLE_BYTES_CAP // per_node).bit_length()
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"map": {"family": "linear", "w": 64}}))
+    out = tmp_path / "out"
+    assert main(["invariant", "--config", str(cfg), "--resolution", str(M),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: the operator table of linear{64}")
+    assert err.count("\n") == 1
+    assert builds == []
+    assert not out.exists()
+
+
+def test_non_finite_products_are_refused(monkeypatch):
+    m = linear_map(2)
+    E, wgt = transfer_operator._operator(m, M)
+    for bad in (np.nan, np.inf):
+        poisoned = wgt.copy()
+        poisoned[1, 7] = bad
+        monkeypatch.setitem(transfer_operator._OPERATORS[m], M, (E, poisoned))
+        with pytest.raises(ValueError, match="grid values must be finite"):
+            apply_function(m, GridFunction(cos_k(1)))
+        with pytest.raises(ValueError, match="grid values must be finite"):
+            apply(m, uniform_density(M))
+        raw = np.ones(M)
+        raw[7] = bad
+        with pytest.raises(ValueError, match="grid values must be finite"):
+            density_grid._owned(raw.copy())
+        with pytest.raises(ValueError, match="grid values must be finite"), \
+                np.errstate(invalid="ignore"):     # inf / inf
+            GridDensity(raw)
+    with pytest.raises(NonPositiveDensity, match="negative node value"):
+        GridDensity(-np.ones(M))
+    with pytest.raises(NonPositiveDensity, match="negative node value"):
+        GridDensity(np.full(M, -np.inf))
+    with pytest.raises(NonPositiveDensity, match="zero total mass"):
+        GridDensity(np.zeros(M))
