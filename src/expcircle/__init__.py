@@ -8,18 +8,15 @@ from .circle_map import (
     certify,
     circle_distance,
     custom_map,
-    derivative,
     evaluate,
     linear_map,
     perturbed_map,
-    second_derivative,
     signed_gap,
     wrap,
 )
 from .correlation_suite import (
     ConvergenceReport,
     DecayReport,
-    correlation,
     correlation_series,
     decay_report,
     density_convergence_report,
@@ -69,14 +66,9 @@ from .errors import (
 )
 from .inverse_branches import (
     BranchId,
-    branch_contraction_check,
     branch_ids,
-    deep_preimages,
-    distortion_ratio,
     inverse_weight_sum,
     preimages,
-    pullback,
-    pullback_orbit,
 )
 from .system_constants import (
     ConstantsLedger,
@@ -93,7 +85,6 @@ from .transfer_operator import (
     cesaro,
     check_growth_bounds,
     invariant_density,
-    iterate,
 )
 
 __version__ = "0.1.0"

@@ -88,7 +88,7 @@ class AuditResult:
     ok: bool
     detail: str = ""
     seconds: float = 0.0
-    margin: float | None = None     # bound minus measured; None if compound
+    margin: float | None = None     # bound + slack - measured; None if compound
 
     def __bool__(self) -> bool:
         return self.ok
@@ -211,16 +211,22 @@ def cached_invariant(m: ExpandingMap, resolution: int = DEFAULT_RESOLUTION):
 
 
 class Verdict(NamedTuple):
-    """One result as an audit body measured it; ``margin`` is bound minus
-    measured (>= 0 passes), None where the verdict is not one comparison."""
+    """One result as an audit body measured it; ``margin`` is bound plus
+    slack minus measured (>= 0 passes), None where the verdict is not one
+    comparison."""
     ok: bool
     detail: str
     margin: float | None = None
 
 
 def _gate(margin: float, detail: str, slack: float = 0.0, strict: bool = False) -> Verdict:
-    """A single numeric comparison: pass at margin >= -slack (> if strict)."""
-    return Verdict(margin > -slack if strict else margin >= -slack, detail, float(margin))
+    """A single numeric comparison: pass at margin + slack >= 0 (> if
+    strict), and that sum is the recorded margin, so its sign is the
+    verdict.  A float sum is 0 only when margin is exactly -slack, and
+    rounding keeps the sign of any other, so this passes exactly where
+    margin >= -slack (> -slack) does."""
+    margin = float(margin + slack)
+    return Verdict(margin > 0.0 if strict else margin >= 0.0, detail, margin)
 
 
 # (attribute, result count, run_all arguments taken, per-map), in run order.

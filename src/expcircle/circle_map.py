@@ -81,16 +81,6 @@ def evaluate(m: ExpandingMap, x):
     return wrap(m.lift(np.asarray(x, dtype=float)))
 
 
-def derivative(m: ExpandingMap, x):
-    d = m.dlift(np.asarray(x, dtype=float))
-    return float(d) if np.ndim(x) == 0 else d
-
-
-def second_derivative(m: ExpandingMap, x):
-    d = m.d2lift(np.asarray(x, dtype=float))
-    return float(d) if np.ndim(x) == 0 else d
-
-
 def _audit(m: ExpandingMap, points: int = AUDIT_POINTS) -> None:
     """Check the asserted constants against a dense sample of the lift."""
     if m.winding < 2:

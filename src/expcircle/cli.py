@@ -84,7 +84,7 @@ def _load_config(path: str) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, or an int past 4300 digits
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -102,6 +102,9 @@ def _load_config(path: str) -> dict:
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
+    # lowest precedence first: $EXPCIRCLE_OUT, then the config, then flags
+    if os.environ.get("EXPCIRCLE_OUT"):
+        cfg.out = os.environ["EXPCIRCLE_OUT"]
     if args.config:
         raw = _load_config(args.config)
         map_cfg = raw.get("map", {})
@@ -118,8 +121,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             setattr(cfg, key, value)
     if args.out is not None:
         cfg.out = args.out
-    elif cfg.out == "." and os.environ.get("EXPCIRCLE_OUT"):
-        cfg.out = os.environ["EXPCIRCLE_OUT"]
     _validate(cfg, CHI2_BINS if args.command in ("coupling", "verify") else 16)
     return cfg
 
@@ -134,9 +135,13 @@ def _validate(cfg: RunConfig, min_resolution: int) -> None:
             raise ConfigError(f"{key} must be a number, not {value!r}")
     if not isinstance(cfg.w, int):
         raise ConfigError(f"map winding must be an integer, got {cfg.w!r}")
+    if abs(cfg.w) > 2**53:
+        raise ConfigError("map winding must not exceed 2**53 in size, where "
+                          "float64 stops holding every integer exactly")
     for key in ("alpha", "eps", "tol"):
         value = getattr(cfg, key)
-        if not isinstance(value, (int, float)) or not math.isfinite(value):
+        # refuses NaN, the infinities and ints past the float64 range
+        if not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
             raise ConfigError(f"{key} must be a finite number, got {value!r}")
     if cfg.eps < 0:
         raise ConfigError(f"eps must be nonnegative, got {cfg.eps!r}")

@@ -74,12 +74,6 @@ def correlation_series(
     return out
 
 
-def correlation(m, phi, f, g, n: int) -> float:
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return float(correlation_series(m, phi, [f], g, n)[0, n])
-
-
 def normalized_observable_density(g: GridFunction, phi: GridDensity) -> GridDensity:
     """phi (g + 2 sup|g|) / (int g dmu + 2 sup|g|): the unit-mass density
     that reduces correlation decay to density convergence."""

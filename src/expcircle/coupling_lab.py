@@ -68,7 +68,6 @@ class DeterministicCoupling:
     reconstruction_errors: list          # (n, max over the pair of L1 error)
     epoch_residuals: list                # per epoch k: (residual1, residual2)
     marginals: dict                      # step -> L^n psi1 snapshot
-    rho: GridDensity | None = None       # regenerated pool at the last epoch
 
     def max_tv_excess(self) -> float:
         return max(
@@ -157,7 +156,6 @@ def deterministic_contraction_run(
         reconstruction_errors=recon_errors,
         epoch_residuals=epoch_residuals,
         marginals=marginals,
-        rho=rho,
     )
 
 

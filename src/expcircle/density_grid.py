@@ -3,9 +3,11 @@
 A grid function is a vector of values at the M equispaced nodes j/M with
 piecewise-linear periodic interpolation in between; M is a power of two
 (default 4096).  Quadrature is the node mean, which integrates the
-periodic linear interpolant exactly.  Densities are nonnegative grid
-functions of unit mean; operations that should preserve mass renormalize
-and log a warning when the drift exceeds 1e-8.
+periodic linear interpolant exactly.  Grid functions are immutable and
+have no arithmetic: callers combine the ``values`` arrays and wrap the
+result.  Densities are nonnegative grid functions of unit mean, divided
+by their node mean on construction; operations that should preserve mass
+log a warning when the drift exceeds 1e-8.
 """
 
 from __future__ import annotations
@@ -73,68 +75,29 @@ class GridFunction:
         out = self.values[j] * (1.0 - t) + self.values[(j + 1) % M] * t
         return float(out) if np.ndim(x) == 0 else out
 
-    def _binary(self, other, op):
-        if isinstance(other, GridFunction):
-            if other.resolution != self.resolution:
-                raise ResolutionMismatch(
-                    f"{self.resolution} vs {other.resolution}"
-                )
-            return GridFunction(op(self.values, other.values))
-        return GridFunction(op(self.values, float(other)))
-
-    def __add__(self, other):
-        return self._binary(other, np.add)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
-
-    def __rsub__(self, other):
-        return GridFunction(float(other) - self.values)
-
-    def __mul__(self, other):
-        return self._binary(other, np.multiply)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return GridFunction(-self.values)
-
     def __repr__(self):
         return f"{type(self).__name__}(M={self.resolution})"
 
-    @classmethod
-    def from_function(cls, fn, resolution: int = DEFAULT_RESOLUTION):
-        x = np.arange(resolution) / resolution
-        return cls(np.asarray(fn(x), dtype=float))
-
 
 class GridDensity(GridFunction):
-    """Nonnegative grid function of unit node mean."""
+    """Nonnegative grid function of unit node mean: the values given are
+    divided by their node mean."""
 
     __slots__ = ()
 
-    def __init__(self, values, *, normalize: bool = True):
+    def __init__(self, values):
         v = np.asarray(values, dtype=float)
         lo, hi = (float(v.min()), float(v.max())) if v.size else (0.0, 0.0)
         if lo < 0.0:
             raise NonPositiveDensity(f"density has negative node value {lo:.6g}")
-        mean = float(v.mean()) if v.size else 0.0
-        if normalize:
-            # The exact node mean lies in [min, max] but the rounded one can
-            # miss it (a constant vector need not sum exactly).  Pinned back,
-            # it makes every normalized density straddle 1, and a constant
-            # one exactly 1, as unit mass implies.
-            if v.size:
-                mean = min(max(mean, lo), hi)
-            if mean <= 0.0:
-                raise NonPositiveDensity("density has zero total mass")
-            v = v / mean
-        elif abs(mean - 1.0) > 1e-12:
-            raise ValueError(f"density mean {mean!r} is not 1 within 1e-12")
-        else:
-            v = v.copy()
+        # The exact node mean lies in [min, max] but the rounded one can miss
+        # it (a constant vector need not sum exactly).  Pinned back, it makes
+        # every density straddle 1, and a constant one exactly 1, as unit
+        # mass implies.
+        mean = min(max(float(v.mean()), lo), hi) if v.size else 0.0
+        if mean <= 0.0:
+            raise NonPositiveDensity("density has zero total mass")
+        v = v / mean
         # A NaN shows in min and max, an infinity in one of them.  Finite
         # values keep v / mean finite: the node sum of nonnegative floats is
         # at least their max, so mean >= max / M.
@@ -150,7 +113,7 @@ def _owned(values: np.ndarray) -> GridFunction:
 
 
 def uniform_density(resolution: int = DEFAULT_RESOLUTION) -> GridDensity:
-    return GridDensity(np.ones(resolution), normalize=False)
+    return GridDensity(np.ones(resolution))
 
 
 def _same_resolution(f: GridFunction, g: GridFunction) -> None:

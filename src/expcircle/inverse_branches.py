@@ -1,5 +1,4 @@
-"""Inverse-branch machinery: single-step preimages, deep pullbacks, and the
-backward-contraction / bounded-distortion audits built on them.
+"""Inverse-branch machinery: single-step preimages and the pullback tree.
 
 Depth-n preimages are always composed from single-step pullbacks; nothing
 here inverts the n-fold composition directly.  Every depth-n caller goes
@@ -18,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circle_map import ExpandingMap, circle_distance, signed_gap, wrap
+from .circle_map import ExpandingMap, signed_gap, wrap
 from .errors import ArcViolation, RootFindingFailure
 
 MAX_DEPTH = 12
@@ -104,7 +103,7 @@ def preimages(m: ExpandingMap, x):
 
 class Pullback(NamedTuple):
     """One path's end in ``walk``: its depth-n preimages and the derivative
-    products along it; the whole orbits only when asked for."""
+    products along it."""
 
     bid: BranchId
     u: np.ndarray                   # u_n, the depth-n preimage of x
@@ -112,8 +111,6 @@ class Pullback(NamedTuple):
     v: np.ndarray | None = None     # v_n, given y
     dv: np.ndarray | None = None    # (T^n)'(v_n), given y
     gap: np.ndarray | None = None   # |u_n - v_n| of the lifts, given y
-    us: np.ndarray | None = None    # u_1..u_n stacked, given orbits=True
-    vs: np.ndarray | None = None    # v_1..v_n stacked, given y and orbits=True
 
 
 class _Node(NamedTuple):
@@ -124,7 +121,6 @@ class _Node(NamedTuple):
     pts: np.ndarray                 # (rows, N): u, and v given y
     gap: np.ndarray | None
     prod: np.ndarray                # (rows, N), or (rows, 1) of ones at the root
-    parent: "_Node | None"
 
 
 # Brackets of the u and the v targets; v's is wider because it is reached
@@ -133,7 +129,7 @@ _LO = np.array([0.0, -1.0]).reshape(2, 1, 1)
 _HI = np.array([2.0, 3.0]).reshape(2, 1, 1)
 
 
-def walk(m: ExpandingMap, bids, x, y=None, *, orbits=False):
+def walk(m: ExpandingMap, bids, x, y=None):
     """Yield a ``Pullback`` for every path in ``bids``, in lexicographic
     path order: the depth-n preimage u_n of x and (T^n)'(u_n) and, given y,
     the same for y with the distance |u_n - v_n| of the lifts.
@@ -143,8 +139,7 @@ def walk(m: ExpandingMap, bids, x, y=None, *, orbits=False):
     so each prefix is solved once.  The derivative products are carried
     down the tree, multiplied in the order of ``np.prod`` over the stacked
     orbit, so they have its bits.  Only the chain from the root to the
-    current node (and its pending siblings) is held; ``orbits=True`` also
-    stacks that chain into ``us`` and ``vs``.  y is carried as a lifted
+    current node (and its pending siblings) is held.  y is carried as a lifted
     displacement from x, so both points follow the same monotone piece at
     every step instead of being re-anchored independently.
     """
@@ -170,11 +165,11 @@ def walk(m: ExpandingMap, bids, x, y=None, *, orbits=False):
     lo, hi = _LO[:rows], _HI[:rows]
     m0 = _anchor_offset(m)
     # the root's v is never read, only its gap
-    stack = [_Node((), u[None], gap, np.ones((rows, 1)), None)]
+    stack = [_Node((), u[None], gap, np.ones((rows, 1)))]
     while stack:
         node = stack.pop()
         for bid in ends.get(node.path, ()):
-            yield _pullback(bid, node, orbits)
+            yield _pullback(bid, node)
         kids = sorted(below.get(node.path, ()))
         if not kids:
             continue
@@ -186,66 +181,14 @@ def walk(m: ExpandingMap, bids, x, y=None, *, orbits=False):
         gap = None if y is None else p[1] - p[0]
         for i in reversed(range(len(kids))):
             stack.append(_Node(node.path + (kids[i],), pts[:, i],
-                               None if gap is None else gap[i], prod[:, i], node))
+                               None if gap is None else gap[i], prod[:, i]))
 
 
-def _pullback(bid: BranchId, node: _Node, orbits: bool) -> Pullback:
+def _pullback(bid: BranchId, node: _Node) -> Pullback:
     pts, gap, prod = node.pts, node.gap, node.prod
-    us = vs = None
-    if orbits:
-        chain = []
-        while node.parent is not None:
-            chain.append(node.pts)
-            node = node.parent
-        stacked = np.stack(chain[::-1], axis=1)     # (rows, depth, N)
-        us = stacked[0]
-        vs = stacked[1] if gap is not None else None
     if gap is None:
-        return Pullback(bid, pts[0], prod[0], us=us)
-    return Pullback(bid, pts[0], prod[0], pts[1], prod[1], np.abs(gap), us, vs)
-
-
-def pullback(m: ExpandingMap, x, bid: BranchId):
-    """Depth-n preimage of x along ``bid``; path[0] acts on x itself."""
-    y = next(walk(m, [bid], x)).u
-    return float(y[0]) if np.ndim(x) == 0 else y
-
-
-def pullback_orbit(m: ExpandingMap, x, bid: BranchId):
-    """Backward orbit u_1..u_n of x along ``bid`` (u_k at depth k)."""
-    return next(walk(m, [bid], x, orbits=True)).us
-
-
-def branch_contraction_check(m: ExpandingMap, x, y, n: int, bid: BranchId):
-    """Audit d(T^-n x, T^-n y) <= lambda^-n d(x, y) along one branch.
-
-    Both points are pulled back along the same arc (endpoint continuation).
-    Returns (lhs, rhs, ok) with a 1e-10 numerical slack on ok.
-    """
-    if n != bid.depth:
-        raise ValueError(f"n = {n} does not match branch depth {bid.depth}")
-    lhs = next(walk(m, [bid], x, y)).gap
-    rhs = m.lam ** (-n) * np.atleast_1d(circle_distance(x, y))
-    ok = bool(np.all(lhs <= rhs + 1e-10))
-    if np.ndim(x) == 0:
-        return float(lhs[0]), float(rhs[0]), ok
-    return lhs, rhs, ok
-
-
-def distortion_ratio(m: ExpandingMap, x, y, n: int, bid: BranchId):
-    """(T^n)'(x_-n) / (T^n)'(y_-n) along one branch, with continuation."""
-    if n != bid.depth:
-        raise ValueError(f"n = {n} does not match branch depth {bid.depth}")
-    end = next(walk(m, [bid], x, y))
-    ratio = end.du / end.dv
-    return float(ratio[0]) if np.ndim(x) == 0 else ratio
-
-
-def deep_preimages(m: ExpandingMap, x, depth: int):
-    """All w^depth preimages of x under the depth-fold composition,
-    as (BranchId, point) in lexicographic path order."""
-    return [(end.bid, float(end.u[0]) if np.ndim(x) == 0 else end.u)
-            for end in walk(m, branch_ids(m.winding, depth), x)]
+        return Pullback(bid, pts[0], prod[0])
+    return Pullback(bid, pts[0], prod[0], pts[1], prod[1], np.abs(gap))
 
 
 def inverse_weight_sum(m: ExpandingMap, x, depth: int):

@@ -221,19 +221,6 @@ def _step_record(step: int, prev: GridDensity, cur: GridDensity) -> StepRecord:
     )
 
 
-def iterate(m: ExpandingMap, psi: GridDensity, n: int):
-    """(L^n psi, diagnostics); n = 0 returns psi unchanged."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    records = []
-    cur = psi
-    for step in range(1, n + 1):
-        nxt = apply(m, cur)
-        records.append(_step_record(step, cur, nxt))
-        cur = nxt
-    return cur, IterationDiagnostics(records)
-
-
 def cesaro(m: ExpandingMap, psi: GridDensity, n_terms: int) -> GridDensity:
     """Average of L^k psi over k = 0..n_terms-1."""
     if n_terms < 1:

@@ -30,8 +30,6 @@ from expcircle import (
 )
 from expcircle.audits import (
     audit_correlation_decay,
-    audit_density_convergence,
-    audit_regularity_sweep,
     smooth_density,
     standard_maps,
 )
@@ -48,10 +46,22 @@ def report(capsys, name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
+# The results of audit_regularity_sweep, in its order.
+SWEEP_NAMES = ("holder-log-contraction", "holder-growth-cap", "positivity-floor",
+               "pointwise-log-bounds", "holder-from-log")
+
+
+def verify_results(verify_run, names) -> dict:
+    """The results called ``names`` of each map's shared verify run, by map."""
+    return {repr(m): [r for r in verify_run(m).results() if r.name in names]
+            for m in MAPS}
+
+
 @pytest.fixture(scope="module")
-def regularity_sweeps():
-    """One iterate sweep per map, shared by the contraction and floor checks."""
-    return {repr(m): audit_regularity_sweep(m) for m in MAPS}
+def regularity_sweeps(verify_run):
+    """One iterate sweep per map, shared by the contraction and floor checks:
+    the one each map's verify run made."""
+    return verify_results(verify_run, SWEEP_NAMES)
 
 
 def test_invariant_density_doubling_exact(capsys):
@@ -238,8 +248,8 @@ def test_monte_carlo_coupling_certified(capsys):
     )
 
 
-def test_density_convergence_envelope(capsys):
-    results = [audit_density_convergence(m) for m in MAPS]
+def test_density_convergence_envelope(capsys, verify_run):
+    results = [r for r, in verify_results(verify_run, ("density-convergence",)).values()]
     bad = [f"{m!r} ({r.detail})" for m, r in zip(MAPS, results) if not r.ok]
     worst = max(float(r.detail.split()[-1]) for r in results)
     report(

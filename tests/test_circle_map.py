@@ -11,11 +11,9 @@ from expcircle import (
     certify,
     circle_distance,
     custom_map,
-    derivative,
     evaluate,
     linear_map,
     perturbed_map,
-    second_derivative,
     signed_gap,
     wrap,
 )
@@ -135,8 +133,8 @@ def test_linear_map_constants():
     assert repr(m) == "linear{2}"
     assert evaluate(m, 0.3) == pytest.approx(0.6, abs=1e-15)
     assert evaluate(m, 0.75) == pytest.approx(0.5, abs=1e-15)
-    assert derivative(m, 0.123) == 2.0
-    assert second_derivative(m, 0.123) == 0.0
+    assert m.dlift(0.123) == 2.0
+    assert m.d2lift(0.123) == 0.0
 
 
 def test_linear_map_rejects_degree_below_two():
@@ -159,11 +157,11 @@ def test_perturbed_map_values():
     # F(x) = 2x + eps sin(2 pi x): the quarter point evaluates in closed form
     assert evaluate(m, 0.25) == pytest.approx(0.55, abs=1e-15)
     assert evaluate(m, 0.0) == 0.0
-    assert derivative(m, 0.0) == pytest.approx(2.0 + 0.1 * math.pi, abs=1e-15)
+    assert m.dlift(0.0) == pytest.approx(2.0 + 0.1 * math.pi, abs=1e-15)
     # F'' = -4 pi^2 eps sin(2 pi x) is extremal at the quarter point
-    assert second_derivative(m, 0.25) == pytest.approx(-m.d2_sup, abs=1e-12)
-    assert abs(second_derivative(m, 0.5)) < 1e-12
-    assert second_derivative(m, 0.125) == pytest.approx(
+    assert m.d2lift(0.25) == pytest.approx(-m.d2_sup, abs=1e-12)
+    assert abs(m.d2lift(0.5)) < 1e-12
+    assert m.d2lift(0.125) == pytest.approx(
         -0.05 * 4 * math.pi**2 * math.sin(math.pi / 4), abs=1e-12
     )
 

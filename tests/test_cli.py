@@ -1,15 +1,10 @@
-import collections
-import contextlib
 import hashlib
-import io
 import json
-import logging
 import math
 import os
 import re
 import subprocess
 import sys
-from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
 
@@ -29,7 +24,7 @@ from expcircle.coupling_lab import CHI2_P_FLOOR
 from expcircle.density_grid import ROWS_PER_WRITE
 from expcircle.system_constants import ROUNDING_SLACK
 
-from conftest import start_counting
+from conftest import DEFAULT_MAP
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -66,19 +61,19 @@ GOLDEN = {
         "coupling.json": "a96c25c35f0e1ad3d4c361a48da5075fb071e3db97b4868bde00392f2488c05c",
     },
     "verify on linear{2}": {
-        "verify.json": "daf321b334c41b0a64c6cc8469496e3db69318ebb9bb1ad44cc3410bb0b8d173",
+        "verify.json": "4cdb84aaee25ac0850b4e77222478a21950c37e819e3323d24a1d41cb5b6fd78",
     },
     "verify on linear{3}": {
-        "verify.json": "567c1947d248274e78e87a3bde6449375110be1ba4befb40c5a266bdbaf1c206",
+        "verify.json": "525f6255c6482ac985f77abe2325fc47cce0814f71b37865e60883ecf8ecfbc0",
     },
     "verify on perturbed{2,0.02}": {
-        "verify.json": "77d20c4fcc3e144bbd96dd5b1408fe3b1f508f559caeb63602445ec042417fdf",
+        "verify.json": "373a0c2a95d89b560855f1084ebf1af370c9bfd00340a3fd4c3bd6f67a0d9986",
     },
     "verify on perturbed{2,0.05}": {
-        "verify.json": "9dc636852abd9eff37547f7564a7033e9a6becb7ea7e7801c1dd9ffef51c6f75",
+        "verify.json": "eaf362fd29e64916c62c3489d070efd104c23a09049ccf8b9cc969ad650710af",
     },
     "verify on perturbed{2,0.1}": {
-        "verify.json": "4ba14939626ab8a38983657c780fc292d804b71e711ffb4ed43ef7650a87b268",
+        "verify.json": "4e216e3442d9b2cba7bea8fc7317ed10d17cd10c442387520c3f387d78f68ea1",
     },
 }
 
@@ -337,8 +332,8 @@ VERIFY_NAMES = [
 ]
 
 # Every result with a numeric margin: (the number its detail prints last,
-# as a function of the margin; the slack; whether the comparison is
-# strict).  Every other result reports margin null.
+# as a function of the margin less its slack; the slack; whether the
+# comparison is strict).  Every other result reports margin null.
 MARGINS = {
     "second-derivative-fd": (lambda g: -g, 1e-5, False),
     "arc-expansion": (lambda g: -g, 1e-12, False),
@@ -382,66 +377,9 @@ VERIFY_DRIFTS = {
 }
 
 
-class DriftLog(logging.Handler):
-    """Counts each distinct "mass drift" warning logged."""
-
-    def __init__(self):
-        super().__init__(logging.WARNING)
-        self.drifts = collections.Counter()
-
-    def emit(self, record):
-        message = record.getMessage()
-        if "mass drift" in message:
-            self.drifts[message] += 1
-
-
-@dataclass
-class VerifyRun:
-    code: int                        # the exit code
-    out: Path                        # the directory verify.json went to
-    stdout: str
-    counts: collections.Counter      # the work counts of start_counting
-    drifts: collections.Counter      # times each mass-drift warning was logged
-
-
-def run_verify(argv, out: Path) -> VerifyRun:
-    """Run ``main(argv)``, a verify writing to ``out``, capturing its
-    stdout, its mass-drift warnings and its work counts."""
-    logger = logging.getLogger("expcircle")
-    log, level = DriftLog(), logger.level
-    logger.addHandler(log)
-    logger.setLevel(logging.WARNING)
-    stdout = io.StringIO()
-    try:
-        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(stdout):
-            counts = start_counting(mp)
-            code = main(argv)
-    finally:
-        logger.removeHandler(log)
-        logger.setLevel(level)
-    return VerifyRun(code, out, stdout.getvalue(), counts, log.drifts)
-
-
-DEFAULT_MAP = repr(make_map(RunConfig()))
-
-
-@pytest.fixture(scope="module")
-def default_verify(tmp_path_factory) -> VerifyRun:
-    """The default map's verify run, with no config, shared by the tests
-    that read it: each cusp side density drifts in mass on its first steps,
-    and correlation-decay and reduction-chain read one walk of it."""
-    out = tmp_path_factory.mktemp("verify")
-    return run_verify(["verify", "--trials", "20000", "--out", str(out)], out)
-
-
 @pytest.mark.parametrize("m", standard_maps(), ids=repr)
-def test_verify_standard_maps(tmp_path, request, m):
-    if repr(m) == DEFAULT_MAP:
-        run = request.getfixturevalue("default_verify")
-    else:
-        config = {"family": m.family, **dict(zip(("w", "eps"), m.params))}
-        cfg = write_config(tmp_path, {"map": config, "trials": 20000})
-        run = run_verify(["verify", "--config", cfg, "--out", str(tmp_path)], tmp_path)
+def test_verify_standard_maps(verify_run, m):
+    run = verify_run(m)
     assert run.code == 0
     counts = run.counts
     assert (counts["apply"], counts["scan"], counts["rows"]) == VERIFY_WORK[repr(m)]
@@ -461,17 +399,18 @@ def test_verify_standard_maps(tmp_path, request, m):
             continue
         printed, slack, strict = MARGINS[r["name"]]
         margin = r["margin"]
-        assert r["ok"] == (margin > -slack if strict else margin >= -slack), r
+        # the margin includes the slack, so its sign is the verdict
+        assert r["ok"] == (margin > 0 if strict else margin >= 0), r
         # the detail's last decimal number, to its printed precision
         token = re.findall(r"-?\d+\.\d+(?:e[-+]\d+)?", r["detail"])[-1]
         half_ulp = 0.5 * 10.0 ** Decimal(token).as_tuple().exponent
-        assert abs(printed(margin) - float(token)) <= half_ulp * (1 + 1e-9), r
+        assert abs(printed(margin - slack) - float(token)) <= half_ulp * (1 + 1e-9), r
     assert_golden(run.out, f"verify on {m!r}")
 
 
-def test_verify_walks_and_logs_each_side_chain_once(default_verify):
-    # the default map, with no config (the shared run above)
-    run = default_verify
+def test_verify_walks_and_logs_each_side_chain_once(verify_run):
+    # the default map, with no config (the shared run)
+    run = verify_run(make_map(RunConfig()))
     assert run.code == 0
     assert (run.counts["apply"], run.counts["scan"]) == VERIFY_WORK[DEFAULT_MAP][:2]
     assert len(run.drifts) == VERIFY_DRIFTS[DEFAULT_MAP]
@@ -482,6 +421,31 @@ def test_env_var_output_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("EXPCIRCLE_OUT", str(tmp_path))
     assert main(["constants"]) == 0
     assert (tmp_path / "constants.json").exists()
+
+
+def test_config_out_beats_env_var(tmp_path, monkeypatch):
+    # "." names the working directory like any other path: the env var
+    # applies only when neither --out nor the config gives one
+    cwd, env = tmp_path / "cwd", tmp_path / "env"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.setenv("EXPCIRCLE_OUT", str(env))
+    cfg = write_config(tmp_path, {"out": "."})
+    assert main(["constants", "--config", cfg]) == 0
+    assert (cwd / "constants.json").exists()
+    assert not env.exists()
+    assert main(["constants", "--config", cfg, "--out", str(tmp_path / "flag")]) == 0
+    assert (tmp_path / "flag" / "constants.json").exists()
+    assert not env.exists()
+
+
+def test_integer_past_the_parser_limit_exits_two(tmp_path, capsys):
+    # Python refuses to parse an int of more than 4300 digits
+    path = tmp_path / "config.json"
+    path.write_text('{"map": {"family": "linear", "w": 1%s}}' % ("0" * 5000))
+    assert main(["constants", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config is not valid JSON") and err.count("\n") == 1
 
 
 def test_flag_beats_config_beats_default(tmp_path):
@@ -519,6 +483,15 @@ def test_flag_beats_config_beats_default(tmp_path):
         {"tol": 1e300},
         {"tol": 0},
         {"tol": -1},
+        # ints past the float64 range
+        {"map": {"family": "perturbed", "w": 2, "eps": 10**400}},
+        {"alpha": 10**400},
+        {"tol": -10**400},
+        # windings float64 does not hold exactly
+        {"map": {"family": "linear", "w": 2**53 + 1}},
+        {"map": {"family": "perturbed", "w": 2**53 + 1, "eps": 0.05}},
+        {"map": {"family": "linear", "w": -10**400}},
+        {"map": {"family": "perturbed", "w": 10**400, "eps": 0.05}},
     ],
 )
 def test_bad_configs_exit_two(tmp_path, monkeypatch, payload, capsys):

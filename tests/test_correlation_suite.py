@@ -9,7 +9,6 @@ from expcircle import (
     NotInvariant,
     ZeroObservable,
     compute_ledger,
-    correlation,
     correlation_series,
     decay_report,
     density_convergence_report,
@@ -44,22 +43,14 @@ def test_constant_observable_decorrelates(bent, bent_phi):
 def test_series_is_bilinear(bent, bent_phi):
     g1 = COS
     g2 = GridFunction(np.sin(2 * np.pi * 2 * X))
-    lhs = correlation_series(bent, bent_phi, [COS], g1 + 2.0 * g2, 6)[0]
+    g12 = GridFunction(g1.values + 2.0 * g2.values)
+    lhs = correlation_series(bent, bent_phi, [COS], g12, 6)[0]
     rhs = correlation_series(bent, bent_phi, [COS], g1, 6)[0] + 2.0 * correlation_series(
         bent, bent_phi, [COS], g2, 6
     )[0]
     assert np.max(np.abs(lhs - rhs)) < 1e-10
-    rows = correlation_series(bent, bent_phi, [g1 + 2.0 * g2, g1, g2], COS, 6)
+    rows = correlation_series(bent, bent_phi, [g12, g1, g2], COS, 6)
     assert np.max(np.abs(rows[0] - (rows[1] + 2.0 * rows[2]))) < 1e-10
-
-
-def test_single_lag_matches_series(bent, bent_phi):
-    series = correlation_series(bent, bent_phi, [COS], COS, 5)[0]
-    assert correlation(bent, bent_phi, COS, COS, 5) == pytest.approx(
-        series[5], abs=1e-15
-    )
-    with pytest.raises(ValueError):
-        correlation(bent, bent_phi, COS, COS, -1)
 
 
 def test_non_invariant_reference_is_rejected(bent):

@@ -61,8 +61,6 @@ def test_density_normalizes_and_rejects_negatives():
         GridDensity(COS)
     with pytest.raises(NonPositiveDensity):
         GridDensity(np.zeros(8))
-    with pytest.raises(ValueError):
-        GridDensity(1.5 + COS, normalize=False)
 
 
 def test_constant_density_normalizes_to_exactly_one():
@@ -72,20 +70,16 @@ def test_constant_density_normalizes_to_exactly_one():
 
 
 def test_evaluate_interpolates_linearly():
-    f = GridFunction.from_function(lambda x: x * 0 + np.arange(8), resolution=8)
+    f = GridFunction(np.arange(8.0))
     assert f.evaluate(0.0) == 0.0
     assert f.evaluate(1.0 / 16) == pytest.approx(0.5, abs=1e-15)
     # periodic wrap between the last node and the first
     assert f.evaluate(1.0 - 1.0 / 16) == pytest.approx(3.5, abs=1e-12)
 
 
-def test_arithmetic_and_resolution_guard():
-    f = GridFunction(np.ones(16))
-    g = GridFunction(np.full(16, 2.0))
-    assert np.all((f + g).values == 3.0)
-    assert np.all((2.0 * f - g).values == 0.0)
+def test_resolution_guard():
     with pytest.raises(ResolutionMismatch):
-        f + GridFunction(np.ones(32))
+        l1_distance(GridFunction(np.ones(16)), GridFunction(np.ones(32)))
 
 
 def test_integrate_known_values():
@@ -400,5 +394,5 @@ def test_integrate_is_linear(seed):
     rng = np.random.Generator(np.random.Philox(key=seed))
     f = GridFunction(rng.normal(size=64))
     g = GridFunction(rng.normal(size=64))
-    lhs = integrate(f + 3.0 * g)
+    lhs = integrate(GridFunction(f.values + 3.0 * g.values))
     assert lhs == pytest.approx(integrate(f) + 3.0 * integrate(g), abs=1e-12)

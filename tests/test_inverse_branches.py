@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,16 +6,11 @@ from hypothesis import strategies as st
 from expcircle import (
     ArcViolation,
     BranchId,
-    branch_contraction_check,
     branch_ids,
     circle_distance,
-    deep_preimages,
-    distortion_ratio,
     evaluate,
     inverse_weight_sum,
     preimages,
-    pullback,
-    pullback_orbit,
 )
 from expcircle import inverse_branches as ib
 from expcircle.audits import _sampled_paths, standard_maps
@@ -30,6 +23,11 @@ def forward(m, y, n):
     for _ in range(n):
         y = evaluate(m, y)
     return y
+
+
+def pullback(m, x, bid):
+    """The depth-n preimage of x along ``bid``, as walk's end gives it."""
+    return next(ib.walk(m, [bid], x)).u
 
 
 def test_branch_id_validation():
@@ -76,30 +74,27 @@ def test_perturbed_preimage_matches_closed_form(bent):
 
 def test_pullback_branch_convention(doubling):
     # path[0] acts on the point itself: 0.5 -> (0.5+1)/2 -> 0.75/2
-    assert pullback(doubling, 0.5, BranchId(2, (1, 0))) == pytest.approx(
+    assert pullback(doubling, 0.5, BranchId(2, (1, 0)))[0] == pytest.approx(
         0.375, abs=1e-15
     )
-    assert pullback(doubling, 0.5, BranchId(2, (0, 1))) == pytest.approx(
+    assert pullback(doubling, 0.5, BranchId(2, (0, 1)))[0] == pytest.approx(
         0.625, abs=1e-15
     )
 
 
-def test_pullback_orbit_shape_and_roundtrip(bent):
+def test_pullback_roundtrip(bent):
     bid = BranchId(4, (1, 0, 1, 1))
     xs = np.linspace(0, 0.99, 7)
-    orbit = pullback_orbit(bent, xs, bid)
-    assert orbit.shape == (4, 7)
-    assert np.allclose(orbit[-1], pullback(bent, xs, bid), atol=1e-15)
-    back = forward(bent, orbit[-1], 4)
+    back = forward(bent, pullback(bent, xs, bid), 4)
     assert np.max(circle_distance(back, xs)) < 1e-10
 
 
 def test_deep_preimages_are_distinct_and_complete(bent):
     for depth in (1, 2, 4):
-        pairs = deep_preimages(bent, 0.3, depth)
-        assert len(pairs) == 2**depth
-        assert [b.path for b, _ in pairs] == sorted(b.path for b, _ in pairs)
-        ys = np.array([y for _, y in pairs])
+        ends = list(ib.walk(bent, branch_ids(2, depth), 0.3))
+        assert len(ends) == 2**depth
+        assert [e.bid.path for e in ends] == sorted(e.bid.path for e in ends)
+        ys = np.array([e.u[0] for e in ends])
         assert len(set(np.round(ys, 10))) == 2**depth
         back = forward(bent, ys, depth)
         assert np.max(circle_distance(back, 0.3)) < 1e-10
@@ -136,10 +131,11 @@ def test_branch_contraction_bound(bent):
     rng = np.random.Generator(np.random.Philox(key=7))
     x = rng.random(200)
     y = rng.random(200)
-    for bid in branch_ids(2, 3):
-        lhs, rhs, ok = branch_contraction_check(bent, x, y, 3, bid)
-        assert ok
-        assert np.all(lhs <= rhs + 1e-10)
+    rhs = bent.lam ** -3 * circle_distance(x, y)
+    ends = list(ib.walk(bent, branch_ids(2, 3), x, y))
+    assert len(ends) == 8
+    for end in ends:
+        assert np.all(end.gap <= rhs + 1e-10)
 
 
 def test_distortion_ratio_within_exponential_band(bent):
@@ -148,8 +144,8 @@ def test_distortion_ratio_within_exponential_band(bent):
     x = rng.random(200)
     y = rng.random(200)
     for depth in (1, 3, 5):
-        for bid in branch_ids(2, depth)[:: max(1, 2**depth // 8)]:
-            r = distortion_ratio(bent, x, y, depth, bid)
+        for end in ib.walk(bent, branch_ids(2, depth)[:: max(1, 2**depth // 8)], x, y):
+            r = end.du / end.dv
             d = circle_distance(x, y)
             assert np.all(r <= np.exp(omega * d) + 1e-9)
             assert np.all(r >= np.exp(-omega * d) - 1e-9)
@@ -158,8 +154,8 @@ def test_distortion_ratio_within_exponential_band(bent):
 def test_distortion_ratio_is_one_for_linear(doubling):
     x = np.linspace(0, 0.9, 10)
     y = np.linspace(0.05, 0.95, 10)
-    r = distortion_ratio(doubling, x, y, 2, BranchId(2, (1, 0)))
-    assert np.allclose(r, 1.0, atol=1e-15)
+    end = next(ib.walk(doubling, [BranchId(2, (1, 0))], x, y))
+    assert np.allclose(end.du / end.dv, 1.0, atol=1e-15)
 
 
 def test_depth_validation(bent):
@@ -167,8 +163,6 @@ def test_depth_validation(bent):
         pullback(bent, 0.5, BranchId(13, (0,) * 13))
     with pytest.raises(ValueError):
         pullback(bent, 0.5, BranchId(1, (5,)))
-    with pytest.raises(ValueError):
-        branch_contraction_check(bent, 0.1, 0.2, 2, BranchId(1, (0,)))
 
 
 # Reference: the per-step loops that walked every path from scratch.  The
@@ -209,11 +203,15 @@ def _ref_pair_orbits(m, x, y, bid):
 
 
 def _walk_paths(m):
-    """Every path to depth 8 for w = 2, a seeded sample of them for w = 3."""
+    """Every path to depth 8 for w = 2; for w = 3 a seeded sample of them
+    and all their prefixes.  The set is closed under prefixes, so every
+    point of a path's orbit is the end of a path of its own."""
     if m.winding == 2:
         return [b for depth in range(1, 9) for b in branch_ids(2, depth)]
     rng = np.random.Generator(np.random.Philox(key=3))
-    return _sampled_paths(m.winding, 8, rng, cap=24)
+    sample = _sampled_paths(m.winding, 8, rng, cap=24)
+    prefixes = {b.path[:k] for b in sample for k in range(1, b.depth + 1)}
+    return [BranchId(len(p), p) for p in sorted(prefixes)]
 
 
 @pytest.mark.parametrize("m", standard_maps(), ids=repr)
@@ -222,41 +220,28 @@ def test_walk_matches_per_step_reference(m):
     x = rng.random(6)
     y = np.concatenate([rng.random(5), [x[0]]])   # one pair at distance 0
     paths = _walk_paths(m)
-    single = list(ib.walk(m, paths, x, orbits=True))
-    pairs = list(ib.walk(m, paths, x, y, orbits=True))
+    single = list(ib.walk(m, paths, x))
+    pairs = list(ib.walk(m, paths, x, y))
     assert [e.bid.path for e in single] == sorted(b.path for b in paths)
-    for e, e2 in zip(single, pairs):
+    # each orbit point is compared as the end of its own prefix path
+    for e, e2 in zip(single, pairs, strict=True):
         assert e.bid == e2.bid
-        assert e.v is None and e.dv is None and e.gap is None and e.vs is None
+        assert e.v is None and e.dv is None and e.gap is None
         ref = _ref_orbit(m, x, e.bid)
-        assert np.array_equal(e.us, ref)
         assert np.array_equal(e.u, ref[-1])
         assert np.array_equal(e.du, np.prod(m.dlift(ref), axis=0))
         ref_us, ref_vs, ref_gaps = _ref_pair_orbits(m, x, y, e.bid)
-        assert np.array_equal(e2.us, ref_us) and np.array_equal(e2.vs, ref_vs)
         assert np.array_equal(e2.u, ref_us[-1]) and np.array_equal(e2.v, ref_vs[-1])
         assert np.array_equal(e2.gap, ref_gaps[-1])
         assert np.array_equal(e2.du, np.prod(m.dlift(ref_us), axis=0))
         assert np.array_equal(e2.dv, np.prod(m.dlift(ref_vs), axis=0))
-    # without orbits=True the ends are the same and no orbit is stacked
-    for e, e2 in zip(pairs, ib.walk(m, paths, x, y)):
-        assert e2.us is None and e2.vs is None
-        for field in ("u", "du", "v", "dv", "gap"):
-            assert np.array_equal(getattr(e, field), getattr(e2, field))
-    for bid in paths[-m.winding ** 2:]:        # the one-path callers, at depth 8
-        ref_us, ref_vs, ref_gaps = _ref_pair_orbits(m, x, y, bid)
-        assert np.array_equal(pullback_orbit(m, x, bid), _ref_orbit(m, x, bid))
-        ratio = np.prod(m.dlift(ref_us), axis=0) / np.prod(m.dlift(ref_vs), axis=0)
-        assert np.array_equal(distortion_ratio(m, x, y, bid.depth, bid), ratio)
-        lhs, _, _ = branch_contraction_check(m, x, y, bid.depth, bid)
-        assert np.array_equal(lhs, ref_gaps[-1])
     depth = 8 if m.winding == 2 else 4
     ref_sum = np.zeros_like(x)
     for bid in branch_ids(m.winding, depth):
         ref_sum += 1.0 / np.prod(m.dlift(_ref_orbit(m, x, bid)), axis=0)
     assert np.array_equal(inverse_weight_sum(m, x, depth), ref_sum)
     ref_deep = [_ref_orbit(m, 0.3, bid)[-1, 0] for bid in branch_ids(m.winding, depth)]
-    assert [p for _, p in deep_preimages(m, 0.3, depth)] == ref_deep
+    assert [e.u[0] for e in ib.walk(m, branch_ids(m.winding, depth), 0.3)] == ref_deep
 
 
 def test_walk_solves_each_prefix_once(bent, monkeypatch):
@@ -287,9 +272,7 @@ def test_walk_solves_each_prefix_once(bent, monkeypatch):
     assert solves(lambda: list(ib.walk(bent, paths, x, y))) == (1020 * n, internal)
     # in any order: the walk sorts the paths itself
     assert solves(lambda: list(ib.walk(bent, paths[::-1], x, y))) == (1020 * n, internal)
-    assert solves(lambda: list(ib.walk(bent, paths, x, y, orbits=True))) == (
-        1020 * n, internal)
-    assert solves(lambda: deep_preimages(bent, 0.3, 8)) == (510, internal)
+    assert solves(lambda: list(ib.walk(bent, branch_ids(2, 8), 0.3))) == (510, internal)
     assert solves(lambda: inverse_weight_sum(bent, x, 8)) == (510 * n, internal)
     # a lone depth-8 path: one call per step
     assert solves(lambda: list(ib.walk(bent, paths[-1:], x, y))) == (16 * n, 8)
