@@ -18,8 +18,9 @@ Defaults: perturbed{2,0.05}, alpha=1, resolution=4096, seed=42,
 trials=100000.  Output directory: ``--out``, else the config ``out`` key,
 else ``$EXPCIRCLE_OUT``, else the working directory.  Exit codes: 0 ok,
 2 configuration/map error (including a resolution whose arrays do not
-fit in memory or whose operator table would pass its memory cap, and an
-output file that cannot be written), 3 numerical
+fit in memory or whose operator table would pass its memory cap, a
+Monte-Carlo run whose arrays would pass that cap, an n_max above
+N_MAX_CEILING, and an output file that cannot be written), 3 numerical
 non-convergence, 4 audit violation.
 """
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 from .audits import cos_observable, coupling_pair, run_all
 from .circle_map import linear_map, perturbed_map
 from .correlation_suite import decay_report
-from .coupling_lab import CHI2_BINS, monte_carlo_coupling
+from .coupling_lab import CHI2_BINS, _check_run_bytes, monte_carlo_coupling
 from .density_grid import ROWS_PER_WRITE, _write_rows, write_csv
 from .errors import (
     VIOLATIONS,
@@ -52,9 +53,13 @@ from .errors import (
     ZeroObservable,
 )
 from .system_constants import compute_ledger
-from .transfer_operator import invariant_density
+from .transfer_operator import TABLE_BYTES_CAP, invariant_density
 
 TOL_CEILING = 1e-6       # the loosest fixed-point tolerance invariant accepts
+# The longest step horizon accepted: a million applications at the default
+# resolution take about a quarter of an hour, and the per-step series of
+# every command stay far below the memory cap.
+N_MAX_CEILING = 10**6
 CONFIG_KEYS = {"map", "alpha", "resolution", "seed", "trials", "n_max",
                "tol", "out"}
 MAP_KEYS = {"family", "w", "eps"}
@@ -152,11 +157,20 @@ def _validate(cfg: RunConfig, min_resolution: int) -> None:
             raise ConfigError(f"{key} must be an integer")
     if cfg.n_max is not None and (not isinstance(cfg.n_max, int) or cfg.n_max < 1):
         raise ConfigError(f"n_max must be an integer of at least 1, got {cfg.n_max!r}")
+    if cfg.n_max is not None and cfg.n_max > N_MAX_CEILING:
+        raise ConfigError(f"n_max must not exceed {N_MAX_CEILING}, got {cfg.n_max}")
     M = cfg.resolution
     if M < min_resolution or M & (M - 1):
         raise ConfigError(f"resolution must be a power of two >= {min_resolution}, got {M}")
+    # refused before anything is allocated, as an operator table is
+    if 8 * M > TABLE_BYTES_CAP:
+        raise MemoryError(
+            f"a grid of M={M} nodes takes {8 * M / 2**30:.3g} GiB, above the cap "
+            f"of {TABLE_BYTES_CAP / 2**30:.3g} GiB (half the physical memory)"
+        )
     if cfg.trials < 1000:
         raise ConfigError("trials must be at least 1000")
+    _check_run_bytes(cfg.trials)
     if not 0 <= cfg.seed < 2**128:
         raise ConfigError(f"seed must lie in [0, 2**128), got {cfg.seed}")
 

@@ -87,6 +87,11 @@ class GridDensity(GridFunction):
 
     def __init__(self, values):
         v = np.asarray(values, dtype=float)
+        self._normalize(v, float(v.mean()) if v.size else 0.0)
+
+    def _normalize(self, v: np.ndarray, mean: float) -> None:
+        """Check the float array ``v`` and hold v / mean, where ``mean`` is
+        float(v.mean()), the rounded node mean."""
         lo, hi = (float(v.min()), float(v.max())) if v.size else (0.0, 0.0)
         if lo < 0.0:
             raise NonPositiveDensity(f"density has negative node value {lo:.6g}")
@@ -94,7 +99,7 @@ class GridDensity(GridFunction):
         # it (a constant vector need not sum exactly).  Pinned back, it makes
         # every density straddle 1, and a constant one exactly 1, as unit
         # mass implies.
-        mean = min(max(float(v.mean()), lo), hi) if v.size else 0.0
+        mean = min(max(mean, lo), hi) if v.size else 0.0
         if mean <= 0.0:
             raise NonPositiveDensity("density has zero total mass")
         v = v / mean
@@ -110,6 +115,14 @@ def _owned(values: np.ndarray) -> GridFunction:
     f = object.__new__(GridFunction)
     f._hold(values, finite=bool(np.isfinite(values).all()))
     return f
+
+
+def _density(values: np.ndarray, mean: float) -> GridDensity:
+    """GridDensity(values) for a float array whose node mean,
+    float(values.mean()), the caller has already taken as ``mean``."""
+    d = object.__new__(GridDensity)
+    d._normalize(values, mean)
+    return d
 
 
 def uniform_density(resolution: int = DEFAULT_RESOLUTION) -> GridDensity:
@@ -263,7 +276,13 @@ def holder_coefficient(f: GridFunction, alpha: float) -> float:
 
 def sample(psi: GridDensity, rng: np.random.Generator, size=None):
     """Draw from the density via inverse-CDF with linear interpolation of
-    the cumulative cell masses (trapezoid mass per cell, uniform within)."""
+    the cumulative cell masses (trapezoid mass per cell, uniform within).
+
+    The uniform draws are looked up in ascending order and the points
+    scattered back to draw order.  Each point is computed from its own
+    draw alone, so the order changes no bit; sorted keys make the binary
+    search's branches predictable and its loads local (about half the
+    time at 100k draws, the sort included)."""
     v = psi.values
     M = psi.resolution
     masses = (v + np.roll(v, -1)) / (2.0 * M)
@@ -274,12 +293,23 @@ def sample(psi: GridDensity, rng: np.random.Generator, size=None):
     cum /= total
     cum[-1] = 1.0
     u = rng.random(size if size is not None else 1)
-    j = np.searchsorted(cum, u, side="right") - 1
-    j = np.clip(j, 0, M - 1)
-    cell = masses[j] / total
-    frac = np.where(cell > 0, (u - cum[j]) / np.where(cell > 0, cell, 1.0), 0.0)
-    x = (j + frac) / M
-    x = np.where(x >= 1.0, 0.0, x)
+    order = np.argsort(u)
+    u = u[order]
+    j = np.searchsorted(cum, u, side="right")
+    j -= 1
+    np.clip(j, 0, M - 1, out=j)
+    cell = masses[j]
+    cell /= total
+    # the fraction of the cell below u, 0 in a cell of no mass
+    frac = np.subtract(u, cum[j], out=u)
+    mass = cell > 0
+    np.divide(frac, cell, out=frac, where=mass)
+    frac[~mass] = 0.0
+    frac += j
+    frac /= M
+    frac[frac >= 1.0] = 0.0
+    x = np.empty_like(frac)
+    x[order] = frac
     return float(x[0]) if size is None else x
 
 

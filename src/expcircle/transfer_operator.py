@@ -35,9 +35,9 @@ from .density_grid import (
     GridDensity,
     GridFunction,
     inf_value,
-    integrate,
     l1_distance,
     sup_norm,
+    _density,
     _owned,
     uniform_density,
 )
@@ -147,13 +147,14 @@ def apply_function(m: ExpandingMap, f: GridFunction) -> GridFunction:
 
 def apply(m: ExpandingMap, psi: GridDensity) -> GridDensity:
     """L psi, renormalized to unit mean (mass drift is logged past 1e-8)."""
-    raw = apply_function(m, psi)
-    drift = abs(integrate(raw) - 1.0)
+    raw = apply_function(m, psi).values
+    mean = float(raw.mean())    # integrate(), taken once for both uses
+    drift = abs(mean - 1.0)
     if drift > DRIFT_WARN:
         logger.warning(
             "transfer step mass drift %.3e on %r at M=%d", drift, m, psi.resolution
         )
-    return GridDensity(raw.values)
+    return _density(raw, mean)
 
 
 @dataclass

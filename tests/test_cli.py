@@ -492,6 +492,12 @@ def test_flag_beats_config_beats_default(tmp_path):
         {"map": {"family": "perturbed", "w": 2**53 + 1, "eps": 0.05}},
         {"map": {"family": "linear", "w": -10**400}},
         {"map": {"family": "perturbed", "w": 10**400, "eps": 0.05}},
+        # counts past the int64 range, and past the memory cap
+        {"trials": 10**30},
+        {"trials": 2**63},
+        {"resolution": 2**70},
+        {"n_max": 10**30},
+        {"n_max": 10**6 + 1},
     ],
 )
 def test_bad_configs_exit_two(tmp_path, monkeypatch, payload, capsys):
@@ -600,11 +606,22 @@ def test_unwritable_output_file_exits_two(tmp_path, argv, blocked, capsys):
 
 
 def test_unallocatable_resolution_exits_two(tmp_path, capsys):
-    # 2**50 nodes of float64 exceed the 2**47-byte user address space, so
-    # the first allocation fails without touching memory
+    # 2**50 nodes of float64 exceed the 2**47-byte user address space; the
+    # grid passes the memory cap, so it is refused before any allocation
     assert main(["invariant", "--resolution", str(2**50), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_monte_carlo_run_above_the_memory_cap_is_refused(tmp_path, capsys):
+    # at alpha 1e-6 the default horizon of five epochs is about 1e8 steps,
+    # whose per-step records alone pass the cap: refused before the run
+    argv = ["coupling", "--alpha", "1e-6", "--resolution", "64", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: a Monte-Carlo run of 100000 trials over ")
+    assert err.count("\n") == 1
     assert not list(tmp_path.iterdir())
 
 

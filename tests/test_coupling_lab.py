@@ -20,6 +20,7 @@ from expcircle import (
     sample,
     uniform_density,
 )
+from expcircle.circle_map import evaluate
 
 M = 4096
 X = np.arange(M) / M
@@ -158,8 +159,9 @@ def test_monte_carlo_matches_textbook_evaluate(monkeypatch):
 
 
 def test_monte_carlo_flows_half_the_pairs_on_a_worker(bent, monkeypatch):
-    # every step evaluates x and y of the first 1000 pairs on one worker
-    # thread and of the other 1001 on the calling thread, whatever the timing
+    # every step evaluates the 2 x 1000 points of the first 1000 pairs, as one
+    # array, on one worker thread and the 2 x 1001 of the other 1001 on the
+    # calling thread, whatever the timing
     trials, n_max = 2001, compute_ledger(bent, 1.0).n_big_k + 3
     caller = threading.get_ident()
     calls = []
@@ -176,7 +178,7 @@ def test_monte_carlo_flows_half_the_pairs_on_a_worker(bent, monkeypatch):
     assert threading.active_count() == before
     assert int(trace.ns[-1]) == n_max
     assert collections.Counter((t == caller, size) for t, size in calls) == {
-        (True, 1001): 2 * n_max, (False, 1000): 2 * n_max}
+        (True, 2002): n_max, (False, 2000): n_max}
     assert len({t for t, _ in calls}) == 2      # one worker for the whole run
 
 
@@ -192,7 +194,7 @@ def test_monte_carlo_worker_fails_cleanly(bent, on_worker):
     calls = {True: 0, False: 0}             # per thread: is it the worker?
 
     def lift(x):
-        if np.size(x) in (500, 501):        # the two halves of 1001 pairs
+        if np.size(x) in (1000, 1002):      # the two halves of 1001 pairs
             worker = threading.get_ident() != caller
             calls[worker] += 1
             if worker == on_worker and calls[worker] == 4:
@@ -206,6 +208,66 @@ def test_monte_carlo_worker_fails_cleanly(bent, on_worker):
                              trials=1001, seed=42)
     assert threading.active_count() == before
     assert calls[on_worker] == 4
+
+
+def pair_order_flow(m, x, y, counts):
+    """_flow as x and y stepped side by side in pair order."""
+    u, v = x, y
+    for i in range(counts.size):
+        u = evaluate(m, u)
+        v = evaluate(m, v)
+        counts[i] = np.count_nonzero(u != v)
+    x[...] = u
+    y[...] = v
+
+
+def flows_agree(m, x, y, steps):
+    """Run _flow and pair_order_flow on copies of (x, y) and check that the
+    points and the counts agree bit for bit; return the counts."""
+    got, want = [(x.copy(), y.copy(), np.empty(steps)) for _ in range(2)]
+    coupling_lab._flow(m, *got)
+    pair_order_flow(m, *want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
+    return got[2]
+
+
+def test_flow_equals_the_pair_order_reference(bent):
+    # two full blocks and an odd tail, over more steps than two re-sorts;
+    # every fifth pair starts coupled
+    n = 2 * coupling_lab._FLOW_BLOCK + 3
+    rng = np.random.Generator(np.random.Philox(key=23))
+    x, y = rng.random(n), rng.random(n)
+    y[::5] = x[::5]
+    counts = flows_agree(bent, x, y, 2 * coupling_lab._RESORT_EVERY + 3)
+    assert np.all(counts == n - len(x[::5]))
+
+
+def test_flow_recounts_a_block_whose_pairs_meet(doubling, monkeypatch):
+    # under x -> 2x mod 1 the pair (x, x + 1/2) meets after one step (x a
+    # multiple of 2**-53 below 1/2, so x + 1/2 is exact), and float orbits
+    # of the other pairs collapse onto 0 within 60 steps: every block's
+    # count falls, so each is flowed again in pair order
+    n = coupling_lab._FLOW_BLOCK + 5
+    rng = np.random.Generator(np.random.Philox(key=29))
+    x = rng.integers(0, 2**52, n) * 2.0**-53
+    y = rng.random(n)
+    y[::2] = x[::2] + 0.5
+    sizes = []
+    evaluate_ = coupling_lab.evaluate
+
+    def recorded(m, v):
+        sizes.append(np.size(v))
+        return evaluate_(m, v)
+
+    monkeypatch.setattr(coupling_lab, "evaluate", recorded)
+    counts = flows_agree(doubling, x, y, 60)
+    assert counts[0] == n // 2                 # the odd pairs
+    assert counts[-1] == 0
+    # each block is stepped sorted, then once more in pair order
+    blocks = (coupling_lab._FLOW_BLOCK, 5)
+    assert collections.Counter(sizes) == {
+        **{2 * b: 60 for b in blocks}, **{b: 2 * 60 for b in blocks}}
 
 
 @pytest.mark.parametrize("points", [300, 8000, 100_000])

@@ -318,6 +318,41 @@ def test_sampling_is_reproducible():
     assert np.array_equal(a, b)
 
 
+def searchsorted_sample(psi, rng, size=None):
+    """Inverse-CDF sampling searched and computed in draw order."""
+    v = psi.values
+    M = psi.resolution
+    masses = (v + np.roll(v, -1)) / (2.0 * M)
+    cum = np.concatenate([[0.0], np.cumsum(masses)])
+    total = cum[-1]
+    cum /= total
+    cum[-1] = 1.0
+    u = rng.random(size if size is not None else 1)
+    j = np.searchsorted(cum, u, side="right") - 1
+    j = np.clip(j, 0, M - 1)
+    cell = masses[j] / total
+    frac = np.where(cell > 0, (u - cum[j]) / np.where(cell > 0, cell, 1.0), 0.0)
+    x = (j + frac) / M
+    x = np.where(x >= 1.0, 0.0, x)
+    return float(x[0]) if size is None else x
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("size", [None, 1, 7, 100_000])
+def test_sample_equals_draw_order_search_bit_for_bit(size):
+    half = np.maximum(COS, 0.0)              # no mass on half the circle
+    spike = np.zeros(M)
+    spike[M - 1] = 1.0                       # mass only in the wrapping cells
+    for psi in (GridDensity(1.0 + 0.5 * COS), GridDensity(half), GridDensity(spike)):
+        got = sample(psi, np.random.Generator(np.random.Philox(key=17)), size)
+        want = searchsorted_sample(psi, np.random.Generator(np.random.Philox(key=17)), size)
+        assert type(got) is type(want)
+        assert np.array_equal(_bits(got), _bits(want))
+
+
 def test_csv_roundtrip_is_exact(tmp_path):
     rng = np.random.Generator(np.random.Philox(key=103))
     f = GridFunction(rng.normal(size=256))

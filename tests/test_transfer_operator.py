@@ -54,6 +54,25 @@ def test_mass_is_conserved(doubling, bent):
             assert integrate(out) == pytest.approx(integrate(psi), abs=1e-12)
 
 
+def test_apply_is_the_normalized_raw_image(bent, caplog):
+    # at M = 16 the raw image drifts past DRIFT_WARN from the second step:
+    # the warning reports the raw node mean, and the result is that image
+    # divided by it, as GridDensity divides
+    psi = uniform_density(16)
+    for _ in range(3):
+        raw = apply_function(bent, psi)
+        caplog.clear()
+        with caplog.at_level("WARNING", logger=density_grid.logger.name):
+            out = apply(bent, psi)
+        drift = abs(integrate(raw) - 1.0)
+        assert [r.getMessage() for r in caplog.records] == (
+            [f"transfer step mass drift {drift:.3e} on perturbed{{2,0.05}} at M=16"]
+            if drift > transfer_operator.DRIFT_WARN else [])
+        assert np.array_equal(out.values, GridDensity(raw.values).values)
+        psi = out
+    assert drift > transfer_operator.DRIFT_WARN
+
+
 def test_positivity_is_exact(bent):
     # rough input: |normal noise| has kinks at its zero crossings
     rng = np.random.Generator(np.random.Philox(key=99))
