@@ -23,7 +23,6 @@ from .correlation_suite import (
     normalized_observable_density,
 )
 from .coupling_lab import (
-    ContractionRecord,
     CouplingTrace,
     DeterministicCoupling,
     decompose,

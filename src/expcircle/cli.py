@@ -116,16 +116,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         cfg.family = map_cfg.get("family", cfg.family)
         cfg.w = map_cfg.get("w", cfg.w)
         cfg.eps = map_cfg.get("eps", cfg.eps)
-        for key in ("alpha", "resolution", "seed", "trials", "n_max",
-                    "tol", "out"):
+        for key in CONFIG_KEYS - {"map"}:
             if key in raw:
                 setattr(cfg, key, raw[key])
-    for key in ("alpha", "resolution", "seed", "trials", "n_max"):
-        value = getattr(args, key.replace("-", "_"), None)
+    for key in ("alpha", "resolution", "seed", "trials", "n_max", "out"):
+        value = getattr(args, key)
         if value is not None:
             setattr(cfg, key, value)
-    if args.out is not None:
-        cfg.out = args.out
     _validate(cfg, CHI2_BINS if args.command in ("coupling", "verify") else 16)
     return cfg
 
@@ -263,6 +260,11 @@ def _write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
+def _rows(names, values) -> list:
+    """The columns ``values`` as one dict per row, keyed by ``names``."""
+    return [dict(zip(names, row)) for row in zip(*(v.tolist() for v in values))]
+
+
 def _write_table(out: Path, stem: str, columns, payload: dict) -> None:
     """Write ``columns``, a list of (name, values, printf format), as
     ``<stem>.csv`` and as the ``rows`` of ``payload`` in ``<stem>.json``."""
@@ -271,8 +273,7 @@ def _write_table(out: Path, stem: str, columns, payload: dict) -> None:
     with _writing(csv_path):
         _write_rows(csv_path, ",".join(names), ",".join(fmt),
                     np.column_stack(values))
-    payload["rows"] = [dict(zip(names, row))
-                       for row in zip(*(v.tolist() for v in values))]
+    payload["rows"] = _rows(names, values)
     _write_json(out / f"{stem}.json", payload)
     print(f"wrote {csv_path}")
     print(f"wrote {out / f'{stem}.json'}")
@@ -307,9 +308,11 @@ def cmd_invariant(cfg: RunConfig) -> int:
         "resolution": cfg.resolution,
         "tol": cfg.tol,
         "n_steps": diag.n_steps,
-        "final_sup": diag.final_sup,
-        "final_inf": diag.final_inf,
-        "records": diag.to_records(),
+        "final_sup": float(diag.sup[-1]),
+        "final_inf": float(diag.inf[-1]),
+        "records": _rows(("step", "l1_diff", "sup", "inf", "d_l1"),
+                         (np.arange(1, diag.n_steps + 1), diag.l1_diff,
+                          diag.sup, diag.inf, diag.d_l1)),
         "density": {"x": (np.arange(cfg.resolution) / cfg.resolution),
                     "value": phi.values},
     }

@@ -22,6 +22,7 @@ from .circle_map import ExpandingMap, evaluate
 from .density_grid import (
     GridDensity,
     GridFunction,
+    _cell_masses,
     inf_value,
     l1_distance,
     sample,
@@ -45,10 +46,13 @@ _FLOW_BLOCK = 8192
 _RESORT_EVERY = 8
 # Bytes a Monte-Carlo run holds, estimated from above: per trial x and y,
 # the coupled mask and sample's temporaries (sorted draws, their order,
-# cell indices and masses, the points: 64); per trial and epoch a coin row,
-# kept and then stacked; per step the deterministic run's record and the
-# step series (tracemalloc: about 240 bytes a step); per epoch the
-# deterministic run's two residual grids and its marginal.
+# cell indices and masses, the points: 64); per trial and epoch one coin
+# byte, written in place into the run's one coin array; per step six
+# 8-byte series (the deterministic run's n, k, tv and two bounds, which the
+# trace shares, and the mismatch) and the flow's counts (tracemalloc on
+# perturbed{2,0.1} at M = 64: about 80 bytes a step); per epoch the
+# deterministic run's two residual grids and its marginal.  The per-coin
+# and per-step constants stay well above those figures.
 _TRIAL_BYTES = 8 + 8 + 1 + 64
 _TRIAL_EPOCH_BYTES = 2
 _STEP_BYTES = 320
@@ -68,29 +72,23 @@ def decompose(psi: GridDensity, a: float) -> GridDensity:
 
 
 @dataclass
-class ContractionRecord:
-    n: int
-    k: int
-    tv_true: float
-    bound_coupling: float
-    bound_theta: float
-
-
-@dataclass
 class DeterministicCoupling:
-    """Grid-level epoch bookkeeping for one pair of start densities."""
+    """Grid-level epoch bookkeeping for one pair of start densities, with
+    one entry per step n = 0..n_max in each series."""
 
     ledger: ConstantsLedger
-    records: list
+    ns: np.ndarray
+    ks: np.ndarray                       # epochs completed, n // N_K
+    tv_true: np.ndarray                  # L1 distance of the evolved pair
+    bound_coupling: np.ndarray           # 2 (1-a)^k
+    bound_theta: np.ndarray              # D theta^(alpha n)
     reconstruction_errors: list          # (n, max over the pair of L1 error)
     epoch_residuals: list                # per epoch k: (residual1, residual2)
     marginals: dict                      # step -> L^n psi1 snapshot
 
     def max_tv_excess(self) -> float:
-        return max(
-            max(r.tv_true - r.bound_coupling, r.tv_true - r.bound_theta)
-            for r in self.records
-        )
+        return float(np.max(np.maximum(self.tv_true - self.bound_coupling,
+                                       self.tv_true - self.bound_theta)))
 
 
 def deterministic_contraction_run(
@@ -113,9 +111,12 @@ def deterministic_contraction_run(
     # themselves, so each is applied once per step.
     resid = direct
     rho = None
-    records = [
-        ContractionRecord(0, 0, l1_distance(psi1, psi2), 2.0, led.d_exact)
-    ]
+    ns = np.arange(n_max + 1)
+    ks = ns // n_epoch
+    bound_coupling = 2.0 * (1.0 - a) ** ks
+    bound_theta = led.d_exact * led.theta_exact ** (led.alpha * ns)
+    tv_true = np.empty(n_max + 1)
+    tv_true[0] = l1_distance(psi1, psi2)
     recon_errors = []
     epoch_residuals = []
     marginals = {0: psi1}
@@ -151,25 +152,21 @@ def deterministic_contraction_run(
                     f"epoch reconstruction off by {err:.3e} at n = {n}"
                 )
             marginals[n] = direct[0]
-        tv = l1_distance(direct[0], direct[1])
-        rec = ContractionRecord(
-            n=n,
-            k=k,
-            tv_true=tv,
-            bound_coupling=2.0 * (1.0 - a) ** k,
-            bound_theta=led.d_exact * led.theta_exact ** (led.alpha * n),
-        )
-        records.append(rec)
-        if (tv > rec.bound_coupling + DETERMINISTIC_SLACK
-                or tv > rec.bound_theta + DETERMINISTIC_SLACK):
+        tv = tv_true[n] = l1_distance(direct[0], direct[1])
+        if (tv > bound_coupling[n] + DETERMINISTIC_SLACK
+                or tv > bound_theta[n] + DETERMINISTIC_SLACK):
             raise AuditViolation(
                 f"tv = {tv:.6g} exceeds envelope at n = {n} "
-                f"(coupling {rec.bound_coupling:.6g}, theta {rec.bound_theta:.6g})"
+                f"(coupling {bound_coupling[n]:.6g}, theta {bound_theta[n]:.6g})"
             )
     marginals[n_max] = direct[0]
     return DeterministicCoupling(
         ledger=led,
-        records=records,
+        ns=ns,
+        ks=ks,
+        tv_true=tv_true,
+        bound_coupling=bound_coupling,
+        bound_theta=bound_theta,
         reconstruction_errors=recon_errors,
         epoch_residuals=epoch_residuals,
         marginals=marginals,
@@ -184,9 +181,7 @@ def _chi2_marginal(points: np.ndarray, density: GridDensity) -> dict:
     from scipy.special import chdtrc
 
     M = density.resolution
-    v = density.values
-    cell = (v + np.roll(v, -1)) / (2.0 * M)
-    per_bin = cell.reshape(CHI2_BINS, M // CHI2_BINS).sum(axis=1)
+    per_bin = _cell_masses(density).reshape(CHI2_BINS, M // CHI2_BINS).sum(axis=1)
     expected = per_bin / per_bin.sum() * points.size
     counts = np.bincount(np.minimum((points * CHI2_BINS).astype(np.int64), CHI2_BINS - 1),
                          minlength=CHI2_BINS).astype(float)
@@ -322,7 +317,7 @@ def monte_carlo_coupling(
     coupled = np.zeros(trials, dtype=bool)
     mismatch = np.empty(n_max + 1)
     mismatch[0] = float(np.mean(x != y))
-    coins = []
+    coins = np.empty((n_max // n_epoch, trials), dtype=bool)
     chi2 = []
     # Between epochs the pairs flow independently of each other, and
     # evaluate's ufunc loops release the GIL: a worker advances the first
@@ -343,7 +338,7 @@ def monte_carlo_coupling(
             n = stop
             if n % n_epoch == 0:
                 k = n // n_epoch
-                coin = rng.random(trials) < a
+                coin = np.less(rng.random(trials), a, out=coins[k - 1])
                 newly = coin & ~coupled
                 tails = ~coin & ~coupled
                 fresh = rng.random(int(newly.sum()))
@@ -353,26 +348,23 @@ def monte_carlo_coupling(
                 x[tails] = sample(res1, rng, int(tails.sum()))
                 y[tails] = sample(res2, rng, int(tails.sum()))
                 coupled |= newly
-                coins.append(coin)
                 chi2.append({"n": n, **_chi2_marginal(x, det.marginals[n])})
                 mismatch[n] = float(np.mean(x != y))
     if n_max % n_epoch != 0:
         chi2.append({"n": n_max, **_chi2_marginal(x, det.marginals[n_max])})
-    ns = np.arange(n_max + 1)
-    ks = ns // n_epoch
-    tv = np.array([r.tv_true for r in det.records])
-    theoretical = (1.0 - a) ** ks
+    ns, tv = det.ns, det.tv_true
+    theoretical = det.bound_coupling / 2.0
     trace = CouplingTrace(
         ledger=led,
         trials=trials,
         seed=seed,
         ns=ns,
-        ks=ks,
+        ks=det.ks,
         tv_true=tv,
         empirical_mismatch=mismatch,
-        bound_coupling=2.0 * theoretical,
-        bound_theta=led.d_exact * led.theta_exact ** (led.alpha * ns),
-        coins=np.array(coins, dtype=bool).reshape(len(coins), trials),
+        bound_coupling=det.bound_coupling,
+        bound_theta=det.bound_theta,
+        coins=coins,
         chi2=chi2,
     )
     bad = mismatch > theoretical + slack

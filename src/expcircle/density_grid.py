@@ -274,6 +274,13 @@ def holder_coefficient(f: GridFunction, alpha: float) -> float:
     return holder_profile(f, (alpha,))[0]
 
 
+def _cell_masses(psi: GridDensity) -> np.ndarray:
+    """Trapezoid mass of each cell [i/M, (i+1)/M): the law sample draws
+    from, and the one a test of its draws must bin."""
+    v = psi.values
+    return (v + np.roll(v, -1)) / (2.0 * psi.resolution)
+
+
 def sample(psi: GridDensity, rng: np.random.Generator, size=None):
     """Draw from the density via inverse-CDF with linear interpolation of
     the cumulative cell masses (trapezoid mass per cell, uniform within).
@@ -283,9 +290,8 @@ def sample(psi: GridDensity, rng: np.random.Generator, size=None):
     draw alone, so the order changes no bit; sorted keys make the binary
     search's branches predictable and its loads local (about half the
     time at 100k draws, the sort included)."""
-    v = psi.values
     M = psi.resolution
-    masses = (v + np.roll(v, -1)) / (2.0 * M)
+    masses = _cell_masses(psi)
     cum = np.concatenate([[0.0], np.cumsum(masses)])
     total = cum[-1]
     if total <= 0.0:

@@ -158,41 +158,17 @@ def apply(m: ExpandingMap, psi: GridDensity) -> GridDensity:
 
 
 @dataclass
-class StepRecord:
-    step: int
-    l1_diff: float
-    sup: float
-    inf: float
-    d_l1: float
-
-
-@dataclass
 class IterationDiagnostics:
-    records: list
+    """Per-step series of a fixed-point iteration; entry i is step i + 1."""
+
+    l1_diff: np.ndarray                  # ||L^(i+1) psi - L^i psi||_1
+    sup: np.ndarray
+    inf: np.ndarray
+    d_l1: np.ndarray                     # _derivative_l1 of the iterate
 
     @property
     def n_steps(self) -> int:
-        return len(self.records)
-
-    @property
-    def final_sup(self) -> float:
-        return self.records[-1].sup if self.records else float("nan")
-
-    @property
-    def final_inf(self) -> float:
-        return self.records[-1].inf if self.records else float("nan")
-
-    def to_records(self) -> list:
-        return [
-            {
-                "step": r.step,
-                "l1_diff": r.l1_diff,
-                "sup": r.sup,
-                "inf": r.inf,
-                "d_l1": r.d_l1,
-            }
-            for r in self.records
-        ]
+        return self.l1_diff.size
 
 
 def _central_differences(v: np.ndarray) -> np.ndarray:
@@ -210,16 +186,6 @@ def _central_differences(v: np.ndarray) -> np.ndarray:
 def _derivative_l1(f: GridDensity) -> float:
     """Mean |central finite difference|, an L1 size of the derivative."""
     return float(_central_differences(f.values).mean())
-
-
-def _step_record(step: int, prev: GridDensity, cur: GridDensity) -> StepRecord:
-    return StepRecord(
-        step=step,
-        l1_diff=l1_distance(cur, prev),
-        sup=sup_norm(cur),
-        inf=inf_value(cur),
-        d_l1=_derivative_l1(cur),
-    )
 
 
 def cesaro(m: ExpandingMap, psi: GridDensity, n_terms: int) -> GridDensity:
@@ -248,17 +214,17 @@ def invariant_density(
     NoConvergence when the budget runs out.  Returns (phi, diagnostics).
     """
     cur = psi0 if psi0 is not None else uniform_density(resolution)
-    records = []
-    for step in range(1, max_iter + 1):
+    rows = []
+    for _ in range(max_iter):
         nxt = apply(m, cur)
-        rec = _step_record(step, cur, nxt)
-        records.append(rec)
+        rows.append((l1_distance(nxt, cur), sup_norm(nxt), inf_value(nxt),
+                     _derivative_l1(nxt)))
         cur = nxt
-        if rec.l1_diff < tol:
-            return cur, IterationDiagnostics(records)
+        if rows[-1][0] < tol:
+            return cur, IterationDiagnostics(*np.array(rows).T)
     raise NoConvergence(
         f"no fixed point within {max_iter} steps on {m!r}; "
-        f"last l1_diff = {records[-1].l1_diff:.3e}"
+        f"last l1_diff = {rows[-1][0]:.3e}"
     )
 
 

@@ -616,7 +616,7 @@ def test_unallocatable_resolution_exits_two(tmp_path, capsys):
 
 def test_monte_carlo_run_above_the_memory_cap_is_refused(tmp_path, capsys):
     # at alpha 1e-6 the default horizon of five epochs is about 1e8 steps,
-    # whose per-step records alone pass the cap: refused before the run
+    # whose per-step series alone pass the cap: refused before the run
     argv = ["coupling", "--alpha", "1e-6", "--resolution", "64", "--out", str(tmp_path)]
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -54,7 +54,7 @@ def test_decompose_guards():
 def test_doubling_pair_couples_in_one_step(doubling):
     psi1 = GridDensity(1.0 + 0.5 * COS)
     run = deterministic_contraction_run(doubling, psi1, uniform_density(M), 1.0, 8)
-    tv = [r.tv_true for r in run.records]
+    tv = run.tv_true
     assert tv[0] == pytest.approx(1.0 / math.pi, rel=2e-3)
     assert max(tv[1:]) < 1e-12  # L kills the frequency-1 mode at once
     assert run.max_tv_excess() < 0.0
@@ -64,18 +64,35 @@ def test_deterministic_run_bookkeeping(bent):
     led = compute_ledger(bent, 1.0)
     n_max = 2 * led.n_big_k + 3
     run = deterministic_contraction_run(bent, tilted(), uniform_density(M), 1.0, n_max)
-    assert len(run.records) == n_max + 1
+    assert len(run.ns) == n_max + 1
     assert len(run.epoch_residuals) == 2
     assert len(run.reconstruction_errors) == 2
     assert all(err <= 1e-8 for _, err in run.reconstruction_errors)
     assert sorted(run.marginals) == [0, led.n_big_k, 2 * led.n_big_k, n_max]
-    ks = [r.k for r in run.records]
+    ks = run.ks.tolist()
     assert ks == [n // led.n_big_k for n in range(n_max + 1)]
     assert run.max_tv_excess() < 0.0
     # tv decreases across epochs
-    tv_at = {r.n: r.tv_true for r in run.records}
+    tv_at = dict(zip(run.ns.tolist(), run.tv_true))
     assert tv_at[led.n_big_k] < tv_at[0]
     assert tv_at[2 * led.n_big_k] < tv_at[led.n_big_k]
+
+
+def test_deterministic_run_raises_at_the_first_step_past_the_envelope(bent, monkeypatch):
+    # a negative slack puts every step past the envelope: the run stops at
+    # n = 1, the first step it audits, after that step's two applications
+    applied = []
+    apply_ = coupling_lab.apply
+
+    def counted(m, psi):
+        applied.append(1)
+        return apply_(m, psi)
+
+    monkeypatch.setattr(coupling_lab, "apply", counted)
+    monkeypatch.setattr(coupling_lab, "DETERMINISTIC_SLACK", -10.0)
+    with pytest.raises(AuditViolation, match="exceeds envelope at n = 1 "):
+        deterministic_contraction_run(bent, tilted(), uniform_density(M), 1.0, 5)
+    assert len(applied) == 2
 
 
 def test_deterministic_run_rejects_wild_start(bent):
@@ -117,6 +134,26 @@ def test_monte_carlo_chi2_and_bounds(bent):
     slack = 5.0 / math.sqrt(trace.trials)
     assert np.all(trace.empirical_mismatch <= trace.bound_coupling / 2.0 + slack)
     assert np.all(trace.tv_true <= 2.0 * trace.empirical_mismatch + slack)
+
+
+def test_monte_carlo_writes_the_audited_envelopes(bent, monkeypatch):
+    # the bounds a trace carries are the very floats its deterministic run
+    # audited tv against
+    runs = []
+    run = coupling_lab.deterministic_contraction_run
+
+    def recorded(*args):
+        runs.append(run(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(coupling_lab, "deterministic_contraction_run", recorded)
+    n_max = compute_ledger(bent, 1.0).n_big_k + 5
+    trace = monte_carlo_coupling(bent, tilted(), uniform_density(M), 1.0, n_max,
+                                 trials=2000, seed=42)
+    det, = runs
+    for field in ("ns", "ks", "tv_true", "bound_coupling", "bound_theta"):
+        a, b = getattr(trace, field), getattr(det, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
 
 
 def test_monte_carlo_is_seed_deterministic(doubling):

@@ -167,7 +167,9 @@ def test_depth_validation(bent):
 
 # Reference: the per-step loops that walked every path from scratch.  The
 # walk must reproduce them bit for bit, since each of its solves receives
-# the same point array.
+# the same point array.  Given a dict ``memo``, kept for one map and one
+# start, a reference solves each path prefix once: a step reads only the
+# point before it, so the bits are those of the walk from scratch.
 
 
 def _ref_pull_step(m, x, branch):
@@ -176,28 +178,33 @@ def _ref_pull_step(m, x, branch):
     return wrap(y)
 
 
-def _ref_orbit(m, x, bid):
+def _ref_orbit(m, x, bid, memo=None):
+    memo = {} if memo is None else memo
     y = np.asarray(wrap(x))
     orbit = []
-    for b in bid.path:
-        y = _ref_pull_step(m, y, b)
+    for k, b in enumerate(bid.path, 1):
+        if bid.path[:k] not in memo:
+            memo[bid.path[:k]] = _ref_pull_step(m, y, b)
+        y = memo[bid.path[:k]]
         orbit.append(y)
     return np.stack(orbit)
 
 
-def _ref_pair_orbits(m, x, y, bid):
+def _ref_pair_orbits(m, x, y, bid, memo=None):
+    memo = {} if memo is None else memo
     u = np.atleast_1d(np.asarray(wrap(x), dtype=float))
     gap = np.atleast_1d(np.asarray(signed_gap(x, y), dtype=float))
     m0 = ib._anchor_offset(m)
     us, vs, gaps = [], [], []
-    for b in bid.path:
-        tu = m0 + b + u
-        pu = ib._solve_lift(m, tu)
-        pv = ib._solve_lift(m, tu + gap, lo=-1.0, hi=3.0)
-        gap = pv - pu
-        u = wrap(pu)
+    for k, b in enumerate(bid.path, 1):
+        if bid.path[:k] not in memo:
+            tu = m0 + b + u
+            pu = ib._solve_lift(m, tu)
+            pv = ib._solve_lift(m, tu + gap, lo=-1.0, hi=3.0)
+            memo[bid.path[:k]] = wrap(pu), wrap(pv), pv - pu
+        u, v, gap = memo[bid.path[:k]]
         us.append(u)
-        vs.append(wrap(pv))
+        vs.append(v)
         gaps.append(np.abs(gap))
     return np.stack(us), np.stack(vs), np.stack(gaps)
 
@@ -223,14 +230,15 @@ def test_walk_matches_per_step_reference(m):
     single = list(ib.walk(m, paths, x))
     pairs = list(ib.walk(m, paths, x, y))
     assert [e.bid.path for e in single] == sorted(b.path for b in paths)
+    memo_x, memo_xy, memo_03 = {}, {}, {}
     # each orbit point is compared as the end of its own prefix path
     for e, e2 in zip(single, pairs, strict=True):
         assert e.bid == e2.bid
         assert e.v is None and e.dv is None and e.gap is None
-        ref = _ref_orbit(m, x, e.bid)
+        ref = _ref_orbit(m, x, e.bid, memo_x)
         assert np.array_equal(e.u, ref[-1])
         assert np.array_equal(e.du, np.prod(m.dlift(ref), axis=0))
-        ref_us, ref_vs, ref_gaps = _ref_pair_orbits(m, x, y, e.bid)
+        ref_us, ref_vs, ref_gaps = _ref_pair_orbits(m, x, y, e.bid, memo_xy)
         assert np.array_equal(e2.u, ref_us[-1]) and np.array_equal(e2.v, ref_vs[-1])
         assert np.array_equal(e2.gap, ref_gaps[-1])
         assert np.array_equal(e2.du, np.prod(m.dlift(ref_us), axis=0))
@@ -238,9 +246,10 @@ def test_walk_matches_per_step_reference(m):
     depth = 8 if m.winding == 2 else 4
     ref_sum = np.zeros_like(x)
     for bid in branch_ids(m.winding, depth):
-        ref_sum += 1.0 / np.prod(m.dlift(_ref_orbit(m, x, bid)), axis=0)
+        ref_sum += 1.0 / np.prod(m.dlift(_ref_orbit(m, x, bid, memo_x)), axis=0)
     assert np.array_equal(inverse_weight_sum(m, x, depth), ref_sum)
-    ref_deep = [_ref_orbit(m, 0.3, bid)[-1, 0] for bid in branch_ids(m.winding, depth)]
+    ref_deep = [_ref_orbit(m, 0.3, bid, memo_03)[-1, 0]
+                for bid in branch_ids(m.winding, depth)]
     assert [e.u[0] for e in ib.walk(m, branch_ids(m.winding, depth), 0.3)] == ref_deep
 
 

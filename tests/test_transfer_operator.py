@@ -142,6 +142,15 @@ def test_doubling_preserves_lebesgue(doubling):
     assert diag.n_steps <= 2
 
 
+def test_iteration_diagnostics_hold_one_entry_per_step(bent):
+    phi, diag = invariant_density(bent, tol=1e-12)
+    assert diag.n_steps > 2
+    for column in (diag.l1_diff, diag.sup, diag.inf, diag.d_l1):
+        assert column.shape == (diag.n_steps,)
+    assert diag.l1_diff[-1] < 1e-12 <= diag.l1_diff[-2]
+    assert diag.sup[-1] == sup_norm(phi) and diag.inf[-1] == inf_value(phi)
+
+
 def test_invariant_density_is_fixed_and_unique(bent):
     phi, _ = invariant_density(bent, tol=1e-12)
     assert l1_distance(apply(bent, phi), phi) < 1e-12
