@@ -13,7 +13,6 @@ coins of head probability a.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,23 +36,21 @@ RECONSTRUCTION_TOL = 1e-8
 # A marginal chi-square p-value at or below this fails a Monte-Carlo run.
 CHI2_P_FLOOR = 1e-4
 CHI2_BINS = 64
-# _flow's pairs per sorted block and steps between re-sorts.  On 50k pairs
-# of perturbed{2,0.1} over one 111-step epoch (2 CPUs), re-sorting every 8
-# steps beat every 4, 6, 12 and 16 at 8192 pairs a block; blocks of 4096 to
-# 16384 were within noise of each other, one block of all 50k pairs was
-# slower, and a block keeps the sort buffers small.
-_FLOW_BLOCK = 8192
-_RESORT_EVERY = 8
 # Bytes a Monte-Carlo run holds, estimated from above: per trial x and y,
-# the coupled mask and sample's temporaries (sorted draws, their order,
-# cell indices and masses, the points: 64); per trial and epoch one coin
-# byte, written in place into the run's one coin array; per step six
-# 8-byte series (the deterministic run's n, k, tv and two bounds, which the
-# trace shares, and the mismatch) and the flow's counts (tracemalloc on
-# perturbed{2,0.1} at M = 64: about 80 bytes a step); per epoch the
-# deterministic run's two residual grids and its marginal.  The per-coin
-# and per-step constants stay well above those figures.
-_TRIAL_BYTES = 8 + 8 + 1 + 64
+# the coupled mask, three more masks (the pairs equal at the epoch's start,
+# the newly coupled ones and the tails), and, at the peak, sample's
+# temporaries for the regenerated pairs (draws, their order, cell indices
+# and masses, the points: about 42); per trial and epoch one coin byte,
+# written in place into the run's one coin array; per step six 8-byte
+# series (the deterministic run's n, k, tv and two bounds, which the trace
+# shares, and the mismatch) and the final envelope checks' temporaries; per
+# epoch the deterministic run's two residual grids and its marginal.
+# tracemalloc, scipy.special imported beforehand: about 62 bytes a trial on
+# 200k trials of perturbed{2,0.05} at M = 4096 over 50 steps (two epochs
+# and a partial one), and about 100 bytes a step on 1000 trials of
+# perturbed{2,0.1} at M = 64 over 40000 steps.  The constants stay above
+# those figures.
+_TRIAL_BYTES = 8 + 8 + 1 + 3 + 64
 _TRIAL_EPOCH_BYTES = 2
 _STEP_BYTES = 320
 _EPOCH_GRIDS = 3
@@ -125,10 +122,9 @@ def deterministic_contraction_run(
         resid = direct if n <= n_epoch else [apply(m, r) for r in resid]
         if rho is not None:
             rho = apply(m, rho)
-        k = n // n_epoch
         if n % n_epoch == 0:
             resid = [decompose(r, a) for r in resid]
-            weight_prev = (1.0 - a) ** (k - 1)
+            weight_prev = bound_coupling[n - n_epoch] / 2.0
             deposit = a * weight_prev
             if rho is None:
                 rho = uniform_density(psi1.resolution)
@@ -138,7 +134,7 @@ def deterministic_contraction_run(
                     (deposit + regen_prev * rho.values) / (deposit + regen_prev)
                 )
             epoch_residuals.append(tuple(resid))
-            weight = (1.0 - a) ** k
+            weight = bound_coupling[n] / 2.0
             err = max(
                 l1_distance(
                     GridFunction(weight * resid[i].values + (1.0 - weight) * rho.values),
@@ -191,49 +187,6 @@ def _chi2_marginal(points: np.ndarray, density: GridDensity) -> dict:
         "dof": CHI2_BINS - 1,
         "p_value": float(chdtrc(CHI2_BINS - 1, stat)),
     }
-
-
-def _flow(m: ExpandingMap, x: np.ndarray, y: np.ndarray, counts: np.ndarray):
-    """Advance the pairs (x, y) in place by counts.size steps of the map,
-    writing the number of unequal pairs after each step to counts.
-
-    The pairs go _FLOW_BLOCK at a time.  A block's 2n points are stepped
-    as one array in ascending order, re-sorted every _RESORT_EVERY steps,
-    and scattered back to pair order at the end.  The map acts on each
-    element alone, so the order changes no bit; it only lets the branches
-    of sin, which depend on the argument's range, be predicted (on sorted
-    input a step costs about half as much).
-
-    Equal points stay equal under the map, so a block's unequal count never
-    grows: if it is the same after the last step as before the first, it
-    held at every step.  Otherwise the block is flowed again from its start,
-    step by step in pair order, to count each step."""
-    counts[...] = 0
-    steps = counts.size
-    for s in range(0, x.size, _FLOW_BLOCK):
-        bx, by = x[s:s + _FLOW_BLOCK], y[s:s + _FLOW_BLOCK]
-        n = bx.size
-        unequal = np.count_nonzero(bx != by)
-        p = np.concatenate((bx, by))
-        order = np.argsort(p)
-        q = p[order]
-        for i in range(steps):
-            if i and i % _RESORT_EVERY == 0:
-                o = np.argsort(q)
-                q = q[o]
-                order = order[o]
-            q = evaluate(m, q)
-        p[order] = q
-        if np.count_nonzero(p[:n] != p[n:]) == unequal:
-            counts += unequal
-        else:
-            u, v = bx, by
-            for i in range(steps):
-                u = evaluate(m, u)
-                v = evaluate(m, v)
-                counts[i] += np.count_nonzero(u != v)
-        bx[...] = p[:n]
-        by[...] = p[n:]
 
 
 def _check_run_bytes(trials: int, n_max: int = 0, n_epoch: int = 1,
@@ -299,7 +252,11 @@ def monte_carlo_coupling(
     Marginals follow the evolved densities by construction: between epochs
     points flow deterministically under T; at each epoch an uncoupled pair
     regenerates jointly from the uniform pool with probability a, and
-    otherwise resamples independently from the two epoch residuals.
+    otherwise resamples independently from the two epoch residuals.  So
+    within a full epoch only the pairs equal at its start are stepped, and
+    each step's mismatch is the fraction of pairs unequal at the epoch's
+    start; a last, partial epoch steps every point, which its chi-square
+    check reads.  Runs on the calling thread.
     Audits the mismatch envelope and the tv <= 2 P(X != Y) inequality at
     every step with Monte-Carlo slack 5/sqrt(trials), and the sampled
     marginals against the evolved densities by chi-square tests.
@@ -317,40 +274,41 @@ def monte_carlo_coupling(
     coupled = np.zeros(trials, dtype=bool)
     mismatch = np.empty(n_max + 1)
     mismatch[0] = float(np.mean(x != y))
-    coins = np.empty((n_max // n_epoch, trials), dtype=bool)
+    epochs = n_max // n_epoch
+    coins = np.empty((epochs, trials), dtype=bool)
     chi2 = []
-    # Between epochs the pairs flow independently of each other, and
-    # evaluate's ufunc loops release the GIL: a worker advances the first
-    # half of the pairs while this thread advances the second.  The threads
-    # meet once per epoch, not once per step, so each stays busy long
-    # enough for the scheduler to give it a CPU of its own.  Every draw
-    # stays on this thread, in order.
-    half = trials // 2
-    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
-        n = 0
-        while n < n_max:
-            stop = min(n + n_epoch, n_max)
-            counts = np.empty((2, stop - n))
-            head = pool.submit(_flow, m, x[:half], y[:half], counts[0])
-            _flow(m, x[half:], y[half:], counts[1])
-            head.result()
-            mismatch[n + 1:stop + 1] = counts.sum(axis=0) / trials
-            n = stop
-            if n % n_epoch == 0:
-                k = n // n_epoch
-                coin = np.less(rng.random(trials), a, out=coins[k - 1])
-                newly = coin & ~coupled
-                tails = ~coin & ~coupled
-                fresh = rng.random(int(newly.sum()))
-                x[newly] = fresh
-                y[newly] = fresh
-                res1, res2 = det.epoch_residuals[k - 1]
-                x[tails] = sample(res1, rng, int(tails.sum()))
-                y[tails] = sample(res2, rng, int(tails.sum()))
-                coupled |= newly
-                chi2.append({"n": n, **_chi2_marginal(x, det.marginals[n])})
-                mismatch[n] = float(np.mean(x != y))
-    if n_max % n_epoch != 0:
+    for k in range(1, epochs + 1):
+        n = k * n_epoch
+        # Equal points stay equal under the map and distinct ones almost
+        # surely never meet, so the epoch's unequal count holds at each of
+        # its steps; and every unequal pair regenerates at the epoch's end,
+        # so only the equal pairs flow.  Every coupled pair is equal.
+        eq = x == y
+        mismatch[n - n_epoch + 1:n] = np.count_nonzero(~eq) / trials
+        z = x[eq]
+        for _ in range(n_epoch):
+            z = evaluate(m, z)
+        x[eq] = z
+        y[eq] = z
+        coin = np.less(rng.random(trials), a, out=coins[k - 1])
+        newly = coin & ~coupled
+        tails = ~coin & ~coupled
+        fresh = rng.random(int(newly.sum()))
+        x[newly] = fresh
+        y[newly] = fresh
+        res1, res2 = det.epoch_residuals[k - 1]
+        x[tails] = sample(res1, rng, int(tails.sum()))
+        y[tails] = sample(res2, rng, int(tails.sum()))
+        coupled |= newly
+        chi2.append({"n": n, **_chi2_marginal(x, det.marginals[n])})
+        mismatch[n] = float(np.mean(x != y))
+    rest = n_max % n_epoch
+    if rest:
+        # no regeneration follows a last, partial epoch, and its
+        # chi-square check reads every point
+        mismatch[n_max - rest + 1:] = np.count_nonzero(x != y) / trials
+        for _ in range(rest):
+            x = evaluate(m, x)
         chi2.append({"n": n_max, **_chi2_marginal(x, det.marginals[n_max])})
     ns, tv = det.ns, det.tv_true
     theoretical = det.bound_coupling / 2.0

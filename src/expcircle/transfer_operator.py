@@ -59,9 +59,8 @@ TABLE_PEAK_BYTES_PER_ROW = 100
 TABLE_BYTES_CAP = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
 
 # Per-map operators, keyed by resolution; an entry lives as long as its map.
-# Operators are built and applied on one thread: the audits run serially,
-# and the Monte-Carlo worker thread only evaluates the map, so the cache
-# takes no lock.
+# The cache takes no lock: expcircle starts no thread, and its audits run
+# serially.
 _OPERATORS: "weakref.WeakKeyDictionary[ExpandingMap, dict]" = weakref.WeakKeyDictionary()
 
 

@@ -1,7 +1,6 @@
-import collections
-import dataclasses
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,6 +155,25 @@ def test_monte_carlo_writes_the_audited_envelopes(bent, monkeypatch):
         assert a.dtype == b.dtype and np.array_equal(a, b), field
 
 
+def test_monte_carlo_peaks_below_its_memory_estimate(monkeypatch):
+    # 200k trials over two epochs and a partial one, the operator built
+    # beforehand: the traced peak stays under what _check_run_bytes counts
+    m = perturbed_map(2, 0.05)
+    n_epoch = compute_ledger(m, 1.0).n_big_k
+    trials, n_max = 200_000, 2 * n_epoch + 8
+    args = (m, tilted(), uniform_density(M), 1.0)
+    deterministic_contraction_run(*args, 1)
+    tracemalloc.start()
+    try:
+        monte_carlo_coupling(*args, n_max, trials=trials, seed=42)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(coupling_lab, "TABLE_BYTES_CAP", peak)
+    with pytest.raises(MemoryError):
+        coupling_lab._check_run_bytes(trials, n_max, n_epoch, M)
+
+
 def test_monte_carlo_is_seed_deterministic(doubling):
     runs = [
         monte_carlo_coupling(
@@ -195,116 +213,85 @@ def test_monte_carlo_matches_textbook_evaluate(monkeypatch):
     assert fast.chi2 == slow.chi2
 
 
-def test_monte_carlo_flows_half_the_pairs_on_a_worker(bent, monkeypatch):
-    # every step evaluates the 2 x 1000 points of the first 1000 pairs, as one
-    # array, on one worker thread and the 2 x 1001 of the other 1001 on the
-    # calling thread, whatever the timing
-    trials, n_max = 2001, compute_ledger(bent, 1.0).n_big_k + 3
-    caller = threading.get_ident()
+def pair_order_coupling(m, psi1, psi2, alpha, n_max, trials, seed):
+    """monte_carlo_coupling spelled out: every pair of x and y stepped in
+    pair order at every step, the unequal pairs counted after each step,
+    and each epoch's regeneration drawn as the code draws it.  Returns the
+    mismatch series, the coins, the chi-square checks and the points at the
+    start of each epoch."""
+    det = deterministic_contraction_run(m, psi1, psi2, alpha, n_max)
+    a, n_epoch = det.ledger.a, det.ledger.n_big_k
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    x = sample(psi1, rng, trials)
+    y = sample(psi2, rng, trials)
+    coupled = np.zeros(trials, dtype=bool)
+    mismatch = [np.count_nonzero(x != y) / trials]
+    coins, chi2, starts = [], [], []
+    for n in range(1, n_max + 1):
+        if (n - 1) % n_epoch == 0:
+            starts.append((x.copy(), y.copy()))
+        x = evaluate(m, x)
+        y = evaluate(m, y)
+        mismatch.append(np.count_nonzero(x != y) / trials)
+        if n % n_epoch == 0:
+            coin = rng.random(trials) < a
+            newly = coin & ~coupled
+            tails = ~coin & ~coupled
+            fresh = rng.random(np.count_nonzero(newly))
+            x[newly] = fresh
+            y[newly] = fresh
+            res1, res2 = det.epoch_residuals[n // n_epoch - 1]
+            x[tails] = sample(res1, rng, np.count_nonzero(tails))
+            y[tails] = sample(res2, rng, np.count_nonzero(tails))
+            coupled |= newly
+            coins.append(coin)
+            chi2.append({"n": n, **coupling_lab._chi2_marginal(x, det.marginals[n])})
+            mismatch[n] = np.count_nonzero(x != y) / trials
+    if n_max % n_epoch:
+        chi2.append({"n": n_max, **coupling_lab._chi2_marginal(x, det.marginals[n_max])})
+    return np.array(mismatch), np.array(coins).reshape(-1, trials), chi2, starts
+
+
+@pytest.mark.parametrize("name, epochs, rest", [
+    ("bent", 5, 0), ("bent", 2, 7), ("perturbed{2,0.1}", 2, 0)])
+def test_monte_carlo_equals_the_pair_order_reference(bent, name, epochs, rest):
+    m = bent if name == "bent" else perturbed_map(2, 0.1)
+    n_max = epochs * compute_ledger(m, 1.0).n_big_k + rest
+    args = (m, tilted(), uniform_density(M), 1.0, n_max)
+    trace = monte_carlo_coupling(*args, trials=3000, seed=42)
+    mismatch, coins, chi2, _ = pair_order_coupling(*args, trials=3000, seed=42)
+    assert np.array_equal(trace.empirical_mismatch.view(np.int64), mismatch.view(np.int64))
+    assert np.array_equal(trace.coins, coins)
+    assert trace.chi2 == chi2
+    assert len(chi2) == epochs + (rest > 0)
+
+
+def test_monte_carlo_flows_only_the_pairs_it_reads(bent, monkeypatch):
+    # a full epoch steps the pairs equal at its start, as one array; the
+    # last, partial epoch steps every x.  No thread is started.
+    n_epoch = compute_ledger(bent, 1.0).n_big_k
+    trials, n_max = 2001, 3 * n_epoch + 4
+    args = (bent, tilted(), uniform_density(M), 1.0, n_max)
     calls = []
-    evaluate = coupling_lab.evaluate
-
-    def recorded(m, x):
-        calls.append((threading.get_ident(), np.size(x)))
-        return evaluate(m, x)
-
-    monkeypatch.setattr(coupling_lab, "evaluate", recorded)
-    before = threading.active_count()
-    trace = monte_carlo_coupling(bent, tilted(), uniform_density(M), 1.0, n_max,
-                                 trials=trials, seed=42)
-    assert threading.active_count() == before
-    assert int(trace.ns[-1]) == n_max
-    assert collections.Counter((t == caller, size) for t, size in calls) == {
-        (True, 2002): n_max, (False, 2000): n_max}
-    assert len({t for t, _ in calls}) == 2      # one worker for the whole run
-
-
-class LiftFailure(RuntimeError):
-    pass
-
-
-@pytest.mark.parametrize("on_worker", [True, False], ids=["worker", "caller"])
-def test_monte_carlo_worker_fails_cleanly(bent, on_worker):
-    # a lift that raises on its fourth call of the pair process on either
-    # thread: the same exception leaves the run and no thread is left behind
-    caller = threading.get_ident()
-    calls = {True: 0, False: 0}             # per thread: is it the worker?
-
-    def lift(x):
-        if np.size(x) in (1000, 1002):      # the two halves of 1001 pairs
-            worker = threading.get_ident() != caller
-            calls[worker] += 1
-            if worker == on_worker and calls[worker] == 4:
-                raise LiftFailure("lift failed")
-        return bent.lift(x)
-
-    m = dataclasses.replace(bent, lift=lift)
-    before = threading.active_count()
-    with pytest.raises(LiftFailure):
-        monte_carlo_coupling(m, tilted(), uniform_density(M), 1.0, 12,
-                             trials=1001, seed=42)
-    assert threading.active_count() == before
-    assert calls[on_worker] == 4
-
-
-def pair_order_flow(m, x, y, counts):
-    """_flow as x and y stepped side by side in pair order."""
-    u, v = x, y
-    for i in range(counts.size):
-        u = evaluate(m, u)
-        v = evaluate(m, v)
-        counts[i] = np.count_nonzero(u != v)
-    x[...] = u
-    y[...] = v
-
-
-def flows_agree(m, x, y, steps):
-    """Run _flow and pair_order_flow on copies of (x, y) and check that the
-    points and the counts agree bit for bit; return the counts."""
-    got, want = [(x.copy(), y.copy(), np.empty(steps)) for _ in range(2)]
-    coupling_lab._flow(m, *got)
-    pair_order_flow(m, *want)
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
-    return got[2]
-
-
-def test_flow_equals_the_pair_order_reference(bent):
-    # two full blocks and an odd tail, over more steps than two re-sorts;
-    # every fifth pair starts coupled
-    n = 2 * coupling_lab._FLOW_BLOCK + 3
-    rng = np.random.Generator(np.random.Philox(key=23))
-    x, y = rng.random(n), rng.random(n)
-    y[::5] = x[::5]
-    counts = flows_agree(bent, x, y, 2 * coupling_lab._RESORT_EVERY + 3)
-    assert np.all(counts == n - len(x[::5]))
-
-
-def test_flow_recounts_a_block_whose_pairs_meet(doubling, monkeypatch):
-    # under x -> 2x mod 1 the pair (x, x + 1/2) meets after one step (x a
-    # multiple of 2**-53 below 1/2, so x + 1/2 is exact), and float orbits
-    # of the other pairs collapse onto 0 within 60 steps: every block's
-    # count falls, so each is flowed again in pair order
-    n = coupling_lab._FLOW_BLOCK + 5
-    rng = np.random.Generator(np.random.Philox(key=29))
-    x = rng.integers(0, 2**52, n) * 2.0**-53
-    y = rng.random(n)
-    y[::2] = x[::2] + 0.5
-    sizes = []
+    threads = threading.active_count()
     evaluate_ = coupling_lab.evaluate
 
     def recorded(m, v):
-        sizes.append(np.size(v))
+        calls.append((np.array(v), threading.active_count()))
         return evaluate_(m, v)
 
     monkeypatch.setattr(coupling_lab, "evaluate", recorded)
-    counts = flows_agree(doubling, x, y, 60)
-    assert counts[0] == n // 2                 # the odd pairs
-    assert counts[-1] == 0
-    # each block is stepped sorted, then once more in pair order
-    blocks = (coupling_lab._FLOW_BLOCK, 5)
-    assert collections.Counter(sizes) == {
-        **{2 * b: 60 for b in blocks}, **{b: 2 * 60 for b in blocks}}
+    monte_carlo_coupling(*args, trials=trials, seed=42)
+    *_, starts = pair_order_coupling(*args, trials=trials, seed=42)
+    assert len(starts) == 4 and len(calls) == n_max
+    assert all(count == threads for _, count in calls)
+    for k, (x, y) in enumerate(starts):
+        flowed = x if k == 3 else x[x == y]
+        epoch = calls[k * n_epoch:(k + 1) * n_epoch]
+        assert [v.size for v, _ in epoch] == [flowed.size] * len(epoch)
+        assert np.array_equal(epoch[0][0].view(np.int64), flowed.view(np.int64))
+    # no pair is equal at the start, some are after the first epoch
+    assert calls[0][0].size == 0 and 0 < calls[n_epoch][0].size < trials
 
 
 @pytest.mark.parametrize("points", [300, 8000, 100_000])
