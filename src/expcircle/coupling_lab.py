@@ -44,7 +44,7 @@ CHI2_BINS = 64
 # written in place into the run's one coin array; per step six 8-byte
 # series (the deterministic run's n, k, tv and two bounds, which the trace
 # shares, and the mismatch) and the final envelope checks' temporaries; per
-# epoch the deterministic run's two residual grids and its marginal.
+# epoch the deterministic run's two residual grids and its two marginals.
 # tracemalloc, scipy.special imported beforehand: about 62 bytes a trial on
 # 200k trials of perturbed{2,0.05} at M = 4096 over 50 steps (two epochs
 # and a partial one), and about 100 bytes a step on 1000 trials of
@@ -53,7 +53,7 @@ CHI2_BINS = 64
 _TRIAL_BYTES = 8 + 8 + 1 + 3 + 64
 _TRIAL_EPOCH_BYTES = 2
 _STEP_BYTES = 320
-_EPOCH_GRIDS = 3
+_EPOCH_GRIDS = 4
 
 
 def decompose(psi: GridDensity, a: float) -> GridDensity:
@@ -81,7 +81,7 @@ class DeterministicCoupling:
     bound_theta: np.ndarray              # D theta^(alpha n)
     reconstruction_errors: list          # (n, max over the pair of L1 error)
     epoch_residuals: list                # per epoch k: (residual1, residual2)
-    marginals: dict                      # step -> L^n psi1 snapshot
+    marginals: dict                      # step -> (L^n psi1, L^n psi2)
 
     def max_tv_excess(self) -> float:
         return float(np.max(np.maximum(self.tv_true - self.bound_coupling,
@@ -116,7 +116,7 @@ def deterministic_contraction_run(
     tv_true[0] = l1_distance(psi1, psi2)
     recon_errors = []
     epoch_residuals = []
-    marginals = {0: psi1}
+    marginals = {0: (psi1, psi2)}
     for n in range(1, n_max + 1):
         direct = [apply(m, d) for d in direct]
         resid = direct if n <= n_epoch else [apply(m, r) for r in resid]
@@ -147,7 +147,7 @@ def deterministic_contraction_run(
                 raise AuditViolation(
                     f"epoch reconstruction off by {err:.3e} at n = {n}"
                 )
-            marginals[n] = direct[0]
+            marginals[n] = tuple(direct)
         tv = tv_true[n] = l1_distance(direct[0], direct[1])
         if (tv > bound_coupling[n] + DETERMINISTIC_SLACK
                 or tv > bound_theta[n] + DETERMINISTIC_SLACK):
@@ -155,7 +155,7 @@ def deterministic_contraction_run(
                 f"tv = {tv:.6g} exceeds envelope at n = {n} "
                 f"(coupling {bound_coupling[n]:.6g}, theta {bound_theta[n]:.6g})"
             )
-    marginals[n_max] = direct[0]
+    marginals[n_max] = tuple(direct)
     return DeterministicCoupling(
         ledger=led,
         ns=ns,
@@ -187,6 +187,13 @@ def _chi2_marginal(points: np.ndarray, density: GridDensity) -> dict:
         "dof": CHI2_BINS - 1,
         "p_value": float(chdtrc(CHI2_BINS - 1, stat)),
     }
+
+
+def _chi2_marginals(n: int, points: tuple, densities: tuple) -> list:
+    """The chi-square checks of x and y at step n against their evolved
+    densities, one entry each, tagged "x" and "y"."""
+    return [{"n": n, "marginal": name, **_chi2_marginal(p, d)}
+            for name, p, d in zip("xy", points, densities, strict=True)]
 
 
 def _check_run_bytes(trials: int, n_max: int = 0, n_epoch: int = 1,
@@ -222,7 +229,7 @@ class CouplingTrace:
     bound_coupling: np.ndarray
     bound_theta: np.ndarray
     coins: np.ndarray                    # (epochs, trials); inert once coupled
-    chi2: list                           # {n, statistic, dof, p_value} per check
+    chi2: list                           # {n, marginal, statistic, dof, p_value}
 
     def summary(self) -> dict:
         return {
@@ -256,10 +263,12 @@ def monte_carlo_coupling(
     within a full epoch only the pairs equal at its start are stepped, and
     each step's mismatch is the fraction of pairs unequal at the epoch's
     start; a last, partial epoch steps every point, which its chi-square
-    check reads.  Runs on the calling thread.
+    checks read.  Runs on the calling thread.
+
     Audits the mismatch envelope and the tv <= 2 P(X != Y) inequality at
-    every step with Monte-Carlo slack 5/sqrt(trials), and the sampled
-    marginals against the evolved densities by chi-square tests.
+    every step with Monte-Carlo slack 5/sqrt(trials), and both sampled
+    marginals, x and y, against the evolved densities by chi-square tests
+    at every epoch and at n_max.
     """
     led = compute_ledger(m, alpha)
     if n_max is None:
@@ -300,16 +309,17 @@ def monte_carlo_coupling(
         x[tails] = sample(res1, rng, int(tails.sum()))
         y[tails] = sample(res2, rng, int(tails.sum()))
         coupled |= newly
-        chi2.append({"n": n, **_chi2_marginal(x, det.marginals[n])})
+        chi2 += _chi2_marginals(n, (x, y), det.marginals[n])
         mismatch[n] = float(np.mean(x != y))
     rest = n_max % n_epoch
     if rest:
         # no regeneration follows a last, partial epoch, and its
-        # chi-square check reads every point
+        # chi-square checks read every point
         mismatch[n_max - rest + 1:] = np.count_nonzero(x != y) / trials
         for _ in range(rest):
             x = evaluate(m, x)
-        chi2.append({"n": n_max, **_chi2_marginal(x, det.marginals[n_max])})
+            y = evaluate(m, y)
+        chi2 += _chi2_marginals(n_max, (x, y), det.marginals[n_max])
     ns, tv = det.ns, det.tv_true
     theoretical = det.bound_coupling / 2.0
     trace = CouplingTrace(
@@ -341,6 +351,6 @@ def monte_carlo_coupling(
         )
     for c in chi2:
         if c["p_value"] <= CHI2_P_FLOOR:
-            raise AuditViolation(f"marginal chi2 p-value {c['p_value']:.3g} <= "
-                                 f"{CHI2_P_FLOOR:g} at n = {c['n']}")
+            raise AuditViolation(f"{c['marginal']} marginal chi2 p-value "
+                                 f"{c['p_value']:.3g} <= {CHI2_P_FLOOR:g} at n = {c['n']}")
     return trace

@@ -58,10 +58,10 @@ GOLDEN = {
     },
     "coupling --trials 20000 --n-max 21": {
         "coupling.csv": "cd0198987ada4852a7aa2c704a1cb5bf5c53629f118780bf64112c022037f8b8",
-        "coupling.json": "a96c25c35f0e1ad3d4c361a48da5075fb071e3db97b4868bde00392f2488c05c",
+        "coupling.json": "7f54a36da41a7ff91733e6edeabbfe5944c95c61250fd68a4018a1674e9e6c9e",
     },
     "verify on linear{2}": {
-        "verify.json": "4cdb84aaee25ac0850b4e77222478a21950c37e819e3323d24a1d41cb5b6fd78",
+        "verify.json": "f316e08621e3d96a8c027d8c20efee30fecd24729d88890185ccce108703625d",
     },
     "verify on linear{3}": {
         "verify.json": "525f6255c6482ac985f77abe2325fc47cce0814f71b37865e60883ecf8ecfbc0",
@@ -70,10 +70,10 @@ GOLDEN = {
         "verify.json": "373a0c2a95d89b560855f1084ebf1af370c9bfd00340a3fd4c3bd6f67a0d9986",
     },
     "verify on perturbed{2,0.05}": {
-        "verify.json": "eaf362fd29e64916c62c3489d070efd104c23a09049ccf8b9cc969ad650710af",
+        "verify.json": "bb9059e72571a87a26e3ac9debcd8597cd3a6ce74da235c7f0dc2eb8db3a0069",
     },
     "verify on perturbed{2,0.1}": {
-        "verify.json": "4e216e3442d9b2cba7bea8fc7317ed10d17cd10c442387520c3f387d78f68ea1",
+        "verify.json": "fe4f70e042c55d03030223dc01b02e50de67c87fb912c6a98bcdc1a2170c074c",
     },
 }
 
@@ -304,6 +304,23 @@ def test_coupling_csv_layout(tmp_path):
         assert list(row) == header
         assert [float(v) for v in line.split(",")] == list(row.values())
     assert_golden(tmp_path, "coupling --trials 20000 --n-max 21")
+
+
+@pytest.mark.parametrize("m", standard_maps(), ids=repr)
+def test_coupling_checks_x_and_y_at_every_check(tmp_path, m):
+    # two epochs and one step of a third: every check, the last, partial
+    # one too, tests the x marginal and then the y marginal
+    n_epoch = expcircle.compute_ledger(m, 1.0).n_big_k
+    cfg = write_config(tmp_path, {"map": {"family": m.family,
+                                          **dict(zip(("w", "eps"), m.params))}})
+    argv = ["coupling", "--config", cfg, "--trials", "20000",
+            "--n-max", str(2 * n_epoch + 1), "--out", str(tmp_path)]
+    assert main(argv) == 0
+    chi2 = json.loads((tmp_path / "coupling.json").read_text())["summary"]["chi2"]
+    checks = [n_epoch, 2 * n_epoch, 2 * n_epoch + 1]
+    assert [(c["n"], c["marginal"]) for c in chi2] == [
+        (n, side) for n in checks for side in "xy"]
+    assert all(c["p_value"] > CHI2_P_FLOOR for c in chi2)
 
 
 def test_coupling_seed_changes_stream(tmp_path):

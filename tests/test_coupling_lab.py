@@ -213,6 +213,11 @@ def test_monte_carlo_matches_textbook_evaluate(monkeypatch):
     assert fast.chi2 == slow.chi2
 
 
+def marginal_checks(n, x, y, densities):
+    return [{"n": n, "marginal": "x", **coupling_lab._chi2_marginal(x, densities[0])},
+            {"n": n, "marginal": "y", **coupling_lab._chi2_marginal(y, densities[1])}]
+
+
 def pair_order_coupling(m, psi1, psi2, alpha, n_max, trials, seed):
     """monte_carlo_coupling spelled out: every pair of x and y stepped in
     pair order at every step, the unequal pairs counted after each step,
@@ -245,10 +250,10 @@ def pair_order_coupling(m, psi1, psi2, alpha, n_max, trials, seed):
             y[tails] = sample(res2, rng, np.count_nonzero(tails))
             coupled |= newly
             coins.append(coin)
-            chi2.append({"n": n, **coupling_lab._chi2_marginal(x, det.marginals[n])})
+            chi2 += marginal_checks(n, x, y, det.marginals[n])
             mismatch[n] = np.count_nonzero(x != y) / trials
     if n_max % n_epoch:
-        chi2.append({"n": n_max, **coupling_lab._chi2_marginal(x, det.marginals[n_max])})
+        chi2 += marginal_checks(n_max, x, y, det.marginals[n_max])
     return np.array(mismatch), np.array(coins).reshape(-1, trials), chi2, starts
 
 
@@ -263,12 +268,12 @@ def test_monte_carlo_equals_the_pair_order_reference(bent, name, epochs, rest):
     assert np.array_equal(trace.empirical_mismatch.view(np.int64), mismatch.view(np.int64))
     assert np.array_equal(trace.coins, coins)
     assert trace.chi2 == chi2
-    assert len(chi2) == epochs + (rest > 0)
+    assert len(chi2) == 2 * (epochs + (rest > 0))
 
 
 def test_monte_carlo_flows_only_the_pairs_it_reads(bent, monkeypatch):
     # a full epoch steps the pairs equal at its start, as one array; the
-    # last, partial epoch steps every x.  No thread is started.
+    # last, partial epoch steps every x and every y.  No thread is started.
     n_epoch = compute_ledger(bent, 1.0).n_big_k
     trials, n_max = 2001, 3 * n_epoch + 4
     args = (bent, tilted(), uniform_density(M), 1.0, n_max)
@@ -283,13 +288,16 @@ def test_monte_carlo_flows_only_the_pairs_it_reads(bent, monkeypatch):
     monkeypatch.setattr(coupling_lab, "evaluate", recorded)
     monte_carlo_coupling(*args, trials=trials, seed=42)
     *_, starts = pair_order_coupling(*args, trials=trials, seed=42)
-    assert len(starts) == 4 and len(calls) == n_max
+    assert len(starts) == 4 and len(calls) == 3 * n_epoch + 2 * 4
     assert all(count == threads for _, count in calls)
-    for k, (x, y) in enumerate(starts):
-        flowed = x if k == 3 else x[x == y]
+    for k, (x, y) in enumerate(starts[:3]):
         epoch = calls[k * n_epoch:(k + 1) * n_epoch]
-        assert [v.size for v, _ in epoch] == [flowed.size] * len(epoch)
-        assert np.array_equal(epoch[0][0].view(np.int64), flowed.view(np.int64))
+        assert [v.size for v, _ in epoch] == [np.count_nonzero(x == y)] * n_epoch
+        assert np.array_equal(epoch[0][0].view(np.int64), x[x == y].view(np.int64))
+    partial = calls[3 * n_epoch:]
+    assert [v.size for v, _ in partial] == [trials] * 8
+    for v, start in zip(partial[:2], starts[3], strict=True):
+        assert np.array_equal(v[0].view(np.int64), start.view(np.int64))
     # no pair is equal at the start, some are after the first epoch
     assert calls[0][0].size == 0 and 0 < calls[n_epoch][0].size < trials
 
