@@ -36,21 +36,16 @@ RECONSTRUCTION_TOL = 1e-8
 # A marginal chi-square p-value at or below this fails a Monte-Carlo run.
 CHI2_P_FLOOR = 1e-4
 CHI2_BINS = 64
-# Bytes a Monte-Carlo run holds, estimated from above: per trial x and y,
-# the coupled mask, three more masks (the pairs equal at the epoch's start,
-# the newly coupled ones and the tails), and, at the peak, sample's
-# temporaries for the regenerated pairs (draws, their order, cell indices
-# and masses, the points: about 42); per trial and epoch one coin byte,
-# written in place into the run's one coin array; per step six 8-byte
-# series (the deterministic run's n, k, tv and two bounds, which the trace
-# shares, and the mismatch) and the final envelope checks' temporaries; per
-# epoch the deterministic run's two residual grids and its two marginals.
-# tracemalloc, scipy.special imported beforehand: about 62 bytes a trial on
-# 200k trials of perturbed{2,0.05} at M = 4096 over 50 steps (two epochs
-# and a partial one), and about 100 bytes a step on 1000 trials of
-# perturbed{2,0.1} at M = 64 over 40000 steps.  The constants stay above
-# those figures.
-_TRIAL_BYTES = 8 + 8 + 1 + 3 + 64
+# Bytes a Monte-Carlo run holds, estimated from above: per trial x, y, four
+# masks (coupled; and per epoch: equal at its start, newly coupled, tails)
+# and, at the peak, sample's temporaries for the regenerated pairs (draws,
+# their order, cell indices and masses, the points: about 42); per trial
+# and epoch one coin byte; per step six 8-byte series (n, k, tv, the two
+# bounds, the mismatch) and the final checks' temporaries; per epoch the
+# deterministic run's two residual grids and two marginals.  tracemalloc:
+# about 62 bytes a trial (200k trials, perturbed{2,0.05}, M = 4096, 50
+# steps) and 100 a step (1000 trials, perturbed{2,0.1}, M = 64, 40000 steps).
+_TRIAL_BYTES = 8 + 8 + 4 + 64
 _TRIAL_EPOCH_BYTES = 2
 _STEP_BYTES = 320
 _EPOCH_GRIDS = 4
