@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -40,7 +39,7 @@ from .audits import cos_observable, coupling_pair, run_all
 from .circle_map import linear_map, perturbed_map
 from .correlation_suite import decay_report
 from .coupling_lab import CHI2_BINS, _check_run_bytes, monte_carlo_coupling
-from .density_grid import ROWS_PER_WRITE, _write_rows, write_csv
+from .density_grid import _write_rows, write_csv
 from .errors import (
     VIOLATIONS,
     CertificationError,
@@ -57,8 +56,9 @@ from .transfer_operator import TABLE_BYTES_CAP, invariant_density
 
 TOL_CEILING = 1e-6       # the loosest fixed-point tolerance invariant accepts
 # The longest step horizon accepted: a million applications at the default
-# resolution take about a quarter of an hour, and the per-step series of
-# every command stay far below the memory cap.
+# resolution take about a quarter of an hour.  The largest per-step series,
+# coupling's, are counted by _check_run_bytes at 320 bytes a step, 0.32 GB
+# here, far below the memory cap.
 N_MAX_CEILING = 10**6
 CONFIG_KEYS = {"map", "alpha", "resolution", "seed", "trials", "n_max",
                "tol", "out"}
@@ -201,63 +201,9 @@ def _numpy_to_json(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
-
-
-def _json_key(key) -> str:
-    if not isinstance(key, str):
-        raise TypeError(f"keys must be str, not {type(key).__name__}")
-    return json.encoder.encode_basestring_ascii(key) + ": "
-
-
-def _json_chunks(value, level: int = 0):
-    """The text of ``json.dumps(value, indent=2, default=_numpy_to_json)``
-    in pieces.  A finite 1-D numeric array, whose elements json would
-    print one by one with repr, comes ROWS_PER_WRITE elements a piece.
-    Dict keys must be strings."""
-    if isinstance(value, str):
-        yield json.encoder.encode_basestring_ascii(value)
-    elif value is None or value is True or value is False:
-        yield _JSON_CONSTANTS[value]
-    elif isinstance(value, int):
-        yield int.__repr__(value)
-    elif isinstance(value, float):
-        yield (float.__repr__(value) if math.isfinite(value) else "NaN"
-               if value != value else "Infinity" if value > 0 else "-Infinity")
-    elif isinstance(value, (list, tuple, dict)):
-        if not value:
-            yield "{}" if isinstance(value, dict) else "[]"
-            return
-        inner = "\n" + "  " * (level + 1)
-        if isinstance(value, dict):
-            sep, close = "{" + inner, "}"
-            items = ((_json_key(k), v) for k, v in value.items())
-        else:
-            sep, close = "[" + inner, "]"
-            items = (("", v) for v in value)
-        for prefix, item in items:
-            yield sep + prefix
-            yield from _json_chunks(item, level + 1)
-            sep = "," + inner
-        yield "\n" + "  " * level + close
-    elif (isinstance(value, np.ndarray) and value.ndim == 1 and value.size
-          and value.dtype.kind in "iuf" and np.isfinite(value).all()):
-        sep = ",\n" + "  " * (level + 1)
-        yield "[" + sep[1:]
-        for s in range(0, value.size, ROWS_PER_WRITE):
-            yield (sep if s else "") + sep.join(
-                map(repr, value[s:s + ROWS_PER_WRITE].tolist()))
-        yield "\n" + "  " * level + "]"
-    else:
-        yield from _json_chunks(_numpy_to_json(value), level)
-
-
 def _write_json(path: Path, payload) -> None:
-    """Write ``payload`` as ``json.dump(payload, fh, indent=2,
-    default=_numpy_to_json)`` and a newline would, streamed in pieces."""
-    with _writing(path), open(path, "w") as fh:
-        fh.writelines(_json_chunks(payload))
-        fh.write("\n")
+    with _writing(path):
+        path.write_text(json.dumps(payload, indent=2, default=_numpy_to_json) + "\n")
 
 
 def _rows(names, values) -> list:
@@ -267,14 +213,13 @@ def _rows(names, values) -> list:
 
 def _write_table(out: Path, stem: str, columns, payload: dict) -> None:
     """Write ``columns``, a list of (name, values, printf format), as
-    ``<stem>.csv`` and as the ``rows`` of ``payload`` in ``<stem>.json``."""
+    ``<stem>.csv``, and ``payload``, which names that CSV, as ``<stem>.json``."""
     names, values, fmt = zip(*columns)
     csv_path = out / f"{stem}.csv"
     with _writing(csv_path):
         _write_rows(csv_path, ",".join(names), ",".join(fmt),
                     np.column_stack(values))
-    payload["rows"] = _rows(names, values)
-    _write_json(out / f"{stem}.json", payload)
+    _write_json(out / f"{stem}.json", {**payload, "csv": csv_path.name})
     print(f"wrote {csv_path}")
     print(f"wrote {out / f'{stem}.json'}")
 
@@ -313,8 +258,7 @@ def cmd_invariant(cfg: RunConfig) -> int:
         "records": _rows(("step", "l1_diff", "sup", "inf", "d_l1"),
                          (np.arange(1, diag.n_steps + 1), diag.l1_diff,
                           diag.sup, diag.inf, diag.d_l1)),
-        "density": {"x": (np.arange(cfg.resolution) / cfg.resolution),
-                    "value": phi.values},
+        "csv": csv_path.name,
     }
     _write_json(out / "invariant.json", payload)
     print(f"wrote {csv_path} ({diag.n_steps} steps)")

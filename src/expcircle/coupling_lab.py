@@ -44,7 +44,10 @@ CHI2_BINS = 64
 # bounds, the mismatch) and the final checks' temporaries; per epoch the
 # deterministic run's two residual grids and two marginals.  tracemalloc:
 # about 62 bytes a trial (200k trials, perturbed{2,0.05}, M = 4096, 50
-# steps) and 100 a step (1000 trials, perturbed{2,0.1}, M = 64, 40000 steps).
+# steps); the whole coupling command, its files written, peaks 110 bytes a
+# step higher at 40000 steps than at 20000 (1000 trials, M = 64) on
+# perturbed{2,0.1} and 269 on perturbed{2,0.05}, or 83 and 124 without
+# the shares of the epoch grids and coin rows.
 _TRIAL_BYTES = 8 + 8 + 4 + 64
 _TRIAL_EPOCH_BYTES = 2
 _STEP_BYTES = 320

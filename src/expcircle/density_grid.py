@@ -26,7 +26,7 @@ from .errors import (
 
 DEFAULT_RESOLUTION = 4096
 DRIFT_WARN = 1e-8
-ROWS_PER_WRITE = 4096    # CSV rows (and JSON array elements) formatted per write
+ROWS_PER_WRITE = 4096    # CSV rows formatted per write
 
 logger = logging.getLogger(__name__)
 

@@ -10,18 +10,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 import expcircle
-from expcircle.audits import MASS_TOL, PAIR_SLACK, cos_observable, standard_maps
+from expcircle.audits import (MASS_TOL, PAIR_SLACK, cos_observable, coupling_pair,
+                              standard_maps)
 from expcircle.circle_map import linear_map
-from expcircle.cli import (RunConfig, _json_chunks, _numpy_to_json, _write_json,
-                           main, make_map)
+from expcircle.cli import RunConfig, _write_json, main, make_map
 from expcircle.correlation_suite import decay_report
-from expcircle.coupling_lab import CHI2_P_FLOOR
-from expcircle.density_grid import ROWS_PER_WRITE
+from expcircle.coupling_lab import CHI2_P_FLOOR, monte_carlo_coupling
+from expcircle.density_grid import read_csv
+from expcircle.transfer_operator import invariant_density
 from expcircle.system_constants import ROUNDING_SLACK
 
 from conftest import DEFAULT_MAP
@@ -42,23 +40,23 @@ GOLDEN = {
     },
     "invariant --resolution 512": {
         "invariant.csv": "12bc1f0f67c850cd04d97422b2a2e8c52331e16ce0bda8afea93845cf58d8748",
-        "invariant.json": "2a3a6eb6540986b700f59b12c213cad5e5fc9703f66b35e510abafa4a95b8f13",
+        "invariant.json": "d0f61533f553adf78a276d61c94da1f29fed95fe5039808f85758d3d1d64a532",
     },
     "invariant --resolution 16384": {
         "invariant.csv": "2981a28aeb71af4fb839db1f8ef63a3a83bd895062976c694dc40d5055484508",
-        "invariant.json": "1ce3b2ad5f71fa812ab68a8c52f02beec1d13b5cb75a8084f3d6faddbff7a492",
+        "invariant.json": "42046637d2f541207d4deddadf71f14c53422eee4b69e708d4e5ce1214738edd",
     },
     "decay --n-max 12": {
         "decay.csv": "4ee40fb380eb941f611cf8f89ce88067ad3e8628f083a696da5ffd76e00e7540",
-        "decay.json": "6378a66c5a17a3dcb5eb530487c8f9cc9a7deccb34419ba971b129a4ae045161",
+        "decay.json": "7d8eac7de62d5e24b52cff93ba35fcd57eeda438d9c409732d28a28130068872",
     },
     "decay --n-max 12 on linear{2}": {
         "decay.csv": "5643daf7708fffc4a93807fdb30557ebc073557c63ca1c9ca0804bd4d0b67bcc",
-        "decay.json": "1830d1ad80cb84e5a1ac1c9ab487a1a449bad38e39661235bbdac89c568ee702",
+        "decay.json": "37d59365e88b7a887b2999ddeec28590d615e8b3152393c3f6dd723096495f2a",
     },
     "coupling --trials 20000 --n-max 21": {
         "coupling.csv": "cd0198987ada4852a7aa2c704a1cb5bf5c53629f118780bf64112c022037f8b8",
-        "coupling.json": "7f54a36da41a7ff91733e6edeabbfe5944c95c61250fd68a4018a1674e9e6c9e",
+        "coupling.json": "08e6429afe6f508a07d0207676ff21367e64f365492752ca73ad9a9caf08614a",
     },
     "verify on linear{2}": {
         "verify.json": "f316e08621e3d96a8c027d8c20efee30fecd24729d88890185ccce108703625d",
@@ -122,10 +120,9 @@ def test_invariant_outputs(tmp_path):
     assert diag["n_steps"] <= 200
     assert diag["records"][-1]["l1_diff"] < 1e-12
     assert set(diag["records"][0]) == {"step", "l1_diff", "sup", "inf", "d_l1"}
-    # JSON mirrors the CSV rows
-    value = float(lines[1].split(",")[1])
-    assert diag["density"]["value"][0] == value
-    assert len(diag["density"]["x"]) == 4096
+    # the CSV holds the density the command computed, bit for bit
+    phi, _ = invariant_density(make_map(RunConfig()), resolution=4096, tol=1e-12)
+    assert np.array_equal(read_csv(tmp_path / "invariant.csv").values, phi.values)
 
 
 def test_invariant_honors_resolution(tmp_path):
@@ -135,7 +132,7 @@ def test_invariant_honors_resolution(tmp_path):
 
 
 def test_invariant_crosses_write_blocks(tmp_path):
-    # 16384 nodes: four CSV blocks, and four pieces per JSON density array
+    # 16384 nodes: four CSV blocks
     assert main(["invariant", "--resolution", "16384", "--out", str(tmp_path)]) == 0
     assert_golden(tmp_path, "invariant --resolution 16384")
 
@@ -147,13 +144,6 @@ def test_decay_outputs(tmp_path):
     assert len(lines) == 14
     data = json.loads((tmp_path / "decay.json").read_text())
     assert data["summary"]["all_ok"] is True
-    assert len(data["rows"]) == 13
-    for i, row in enumerate(data["rows"]):
-        n, corr, bound, ok = lines[i + 1].split(",")
-        assert row["n"] == int(n)
-        assert row["corr"] == float(corr)
-        assert row["bound"] == float(bound)
-        assert row["ok"] == bool(int(ok))
     assert_golden(tmp_path, "decay --n-max 12")
 
 
@@ -188,90 +178,38 @@ def test_json_encodes_numpy_values_as_python_values(tmp_path):
         _write_json(tmp_path / "y.json", {"s": {1}})
 
 
-def reference_json(payload) -> str:
-    return json.dumps(payload, indent=2, default=_numpy_to_json) + "\n"
+# The keys of each table's JSON: metadata and summaries, and the name of
+# the CSV that holds the table itself.
+TABLE_JSON_KEYS = {
+    "invariant": {"map", "resolution", "tol", "n_steps", "final_sup",
+                  "final_inf", "records", "csv"},
+    "decay": {"summary", "observables", "csv"},
+    "coupling": {"map", "summary", "csv"},
+}
 
 
-def first_difference(a: str, b: str):
-    """None for equal texts, else both texts around their first difference
-    (pytest's own diff of megabyte strings would take minutes)."""
-    if a == b:
-        return None
-    i = next((k for k, (x, y) in enumerate(zip(a, b)) if x != y),
-             min(len(a), len(b)))
-    return i, a[max(i - 40, 0):i + 40], b[max(i - 40, 0):i + 40]
+def list_lengths(value) -> list:
+    """The length of every list inside a parsed JSON value."""
+    if isinstance(value, dict):
+        return [n for v in value.values() for n in list_lengths(v)]
+    if isinstance(value, list):
+        return [len(value)] + [n for v in value for n in list_lengths(v)]
+    return []
 
 
-def block_array(length, dtype, with_nan):
-    rng = np.random.Generator(np.random.Philox(key=length))
-    a = (rng.standard_normal(length) * 1e6).astype(dtype)
-    if with_nan:
-        a[length // 2] = np.nan
-    return a
-
-
-JSON_FLOATS = st.one_of(
-    st.floats(), st.floats(width=32),
-    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e16, 5e-324]))
-JSON_SCALARS = st.one_of(
-    st.none(), st.booleans(), st.integers(), JSON_FLOATS, st.text(),
-    st.builds(np.float64, JSON_FLOATS),
-    st.builds(np.float32, st.floats(width=32)),
-    st.builds(np.bool_, st.booleans()),
-    st.builds(np.int8, st.integers(-128, 127)),
-    st.builds(np.int64, st.integers(-2**63, 2**63 - 1)),
-    st.builds(np.uint64, st.integers(0, 2**64 - 1)))
-JSON_ARRAYS = hnp.arrays(
-    st.sampled_from([np.bool_, np.int32, np.int64, np.uint16, np.float32,
-                     np.float64]),
-    hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4))
-BLOCK_ARRAYS = st.tuples(
-    st.sampled_from([ROWS_PER_WRITE - 1, ROWS_PER_WRITE, ROWS_PER_WRITE + 1,
-                     2 * ROWS_PER_WRITE + 3]),
-    st.sampled_from([(np.int64, False), (np.float32, False), (np.float32, True),
-                     (np.float64, False), (np.float64, True)]),
-).map(lambda spec: block_array(spec[0], *spec[1]))
-JSON_PAYLOADS = st.recursive(
-    st.one_of(JSON_SCALARS, JSON_ARRAYS, BLOCK_ARRAYS),
-    lambda inner: st.one_of(st.lists(inner, max_size=4),
-                            st.lists(inner, max_size=4).map(tuple),
-                            st.dictionaries(st.text(), inner, max_size=4)),
-    max_leaves=12)
-
-
-@given(JSON_PAYLOADS)
-@settings(max_examples=150, deadline=None)
-@example({"": {}, "\u00e9\u2603\U0001f600": [], '"\\\n\x00\x1f': (),
-          "floats": [math.nan, math.inf, -math.inf, -0.0, 1e16, 5e-324],
-          "scalars": (None, True, False, np.int8(-3), np.uint64(2**64 - 1),
-                      np.float32(0.1), np.float64(-0.0), np.bool_(False)),
-          "arrays": [np.zeros(0), np.float64(2.5) * np.ones(()),
-                     np.eye(2, dtype=np.uint8), np.arange(3.0) / 3,
-                     np.array([True, False]), np.arange(4, dtype=np.float32),
-                     np.arange(-2, 3), np.arange(3, dtype=np.uint64)],
-          "blocks": [block_array(n, dtype, False) for n in
-                     (ROWS_PER_WRITE - 1, ROWS_PER_WRITE, ROWS_PER_WRITE + 1,
-                      2 * ROWS_PER_WRITE + 3)
-                     for dtype in (np.int64, np.float32, np.float64)],
-          "nan block": block_array(ROWS_PER_WRITE + 1, np.float64, True)})
-def test_json_writer_matches_json_dumps(tmp_path_factory, payload):
-    path = tmp_path_factory.mktemp("json") / "x.json"
-    _write_json(path, payload)
-    assert first_difference(path.read_text(), reference_json(payload)) is None
-
-
-def test_json_writer_formats_finite_arrays_a_block_at_a_time():
-    n = 2 * ROWS_PER_WRITE + 3
-    # "[" and "]" around three blocks of elements
-    assert len(list(_json_chunks(np.arange(n, dtype=float)))) == 5
-    # NaN needs json's own spelling: the array goes element by element
-    assert len(list(_json_chunks(block_array(n, np.float64, True)))) > n
-
-
-@pytest.mark.parametrize("key", [1, 0.5, None, True, (1, 2)])
-def test_json_writer_refuses_keys_that_are_not_strings(tmp_path, key):
-    with pytest.raises(TypeError, match="keys must be str"):
-        _write_json(tmp_path / "x.json", {"a": [{key: 1}]})
+@pytest.mark.parametrize("argv", [
+    ["invariant", "--resolution", "512"],
+    ["decay", "--n-max", "12"],
+    ["coupling", "--trials", "20000", "--n-max", "21"],
+], ids=lambda argv: argv[0])
+def test_table_json_names_its_csv_and_repeats_no_column(tmp_path, argv):
+    stem = argv[0]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    data = json.loads((tmp_path / f"{stem}.json").read_text())
+    assert set(data) == TABLE_JSON_KEYS[stem]
+    assert data["csv"] == f"{stem}.csv"
+    rows = len((tmp_path / data["csv"]).read_text().splitlines()) - 1
+    assert rows not in list_lengths(data)
 
 
 def test_coupling_reproducible_byte_for_byte(tmp_path):
@@ -285,7 +223,7 @@ def test_coupling_reproducible_byte_for_byte(tmp_path):
     assert data["summary"]["trials"] == 20000
     assert data["summary"]["seed"] == 42
     assert all(c["p_value"] > 1e-4 for c in data["summary"]["chi2"])
-    assert len(data["rows"]) == 43
+    assert len((out1 / "coupling.csv").read_text().splitlines()) == 44
 
 
 def test_coupling_csv_layout(tmp_path):
@@ -297,12 +235,16 @@ def test_coupling_csv_layout(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "0"
     assert float(first[4]) == 2.0
-    # the JSON rows are the CSV rows, column for column
-    rows = json.loads((tmp_path / "coupling.json").read_text())["rows"]
-    header = lines[0].split(",")
-    for line, row in zip(lines[1:], rows, strict=True):
-        assert list(row) == header
-        assert [float(v) for v in line.split(",")] == list(row.values())
+    psi1, psi2 = coupling_pair(4096)
+    trace = monte_carlo_coupling(make_map(RunConfig()), psi1, psi2, 1.0, 21,
+                                 trials=20000, seed=42)
+    n, k, tv, mismatch, b_coupling, b_theta = np.loadtxt(
+        tmp_path / "coupling.csv", delimiter=",", skiprows=1, unpack=True)
+    assert np.array_equal(n, trace.ns) and np.array_equal(k, trace.ks)
+    assert np.array_equal(tv, trace.tv_true)
+    assert np.array_equal(mismatch, trace.empirical_mismatch)
+    assert np.array_equal(b_coupling, trace.bound_coupling)
+    assert np.array_equal(b_theta, trace.bound_theta)
     assert_golden(tmp_path, "coupling --trials 20000 --n-max 21")
 
 
