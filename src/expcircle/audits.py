@@ -641,10 +641,9 @@ def audit_coupling_deterministic(m: ExpandingMap, *, alpha: float = 1.0,
     phi, _ = cached_invariant(m, resolution)
     n_max = max(2 * led.n_big_k + 5, 60)
     det = deterministic_contraction_run(m, psi1, phi, alpha, n_max)
-    recon = max((e for _, e in det.reconstruction_errors), default=0.0)
     return Verdict(
         True, f"n_max={n_max}, worst tv excess {det.max_tv_excess():.3e}, "
-        f"worst reconstruction {recon:.3e}",
+        f"worst reconstruction {det.worst_reconstruction:.3e}",
     )
 
 

@@ -56,9 +56,9 @@ from .transfer_operator import TABLE_BYTES_CAP, invariant_density
 
 TOL_CEILING = 1e-6       # the loosest fixed-point tolerance invariant accepts
 # The longest step horizon accepted: a million applications at the default
-# resolution take about a quarter of an hour.  The largest per-step series,
-# coupling's, are counted by _check_run_bytes at 320 bytes a step, 0.32 GB
-# here, far below the memory cap.
+# resolution take about a quarter of an hour.  The coupling run keeps no
+# past epoch, so _check_run_bytes counts its steps at 640 bytes each, with
+# its files written: 0.64 GB here, inside even a 1 GiB memory cap.
 N_MAX_CEILING = 10**6
 CONFIG_KEYS = {"map", "alpha", "resolution", "seed", "trials", "n_max",
                "tol", "out"}
@@ -202,8 +202,11 @@ def _numpy_to_json(value):
 
 
 def _write_json(path: Path, payload) -> None:
-    with _writing(path):
-        path.write_text(json.dumps(payload, indent=2, default=_numpy_to_json) + "\n")
+    # streamed: at one-step epochs and a long horizon, coupling.json's
+    # chi-square list held as one string is the command's largest allocation
+    with _writing(path), path.open("w") as fh:
+        json.dump(payload, fh, indent=2, default=_numpy_to_json)
+        fh.write("\n")
 
 
 def _rows(names, values) -> list:

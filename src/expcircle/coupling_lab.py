@@ -36,22 +36,21 @@ RECONSTRUCTION_TOL = 1e-8
 # A marginal chi-square p-value at or below this fails a Monte-Carlo run.
 CHI2_P_FLOOR = 1e-4
 CHI2_BINS = 64
-# Bytes a Monte-Carlo run holds, estimated from above: per trial x, y, four
-# masks (coupled; and per epoch: equal at its start, newly coupled, tails)
-# and, at the peak, sample's temporaries for the regenerated pairs (draws,
-# their order, cell indices and masses, the points: about 42); per trial
-# and epoch one coin byte; per step six 8-byte series (n, k, tv, the two
-# bounds, the mismatch) and the final checks' temporaries; per epoch the
-# deterministic run's two residual grids and two marginals.  tracemalloc:
-# about 62 bytes a trial (200k trials, perturbed{2,0.05}, M = 4096, 50
-# steps); the whole coupling command, its files written, peaks 110 bytes a
-# step higher at 40000 steps than at 20000 (1000 trials, M = 64) on
-# perturbed{2,0.1} and 269 on perturbed{2,0.05}, or 83 and 124 without
-# the shares of the epoch grids and coin rows.
+# Bytes a Monte-Carlo run holds, estimated from above.  Per trial: x, y,
+# four masks (coupled; and per epoch: equal at its start, newly coupled,
+# tails) and, at the peak, sample's temporaries for the regenerated pairs
+# (draws, their order, cell indices and masses, the points: about 42).
+# Per step: six 8-byte series (n, k, tv, the two bounds, the mismatch),
+# the final checks' temporaries and, at one-step epochs, the epoch's two
+# chi-square records; the coupling command adds its CSV columns and
+# streams its JSON.  No past epoch's grids or coins are kept.
+# tracemalloc: about 60 bytes a trial (200k trials, perturbed{2,0.05},
+# M = 4096, 50 steps); the whole coupling command, its files written,
+# peaks 610 bytes a step higher at 16384 steps than at 8192 (1000 trials,
+# M = 64) on perturbed{100,1}, whose epochs are one step long, and 101 and
+# 114 higher at 40000 steps than at 20000 on perturbed{2,0.1} and {2,0.05}.
 _TRIAL_BYTES = 8 + 8 + 4 + 64
-_TRIAL_EPOCH_BYTES = 2
-_STEP_BYTES = 320
-_EPOCH_GRIDS = 4
+_STEP_BYTES = 640
 
 
 def decompose(psi: GridDensity, a: float) -> GridDensity:
@@ -77,44 +76,42 @@ class DeterministicCoupling:
     tv_true: np.ndarray                  # L1 distance of the evolved pair
     bound_coupling: np.ndarray           # 2 (1-a)^k
     bound_theta: np.ndarray              # D theta^(alpha n)
-    reconstruction_errors: list          # (n, max over the pair of L1 error)
-    epoch_residuals: list                # per epoch k: (residual1, residual2)
-    marginals: dict                      # step -> (L^n psi1, L^n psi2)
+    worst_reconstruction: float = 0.0    # max over epochs and the pair of L1 error
 
     def max_tv_excess(self) -> float:
         return float(np.max(np.maximum(self.tv_true - self.bound_coupling,
                                        self.tv_true - self.bound_theta)))
 
 
-def deterministic_contraction_run(
+def _coupling_epochs(
     m: ExpandingMap,
     psi1: GridDensity,
     psi2: GridDensity,
     alpha: float,
     n_max: int,
-) -> DeterministicCoupling:
-    """Evolve the pair for n_max steps, extracting the uniform component at
-    every epoch and auditing tv against both envelope forms at every step,
-    with slack DETERMINISTIC_SLACK."""
+):
+    """deterministic_contraction_run one epoch at a time.  First yields the
+    run, whose tv_true and worst_reconstruction fill in as the steps go;
+    then, after each epoch's decompose and at n_max, (n, residual pair,
+    (L^n psi1, L^n psi2)).  Keeps nothing from a past epoch."""
     led = compute_ledger(m, alpha)
     for which, psi in (("psi1", psi1), ("psi2", psi2)):
         if not hoelder_class_check(psi, led.big_k, led.alpha):
             raise AuditViolation(f"{which} is not in the admissible class (cap K)")
     a, n_epoch = led.a, led.n_big_k
-    direct = [psi1, psi2]
-    # Until the first decompose the residuals are the direct densities
-    # themselves, so each is applied once per step.
-    resid = direct
-    rho = None
     ns = np.arange(n_max + 1)
     ks = ns // n_epoch
     bound_coupling = 2.0 * (1.0 - a) ** ks
     bound_theta = led.d_exact * led.theta_exact ** (led.alpha * ns)
     tv_true = np.empty(n_max + 1)
     tv_true[0] = l1_distance(psi1, psi2)
-    recon_errors = []
-    epoch_residuals = []
-    marginals = {0: (psi1, psi2)}
+    run = DeterministicCoupling(led, ns, ks, tv_true, bound_coupling, bound_theta)
+    yield run
+    direct = [psi1, psi2]
+    # Until the first decompose the residuals are the direct densities
+    # themselves, so each is applied once per step.
+    resid = direct
+    rho = None
     for n in range(1, n_max + 1):
         direct = [apply(m, d) for d in direct]
         resid = direct if n <= n_epoch else [apply(m, r) for r in resid]
@@ -131,7 +128,6 @@ def deterministic_contraction_run(
                 rho = GridDensity(
                     (deposit + regen_prev * rho.values) / (deposit + regen_prev)
                 )
-            epoch_residuals.append(tuple(resid))
             weight = bound_coupling[n] / 2.0
             err = max(
                 l1_distance(
@@ -140,12 +136,11 @@ def deterministic_contraction_run(
                 )
                 for i in range(2)
             )
-            recon_errors.append((n, err))
+            run.worst_reconstruction = max(run.worst_reconstruction, err)
             if err > RECONSTRUCTION_TOL:
                 raise AuditViolation(
                     f"epoch reconstruction off by {err:.3e} at n = {n}"
                 )
-            marginals[n] = tuple(direct)
         tv = tv_true[n] = l1_distance(direct[0], direct[1])
         if (tv > bound_coupling[n] + DETERMINISTIC_SLACK
                 or tv > bound_theta[n] + DETERMINISTIC_SLACK):
@@ -153,18 +148,25 @@ def deterministic_contraction_run(
                 f"tv = {tv:.6g} exceeds envelope at n = {n} "
                 f"(coupling {bound_coupling[n]:.6g}, theta {bound_theta[n]:.6g})"
             )
-    marginals[n_max] = tuple(direct)
-    return DeterministicCoupling(
-        ledger=led,
-        ns=ns,
-        ks=ks,
-        tv_true=tv_true,
-        bound_coupling=bound_coupling,
-        bound_theta=bound_theta,
-        reconstruction_errors=recon_errors,
-        epoch_residuals=epoch_residuals,
-        marginals=marginals,
-    )
+        if n % n_epoch == 0 or n == n_max:
+            yield n, tuple(resid), tuple(direct)
+
+
+def deterministic_contraction_run(
+    m: ExpandingMap,
+    psi1: GridDensity,
+    psi2: GridDensity,
+    alpha: float,
+    n_max: int,
+) -> DeterministicCoupling:
+    """Evolve the pair for n_max steps, extracting the uniform component at
+    every epoch and auditing tv against both envelope forms at every step,
+    with slack DETERMINISTIC_SLACK."""
+    epochs = _coupling_epochs(m, psi1, psi2, alpha, n_max)
+    run = next(epochs)
+    for _ in epochs:
+        pass
+    return run
 
 
 def _chi2_marginal(points: np.ndarray, density: GridDensity) -> dict:
@@ -194,16 +196,12 @@ def _chi2_marginals(n: int, points: tuple, densities: tuple) -> list:
             for name, p, d in zip("xy", points, densities, strict=True)]
 
 
-def _check_run_bytes(trials: int, n_max: int = 0, n_epoch: int = 1,
-                     resolution: int = 0) -> None:
+def _check_run_bytes(trials: int, n_max: int = 0) -> None:
     """Refuse, with MemoryError and before anything is allocated, a
-    Monte-Carlo run of ``trials`` pairs over ``n_max`` steps (epochs of
-    ``n_epoch``) on a ``resolution``-node grid whose estimated bytes pass
-    TABLE_BYTES_CAP, half the physical memory.  The defaults give the
-    smallest run of ``trials`` pairs."""
-    epochs = n_max // n_epoch
-    need = (trials * (_TRIAL_BYTES + _TRIAL_EPOCH_BYTES * epochs)
-            + n_max * _STEP_BYTES + epochs * _EPOCH_GRIDS * 8 * resolution)
+    Monte-Carlo run of ``trials`` pairs over ``n_max`` steps whose
+    estimated bytes pass TABLE_BYTES_CAP, half the physical memory.  The
+    default gives the smallest run of ``trials`` pairs."""
+    need = trials * _TRIAL_BYTES + n_max * _STEP_BYTES
     if need > TABLE_BYTES_CAP:
         steps = f" over {n_max} steps" if n_max else ""
         raise MemoryError(
@@ -226,7 +224,6 @@ class CouplingTrace:
     empirical_mismatch: np.ndarray
     bound_coupling: np.ndarray
     bound_theta: np.ndarray
-    coins: np.ndarray                    # (epochs, trials); inert once coupled
     chi2: list                           # {n, marginal, statistic, dof, p_value}
 
     def summary(self) -> dict:
@@ -261,7 +258,9 @@ def monte_carlo_coupling(
     within a full epoch only the pairs equal at its start are stepped, and
     each step's mismatch is the fraction of pairs unequal at the epoch's
     start; a last, partial epoch steps every point, which its chi-square
-    checks read.  Runs on the calling thread.
+    checks read.  The deterministic run evolves alongside, and each epoch
+    is let go once its regeneration and chi-square checks are done.  Runs
+    on the calling thread.
 
     Audits the mismatch envelope and the tv <= 2 P(X != Y) inequality at
     every step with Monte-Carlo slack 5/sqrt(trials), and both sampled
@@ -271,9 +270,10 @@ def monte_carlo_coupling(
     led = compute_ledger(m, alpha)
     if n_max is None:
         n_max = 5 * led.n_big_k
-    _check_run_bytes(trials, n_max, led.n_big_k, psi1.resolution)
+    _check_run_bytes(trials, n_max)
     slack = 5.0 / np.sqrt(trials)
-    det = deterministic_contraction_run(m, psi1, psi2, alpha, n_max)
+    epochs = _coupling_epochs(m, psi1, psi2, alpha, n_max)
+    det = next(epochs)
     a, n_epoch = led.a, led.n_big_k
     rng = np.random.Generator(np.random.Philox(key=seed))
     x = sample(psi1, rng, trials)
@@ -281,43 +281,39 @@ def monte_carlo_coupling(
     coupled = np.zeros(trials, dtype=bool)
     mismatch = np.empty(n_max + 1)
     mismatch[0] = float(np.mean(x != y))
-    epochs = n_max // n_epoch
-    coins = np.empty((epochs, trials), dtype=bool)
     chi2 = []
-    for k in range(1, epochs + 1):
-        n = k * n_epoch
-        # Equal points stay equal under the map and distinct ones almost
-        # surely never meet, so the epoch's unequal count holds at each of
-        # its steps; and every unequal pair regenerates at the epoch's end,
-        # so only the equal pairs flow.  Every coupled pair is equal.
-        eq = x == y
-        mismatch[n - n_epoch + 1:n] = np.count_nonzero(~eq) / trials
-        z = x[eq]
-        for _ in range(n_epoch):
-            z = evaluate(m, z)
-        x[eq] = z
-        y[eq] = z
-        coin = np.less(rng.random(trials), a, out=coins[k - 1])
-        newly = coin & ~coupled
-        tails = ~coin & ~coupled
-        fresh = rng.random(int(newly.sum()))
-        x[newly] = fresh
-        y[newly] = fresh
-        res1, res2 = det.epoch_residuals[k - 1]
-        x[tails] = sample(res1, rng, int(tails.sum()))
-        y[tails] = sample(res2, rng, int(tails.sum()))
-        coupled |= newly
-        chi2 += _chi2_marginals(n, (x, y), det.marginals[n])
-        mismatch[n] = float(np.mean(x != y))
-    rest = n_max % n_epoch
-    if rest:
-        # no regeneration follows a last, partial epoch, and its
-        # chi-square checks read every point
-        mismatch[n_max - rest + 1:] = np.count_nonzero(x != y) / trials
-        for _ in range(rest):
-            x = evaluate(m, x)
-            y = evaluate(m, y)
-        chi2 += _chi2_marginals(n_max, (x, y), det.marginals[n_max])
+    for n, (res1, res2), marginals in epochs:
+        rest = n % n_epoch
+        if rest:
+            # no regeneration follows a last, partial epoch, and its
+            # chi-square checks read every point
+            mismatch[n - rest + 1:] = np.count_nonzero(x != y) / trials
+            for _ in range(rest):
+                x = evaluate(m, x)
+                y = evaluate(m, y)
+        else:
+            # Equal points stay equal under the map and distinct ones almost
+            # surely never meet, so the epoch's unequal count holds at each
+            # of its steps; and every unequal pair regenerates at the epoch's
+            # end, so only the equal pairs flow.  Every coupled pair is equal.
+            eq = x == y
+            mismatch[n - n_epoch + 1:n] = np.count_nonzero(~eq) / trials
+            z = x[eq]
+            for _ in range(n_epoch):
+                z = evaluate(m, z)
+            x[eq] = z
+            y[eq] = z
+            coin = rng.random(trials) < a
+            newly = coin & ~coupled
+            tails = ~coin & ~coupled
+            fresh = rng.random(int(newly.sum()))
+            x[newly] = fresh
+            y[newly] = fresh
+            x[tails] = sample(res1, rng, int(tails.sum()))
+            y[tails] = sample(res2, rng, int(tails.sum()))
+            coupled |= newly
+            mismatch[n] = float(np.mean(x != y))
+        chi2 += _chi2_marginals(n, (x, y), marginals)
     ns, tv = det.ns, det.tv_true
     theoretical = det.bound_coupling / 2.0
     trace = CouplingTrace(
@@ -330,7 +326,6 @@ def monte_carlo_coupling(
         empirical_mismatch=mismatch,
         bound_coupling=det.bound_coupling,
         bound_theta=det.bound_theta,
-        coins=coins,
         chi2=chi2,
     )
     bad = mismatch > theoretical + slack

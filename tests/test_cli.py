@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 import expcircle
+from expcircle import coupling_lab
 from expcircle.audits import (MASS_TOL, PAIR_SLACK, cos_observable, coupling_pair,
                               standard_maps)
 from expcircle.circle_map import linear_map
-from expcircle.cli import RunConfig, _write_json, main, make_map
+from expcircle.cli import N_MAX_CEILING, RunConfig, _write_json, main, make_map
 from expcircle.correlation_suite import decay_report
 from expcircle.coupling_lab import CHI2_P_FLOOR, monte_carlo_coupling
 from expcircle.density_grid import read_csv
@@ -582,6 +583,13 @@ def test_monte_carlo_run_above_the_memory_cap_is_refused(tmp_path, capsys):
     assert err.startswith("error: out of memory: a Monte-Carlo run of 100000 trials over ")
     assert err.count("\n") == 1
     assert not list(tmp_path.iterdir())
+
+
+def test_the_longest_accepted_horizon_fits_the_memory_check(monkeypatch):
+    # no past epoch is kept, so the default trials over N_MAX_CEILING steps
+    # are estimated at about 0.65 GB, inside even a 1 GiB cap
+    monkeypatch.setattr(coupling_lab, "TABLE_BYTES_CAP", 2**30)
+    coupling_lab._check_run_bytes(100_000, N_MAX_CEILING)
 
 
 COARSE = "resolution must be a power of two >= 64"

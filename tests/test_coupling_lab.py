@@ -10,6 +10,7 @@ from expcircle import (
     AuditViolation,
     FloorViolation,
     GridDensity,
+    apply,
     compute_ledger,
     coupling_lab,
     decompose,
@@ -64,10 +65,7 @@ def test_deterministic_run_bookkeeping(bent):
     n_max = 2 * led.n_big_k + 3
     run = deterministic_contraction_run(bent, tilted(), uniform_density(M), 1.0, n_max)
     assert len(run.ns) == n_max + 1
-    assert len(run.epoch_residuals) == 2
-    assert len(run.reconstruction_errors) == 2
-    assert all(err <= 1e-8 for _, err in run.reconstruction_errors)
-    assert sorted(run.marginals) == [0, led.n_big_k, 2 * led.n_big_k, n_max]
+    assert run.worst_reconstruction <= 1e-8
     ks = run.ks.tolist()
     assert ks == [n // led.n_big_k for n in range(n_max + 1)]
     assert run.max_tv_excess() < 0.0
@@ -108,14 +106,13 @@ def test_deterministic_run_rejects_wild_start(bent):
 def test_monte_carlo_epoch_coin_statistics(doubling):
     led = compute_ledger(doubling, 1.0)
     trials = 20_000
-    trace = monte_carlo_coupling(
-        doubling, tilted(), uniform_density(M), 1.0, 2 * led.n_big_k,
-        trials=trials, seed=7,
-    )
+    args = (doubling, tilted(), uniform_density(M), 1.0, 2 * led.n_big_k)
+    trace = monte_carlo_coupling(*args, trials=trials, seed=7)
+    _, coins, _, _ = pair_order_coupling(*args, trials=trials, seed=7)
     slack = 5.0 / math.sqrt(trials)
     # each epoch couples a Bernoulli(a) fraction of the uncoupled pairs
-    assert trace.coins.shape == (2, trials)
-    assert trace.coins[0].mean() == pytest.approx(led.a, abs=slack)
+    assert coins.shape == (2, trials)
+    assert coins[0].mean() == pytest.approx(led.a, abs=slack)
     for k in (1, 2):
         at_epoch = trace.empirical_mismatch[k * led.n_big_k]
         assert at_epoch == pytest.approx((1.0 - led.a) ** k, abs=slack)
@@ -135,21 +132,13 @@ def test_monte_carlo_chi2_and_bounds(bent):
     assert np.all(trace.tv_true <= 2.0 * trace.empirical_mismatch + slack)
 
 
-def test_monte_carlo_writes_the_audited_envelopes(bent, monkeypatch):
-    # the bounds a trace carries are the very floats its deterministic run
-    # audited tv against
-    runs = []
-    run = coupling_lab.deterministic_contraction_run
-
-    def recorded(*args):
-        runs.append(run(*args))
-        return runs[-1]
-
-    monkeypatch.setattr(coupling_lab, "deterministic_contraction_run", recorded)
+def test_monte_carlo_writes_the_audited_envelopes(bent):
+    # the bounds a trace carries are the very floats the deterministic run
+    # audits tv against
     n_max = compute_ledger(bent, 1.0).n_big_k + 5
-    trace = monte_carlo_coupling(bent, tilted(), uniform_density(M), 1.0, n_max,
-                                 trials=2000, seed=42)
-    det, = runs
+    args = (bent, tilted(), uniform_density(M), 1.0, n_max)
+    trace = monte_carlo_coupling(*args, trials=2000, seed=42)
+    det = deterministic_contraction_run(*args)
     for field in ("ns", "ks", "tv_true", "bound_coupling", "bound_theta"):
         a, b = getattr(trace, field), getattr(det, field)
         assert a.dtype == b.dtype and np.array_equal(a, b), field
@@ -171,7 +160,26 @@ def test_monte_carlo_peaks_below_its_memory_estimate(monkeypatch):
         tracemalloc.stop()
     monkeypatch.setattr(coupling_lab, "TABLE_BYTES_CAP", peak)
     with pytest.raises(MemoryError):
-        coupling_lab._check_run_bytes(trials, n_max, n_epoch, M)
+        coupling_lab._check_run_bytes(trials, n_max)
+
+
+def test_monte_carlo_memory_is_flat_in_the_horizon():
+    # no past epoch is kept, so 36 more epochs cost at most their per-step
+    # series: the traced peaks at 4 and at 40 epochs differ by no more
+    # than _check_run_bytes counts for those steps
+    m = perturbed_map(2, 0.05)
+    n_epoch = compute_ledger(m, 1.0).n_big_k
+    args = (m, tilted(), uniform_density(M), 1.0)
+    deterministic_contraction_run(*args, 1)
+    peaks = []
+    for epochs in (4, 40):
+        tracemalloc.start()
+        try:
+            monte_carlo_coupling(*args, epochs * n_epoch, trials=1000, seed=42)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 36 * n_epoch * coupling_lab._STEP_BYTES
 
 
 def test_monte_carlo_is_seed_deterministic(doubling):
@@ -183,11 +191,12 @@ def test_monte_carlo_is_seed_deterministic(doubling):
         for _ in range(2)
     ]
     assert np.array_equal(runs[0].empirical_mismatch, runs[1].empirical_mismatch)
-    assert np.array_equal(runs[0].coins, runs[1].coins)
+    assert runs[0].chi2 == runs[1].chi2
     other = monte_carlo_coupling(
         doubling, tilted(), uniform_density(M), 1.0, 12, trials=20_000, seed=43
     )
-    assert not np.array_equal(runs[0].coins, other.coins)
+    assert not np.array_equal(runs[0].empirical_mismatch, other.empirical_mismatch)
+    assert runs[0].chi2 != other.chi2
 
 
 def textbook_evaluate(m, x):
@@ -207,7 +216,7 @@ def test_monte_carlo_matches_textbook_evaluate(monkeypatch):
     slow = monte_carlo_coupling(*args, trials=2000, seed=42)
     assert int(fast.ns[-1]) == 5 * fast.ledger.n_big_k
     for field in ("ns", "ks", "tv_true", "empirical_mismatch", "bound_coupling",
-                  "bound_theta", "coins"):
+                  "bound_theta"):
         a, b = getattr(fast, field), getattr(slow, field)
         assert a.dtype == b.dtype and np.array_equal(a, b), field
     assert fast.chi2 == slow.chi2
@@ -221,11 +230,14 @@ def marginal_checks(n, x, y, densities):
 def pair_order_coupling(m, psi1, psi2, alpha, n_max, trials, seed):
     """monte_carlo_coupling spelled out: every pair of x and y stepped in
     pair order at every step, the unequal pairs counted after each step,
-    and each epoch's regeneration drawn as the code draws it.  Returns the
-    mismatch series, the coins, the chi-square checks and the points at the
-    start of each epoch."""
-    det = deterministic_contraction_run(m, psi1, psi2, alpha, n_max)
-    a, n_epoch = det.ledger.a, det.ledger.n_big_k
+    the marginals and the residuals evolved here by apply, each epoch's
+    residuals decomposed from the last epoch's, and each epoch's
+    regeneration drawn as the code draws it.  Returns the mismatch series,
+    the coins, the chi-square checks and the points at the start of each
+    epoch."""
+    led = compute_ledger(m, alpha)
+    a, n_epoch = led.a, led.n_big_k
+    marginals = residuals = (psi1, psi2)
     rng = np.random.Generator(np.random.Philox(key=seed))
     x = sample(psi1, rng, trials)
     y = sample(psi2, rng, trials)
@@ -237,23 +249,26 @@ def pair_order_coupling(m, psi1, psi2, alpha, n_max, trials, seed):
             starts.append((x.copy(), y.copy()))
         x = evaluate(m, x)
         y = evaluate(m, y)
+        marginals = tuple(apply(m, d) for d in marginals)
+        residuals = tuple(apply(m, r) for r in residuals)
         mismatch.append(np.count_nonzero(x != y) / trials)
         if n % n_epoch == 0:
+            residuals = tuple(decompose(r, a) for r in residuals)
             coin = rng.random(trials) < a
             newly = coin & ~coupled
             tails = ~coin & ~coupled
             fresh = rng.random(np.count_nonzero(newly))
             x[newly] = fresh
             y[newly] = fresh
-            res1, res2 = det.epoch_residuals[n // n_epoch - 1]
+            res1, res2 = residuals
             x[tails] = sample(res1, rng, np.count_nonzero(tails))
             y[tails] = sample(res2, rng, np.count_nonzero(tails))
             coupled |= newly
             coins.append(coin)
-            chi2 += marginal_checks(n, x, y, det.marginals[n])
+            chi2 += marginal_checks(n, x, y, marginals)
             mismatch[n] = np.count_nonzero(x != y) / trials
     if n_max % n_epoch:
-        chi2 += marginal_checks(n_max, x, y, det.marginals[n_max])
+        chi2 += marginal_checks(n_max, x, y, marginals)
     return np.array(mismatch), np.array(coins).reshape(-1, trials), chi2, starts
 
 
@@ -266,7 +281,6 @@ def test_monte_carlo_equals_the_pair_order_reference(bent, name, epochs, rest):
     trace = monte_carlo_coupling(*args, trials=3000, seed=42)
     mismatch, coins, chi2, _ = pair_order_coupling(*args, trials=3000, seed=42)
     assert np.array_equal(trace.empirical_mismatch.view(np.int64), mismatch.view(np.int64))
-    assert np.array_equal(trace.coins, coins)
     assert trace.chi2 == chi2
     assert len(chi2) == 2 * (epochs + (rest > 0))
 
