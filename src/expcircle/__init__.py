@@ -34,6 +34,7 @@ from .density_grid import (
     GridFunction,
     holder_coefficient,
     holder_profile,
+    holder_profiles,
     inf_value,
     integrate,
     l1_distance,

@@ -9,6 +9,7 @@ run order and times it, fails it on a violation and builds its results.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time
 import weakref
@@ -38,7 +39,7 @@ from .density_grid import (
     GridDensity,
     GridFunction,
     holder_coefficient,
-    holder_profile,
+    holder_profiles,
     inf_value,
     integrate,
     l1_distance,
@@ -509,8 +510,14 @@ def audit_regularity_sweep(m: ExpandingMap, *, alphas=DEFAULT_ALPHAS, n_max: int
     worst_chain = -np.inf
     pointwise_ok = True
     for psi in density_family(resolution):
-        h_plain0 = holder_profile(psi, alphas)
-        h_log0 = holder_profile(log_transform(psi), alphas)
+        # psi, L psi, ..., L^n_max psi, each applied when first read, and
+        # its plain and log profiles, each chained along its own orbit
+        orbit = itertools.accumulate(itertools.repeat(None, n_max),
+                                     lambda f, _: apply(m, f), initial=psi)
+        iterates, plain, logs = itertools.tee(orbit, 3)
+        profiles = zip(iterates, holder_profiles(plain, alphas),
+                       holder_profiles(map(log_transform, logs), alphas))
+        cur, h_plain0, h_log0 = next(profiles)
         caps = {}
         floors = {}
         extra = 0
@@ -519,28 +526,25 @@ def audit_regularity_sweep(m: ExpandingMap, *, alphas=DEFAULT_ALPHAS, n_max: int
             floors[a] = positivity_floor(h_plain0[i], ledgers[a])
             extra = max(extra, floors[a][0] + 12 - n_max)
             pointwise_ok = pointwise_ok and pointwise_log_bounds_hold(psi, h_log0[i])
-        cur = psi
-        for n in range(1, n_max + max(extra, 0) + 1):
+        lows = []                                   # inf L^n psi, n = 1, 2, ...
+        for n, (cur, h_plain, h_log) in enumerate(profiles, 1):
+            for i, a in enumerate(alphas):
+                led = ledgers[a]
+                bound = led.lam ** (-a * n) * h_log0[i] + led.omega
+                worst_log = max(worst_log, h_log[i] - bound)
+                worst_cap = max(worst_cap, h_plain[i] - caps[a])
+                worst_chain = max(
+                    worst_chain, h_plain[i] - h_log[i] * math.exp(h_log[i])
+                )
+            if n in pointwise_ns:
+                for h in h_log:
+                    pointwise_ok = pointwise_ok and pointwise_log_bounds_hold(cur, h)
+            lows.append(float(cur.values.min()))
+        for _ in range(extra):
             cur = apply(m, cur)
-            if n <= n_max:
-                h_plain = holder_profile(cur, alphas)
-                h_log = holder_profile(log_transform(cur), alphas)
-                for i, a in enumerate(alphas):
-                    led = ledgers[a]
-                    bound = led.lam ** (-a * n) * h_log0[i] + led.omega
-                    worst_log = max(worst_log, h_log[i] - bound)
-                    worst_cap = max(worst_cap, h_plain[i] - caps[a])
-                    worst_chain = max(
-                        worst_chain, h_plain[i] - h_log[i] * math.exp(h_log[i])
-                    )
-                if n in pointwise_ns:
-                    for h in h_log:
-                        pointwise_ok = pointwise_ok and pointwise_log_bounds_hold(cur, h)
-            low = float(cur.values.min())
-            for a in alphas:
-                n1, floor = floors[a]
-                if n >= n1:
-                    worst_floor = min(worst_floor, low - floor)
+            lows.append(float(cur.values.min()))
+        for n1, floor in floors.values():
+            worst_floor = min(worst_floor, min(lows[n1 - 1:]) - floor)
     return [
         _gate(-worst_log, f"worst excess {worst_log:.3e}", slack=ROUNDING_SLACK),
         _gate(-worst_cap, f"worst excess {worst_cap:.3e}", slack=ROUNDING_SLACK),

@@ -7,8 +7,8 @@ resolution) the node preimages are solved once and the stencil is stored
 as a sparse matrix E of shape (w*M, M), four weights per row, together
 with the (w, M) weights 1/T'; the pair lives as long as its map.  E's
 weights and its int32 column indices and row pointers (int64 only once
-4*w*M + 1 passes the int32 range) are allocated once and filled one branch
-at a time, so a stencil row costs 60 bytes kept and at most
+4*w*M + 1 passes the int32 range) are allocated once and filled one block
+of nodes at a time, so a stencil row costs 60 bytes kept and at most
 TABLE_PEAK_BYTES_PER_ROW while it is built; a table whose build
 would peak above TABLE_BYTES_CAP, half the physical memory, is refused
 with MemoryError before anything is allocated.  An application is one
@@ -51,11 +51,15 @@ logger = density_grid.logger
 
 
 # Bytes per stencil row that _build_operator holds at its peak: the 60 it
-# keeps plus one branch's M-long work arrays, 99 on the w = 2 standard maps
-# and 74 on linear{3} at M = 65536 (tier-1 pins it).  A build whose
+# keeps plus the work arrays of one block of SOLVE_BLOCK nodes, about 80 kB
+# whatever M is.  At M = 65536 that reads 60.65 on the w = 2 standard maps
+# and 60.43 on linear{3} (tier-1 pins it); at smaller M the block's share
+# per row is larger, but such a table is far below the cap.  A build whose
 # estimated peak passes TABLE_BYTES_CAP, half the physical memory, is
 # refused.
-TABLE_PEAK_BYTES_PER_ROW = 100
+TABLE_PEAK_BYTES_PER_ROW = 61
+# Nodes whose preimages _build_operator solves and fills in one go.
+SOLVE_BLOCK = 4096
 TABLE_BYTES_CAP = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
 
 # Per-map operators, keyed by resolution; an entry lives as long as its map.
@@ -77,7 +81,9 @@ def _build_operator(m: ExpandingMap, resolution: int):
     that order; wgt is the read-only (winding, M) array of 1/T' there.
 
     E's arrays are allocated once, at their final size, and filled one
-    branch at a time, so that the work arrays are M long, not winding*M."""
+    block of SOLVE_BLOCK nodes of one branch at a time, so that the work
+    arrays are at most SOLVE_BLOCK long, not winding*M.  _solve_lift
+    iterates each point alone, so the blocks change no bit."""
     M = resolution
     w = m.winding
     rows = w * M
@@ -85,27 +91,29 @@ def _build_operator(m: ExpandingMap, resolution: int):
     coef = np.empty((rows, 4))
     cols = np.empty((rows, 4), dtype=itype)
     wgt = np.empty((w, M))
-    x = np.arange(M) / M
     m0 = _anchor_offset(m)
     for b in range(w):
-        y = _solve_lift(m, m0 + b + x)
-        np.divide(1.0, m.dlift(y), out=wgt[b])
-        u = np.remainder(y, 1.0, out=y)
-        u *= M
-        j = np.floor(u)
-        t = np.subtract(u, j, out=u)
-        j = j.astype(itype)
-        j %= M
-        c = cols[b * M:(b + 1) * M]
-        c[:, 0] = (j - 1) % M
-        c[:, 1] = j
-        c[:, 2] = (j + 1) % M
-        c[:, 3] = (j + 2) % M
-        c = coef[b * M:(b + 1) * M]
-        c[:, 0] = -t * (t - 1.0) * (t - 2.0) / 6.0
-        c[:, 1] = (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0
-        c[:, 2] = -(t + 1.0) * t * (t - 2.0) / 2.0
-        c[:, 3] = (t + 1.0) * t * (t - 1.0) / 6.0
+        for s in range(0, M, SOLVE_BLOCK):
+            x = np.arange(s, min(s + SOLVE_BLOCK, M)) / M
+            y = _solve_lift(m, m0 + b + x)
+            np.divide(1.0, m.dlift(y), out=wgt[b, s:s + x.size])
+            u = np.remainder(y, 1.0, out=y)
+            u *= M
+            j = np.floor(u)
+            t = np.subtract(u, j, out=u)
+            j = j.astype(itype)
+            j %= M
+            block = slice(b * M + s, b * M + s + x.size)
+            c = cols[block]
+            c[:, 0] = (j - 1) % M
+            c[:, 1] = j
+            c[:, 2] = (j + 1) % M
+            c[:, 3] = (j + 2) % M
+            c = coef[block]
+            c[:, 0] = -t * (t - 1.0) * (t - 2.0) / 6.0
+            c[:, 1] = (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0
+            c[:, 2] = -(t + 1.0) * t * (t - 2.0) / 2.0
+            c[:, 3] = (t + 1.0) * t * (t - 1.0) / 6.0
     wgt.setflags(write=False)
     E = sparse.csr_array(
         (coef.ravel(), cols.ravel(), np.arange(0, 4 * rows + 1, 4, dtype=itype)),

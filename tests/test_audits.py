@@ -182,13 +182,20 @@ def test_cached_invariant_is_freed_with_its_map():
     # one 60-step chain and one profile per density, for all three alphas
     (audit_density_convergence, 180, 3),
 ])
-def test_orbits_and_scans_are_walked_once(count_work, audit, applies, scans):
+def test_orbits_and_scans_are_walked_once(count_work, bent, audit, applies, scans):
     m = linear_map(2)
     audits.cached_invariant(m)
     counts = count_work()
     out = audit(m)
     assert all(r.ok for r in (out if isinstance(out, list) else [out]))
     assert (counts["apply"], counts["scan"]) == (applies, scans)
+    if audit is audit_regularity_sweep:
+        # on a perturbed map every iterate scans: 3 densities x 31 iterates,
+        # plain and log.  Each scan starts from the gap envelope of the one
+        # before it in its chain; scans from scratch visit 183888 lag rows
+        counts = count_work()
+        assert all(r.ok for r in audit(bent))
+        assert (counts["apply"], counts["scan"], counts["rows"]) == (122, 186, 41840)
 
 
 def test_each_drift_warning_is_logged_once(bent, caplog):

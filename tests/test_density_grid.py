@@ -15,6 +15,7 @@ from expcircle import (
     ResolutionMismatch,
     holder_coefficient,
     holder_profile,
+    holder_profiles,
     inf_value,
     integrate,
     l1_distance,
@@ -175,14 +176,12 @@ def test_lipschitz_coefficient_needs_no_lag_scan(monkeypatch):
     assert len(scans) == 1
 
 
-def full_lag_profile(f, alphas):
-    """holder_profile from a scan of every lag 1..M/2, 16 lags at a time:
-    the kernel before blocks of lags were pruned, kept as the reference."""
+def lag_gaps(f):
+    """The largest float |f_j - f_k| over node pairs at each lag 1..M/2,
+    from a scan of every lag, 16 lags at a time."""
     v = f.values
     M = f.resolution
     half = M // 2
-    lags = np.arange(1, half + 1)
-    dists = np.minimum(lags, M - lags) / M
     rolled = sliding_window_view(np.concatenate([v, v[:half]]), M)[1:]
     gaps = np.empty(half)
     buf = np.empty((16, M))
@@ -192,6 +191,16 @@ def full_lag_profile(f, alphas):
         np.subtract(block, v, out=out)
         np.abs(out, out=out)
         out.max(axis=1, out=gaps[s:s + len(block)])
+    return gaps
+
+
+def full_lag_profile(f, alphas):
+    """holder_profile from lag_gaps, a scan of every lag: the kernel before
+    blocks of lags were pruned, kept as the reference."""
+    M = f.resolution
+    lags = np.arange(1, M // 2 + 1)
+    dists = np.minimum(lags, M - lags) / M
+    gaps = lag_gaps(f)
     return tuple(lipschitz_estimate(f) if a == 1.0
                  else float((gaps / dists ** a).max()) for a in alphas)
 
@@ -233,6 +242,70 @@ def test_pruned_scan_equals_full_lag_scan(kind, M, seed, extra):
     f = scan_input(kind, M, np.random.Generator(np.random.Philox(key=seed)))
     alphas = (0.3, 0.5, 1.0, *extra)
     assert holder_profile(f, alphas) == full_lag_profile(f, alphas)
+
+
+CHAIN_STEPS = ("perturb", "argmax", "cusp", "ulps", "unrelated", "constant",
+               "resolution")
+
+
+def chain_step(step, f, rng):
+    """The grid function that follows ``f`` in a chain of the chained-scan
+    property test."""
+    v = f.values
+    M = v.size
+    if step == "perturb":       # noise of 1e-15 to 1e-2 times the size of f
+        size = 10.0 ** rng.integers(-15, -1) * max(float(np.abs(v).max()), 1.0)
+        return GridFunction(v + size * rng.normal(size=M))
+    if step == "argmax":        # move one end of a pair attaining a supremum
+        half = M // 2
+        gaps = np.abs(sliding_window_view(np.concatenate([v, v[:half]]), M)[1:] - v)
+        q = gaps / (np.arange(1, half + 1)[:, None] / M) ** rng.choice((0.3, 0.5))
+        lag, j = np.unravel_index(np.argmax(q), q.shape)
+        k = (j + lag + 1) % M
+        w = v.copy()
+        w[j] += rng.uniform(-1.0, 1.0) * (v[k] - v[j])
+        return GridFunction(w)
+    if step == "cusp":          # a cusp as large as f, whose sup is antipodal
+        dist = np.minimum(np.arange(M), M - np.arange(M)) / M
+        size = rng.uniform(0.0, 2.0) * float(v.max() - v.min())
+        return GridFunction(v + size * np.roll(dist, rng.integers(M)))
+    if step == "ulps":
+        return GridFunction(v + np.spacing(v) * rng.integers(-1, 2, M))
+    if step == "unrelated":
+        return scan_input(str(rng.choice(SCAN_KINDS)), M, rng)
+    if step == "constant":
+        return GridFunction(np.full(M, rng.normal()))
+    other = [r for r in (8, 16, 64, 512) if r != M]      # "resolution"
+    return scan_input(str(rng.choice(SCAN_KINDS)), int(rng.choice(other)), rng)
+
+
+@given(st.sampled_from(SCAN_KINDS), st.sampled_from((8, 16, 64, 512)),
+       st.integers(min_value=0, max_value=2**32),
+       st.lists(st.sampled_from(CHAIN_STEPS), min_size=1, max_size=6),
+       st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+                max_size=2))
+@settings(max_examples=200, deadline=None)
+def test_chained_scans_equal_full_lag_scans(kind, M, seed, steps, extra):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    chain = [scan_input(kind, M, rng)]
+    for step in steps:
+        chain.append(chain_step(step, chain[-1], rng))
+    alphas = (0.3, 0.5, 1.0, *extra)
+    envelopes = []
+    real = density_grid._lag_scan
+
+    def record(f, *args):
+        sups, env = real(f, *args)
+        envelopes.append((f, env))
+        return sups, env
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(density_grid, "_lag_scan", record)
+        profiles = list(holder_profiles(chain, alphas))
+    assert profiles == [full_lag_profile(f, alphas) for f in chain]
+    # every envelope handed on bounds each gap of its function
+    for f, env in envelopes:
+        assert (lag_gaps(f) <= env).all()
 
 
 def test_pruned_scan_maximum_in_its_last_block(monkeypatch):

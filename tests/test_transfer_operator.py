@@ -184,22 +184,30 @@ def reference_tables(m, resolution):
     return y % 1.0, wgt
 
 
-def reference_stencil_eval(values, y, clamp):
-    """Periodic 4-point Lagrange evaluation of the node sequence at y."""
-    M = values.size
+def reference_stencil(y, M):
+    """(cols, coef), each (len(y), 4): the periodic 4-point Lagrange
+    stencil of the M-node grid at the points y, in column order j-1, j,
+    j+1, j+2."""
     u = (y % 1.0) * M
     j = np.floor(u).astype(np.int64)
     t = u - j
     j %= M
-    vm1 = values[(j - 1) % M]
-    v0 = values[j]
-    v1 = values[(j + 1) % M]
-    v2 = values[(j + 2) % M]
+    cols = np.stack([(j - 1) % M, j, (j + 1) % M, (j + 2) % M], axis=1)
+    coef = np.stack([-t * (t - 1.0) * (t - 2.0) / 6.0,
+                     (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
+                     -(t + 1.0) * t * (t - 2.0) / 2.0,
+                     (t + 1.0) * t * (t - 1.0) / 6.0], axis=1)
+    return cols, coef
+
+
+def reference_stencil_eval(values, y, clamp):
+    """Periodic 4-point Lagrange evaluation of the node sequence at y."""
+    cols, coef = reference_stencil(y, values.size)
     out = (
-        vm1 * (-t * (t - 1.0) * (t - 2.0) / 6.0)
-        + v0 * ((t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0)
-        + v1 * (-(t + 1.0) * t * (t - 2.0) / 2.0)
-        + v2 * ((t + 1.0) * t * (t - 1.0) / 6.0)
+        values[cols[:, 0]] * coef[:, 0]
+        + values[cols[:, 1]] * coef[:, 1]
+        + values[cols[:, 2]] * coef[:, 2]
+        + values[cols[:, 3]] * coef[:, 3]
     )
     if clamp:
         np.maximum(out, 0.0, out=out)
@@ -284,15 +292,21 @@ def traced_build(m, resolution):
 
 def test_operator_table_bytes_per_row():
     # a stencil row keeps 4 float64 weights, 4 int32 columns, its int32 row
-    # pointer and one 1/T': 60 bytes; the build works branch by branch
+    # pointer and one 1/T': 60 bytes; the build works one block of nodes at
+    # a time, and keeps the bits of a whole-branch solve
+    M = 65536
     for m in standard_maps():
-        rows = m.winding * 65536
-        E, wgt, peak, kept = traced_build(m, 65536)
+        rows = m.winding * M
+        E, wgt, peak, kept = traced_build(m, M)
         assert E.indices.dtype == E.indptr.dtype == np.int32
         assert peak <= transfer_operator.TABLE_PEAK_BYTES_PER_ROW * rows, m
         assert kept <= 64 * rows, m
-        if repr(m) == "linear{3}":
-            assert peak <= 90 * rows
+        y, ref_wgt = reference_tables(m, M)
+        cols, coef = reference_stencil(y.ravel(), M)
+        assert np.array_equal(wgt, ref_wgt), m
+        assert np.array_equal(E.indices, cols.ravel()), m
+        assert np.array_equal(E.data, coef.ravel()), m
+        assert np.array_equal(E.indptr, np.arange(0, 4 * rows + 1, 4)), m
 
 
 def test_index_width_widens_only_past_int32():
@@ -307,8 +321,8 @@ def test_index_width_widens_only_past_int32():
 
 def test_table_above_the_memory_cap_is_refused_unbuilt(builds, tmp_path, capsys):
     # linear{64} at the smallest M whose table would peak above the cap
-    # (2**20 with 8 GB of memory); only the M-node starting density is
-    # allocated before the refusal
+    # (2**21 with 7.8 GiB of memory, 2**20 with 7 GiB); only the M-node
+    # starting density is allocated before the refusal
     per_node = 64 * transfer_operator.TABLE_PEAK_BYTES_PER_ROW
     M = 1 << (transfer_operator.TABLE_BYTES_CAP // per_node).bit_length()
     cfg = tmp_path / "config.json"
