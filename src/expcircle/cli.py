@@ -1,27 +1,21 @@
-"""Command-line front end.
-
-Subcommands
------------
-constants   emit the closed-form constants ledger for (map, alpha)
-invariant   compute the invariant density; CSV nodes + JSON diagnostics
-decay       correlation decay for f = g = cos(2 pi x) against the
-            explicit envelope; CSV series + JSON summary
-coupling    Monte-Carlo coupling run; CSV series + JSON summary
-verify      run every audit sweep and report pass/fail per property
+"""Command-line front end: the subcommands are listed in ``COMMANDS``.
 
 Configuration comes from an optional JSON file (``--config``) overridden
 by flags; the map itself is configured in the file, e.g.::
 
     {"map": {"family": "perturbed", "w": 2, "eps": 0.05}, "alpha": 1.0}
 
-Defaults: perturbed{2,0.05}, alpha=1, resolution=4096, seed=42,
-trials=100000.  Output directory: ``--out``, else the config ``out`` key,
-else ``$EXPCIRCLE_OUT``, else the working directory.  Exit codes: 0 ok,
-2 configuration/map error (including a resolution whose arrays do not
-fit in memory or whose operator table would pass its memory cap, a
-Monte-Carlo run whose arrays would pass that cap, an n_max above
-N_MAX_CEILING, and an output file that cannot be written), 3 numerical
-non-convergence, 4 audit violation.
+Besides ``map`` and ``out``, a command takes the flags and config keys of
+only the tuning values it reads, its row of ``COMMANDS``.  Defaults:
+perturbed{2,0.05}, alpha=1, resolution=4096, seed=42, trials=100000.
+Output directory: ``--out``, else the config ``out`` key, else
+``$EXPCIRCLE_OUT``, else the working directory.  Exit codes: 0 ok,
+2 configuration/map error (including a key the command does not read, a
+resolution whose arrays do not fit in memory or whose operator table
+would pass its memory cap, a Monte-Carlo run whose arrays would pass that
+cap, an n_max above N_MAX_CEILING, coupling's default horizon included,
+and an output file that cannot be written), 3 numerical non-convergence,
+4 audit violation.
 """
 from __future__ import annotations
 
@@ -40,17 +34,9 @@ from .circle_map import linear_map, perturbed_map
 from .correlation_suite import decay_report
 from .coupling_lab import CHI2_BINS, _check_run_bytes, monte_carlo_coupling
 from .density_grid import _write_rows, write_csv
-from .errors import (
-    VIOLATIONS,
-    CertificationError,
-    ConfigError,
-    InvalidAlpha,
-    NoConvergence,
-    NonPositiveDensity,
-    ResolutionMismatch,
-    RootFindingFailure,
-    ZeroObservable,
-)
+from .errors import (VIOLATIONS, CertificationError, ConfigError, InvalidAlpha,
+                     NoConvergence, NonPositiveDensity, ResolutionMismatch,
+                     RootFindingFailure, ZeroObservable)
 from .system_constants import compute_ledger
 from .transfer_operator import TABLE_BYTES_CAP, invariant_density
 
@@ -60,8 +46,14 @@ TOL_CEILING = 1e-6       # the loosest fixed-point tolerance invariant accepts
 # past epoch, so _check_run_bytes counts its steps at 640 bytes each, with
 # its files written: 0.64 GB here, inside even a 1 GiB memory cap.
 N_MAX_CEILING = 10**6
-CONFIG_KEYS = {"map", "alpha", "resolution", "seed", "trials", "n_max",
-               "tol", "out"}
+# The flag of each tuning key but tol: (type, help).
+_FLAGS = {
+    "alpha": (float, "Hoelder order in (0, 1] (default 1)"),
+    "resolution": (int, "grid nodes, power of two (default 4096)"),
+    "seed": (int, "RNG seed (default 42)"),
+    "trials": (int, "Monte-Carlo trials (default 100000)"),
+    "n_max": (int, "step horizon (default: 60, coupling: 5 epochs)"),
+}
 MAP_KEYS = {"family", "w", "eps"}
 
 _CONFIG_ERRORS = (ConfigError, CertificationError, InvalidAlpha,
@@ -83,7 +75,7 @@ class RunConfig:
     out: str = "."
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, command: str, keys) -> dict:
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -93,9 +85,9 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(raw) - CONFIG_KEYS
+    unknown = set(raw) - {"map", "out", *keys}
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
     map_cfg = raw.get("map", {})
     if not isinstance(map_cfg, dict):
         raise ConfigError("config 'map' must be an object")
@@ -106,35 +98,39 @@ def _load_config(path: str) -> dict:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
+    _, keys, min_resolution, _ = COMMANDS[args.command]
     cfg = RunConfig()
     # lowest precedence first: $EXPCIRCLE_OUT, then the config, then flags
     if os.environ.get("EXPCIRCLE_OUT"):
         cfg.out = os.environ["EXPCIRCLE_OUT"]
     if args.config:
-        raw = _load_config(args.config)
-        map_cfg = raw.get("map", {})
-        cfg.family = map_cfg.get("family", cfg.family)
-        cfg.w = map_cfg.get("w", cfg.w)
-        cfg.eps = map_cfg.get("eps", cfg.eps)
-        for key in CONFIG_KEYS - {"map"}:
-            if key in raw:
-                setattr(cfg, key, raw[key])
-    for key in ("alpha", "resolution", "seed", "trials", "n_max", "out"):
-        value = getattr(args, key)
+        raw = _load_config(args.config, args.command, keys)
+        for key, value in {**raw.pop("map", {}), **raw}.items():   # RunConfig fields
+            setattr(cfg, key, value)
+    for key in ("out", *keys):
+        value = getattr(args, key, None)   # tol has no flag
         if value is not None:
             setattr(cfg, key, value)
-    _validate(cfg, CHI2_BINS if args.command in ("coupling", "verify") else 16)
+    _validate(cfg, keys, min_resolution)
     return cfg
 
 
-def _validate(cfg: RunConfig, min_resolution: int) -> None:
+def _check_n_max(n_max, name: str = "n_max") -> None:
+    if not isinstance(n_max, int) or n_max < 1:
+        raise ConfigError(f"{name} must be an integer of at least 1, got {n_max!r}")
+    if n_max > N_MAX_CEILING:
+        raise ConfigError(f"{name} must not exceed {N_MAX_CEILING}, got {n_max}")
+
+
+def _validate(cfg: RunConfig, keys, min_resolution: int | None) -> None:
+    """Check out, the map and the tuning ``keys`` the command reads; the
+    keys it does not read cannot be set and keep their defaults."""
     if not isinstance(cfg.out, str):
         raise ConfigError(f"out must be a string, got {cfg.out!r}")
-    for key in ("w", "eps", "alpha", "tol", "resolution", "seed", "trials",
-                "n_max"):
-        value = getattr(cfg, key)
-        if isinstance(value, bool):
-            raise ConfigError(f"{key} must be a number, not {value!r}")
+    read = ("w", "eps", *keys)
+    for key in read:
+        if isinstance(getattr(cfg, key), bool):
+            raise ConfigError(f"{key} must be a number, not {getattr(cfg, key)!r}")
     if not isinstance(cfg.w, int):
         raise ConfigError(f"map winding must be an integer, got {cfg.w!r}")
     if abs(cfg.w) > 2**53:
@@ -143,21 +139,20 @@ def _validate(cfg: RunConfig, min_resolution: int) -> None:
     for key in ("alpha", "eps", "tol"):
         value = getattr(cfg, key)
         # refuses NaN, the infinities and ints past the float64 range
-        if not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        if key in read and (not isinstance(value, (int, float))
+                            or not abs(value) <= sys.float_info.max):
             raise ConfigError(f"{key} must be a finite number, got {value!r}")
     if cfg.eps < 0:
         raise ConfigError(f"eps must be nonnegative, got {cfg.eps!r}")
-    if not 0 < cfg.tol <= TOL_CEILING:
+    if "tol" in keys and not 0 < cfg.tol <= TOL_CEILING:
         raise ConfigError(f"tol must lie in (0, {TOL_CEILING:g}], got {cfg.tol!r}")
     for key in ("resolution", "seed", "trials"):
-        if not isinstance(getattr(cfg, key), int):
+        if key in keys and not isinstance(getattr(cfg, key), int):
             raise ConfigError(f"{key} must be an integer")
-    if cfg.n_max is not None and (not isinstance(cfg.n_max, int) or cfg.n_max < 1):
-        raise ConfigError(f"n_max must be an integer of at least 1, got {cfg.n_max!r}")
-    if cfg.n_max is not None and cfg.n_max > N_MAX_CEILING:
-        raise ConfigError(f"n_max must not exceed {N_MAX_CEILING}, got {cfg.n_max}")
+    if "n_max" in keys and cfg.n_max is not None:
+        _check_n_max(cfg.n_max)
     M = cfg.resolution
-    if M < min_resolution or M & (M - 1):
+    if "resolution" in keys and (M < min_resolution or M & (M - 1)):
         raise ConfigError(f"resolution must be a power of two >= {min_resolution}, got {M}")
     # refused before anything is allocated, as an operator table is
     if 8 * M > TABLE_BYTES_CAP:
@@ -165,10 +160,11 @@ def _validate(cfg: RunConfig, min_resolution: int) -> None:
             f"a grid of M={M} nodes takes {8 * M / 2**30:.3g} GiB, above the cap "
             f"of {TABLE_BYTES_CAP / 2**30:.3g} GiB (half the physical memory)"
         )
-    if cfg.trials < 1000:
-        raise ConfigError("trials must be at least 1000")
-    _check_run_bytes(cfg.trials)
-    if not 0 <= cfg.seed < 2**128:
+    if "trials" in keys:
+        if cfg.trials < 1000:
+            raise ConfigError("trials must be at least 1000")
+        _check_run_bytes(cfg.trials)
+    if "seed" in keys and not 0 <= cfg.seed < 2**128:
         raise ConfigError(f"seed must lie in [0, 2**128), got {cfg.seed}")
 
 
@@ -272,13 +268,15 @@ def cmd_invariant(cfg: RunConfig) -> int:
 def cmd_decay(cfg: RunConfig) -> int:
     m = make_map(cfg)
     f = cos_observable(cfg.resolution)
-    (rep,), = decay_report(m, [f], f, (cfg.alpha,), n_max=cfg.n_max or 60)
+    n_max = cfg.n_max or 60
+    (rep,), = decay_report(m, [f], f, (cfg.alpha,), n_max=n_max)
     _write_table(_out_dir(cfg), "decay", [
         ("n", rep.ns, "%d"),
         ("corr", rep.corr, "%.17g"),
         ("bound", rep.bound, "%.17g"),
         ("ok", rep.ok, "%d"),
-    ], {"summary": rep.summary(), "observables": "f = g = cos(2 pi x)"})
+    ], {"resolution": cfg.resolution, "n_max": n_max, "summary": rep.summary(),
+        "observables": "f = g = cos(2 pi x)"})
     if not rep.all_ok():
         print("decay bound violated", file=sys.stderr)
         return 4
@@ -287,8 +285,12 @@ def cmd_decay(cfg: RunConfig) -> int:
 
 def cmd_coupling(cfg: RunConfig) -> int:
     m = make_map(cfg)
+    n_max = cfg.n_max
+    if n_max is None:   # five epochs, held to the same ceiling as --n-max
+        n_max = 5 * compute_ledger(m, cfg.alpha).n_big_k
+        _check_n_max(n_max, "the default n_max of 5 epochs")
     psi1, psi2 = coupling_pair(cfg.resolution)
-    trace = monte_carlo_coupling(m, psi1, psi2, cfg.alpha, cfg.n_max,
+    trace = monte_carlo_coupling(m, psi1, psi2, cfg.alpha, n_max,
                                  trials=cfg.trials, seed=cfg.seed)
     _write_table(_out_dir(cfg), "coupling", [
         ("n", trace.ns, "%d"),
@@ -297,14 +299,15 @@ def cmd_coupling(cfg: RunConfig) -> int:
         ("empirical_mismatch", trace.empirical_mismatch, "%.17g"),
         ("bound_coupling", trace.bound_coupling, "%.17g"),
         ("bound_theta", trace.bound_theta, "%.17g"),
-    ], {"map": repr(m), "summary": trace.summary()})
+    ], {"map": repr(m), "resolution": cfg.resolution, "summary": trace.summary()})
     return 0
 
 
 def cmd_verify(cfg: RunConfig) -> int:
     m = make_map(cfg)
+    n_max = cfg.n_max or 60
     results = run_all(m, seed=cfg.seed, trials=cfg.trials,
-                      resolution=cfg.resolution, n_max=cfg.n_max or 60)
+                      resolution=cfg.resolution, n_max=n_max)
     for r in results:
         print(f"{'PASS' if r.ok else 'FAIL'} {r.name}: {r.detail}")
     failed = [r.name for r in results if not r.ok]
@@ -312,51 +315,48 @@ def cmd_verify(cfg: RunConfig) -> int:
           f"{len(results) - len(failed)} passed, {len(failed)} failed")
     out = _out_dir(cfg)
     _write_json(out / "verify.json", {
-        "map": repr(m),
-        "seed": cfg.seed,
-        "trials": cfg.trials,
-        "resolution": cfg.resolution,
+        "map": repr(m), "seed": cfg.seed, "trials": cfg.trials,
+        "resolution": cfg.resolution, "n_max": n_max,
         "results": [{**asdict(r), "seconds": round(r.seconds, 3)} for r in results],
     })
     print(f"wrote {out / 'verify.json'}")
     return 4 if failed else 0
 
 
-_COMMANDS = {
-    "constants": cmd_constants,
-    "invariant": cmd_invariant,
-    "decay": cmd_decay,
-    "coupling": cmd_coupling,
-    "verify": cmd_verify,
+# Each command: its function, the tuning keys it reads besides map and out
+# (the only flags and config keys it takes), its coarsest grid and its help.
+# coupling and verify bin their sampled marginals into CHI2_BINS arcs of
+# cells.  verify's operator-mass gate, MASS_TOL = 1e-10, sees the 4-point
+# stencil's quadrature error, which falls like h**4: up to 1.85e-10 at
+# M = 512, at most 1.05e-11 from M = 1024 on perturbed maps of degree 2-16.
+COMMANDS = {
+    "constants": (cmd_constants, ("alpha",), None,
+                  "emit the closed-form constants ledger for (map, alpha)"),
+    "invariant": (cmd_invariant, ("resolution", "tol"), 16,
+                  "compute the invariant density: CSV nodes + JSON diagnostics"),
+    "decay": (cmd_decay, ("alpha", "resolution", "n_max"), 16,
+              "correlation decay of f = g = cos(2 pi x) against its envelope"),
+    "coupling": (cmd_coupling, ("alpha", "resolution", "seed", "trials", "n_max"),
+                 CHI2_BINS, "Monte-Carlo coupling run: CSV series + JSON summary"),
+    "verify": (cmd_verify, ("resolution", "seed", "trials", "n_max"), 1024,
+               "run every audit sweep and report pass/fail per property"),
 }
 
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="expcircle",
-        description="Transfer-operator toolkit for expanding circle maps.",
-    )
+        prog="expcircle", description="Transfer-operator toolkit for expanding circle maps.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("constants", "emit the constants ledger as JSON"),
-        ("invariant", "compute the invariant density"),
-        ("decay", "correlation decay report for cos observables"),
-        ("coupling", "Monte-Carlo coupling run"),
-        ("verify", "run every audit sweep"),
-    ):
+    for name, (_, keys, _, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory "
                        "(default: config, then $EXPCIRCLE_OUT, then cwd)")
-        p.add_argument("--seed", type=int, help="RNG seed (default 42)")
-        p.add_argument("--resolution", type=int,
-                       help="grid nodes, power of two (default 4096)")
-        p.add_argument("--alpha", type=float,
-                       help="Hoelder order in (0, 1] (default 1)")
-        p.add_argument("--n-max", type=int, dest="n_max",
-                       help="step horizon (default: 60, coupling: 5 epochs)")
-        p.add_argument("--trials", type=int,
-                       help="Monte-Carlo trials (default 100000)")
+        for key in keys:
+            if key in _FLAGS:
+                kind, flag_help = _FLAGS[key]
+                p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind,
+                               help=flag_help)
     return parser
 
 
@@ -364,7 +364,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = build_config(args)
-        return _COMMANDS[args.command](cfg)
+        return COMMANDS[args.command][0](cfg)
     except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

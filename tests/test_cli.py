@@ -16,6 +16,7 @@ from expcircle import coupling_lab
 from expcircle.audits import (MASS_TOL, PAIR_SLACK, cos_observable, coupling_pair,
                               standard_maps)
 from expcircle.circle_map import linear_map
+from expcircle import cli
 from expcircle.cli import N_MAX_CEILING, RunConfig, _write_json, main, make_map
 from expcircle.correlation_suite import decay_report
 from expcircle.coupling_lab import CHI2_P_FLOOR, monte_carlo_coupling
@@ -49,30 +50,30 @@ GOLDEN = {
     },
     "decay --n-max 12": {
         "decay.csv": "4ee40fb380eb941f611cf8f89ce88067ad3e8628f083a696da5ffd76e00e7540",
-        "decay.json": "7d8eac7de62d5e24b52cff93ba35fcd57eeda438d9c409732d28a28130068872",
+        "decay.json": "6382dcc9a38645b4d858214bb8ab770ebc248cc53b402d8e56ef9672866ee545",
     },
     "decay --n-max 12 on linear{2}": {
         "decay.csv": "5643daf7708fffc4a93807fdb30557ebc073557c63ca1c9ca0804bd4d0b67bcc",
-        "decay.json": "37d59365e88b7a887b2999ddeec28590d615e8b3152393c3f6dd723096495f2a",
+        "decay.json": "6b45d2e346800f40d2fb4148853bc1cef17d650b6fad90124184e431aa998775",
     },
     "coupling --trials 20000 --n-max 21": {
         "coupling.csv": "cd0198987ada4852a7aa2c704a1cb5bf5c53629f118780bf64112c022037f8b8",
-        "coupling.json": "08e6429afe6f508a07d0207676ff21367e64f365492752ca73ad9a9caf08614a",
+        "coupling.json": "b5b88c3533f453dde9edf5d0e37f4c2e638412bc36f3a24746f508d6fe988c3b",
     },
     "verify on linear{2}": {
-        "verify.json": "f316e08621e3d96a8c027d8c20efee30fecd24729d88890185ccce108703625d",
+        "verify.json": "9ee0b88da25abdcc50fcd791ef3071f156f1871ddc9e2ace8e9921fc1c9e099b",
     },
     "verify on linear{3}": {
-        "verify.json": "525f6255c6482ac985f77abe2325fc47cce0814f71b37865e60883ecf8ecfbc0",
+        "verify.json": "e71f18aa75a1d00373f39e780015b80eeb6168cd8ee71d492453f5d54597357e",
     },
     "verify on perturbed{2,0.02}": {
-        "verify.json": "373a0c2a95d89b560855f1084ebf1af370c9bfd00340a3fd4c3bd6f67a0d9986",
+        "verify.json": "74308e0838858ec8fdad4ba6e20163b5ea895428269008cef1f8aafe4d7b33c5",
     },
     "verify on perturbed{2,0.05}": {
-        "verify.json": "bb9059e72571a87a26e3ac9debcd8597cd3a6ce74da235c7f0dc2eb8db3a0069",
+        "verify.json": "13e6ef0d8eb7d823ad5415a878b491edb44973affc94f0f5f657b12d3c7d1e49",
     },
     "verify on perturbed{2,0.1}": {
-        "verify.json": "fe4f70e042c55d03030223dc01b02e50de67c87fb912c6a98bcdc1a2170c074c",
+        "verify.json": "f089a0413ccaf83864534a056c00312841d886543b1e90730c93733af73865fa",
     },
 }
 
@@ -145,6 +146,7 @@ def test_decay_outputs(tmp_path):
     assert len(lines) == 14
     data = json.loads((tmp_path / "decay.json").read_text())
     assert data["summary"]["all_ok"] is True
+    assert (data["resolution"], data["n_max"]) == (4096, 12)
     assert_golden(tmp_path, "decay --n-max 12")
 
 
@@ -184,8 +186,8 @@ def test_json_encodes_numpy_values_as_python_values(tmp_path):
 TABLE_JSON_KEYS = {
     "invariant": {"map", "resolution", "tol", "n_steps", "final_sup",
                   "final_inf", "records", "csv"},
-    "decay": {"summary", "observables", "csv"},
-    "coupling": {"map", "summary", "csv"},
+    "decay": {"resolution", "n_max", "summary", "observables", "csv"},
+    "coupling": {"map", "resolution", "summary", "csv"},
 }
 
 
@@ -223,6 +225,7 @@ def test_coupling_reproducible_byte_for_byte(tmp_path):
     data = json.loads((out1 / "coupling.json").read_text())
     assert data["summary"]["trials"] == 20000
     assert data["summary"]["seed"] == 42
+    assert data["resolution"] == 4096
     assert all(c["p_value"] > 1e-4 for c in data["summary"]["chi2"])
     assert len((out1 / "coupling.csv").read_text().splitlines()) == 44
 
@@ -350,6 +353,7 @@ def test_verify_standard_maps(verify_run, m):
     out = run.stdout
     report = json.loads((run.out / "verify.json").read_text())
     assert report["map"] == repr(m)
+    assert (report["resolution"], report["n_max"]) == (4096, 60)
     assert all(r["ok"] for r in report["results"])
     assert [r["name"] for r in report["results"]] == VERIFY_NAMES
     assert out.count("PASS") == len(report["results"])
@@ -424,52 +428,109 @@ def test_flag_beats_config_beats_default(tmp_path):
     assert data["alpha"] == 1.0
 
 
-@pytest.mark.parametrize(
-    "payload",
-    [
-        {"map": {"family": "perturbed", "w": 2, "eps": 0.05}, "bogus": 1},
-        {"map": {"family": "perturbed", "w": 2, "epsilon": 0.05}},
-        {"map": {"family": "logistic"}},
-        {"map": {"family": "perturbed", "w": 2, "eps": 0.2}},
-        {"map": {"family": "linear", "w": 2.5}},
-        {"resolution": 3000},
-        {"trials": 10},
-        {"seed": -1},
-        {"map": {"family": "perturbed", "w": 2, "eps": -0.01}},
-        {"map": {"family": "perturbed", "w": 2, "eps": float("nan")}},
-        {"out": 5},
-        {"out": None},
-        {"n_max": True},
-        {"seed": True},
-        {"alpha": True},
-        {"tol": 1e300},
-        {"tol": 0},
-        {"tol": -1},
-        # ints past the float64 range
-        {"map": {"family": "perturbed", "w": 2, "eps": 10**400}},
-        {"alpha": 10**400},
-        {"tol": -10**400},
-        # windings float64 does not hold exactly
-        {"map": {"family": "linear", "w": 2**53 + 1}},
-        {"map": {"family": "perturbed", "w": 2**53 + 1, "eps": 0.05}},
-        {"map": {"family": "linear", "w": -10**400}},
-        {"map": {"family": "perturbed", "w": 10**400, "eps": 0.05}},
-        # counts past the int64 range, and past the memory cap
-        {"trials": 10**30},
-        {"trials": 2**63},
-        {"resolution": 2**70},
-        {"n_max": 10**30},
-        {"n_max": 10**6 + 1},
-    ],
-)
-def test_bad_configs_exit_two(tmp_path, monkeypatch, payload, capsys):
+COARSE_16 = "resolution must be a power of two >= 16"
+FINITE = "must be a finite number"
+TOL_RANGE = "tol must lie in (0, 1e-06]"
+WIDE_WINDING = "map winding must not exceed 2**53 in size"
+
+# (command, config, the start of its error message after "error: "): each
+# tuning key goes to a command that reads it, so its own check refuses it
+BAD_CONFIGS = [
+    ("constants", {"map": {"family": "perturbed", "w": 2, "eps": 0.05}, "bogus": 1},
+     "unknown config keys for constants: ['bogus']"),
+    ("constants", {"map": {"family": "perturbed", "w": 2, "epsilon": 0.05}},
+     "unknown map keys: ['epsilon']"),
+    ("constants", {"map": {"family": "logistic"}}, "unknown map family 'logistic'"),
+    ("constants", {"map": {"family": "perturbed", "w": 2, "eps": 0.2}},
+     "2*pi*eps = 1.25664 must stay below w - 1"),
+    ("constants", {"map": {"family": "linear", "w": 2.5}},
+     "map winding must be an integer"),
+    ("invariant", {"resolution": 3000}, COARSE_16),
+    ("coupling", {"trials": 10}, "trials must be at least 1000"),
+    ("coupling", {"seed": -1}, "seed must lie in [0, 2**128)"),
+    ("constants", {"map": {"family": "perturbed", "w": 2, "eps": -0.01}},
+     "eps must be nonnegative"),
+    ("constants", {"map": {"family": "perturbed", "w": 2, "eps": float("nan")}},
+     "eps " + FINITE),
+    ("constants", {"out": 5}, "out must be a string"),
+    ("constants", {"out": None}, "out must be a string"),
+    ("decay", {"n_max": True}, "n_max must be a number, not True"),
+    ("coupling", {"seed": True}, "seed must be a number, not True"),
+    ("constants", {"alpha": True}, "alpha must be a number, not True"),
+    ("invariant", {"tol": 1e300}, TOL_RANGE),
+    ("invariant", {"tol": 0}, TOL_RANGE),
+    ("invariant", {"tol": -1}, TOL_RANGE),
+    # ints past the float64 range
+    ("constants", {"map": {"family": "perturbed", "w": 2, "eps": 10**400}},
+     "eps " + FINITE),
+    ("constants", {"alpha": 10**400}, "alpha " + FINITE),
+    ("invariant", {"tol": -10**400}, "tol " + FINITE),
+    # windings float64 does not hold exactly
+    ("constants", {"map": {"family": "linear", "w": 2**53 + 1}}, WIDE_WINDING),
+    ("constants", {"map": {"family": "perturbed", "w": 2**53 + 1, "eps": 0.05}},
+     WIDE_WINDING),
+    ("constants", {"map": {"family": "linear", "w": -10**400}}, WIDE_WINDING),
+    ("constants", {"map": {"family": "perturbed", "w": 10**400, "eps": 0.05}},
+     WIDE_WINDING),
+    # counts past the int64 range, and past the memory cap
+    ("coupling", {"trials": 10**30},
+     f"out of memory: a Monte-Carlo run of {10**30} trials"),
+    ("coupling", {"trials": 2**63}, f"out of memory: a Monte-Carlo run of {2**63} trials"),
+    ("invariant", {"resolution": 2**70}, f"out of memory: a grid of M={2**70} nodes"),
+    ("decay", {"n_max": 10**30}, "n_max must not exceed 1000000"),
+    ("decay", {"n_max": 10**6 + 1}, "n_max must not exceed 1000000"),
+]
+
+
+@pytest.mark.parametrize("command, payload, message", BAD_CONFIGS,
+                         ids=[f"payload{i}" for i in range(len(BAD_CONFIGS))])
+def test_bad_configs_exit_two(tmp_path, monkeypatch, command, payload, message, capsys):
     # no --out, so a config "out" is the output directory
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("EXPCIRCLE_OUT", raising=False)
     cfg = write_config(tmp_path, payload)
-    assert main(["constants", "--config", cfg]) == 2
+    assert main([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+# The tuning keys each command reads besides map and out: the only flags
+# and config keys it takes.  tol has no flag.
+READS = {
+    "constants": {"alpha"},
+    "invariant": {"resolution", "tol"},
+    "decay": {"alpha", "resolution", "n_max"},
+    "coupling": {"alpha", "resolution", "seed", "trials", "n_max"},
+    "verify": {"resolution", "seed", "trials", "n_max"},
+}
+# a value each reading command accepts, as a config value and as a flag
+TUNING = {"alpha": 0.5, "resolution": 2048, "seed": 7, "trials": 2000, "n_max": 10,
+          "tol": 1e-10}
+
+
+PAIRS = [(command, key) for command in READS for key in TUNING]
+
+
+@pytest.mark.parametrize("command, key", PAIRS, ids=["-".join(p) for p in PAIRS])
+def test_each_command_takes_only_the_keys_it_reads(tmp_path, command, key, capsys):
+    assert {c: set(keys) for c, (_, keys, _, _) in cli.COMMANDS.items()} == READS
+    value = TUNING[key]
+    cfg = write_config(tmp_path, {key: value})
+    flag = [] if key == "tol" else ["--" + key.replace("_", "-"), str(value)]
+    if key in READS[command]:
+        for argv in filter(None, (["--config", cfg], flag)):
+            args = cli._parser().parse_args([command, *argv])
+            assert getattr(cli.build_config(args), key) == value
+        return
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: unknown config keys for {command}: ['{key}']\n"
+    if flag:
+        with pytest.raises(SystemExit) as exc:
+            main([command, *flag, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
@@ -577,13 +638,25 @@ def test_unallocatable_resolution_exits_two(tmp_path, capsys):
 
 
 def test_monte_carlo_run_above_the_memory_cap_is_refused(tmp_path, capsys):
-    # at alpha 1e-6 the default horizon of five epochs is about 1e8 steps,
-    # whose per-step series alone pass the cap: refused before the run
-    argv = ["coupling", "--alpha", "1e-6", "--resolution", "64", "--out", str(tmp_path)]
+    # 10**9 trials hold about 78 GiB: refused before the run
+    argv = ["coupling", "--trials", str(10**9), "--resolution", "64", "--out", str(tmp_path)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: out of memory: a Monte-Carlo run of 100000 trials over ")
+    assert err.startswith(f"error: out of memory: a Monte-Carlo run of {10**9} trials ")
     assert err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("alpha, steps", [("1e-4", 1036725), ("1e-6", 103672460)])
+def test_default_coupling_horizon_above_the_ceiling_is_refused(tmp_path, alpha, steps,
+                                                              capsys):
+    # the default horizon, five epochs of N_K, grows like 1/alpha; it is
+    # held to N_MAX_CEILING as --n-max is, before anything is allocated
+    argv = ["coupling", "--alpha", alpha, "--resolution", "64", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: the default n_max of 5 epochs must not exceed {N_MAX_CEILING}, "
+        f"got {steps}\n")
     assert not list(tmp_path.iterdir())
 
 
@@ -595,18 +668,23 @@ def test_the_longest_accepted_horizon_fits_the_memory_check(monkeypatch):
 
 
 COARSE = "resolution must be a power of two >= 64"
+# verify's operator-mass gate holds from M = 1024 (1.85e-10 against 1e-10
+# at M = 512 on the default map)
+VERIFY_COARSE = "resolution must be a power of two >= 1024"
 
 
 @pytest.mark.parametrize("argv, message", [
     (["coupling", "--resolution", "16"], COARSE),
     (["coupling", "--resolution", "32"], COARSE),
-    (["verify", "--resolution", "16"], COARSE),
-    (["verify", "--resolution", "32"], COARSE),
+    (["verify", "--resolution", "16"], VERIFY_COARSE),
+    (["verify", "--resolution", "32"], VERIFY_COARSE),
+    (["verify", "--resolution", "512"], VERIFY_COARSE),
     (["coupling", "--seed", str(2**128)], "seed must lie in [0, 2**128)"),
-], ids=["coupling-16", "coupling-32", "verify-16", "verify-32", "coupling-seed-2**128"])
+], ids=["coupling-16", "coupling-32", "verify-16", "verify-32", "verify-512",
+        "coupling-seed-2**128"])
 def test_inputs_outside_the_coupling_run_exit_two(tmp_path, argv, message, capsys):
     # the chi-square bins the sampled marginals into 64 arcs of grid cells,
-    # and Philox takes a key below 2**128
+    # Philox takes a key below 2**128, and verify's mass gate needs M >= 1024
     assert main([*argv, "--trials", "1000", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
