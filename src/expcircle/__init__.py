@@ -62,6 +62,7 @@ from .errors import (
     NotInvariant,
     ResolutionMismatch,
     RootFindingFailure,
+    Violation,
     ZeroObservable,
 )
 from .inverse_branches import (

@@ -85,6 +85,10 @@ def _audit(m: ExpandingMap, points: int = AUDIT_POINTS) -> None:
     """Check the asserted constants against a dense sample of the lift."""
     if m.winding < 2:
         raise DegreeMismatch(f"winding must be >= 2, got {m.winding}")
+    # every comparison below is False on NaN
+    for name, value in (("lam", m.lam), ("d1_sup", m.d1_sup), ("d2_sup", m.d2_sup)):
+        if not np.isfinite(value):
+            raise CertificationError(f"{name} must be finite, got {value!r}")
     if m.lam <= 1.0:
         raise NotExpanding(f"expansion constant must exceed 1, got {m.lam}")
     x = np.arange(points) / points

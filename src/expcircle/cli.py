@@ -6,16 +6,15 @@ by flags; the map itself is configured in the file, e.g.::
     {"map": {"family": "perturbed", "w": 2, "eps": 0.05}, "alpha": 1.0}
 
 Besides ``map`` and ``out``, a command takes the flags and config keys of
-only the tuning values it reads, its row of ``COMMANDS``.  Defaults:
+only the tuning values it reads, its row of ``COMMANDS``; a map takes only
+the keys its family reads, its row of ``MAP_FAMILIES``.  Defaults:
 perturbed{2,0.05}, alpha=1, resolution=4096, seed=42, trials=100000.
 Output directory: ``--out``, else the config ``out`` key, else
-``$EXPCIRCLE_OUT``, else the working directory.  Exit codes: 0 ok,
-2 configuration/map error (including a key the command does not read, a
-resolution whose arrays do not fit in memory or whose operator table
-would pass its memory cap, a Monte-Carlo run whose arrays would pass that
-cap, an n_max above N_MAX_CEILING, coupling's default horizon included,
-and an output file that cannot be written), 3 numerical non-convergence,
-4 audit violation.
+``$EXPCIRCLE_OUT``, else the working directory.  Exit codes: 0 ok, else
+the ``exit_code`` of the package error raised (2 configuration/map error,
+3 numerical non-convergence, 4 audit violation), and 2 on a MemoryError:
+an allocation that ``check_bytes`` finds above the memory cap, or one the
+system refuses.
 """
 from __future__ import annotations
 
@@ -33,12 +32,10 @@ from .audits import cos_observable, coupling_pair, run_all
 from .circle_map import linear_map, perturbed_map
 from .correlation_suite import decay_report
 from .coupling_lab import CHI2_BINS, _check_run_bytes, monte_carlo_coupling
-from .density_grid import _write_rows, write_csv
-from .errors import (VIOLATIONS, CertificationError, ConfigError, InvalidAlpha,
-                     NoConvergence, NonPositiveDensity, ResolutionMismatch,
-                     RootFindingFailure, ZeroObservable)
+from .density_grid import _write_rows
+from .errors import ConfigError, ExpCircleError
 from .system_constants import compute_ledger
-from .transfer_operator import TABLE_BYTES_CAP, invariant_density
+from .transfer_operator import check_bytes, invariant_density
 
 TOL_CEILING = 1e-6       # the loosest fixed-point tolerance invariant accepts
 # The longest step horizon accepted: a million applications at the default
@@ -54,11 +51,9 @@ _FLAGS = {
     "trials": (int, "Monte-Carlo trials (default 100000)"),
     "n_max": (int, "step horizon (default: 60, coupling: 5 epochs)"),
 }
-MAP_KEYS = {"family", "w", "eps"}
-
-_CONFIG_ERRORS = (ConfigError, CertificationError, InvalidAlpha,
-                  ZeroObservable, ResolutionMismatch, NonPositiveDensity)
-_CONVERGENCE_ERRORS = (NoConvergence, RootFindingFailure)
+# Each map family: its constructor and the map keys it reads besides
+# family, in the constructor's argument order.
+MAP_FAMILIES = {"linear": (linear_map, ("w",)), "perturbed": (perturbed_map, ("w", "eps"))}
 
 
 @dataclass
@@ -91,9 +86,17 @@ def _load_config(path: str, command: str, keys) -> dict:
     map_cfg = raw.get("map", {})
     if not isinstance(map_cfg, dict):
         raise ConfigError("config 'map' must be an object")
-    unknown = set(map_cfg) - MAP_KEYS
+    family = map_cfg.get("family", RunConfig.family)
+    if not isinstance(family, str) or family not in MAP_FAMILIES:
+        raise ConfigError(
+            f"unknown map family {family!r} (the CLI accepts "
+            f"{' and '.join(map(repr, MAP_FAMILIES))}; custom maps are an API-only feature)"
+        )
+    reads = MAP_FAMILIES[family][1]
+    unknown = set(map_cfg) - {"family", *reads}
     if unknown:
-        raise ConfigError(f"unknown map keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown map keys: {sorted(unknown)} "
+                          f"(a {family} map reads {', '.join(reads)})")
     return raw
 
 
@@ -155,11 +158,7 @@ def _validate(cfg: RunConfig, keys, min_resolution: int | None) -> None:
     if "resolution" in keys and (M < min_resolution or M & (M - 1)):
         raise ConfigError(f"resolution must be a power of two >= {min_resolution}, got {M}")
     # refused before anything is allocated, as an operator table is
-    if 8 * M > TABLE_BYTES_CAP:
-        raise MemoryError(
-            f"a grid of M={M} nodes takes {8 * M / 2**30:.3g} GiB, above the cap "
-            f"of {TABLE_BYTES_CAP / 2**30:.3g} GiB (half the physical memory)"
-        )
+    check_bytes(8 * M, f"a grid of M={M} nodes takes")
     if "trials" in keys:
         if cfg.trials < 1000:
             raise ConfigError("trials must be at least 1000")
@@ -169,14 +168,8 @@ def _validate(cfg: RunConfig, keys, min_resolution: int | None) -> None:
 
 
 def make_map(cfg: RunConfig):
-    if cfg.family == "linear":
-        return linear_map(cfg.w)
-    if cfg.family == "perturbed":
-        return perturbed_map(cfg.w, cfg.eps)
-    raise ConfigError(
-        f"unknown map family {cfg.family!r} (the CLI accepts 'linear' and "
-        "'perturbed'; custom maps are an API-only feature)"
-    )
+    build, keys = MAP_FAMILIES[cfg.family]
+    return build(*(getattr(cfg, key) for key in keys))
 
 
 @contextlib.contextmanager
@@ -243,10 +236,6 @@ def cmd_constants(cfg: RunConfig) -> int:
 def cmd_invariant(cfg: RunConfig) -> int:
     m = make_map(cfg)
     phi, diag = invariant_density(m, resolution=cfg.resolution, tol=cfg.tol)
-    out = _out_dir(cfg)
-    csv_path = out / "invariant.csv"
-    with _writing(csv_path):
-        write_csv(phi, csv_path)
     payload = {
         "map": repr(m),
         "resolution": cfg.resolution,
@@ -257,11 +246,11 @@ def cmd_invariant(cfg: RunConfig) -> int:
         "records": _rows(("step", "l1_diff", "sup", "inf", "d_l1"),
                          (np.arange(1, diag.n_steps + 1), diag.l1_diff,
                           diag.sup, diag.inf, diag.d_l1)),
-        "csv": csv_path.name,
     }
-    _write_json(out / "invariant.json", payload)
-    print(f"wrote {csv_path} ({diag.n_steps} steps)")
-    print(f"wrote {out / 'invariant.json'}")
+    _write_table(_out_dir(cfg), "invariant", [
+        ("x", phi.nodes, "%.17g"),
+        ("value", phi.values, "%.17g"),
+    ], payload)
     return 0
 
 
@@ -365,18 +354,12 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args)
         return COMMANDS[args.command][0](cfg)
-    except _CONFIG_ERRORS as exc:
+    except ExpCircleError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
-    except _CONVERGENCE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except VIOLATIONS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

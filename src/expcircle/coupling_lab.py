@@ -29,7 +29,7 @@ from .density_grid import (
 )
 from .errors import AuditViolation, FloorViolation
 from .system_constants import ConstantsLedger, compute_ledger, hoelder_class_check
-from .transfer_operator import TABLE_BYTES_CAP, apply
+from .transfer_operator import apply, check_bytes
 
 DETERMINISTIC_SLACK = 5e-6
 RECONSTRUCTION_TOL = 1e-8
@@ -197,18 +197,13 @@ def _chi2_marginals(n: int, points: tuple, densities: tuple) -> list:
 
 
 def _check_run_bytes(trials: int, n_max: int = 0) -> None:
-    """Refuse, with MemoryError and before anything is allocated, a
+    """Refuse, through check_bytes and before anything is allocated, a
     Monte-Carlo run of ``trials`` pairs over ``n_max`` steps whose
-    estimated bytes pass TABLE_BYTES_CAP, half the physical memory.  The
-    default gives the smallest run of ``trials`` pairs."""
-    need = trials * _TRIAL_BYTES + n_max * _STEP_BYTES
-    if need > TABLE_BYTES_CAP:
-        steps = f" over {n_max} steps" if n_max else ""
-        raise MemoryError(
-            f"a Monte-Carlo run of {trials} trials{steps} would hold "
-            f"about {need / 2**30:.3g} GiB, above the cap of "
-            f"{TABLE_BYTES_CAP / 2**30:.3g} GiB (half the physical memory)"
-        )
+    estimated bytes pass the memory cap.  The default gives the smallest
+    run of ``trials`` pairs."""
+    steps = f" over {n_max} steps" if n_max else ""
+    check_bytes(trials * _TRIAL_BYTES + n_max * _STEP_BYTES,
+                f"a Monte-Carlo run of {trials} trials{steps} would hold about")
 
 
 @dataclass

@@ -1,8 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  Each class carries the exit
+code the command line returns for it: 2 configuration or map error, 3
+numerical non-convergence, 4 a failed audited bound."""
 
 
 class ExpCircleError(Exception):
     """Base class for every error raised by this package."""
+
+    exit_code = 2
+
+
+class Violation(ExpCircleError):
+    """An audited bound failed: an audit reports it as FAIL."""
+
+    exit_code = 4
 
 
 class CertificationError(ExpCircleError):
@@ -20,8 +30,10 @@ class DegreeMismatch(CertificationError):
 class RootFindingFailure(ExpCircleError):
     """Branch inversion did not reach the residual tolerance in budget."""
 
+    exit_code = 3
 
-class ArcViolation(ExpCircleError):
+
+class ArcViolation(Violation):
     """Points cannot be placed in a common arc of length <= 1/2."""
 
 
@@ -33,15 +45,17 @@ class NonPositiveDensity(ExpCircleError):
     """Density values are negative, or zero where positivity is required."""
 
 
-class FloorViolation(ExpCircleError):
+class FloorViolation(Violation):
     """Density dips below the uniform component being extracted."""
 
 
 class NoConvergence(ExpCircleError):
     """Fixed-point iteration exhausted its budget."""
 
+    exit_code = 3
 
-class NotInvariant(ExpCircleError):
+
+class NotInvariant(Violation):
     """Claimed invariant density moves under the transfer operator."""
 
 
@@ -53,13 +67,9 @@ class InvalidAlpha(ExpCircleError):
     """Hoelder exponent outside (0, 1]."""
 
 
-class AuditViolation(ExpCircleError):
+class AuditViolation(Violation):
     """A quantitative bound under audit failed outside tolerance."""
 
 
 class ConfigError(ExpCircleError):
     """Malformed run configuration."""
-
-
-# An audited bound failed: an audit reports these as FAIL, the CLI exits 4.
-VIOLATIONS = (AuditViolation, FloorViolation, ArcViolation, NotInvariant)

@@ -30,6 +30,10 @@ from .errors import CertificationError
 # of the cap.
 ROUNDING_SLACK = 1e-9
 
+# ConstantsLedger.to_dict's names of the fields whose JSON name differs.
+_JSON_NAMES = {"lam": "lambda", "big_k": "K", "n_big_k": "N_K", "d_exact": "D_exact",
+               "d_relaxed": "D_relaxed", "d_tilde": "D_tilde", "c_corr": "C"}
+
 
 @dataclass(frozen=True)
 class ConstantsLedger:
@@ -68,26 +72,8 @@ class ConstantsLedger:
         return int(math.floor(math.log(bound) / (self.alpha * math.log(self.lam)))) + 1
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        return {
-            "alpha": d["alpha"],
-            "lambda": d["lam"],
-            "winding": d["winding"],
-            "d1_sup": d["d1_sup"],
-            "d2_sup": d["d2_sup"],
-            "omega": d["omega"],
-            "a": d["a"],
-            "K": d["big_k"],
-            "N_K": d["n_big_k"],
-            "n_k_paper_raw": d["n_k_paper_raw"],
-            "D_exact": d["d_exact"],
-            "D_relaxed": d["d_relaxed"],
-            "D_tilde": d["d_tilde"],
-            "theta_exact": d["theta_exact"],
-            "theta_paper": d["theta_paper"],
-            "C": d["c_corr"],
-            "lower_floor": d["lower_floor"],
-        }
+        """The fields in order, under their JSON names."""
+        return {_JSON_NAMES.get(k, k): v for k, v in asdict(self).items()}
 
 
 def compute_ledger(m: ExpandingMap, alpha: float) -> ConstantsLedger:

@@ -11,10 +11,10 @@ weights and its int32 column indices and row pointers (int64 only once
 of nodes at a time, so a stencil row costs 60 bytes kept and at most
 TABLE_PEAK_BYTES_PER_ROW while it is built; a table whose build
 would peak above TABLE_BYTES_CAP, half the physical memory, is refused
-with MemoryError before anything is allocated.  An application is one
-product E u, clamped at zero when the input is nonnegative so positivity
-survives exactly, weighted by 1/T' in place and summed over the w
-branches into the one array the result keeps.  The grid representation
+by check_bytes, the package's one memory-cap check, before anything is
+allocated.  An application is one product E u, clamped at zero when the
+input is nonnegative so positivity survives exactly, weighted by 1/T' in
+place and summed over the w branches into the one array the result keeps.  The grid representation
 and all norms stay piecewise-linear; the higher-order stencil is confined
 to this module because the linear one plateaus near 1e-6 on node-level
 operator identities (mass conservation, exact trigonometric pushforwards)
@@ -122,20 +122,27 @@ def _build_operator(m: ExpandingMap, resolution: int):
     return E, wgt
 
 
+def check_bytes(need: int, what: str) -> None:
+    """Refuse, with MemoryError, an allocation of ``need`` bytes above
+    TABLE_BYTES_CAP, half the physical memory: the one memory-cap check of
+    the package, made before anything is allocated.  ``what`` opens the
+    message and ends just before the size in GiB."""
+    if need > TABLE_BYTES_CAP:
+        raise MemoryError(
+            f"{what} {need / 2**30:.3g} GiB, above the cap of "
+            f"{TABLE_BYTES_CAP / 2**30:.3g} GiB (half the physical memory)"
+        )
+
+
 def _operator(m: ExpandingMap, resolution: int):
     """The cached (E, wgt) of ``m`` at ``resolution``, built on first use.
-    A table whose build would peak above TABLE_BYTES_CAP is refused with
-    MemoryError before anything is allocated."""
+    A table whose build would peak above the memory cap is refused by
+    check_bytes before anything is allocated."""
     per_map = _OPERATORS.setdefault(m, {})
     op = per_map.get(resolution)
     if op is None:
-        peak = m.winding * resolution * TABLE_PEAK_BYTES_PER_ROW
-        if peak > TABLE_BYTES_CAP:
-            raise MemoryError(
-                f"the operator table of {m!r} at M={resolution} would peak near "
-                f"{peak / 2**30:.3g} GiB, above the cap of {TABLE_BYTES_CAP / 2**30:.3g} "
-                "GiB (half the physical memory)"
-            )
+        check_bytes(m.winding * resolution * TABLE_PEAK_BYTES_PER_ROW,
+                    f"the operator table of {m!r} at M={resolution} would peak near")
         op = per_map[resolution] = _build_operator(m, resolution)
     return op
 

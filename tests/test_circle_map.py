@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expcircle import (
+    CertificationError,
     DegreeMismatch,
     NotExpanding,
     certify,
@@ -221,3 +222,24 @@ def test_custom_map_rejects_wrong_winding():
             lam=3.0,
             d2_sup=0.0,
         )
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["lam", "d1_sup", "d2_sup"])
+def test_custom_map_refuses_non_finite_constants(name, value):
+    # every comparison with NaN is False: unrefused, a NaN constant would
+    # pass the sampled audit and reach the ledger
+    honest = {"lam": 2.0, "d1_sup": 2.0, "d2_sup": 0.0}
+    with pytest.raises(CertificationError, match=f"^{name} must be finite"):
+        custom_map(
+            lambda x: 2.0 * x,
+            lambda x: np.full_like(np.asarray(x, dtype=float), 2.0),
+            lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+            winding=2,
+            **{**honest, name: value},
+        )
+
+
+def test_perturbed_map_refuses_nan_eps():
+    with pytest.raises(CertificationError, match="^lam must be finite"):
+        perturbed_map(2, math.nan)

@@ -479,6 +479,9 @@ BAD_CONFIGS = [
     ("invariant", {"resolution": 2**70}, f"out of memory: a grid of M={2**70} nodes"),
     ("decay", {"n_max": 10**30}, "n_max must not exceed 1000000"),
     ("decay", {"n_max": 10**6 + 1}, "n_max must not exceed 1000000"),
+    # a map key the family does not read
+    ("constants", {"map": {"family": "linear", "w": 2, "eps": 0.3}},
+     "unknown map keys: ['eps'] (a linear map reads w)"),
 ]
 
 
@@ -663,7 +666,7 @@ def test_default_coupling_horizon_above_the_ceiling_is_refused(tmp_path, alpha, 
 def test_the_longest_accepted_horizon_fits_the_memory_check(monkeypatch):
     # no past epoch is kept, so the default trials over N_MAX_CEILING steps
     # are estimated at about 0.65 GB, inside even a 1 GiB cap
-    monkeypatch.setattr(coupling_lab, "TABLE_BYTES_CAP", 2**30)
+    monkeypatch.setattr("expcircle.transfer_operator.TABLE_BYTES_CAP", 2**30)
     coupling_lab._check_run_bytes(100_000, N_MAX_CEILING)
 
 

@@ -158,7 +158,7 @@ def test_monte_carlo_peaks_below_its_memory_estimate(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    monkeypatch.setattr(coupling_lab, "TABLE_BYTES_CAP", peak)
+    monkeypatch.setattr("expcircle.transfer_operator.TABLE_BYTES_CAP", peak)
     with pytest.raises(MemoryError):
         coupling_lab._check_run_bytes(trials, n_max)
 
