@@ -66,8 +66,6 @@ from .errors import (
     ZeroObservable,
 )
 from .inverse_branches import (
-    BranchId,
-    branch_ids,
     inverse_weight_sum,
     preimages,
 )
@@ -86,6 +84,7 @@ from .transfer_operator import (
     cesaro,
     check_growth_bounds,
     invariant_density,
+    orbit,
 )
 
 __version__ = "0.1.0"

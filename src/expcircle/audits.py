@@ -51,7 +51,6 @@ from .density_grid import (
 )
 from .errors import Violation
 from .inverse_branches import (
-    BranchId,
     _solve_lift,
     inverse_weight_sum,
     preimages,
@@ -66,11 +65,11 @@ from .system_constants import (
     positivity_floor,
 )
 from .transfer_operator import (
-    apply,
     apply_function,
     cesaro,
     check_growth_bounds,
     invariant_density,
+    orbit,
 )
 
 DEFAULT_ALPHAS = (0.3, 0.5, 1.0)
@@ -112,6 +111,18 @@ def _rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
+def _trig_polynomial(seed, resolution: int, amp: np.ndarray) -> np.ndarray:
+    """sum over k = 1..len(amp) of a_k cos 2 pi k x + b_k sin 2 pi k x at
+    the nodes, with a_k then b_k drawn as N(0, 1) * amp."""
+    rng = _rng(seed)
+    k = np.arange(1, amp.size + 1)
+    a = rng.normal(size=amp.size) * amp
+    b = rng.normal(size=amp.size) * amp
+    x = np.arange(resolution) / resolution
+    phase = 2.0 * np.pi * np.outer(k, x)
+    return a @ np.cos(phase) + b @ np.sin(phase)
+
+
 def smooth_density(seed, resolution: int = DEFAULT_RESOLUTION, modes: int = 8,
                    scale: float = 0.5) -> GridDensity:
     """Random density with a trigonometric-polynomial log.
@@ -120,29 +131,16 @@ def smooth_density(seed, resolution: int = DEFAULT_RESOLUTION, modes: int = 8,
     the 1e-10 identity audits rely on; rougher inputs are used only where
     no quadrature identity is asserted.
     """
-    rng = _rng(seed)
     k = np.arange(1, modes + 1)
-    amp = scale / (1.0 + k) ** 2
-    a = rng.normal(size=modes) * amp
-    b = rng.normal(size=modes) * amp
-    x = np.arange(resolution) / resolution
-    phase = 2.0 * np.pi * np.outer(k, x)
-    logv = a @ np.cos(phase) + b @ np.sin(phase)
-    v = np.exp(logv)
+    v = np.exp(_trig_polynomial(seed, resolution, scale / (1.0 + k) ** 2))
     return GridDensity(v / v.mean())
 
 
 def smooth_function(seed, resolution: int = DEFAULT_RESOLUTION,
                     modes: int = 6) -> GridFunction:
     """Random signed trigonometric polynomial (observable-shaped)."""
-    rng = _rng(seed)
     k = np.arange(1, modes + 1)
-    amp = 1.0 / (1.0 + k)
-    a = rng.normal(size=modes) * amp
-    b = rng.normal(size=modes) * amp
-    x = np.arange(resolution) / resolution
-    phase = 2.0 * np.pi * np.outer(k, x)
-    return GridFunction(a @ np.cos(phase) + b @ np.sin(phase))
+    return GridFunction(_trig_polynomial(seed, resolution, 1.0 / (1.0 + k)))
 
 
 def cos_observable(resolution: int = DEFAULT_RESOLUTION) -> GridFunction:
@@ -326,7 +324,7 @@ def audit_preimage_roundtrip(m: ExpandingMap, *, seed: int = 6, samples: int = 6
     paths = _sampled_paths(m.winding, max_depth, rng, cap=40)
     for end in walk(m, paths, xs):
         y = end.u
-        for _ in range(end.bid.depth):
+        for _ in range(len(end.path)):
             y = evaluate(m, y)
         worst = max(worst, float(circle_distance(y, xs).max()))
     return _gate(-worst, f"worst return distance {worst:.3e} over "
@@ -349,9 +347,9 @@ def audit_partition(m: ExpandingMap, *, seed: int = 8,
     nodes = np.arange(resolution) / resolution
     worst_mass = 0.0
     worst_route = 0.0
-    grid = GridFunction(np.ones(resolution))
-    for depth in range(1, max(depths) + 1):
-        grid = apply_function(m, grid)
+    grids = itertools.islice(orbit(m, GridFunction(np.ones(resolution))),
+                             1, max(depths) + 1)
+    for depth, grid in enumerate(grids, 1):
         if depth in depths:
             branch = inverse_weight_sum(m, nodes, depth)
             worst_mass = max(worst_mass, abs(float(branch.mean()) - 1.0))
@@ -374,7 +372,7 @@ def _sampled_paths(w: int, max_depth: int, rng: np.random.Generator, cap: int = 
         idx = np.arange(total) if total <= cap else rng.choice(total, size=cap, replace=False)
         # path[k] is digit k of the index in base w, least significant first
         digits = np.unravel_index(idx, (w,) * depth, order="F")
-        out += [BranchId(depth, path) for path in zip(*digits)]
+        out += zip(*digits)
     return out
 
 
@@ -390,7 +388,7 @@ def audit_backward_contraction(m: ExpandingMap, *, seed: int = 9, pairs: int = 1
     worst = -np.inf
     paths = _sampled_paths(m.winding, max_depth, rng, cap=path_cap)
     for end in walk(m, paths, xs, ys):
-        rhs = m.lam ** (-end.bid.depth) * d
+        rhs = m.lam ** (-len(end.path)) * d
         worst = max(worst, float((end.gap - rhs).max()))
     return _gate(-worst, f"worst lhs - rhs = {worst:.3e} over {len(paths) * pairs} "
                  "pair-path cells", slack=PAIR_SLACK)
@@ -506,10 +504,10 @@ def audit_regularity_sweep(m: ExpandingMap, *, alphas=DEFAULT_ALPHAS, n_max: int
     pointwise_ok = True
     for psi in density_family(resolution):
         # psi, L psi, ..., L^n_max psi, each applied when first read, and
-        # its plain and log profiles, each chained along its own orbit
-        orbit = itertools.accumulate(itertools.repeat(None, n_max),
-                                     lambda f, _: apply(m, f), initial=psi)
-        iterates, plain, logs = itertools.tee(orbit, 3)
+        # its plain and log profiles, each chained along its own orbit; the
+        # floor's extra steps continue the same walk
+        psi_orbit = orbit(m, psi)
+        iterates, plain, logs = itertools.tee(itertools.islice(psi_orbit, n_max + 1), 3)
         profiles = zip(iterates, holder_profiles(plain, alphas),
                        holder_profiles(map(log_transform, logs), alphas))
         cur, h_plain0, h_log0 = next(profiles)
@@ -535,9 +533,7 @@ def audit_regularity_sweep(m: ExpandingMap, *, alphas=DEFAULT_ALPHAS, n_max: int
                 for h in h_log:
                     pointwise_ok = pointwise_ok and pointwise_log_bounds_hold(cur, h)
             lows.append(float(cur.values.min()))
-        for _ in range(extra):
-            cur = apply(m, cur)
-            lows.append(float(cur.values.min()))
+        lows += [float(cur.values.min()) for cur in itertools.islice(psi_orbit, extra)]
         for n1, floor in floors.values():
             worst_floor = min(worst_floor, min(lows[n1 - 1:]) - floor)
     return [
@@ -571,10 +567,8 @@ def audit_class_entry(m: ExpandingMap, *, alphas=CLASS_ALPHAS,
                 details.append(f"seed density left class B={big_b:.3g}")
                 continue
             nb = led.n_of(big_b)
-            for _ in range(nb):
-                cur = apply(m, cur)
-            for n in range(nb + 1, nb + 13):
-                cur = apply(m, cur)
+            steps = itertools.islice(orbit(m, cur), nb + 1, nb + 13)
+            for n, cur in enumerate(steps, nb + 1):
                 if not hoelder_class_check(cur, led.omega + 1.0, a):
                     ok = False
                     details.append(f"class exit at n={n}, B={big_b:.3g}, alpha={a}")

@@ -10,6 +10,7 @@ g phi flows through the raw operator (no renormalization).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,7 +27,7 @@ from .density_grid import (
 )
 from .errors import NotInvariant, ZeroObservable
 from .system_constants import ConstantsLedger, compute_ledger
-from .transfer_operator import apply, apply_function, invariant_density
+from .transfer_operator import apply_function, invariant_density, orbit
 
 INVARIANCE_TOL = 1e-10
 BOUND_SLACK = 1e-9
@@ -63,11 +64,9 @@ def correlation_series(
     """
     _check_invariant(m, phi)
     mean_f = [integrate(GridFunction(f.values * phi.values)) for f in fs]
-    cur = GridFunction(g.values * phi.values)
     out = np.empty((len(fs), n_max + 1))
-    for n in range(n_max + 1):
-        if n:
-            cur = apply_function(m, cur)
+    steps = itertools.islice(orbit(m, GridFunction(g.values * phi.values)), n_max + 1)
+    for n, cur in enumerate(steps):
         mass = integrate(cur)
         for i, f in enumerate(fs):
             out[i, n] = integrate(GridFunction(f.values * cur.values)) - mean_f[i] * mass
@@ -162,7 +161,8 @@ def decay_report(
                     break
             curves.append((led, g_h, f_sup, row, np.array(bound)))
     longest = max(c[-1].size for c in curves)
-    side_err = _l1_errors(m, normalized_observable_density(g, phi), phi, longest - 1)
+    side_err = _l1_errors(orbit(m, normalized_observable_density(g, phi)), phi,
+                          longest - 1)
     reports = []
     for led, g_h, f_sup, row, bound in curves:
         ns = np.arange(bound.size)
@@ -200,14 +200,11 @@ class ConvergenceReport:
         return bool(np.all(self.ok))
 
 
-def _l1_errors(m: ExpandingMap, psi: GridDensity, phi: GridDensity,
-               n_max: int) -> np.ndarray:
-    """||L^n psi - phi||_1 for n = 0..n_max, from one walk of L."""
-    err = [l1_distance(psi, phi)]
-    for _ in range(n_max):
-        psi = apply(m, psi)
-        err.append(l1_distance(psi, phi))
-    return np.array(err)
+def _l1_errors(psi_orbit, phi: GridDensity, n_max: int) -> np.ndarray:
+    """||L^n psi - phi||_1 for n = 0..n_max, read from ``psi_orbit``, the
+    ``orbit`` of psi; the caller keeps psi only if it needs it."""
+    return np.array([l1_distance(cur, phi)
+                     for cur in itertools.islice(psi_orbit, n_max + 1)])
 
 
 def density_convergence_report(
@@ -224,7 +221,7 @@ def density_convergence_report(
     ledgers = [compute_ledger(m, a) for a in alphas]
     if phi is None:
         phi, _ = invariant_density(m, resolution=psi.resolution)
-    return convergence_reports(m, psi, _l1_errors(m, psi, phi, n_max), ledgers)
+    return convergence_reports(m, psi, _l1_errors(orbit(m, psi), phi, n_max), ledgers)
 
 
 def convergence_reports(m: ExpandingMap, psi: GridDensity, err: np.ndarray,

@@ -6,12 +6,15 @@ through ``walk``, which solves each node of the path tree once: all the
 children it needs, and both points of a pair, in one vectorized call.
 Depth-one branch i is the monotone piece of the lift whose image covers
 [m0 + i, m0 + i + 1) with m0 = ceil(F(0)); equivalently, the arc between
-consecutive preimages of the anchor point 0.
+consecutive preimages of the anchor point 0.  A depth-n path is a plain
+tuple of n branch indices: path[k] selects the single-step branch applied
+at pullback step k, counted from the point being pulled back (shallowest
+step first).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from itertools import product
 from typing import NamedTuple
 
@@ -21,36 +24,14 @@ from .circle_map import ExpandingMap, signed_gap, wrap
 from .errors import ArcViolation, RootFindingFailure
 
 MAX_DEPTH = 12
+# Newton stops a point once |F(y) - t| <= max(RESIDUAL_TOL, RESIDUAL_ULPS *
+# spacing(t)): F(y) - t is then a multiple of t's float spacing, which
+# passes 1e-12 from |t| = 8192 on, and a step of y moves F(y) by about
+# w * spacing(y).  2 is the least factor with which the winding-20000 maps
+# converge; below |t| = 4096 the fixed 1e-12 rules and no bit moves.
 RESIDUAL_TOL = 1e-12
+RESIDUAL_ULPS = 2
 NEWTON_BUDGET = 80
-
-
-@dataclass(frozen=True)
-class BranchId:
-    """Label of a composed inverse branch.
-
-    ``path[k]`` selects the single-step branch applied at pullback step k,
-    counted from the point being pulled back (shallowest step first).
-    """
-
-    depth: int
-    path: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "path", tuple(int(b) for b in self.path))
-        if self.depth != len(self.path):
-            raise ValueError(f"depth {self.depth} != len(path) {len(self.path)}")
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
-        if any(b < 0 for b in self.path):
-            raise ValueError("branch indices must be nonnegative")
-
-
-def branch_ids(winding: int, depth: int):
-    """All branch labels of the given depth, in lexicographic path order."""
-    if depth < 1 or depth > MAX_DEPTH:
-        raise ValueError(f"depth must be in 1..{MAX_DEPTH}")
-    return [BranchId(depth, p) for p in product(range(winding), repeat=depth)]
 
 
 def _anchor_offset(m: ExpandingMap) -> float:
@@ -70,14 +51,17 @@ def _solve_lift(m: ExpandingMap, target, lo=0.0, hi=2.0):
     t = np.atleast_1d(np.asarray(target, dtype=float))
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
+    tol = RESIDUAL_TOL      # a scalar, for cheap compares, while the largest |t| allows
+    if RESIDUAL_ULPS * np.spacing(np.abs(t).max(initial=0.0)) > RESIDUAL_TOL:
+        tol = np.maximum(RESIDUAL_TOL, RESIDUAL_ULPS * np.spacing(np.abs(t)))
     # one lift per bracket end, however many targets share it
-    if np.any(m.lift(lo) - t > RESIDUAL_TOL) or np.any(m.lift(hi) - t < -RESIDUAL_TOL):
+    if np.any(m.lift(lo) - t > tol) or np.any(m.lift(hi) - t < -tol):
         raise RootFindingFailure("bracket does not enclose the target")
     f0 = float(np.asarray(m.lift(0.0), dtype=float))
     y = np.clip((t - f0) / m.winding, lo, hi)
     for _ in range(NEWTON_BUDGET):
         r = m.lift(y) - t
-        done = np.abs(r) <= RESIDUAL_TOL
+        done = np.abs(r) <= tol
         if done.all():
             return y
         lo = np.where(~done & (r < 0), y, lo)
@@ -92,20 +76,18 @@ def _solve_lift(m: ExpandingMap, target, lo=0.0, hi=2.0):
 
 
 def preimages(m: ExpandingMap, x):
-    """All single-step preimages of x as (BranchId, point), sorted by point."""
-    x = wrap(float(x))
-    m0 = _anchor_offset(m)
-    y = wrap(_solve_lift(m, m0 + np.arange(m.winding) + x))
-    pairs = [(BranchId(1, (i,)), float(y[i])) for i in range(m.winding)]
-    pairs.sort(key=lambda p: p[1])
-    return pairs
+    """All single-step preimages of x as ((b,), point) pairs, sorted by
+    point: the ends of a depth-one ``walk``."""
+    ends = walk(m, [(b,) for b in range(m.winding)], float(x))
+    return sorted(((end.path, float(end.u[0])) for end in ends),
+                  key=lambda p: p[1])
 
 
 class Pullback(NamedTuple):
     """One path's end in ``walk``: its depth-n preimages and the derivative
     products along it."""
 
-    bid: BranchId
+    path: tuple                     # the branch indices, shallowest first
     u: np.ndarray                   # u_n, the depth-n preimage of x
     du: np.ndarray                  # (T^n)'(u_n) = T'(u_1) ... T'(u_n)
     v: np.ndarray | None = None     # v_n, given y
@@ -129,10 +111,26 @@ _LO = np.array([0.0, -1.0]).reshape(2, 1, 1)
 _HI = np.array([2.0, 3.0]).reshape(2, 1, 1)
 
 
-def walk(m: ExpandingMap, bids, x, y=None):
-    """Yield a ``Pullback`` for every path in ``bids``, in lexicographic
-    path order: the depth-n preimage u_n of x and (T^n)'(u_n) and, given y,
-    the same for y with the distance |u_n - v_n| of the lifts.
+def _checked(path, winding: int) -> tuple:
+    """``path`` as a tuple of ints; ValueError unless it has 1..MAX_DEPTH
+    entries, each an integer in [0, winding)."""
+    try:
+        path = tuple(operator.index(b) for b in path)
+    except TypeError:
+        raise ValueError(f"path {path!r} is not a tuple of integers") from None
+    if not 1 <= len(path) <= MAX_DEPTH:
+        raise ValueError(f"path {path} has depth {len(path)}, outside 1..{MAX_DEPTH}")
+    if not all(0 <= b < winding for b in path):
+        raise ValueError(f"path {path} has entries outside [0, {winding})")
+    return path
+
+
+def walk(m: ExpandingMap, paths, x, y=None):
+    """Yield a ``Pullback`` for every path in ``paths``, in lexicographic
+    order: the depth-n preimage u_n of x and (T^n)'(u_n) and, given y, the
+    same for y with the distance |u_n - v_n| of the lifts.  A path is a
+    tuple of branch indices; every path is checked before anything is
+    solved.
 
     The paths form a tree walked depth first.  At each node one root solve
     takes every child branch some path needs, and both points of a pair,
@@ -143,17 +141,12 @@ def walk(m: ExpandingMap, bids, x, y=None):
     displacement from x, so both points follow the same monotone piece at
     every step instead of being re-anchored independently.
     """
-    bids = sorted(bids, key=lambda bid: bid.path)
-    for bid in bids:
-        if bid.depth > MAX_DEPTH:
-            raise ValueError(f"depth {bid.depth} exceeds the cap {MAX_DEPTH}")
-        if any(b >= m.winding for b in bid.path):
-            raise ValueError(f"path {bid.path} has entries >= winding {m.winding}")
-    ends, below = {}, {}        # path -> its bids; path -> the branches below it
-    for bid in bids:
-        ends.setdefault(bid.path, []).append(bid)
-        for k, b in enumerate(bid.path):
-            below.setdefault(bid.path[:k], set()).add(b)
+    ends, below = {}, {}        # path -> times asked; path -> the branches below it
+    for p in paths:
+        path = _checked(p, m.winding)
+        ends[path] = ends.get(path, 0) + 1
+        for k, b in enumerate(path):
+            below.setdefault(path[:k], set()).add(b)
     u = np.atleast_1d(np.asarray(wrap(x), dtype=float))
     gap = None
     if y is not None:
@@ -168,8 +161,8 @@ def walk(m: ExpandingMap, bids, x, y=None):
     stack = [_Node((), u[None], gap, np.ones((rows, 1)))]
     while stack:
         node = stack.pop()
-        for bid in ends.get(node.path, ()):
-            yield _pullback(bid, node)
+        for _ in range(ends.get(node.path, 0)):
+            yield _pullback(node)
         kids = sorted(below.get(node.path, ()))
         if not kids:
             continue
@@ -184,11 +177,11 @@ def walk(m: ExpandingMap, bids, x, y=None):
                                None if gap is None else gap[i], prod[:, i]))
 
 
-def _pullback(bid: BranchId, node: _Node) -> Pullback:
+def _pullback(node: _Node) -> Pullback:
     pts, gap, prod = node.pts, node.gap, node.prod
     if gap is None:
-        return Pullback(bid, pts[0], prod[0])
-    return Pullback(bid, pts[0], prod[0], pts[1], prod[1], np.abs(gap))
+        return Pullback(node.path, pts[0], prod[0])
+    return Pullback(node.path, pts[0], prod[0], pts[1], prod[1], np.abs(gap))
 
 
 def inverse_weight_sum(m: ExpandingMap, x, depth: int):
@@ -200,6 +193,6 @@ def inverse_weight_sum(m: ExpandingMap, x, depth: int):
     points; the branches are summed in lexicographic path order.
     """
     total = 0.0
-    for end in walk(m, branch_ids(m.winding, depth), x):
+    for end in walk(m, product(range(m.winding), repeat=depth), x):
         total += 1.0 / end.du
     return float(total[0]) if np.ndim(x) == 0 else total

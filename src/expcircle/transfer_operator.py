@@ -23,6 +23,7 @@ that are audited at the 1e-10 scale.
 
 from __future__ import annotations
 
+import itertools
 import os
 import weakref
 from dataclasses import dataclass
@@ -171,6 +172,17 @@ def apply(m: ExpandingMap, psi: GridDensity) -> GridDensity:
     return _density(raw, mean)
 
 
+def orbit(m: ExpandingMap, f: GridFunction):
+    """Yield f, L f, L^2 f, ... lazily: each application is made when its
+    iterate is read, by ``apply`` for a GridDensity and ``apply_function``
+    for any other GridFunction.  Every L^n walk of the package but the
+    coupling epochs' goes through here."""
+    step = apply if isinstance(f, GridDensity) else apply_function
+    while True:
+        yield f
+        f = step(m, f)
+
+
 @dataclass
 class IterationDiagnostics:
     """Per-step series of a fixed-point iteration; entry i is step i + 1."""
@@ -207,9 +219,7 @@ def cesaro(m: ExpandingMap, psi: GridDensity, n_terms: int) -> GridDensity:
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     acc = np.array(psi.values)
-    cur = psi
-    for _ in range(n_terms - 1):
-        cur = apply(m, cur)
+    for cur in itertools.islice(orbit(m, psi), 1, n_terms):
         acc += cur.values
     return GridDensity(acc / n_terms)
 
@@ -227,15 +237,16 @@ def invariant_density(
     Stops when the successive L1 difference falls below ``tol``; raises
     NoConvergence when the budget runs out.  Returns (phi, diagnostics).
     """
-    cur = psi0 if psi0 is not None else uniform_density(resolution)
     rows = []
-    for _ in range(max_iter):
-        nxt = apply(m, cur)
+    steps = itertools.islice(
+        orbit(m, psi0 if psi0 is not None else uniform_density(resolution)),
+        max_iter + 1)
+    for cur, nxt in itertools.pairwise(steps):
         rows.append((l1_distance(nxt, cur), sup_norm(nxt), inf_value(nxt),
                      _derivative_l1(nxt)))
-        cur = nxt
         if rows[-1][0] < tol:
-            return cur, IterationDiagnostics(*np.array(rows).T)
+            return nxt, IterationDiagnostics(*np.array(rows).T)
+        del cur     # so that only nxt is alive while its successor is made
     raise NoConvergence(
         f"no fixed point within {max_iter} steps on {m!r}; "
         f"last l1_diff = {rows[-1][0]:.3e}"
@@ -256,10 +267,7 @@ def check_growth_bounds(m: ExpandingMap, f: GridFunction, steps) -> list:
     sup_rhs = (1.0 + omega) * sup_norm(f)
     c1_rhs = (1.0 + omega) ** 2 * _c1_size(f)
     rows = {}
-    cur = f
-    for n in range(max(steps) + 1):
-        if n:
-            cur = apply_function(m, cur)
+    for n, cur in enumerate(itertools.islice(orbit(m, f), max(steps) + 1)):
         if n in steps:
             sup_lhs, c1_lhs = sup_norm(cur), _c1_size(cur)
             rows[n] = (sup_lhs, sup_rhs, c1_lhs, c1_rhs,

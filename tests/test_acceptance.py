@@ -6,6 +6,7 @@ its tolerance (and, where relevant, a wall-clock budget) explicitly.
 """
 import math
 import time
+from itertools import product
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from expcircle import (
     GridFunction,
     apply,
     apply_function,
-    branch_ids,
     circle_distance,
     compute_ledger,
     inf_value,
@@ -151,7 +151,7 @@ def test_distortion_all_branches(capsys):
     t0 = time.perf_counter()
     hi = np.exp(omega * d) + 1e-9
     lo = np.exp(-omega * d) - 1e-9
-    paths = [bid for depth in range(1, 9) for bid in branch_ids(2, depth)]
+    paths = [p for depth in range(1, 9) for p in product(range(2), repeat=depth)]
     for end in walk(m, paths, x, y):
         r = end.du / end.dv
         worst = max(worst, float(np.max(np.maximum(r - hi, lo - r))))

@@ -1,20 +1,42 @@
 import re
+import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 yaml = pytest.importorskip("yaml")
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def tier1_job() -> dict:
+    workflow = yaml.safe_load((ROOT / ".github/workflows/tier1.yml").read_text())
+    (job,) = workflow["jobs"].values()
+    return job
+
+
+def installed(job) -> dict:
+    """Package name -> its pinned version ("" if unpinned), as the job's
+    first run step installs them."""
+    words = shlex.split(next(s["run"] for s in job["steps"] if "run" in s))
+    return dict((w.split("==") + [""])[:2] for w in words[words.index("install") + 1:])
+
+
 def test_ci_runs_the_roadmap_tier1_command():
     tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`",
                       (ROOT / "ROADMAP.md").read_text()).group(1)
-    workflow = yaml.safe_load((ROOT / ".github/workflows/tier1.yml").read_text())
-    (job,) = workflow["jobs"].values()
+    job = tier1_job()
     setup = next(s for s in job["steps"] if s.get("uses", "").startswith("actions/setup-python"))
     assert setup["with"]["python-version"] == "3.11"
     runs = [s["run"] for s in job["steps"] if "run" in s]
     assert runs[-1] == tier1
-    assert all(dep in runs[0].split() for dep in ("numpy", "scipy", "pytest", "hypothesis"))
+    assert {"numpy", "scipy", "pytest", "hypothesis"} <= set(installed(job))
+
+
+@pytest.mark.parametrize("module", [np, scipy], ids=lambda mod: mod.__name__)
+def test_ci_pins_the_running_library_versions(module):
+    # the GOLDEN digests hash float output written under these versions
+    major_minor = ".".join(module.__version__.split(".")[:2])
+    assert installed(tier1_job())[module.__name__] == f"{major_minor}.*"

@@ -715,6 +715,17 @@ def test_coarse_grid_decay_passes_its_invariance_check(tmp_path, m, resolution):
                  "--out", str(tmp_path)]) == 0
 
 
+@pytest.mark.parametrize("config", [{"family": "linear", "w": 20000},
+                                    {"family": "perturbed", "w": 20000, "eps": 0.3}],
+                         ids=["linear{20000}", "perturbed{20000,0.3}"])
+def test_invariant_on_a_large_winding_map(tmp_path, config):
+    # the node preimages' targets pass 8192, where a residual of 1e-12 is
+    # below their float spacing
+    cfg = write_config(tmp_path, {"map": config})
+    assert main(["invariant", "--config", cfg, "--resolution", "16",
+                 "--out", str(tmp_path)]) == 0
+
+
 def test_collapsed_coupling_marginals_exit_four(tmp_path, capsys):
     # float orbits of x -> 2x mod 1 reach 0 after ~53 steps, while coupled
     # pairs flow for up to 80 steps at alpha 0.3: the marginals collapse

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,11 +7,10 @@ from hypothesis import strategies as st
 
 from expcircle import (
     ArcViolation,
-    BranchId,
-    branch_ids,
     circle_distance,
     evaluate,
     inverse_weight_sum,
+    linear_map,
     preimages,
 )
 from expcircle import inverse_branches as ib
@@ -25,36 +26,38 @@ def forward(m, y, n):
     return y
 
 
-def pullback(m, x, bid):
-    """The depth-n preimage of x along ``bid``, as walk's end gives it."""
-    return next(ib.walk(m, [bid], x)).u
+def pullback(m, x, path):
+    """The depth-n preimage of x along ``path``, as walk's end gives it."""
+    return next(ib.walk(m, [path], x)).u
 
 
-def test_branch_id_validation():
-    with pytest.raises(ValueError):
-        BranchId(2, (0,))
-    with pytest.raises(ValueError):
-        BranchId(0, ())
-    with pytest.raises(ValueError):
-        BranchId(1, (-1,))
+def all_paths(w, depth):
+    """Every path of the given depth, in lexicographic order."""
+    return list(product(range(w), repeat=depth))
 
 
-def test_branch_ids_enumeration():
-    ids = branch_ids(2, 3)
-    assert len(ids) == 8
-    assert ids[0].path == (0, 0, 0)
-    assert ids[-1].path == (1, 1, 1)
-    # lexicographic in path
-    paths = [b.path for b in ids]
-    assert paths == sorted(paths)
-    with pytest.raises(ValueError):
-        branch_ids(2, 13)
+def test_walk_refuses_bad_paths(bent):
+    bad = [(), (-1,), (0, -2),                          # empty, negative
+           (0.0,), (1, 0.5), ("0",), (np.float64(1.0),),  # non-integer
+           (2,), (0, 7),                                # entry >= winding
+           (0,) * (ib.MAX_DEPTH + 1)]                   # deeper than MAX_DEPTH
+    for path in bad:
+        with pytest.raises(ValueError):
+            next(ib.walk(bent, [path], 0.3))
+        with pytest.raises(ValueError):
+            next(ib.walk(bent, [(0,), path], 0.3, 0.4))
+
+
+def test_walk_takes_integer_entries_of_any_type(bent):
+    got = [e.path for e in ib.walk(bent, [np.array([1, 0]), (np.int64(0), True)], 0.3)]
+    assert got == [(0, 1), (1, 0)]
+    assert all(type(b) is int for p in got for b in p)
 
 
 def test_doubling_preimages_of_half(doubling):
     got = preimages(doubling, 0.5)
     assert [round(y, 15) for _, y in got] == [0.25, 0.75]
-    assert [b.path for b, _ in got] == [(0,), (1,)]
+    assert [path for path, _ in got] == [(0,), (1,)]
 
 
 def test_preimages_map_forward(doubling, tripling, bent):
@@ -66,6 +69,24 @@ def test_preimages_map_forward(doubling, tripling, bent):
                 assert circle_distance(evaluate(m, y), x) < 1e-12
 
 
+def test_preimages_of_a_large_winding_map():
+    # |t| >= 8192: t's float spacing exceeds RESIDUAL_TOL, so the stop rule
+    # reads it in spacings of t
+    m = linear_map(20000)
+    x = 0.123456789
+    got = preimages(m, x)
+    assert [path for path, _ in got] == [(b,) for b in range(m.winding)]
+    ys = np.array([y for _, y in got])
+    assert np.max(circle_distance(evaluate(m, ys), x)) < 1e-10
+
+
+def test_stop_rule_is_the_fixed_tolerance_below_4096():
+    # every target of the standard maps, and of every GOLDEN run, is below
+    # 4096, so their roots keep the bits of the fixed 1e-12 rule
+    below = ib.RESIDUAL_ULPS * np.spacing(np.nextafter(4096.0, 0.0))
+    assert below <= ib.RESIDUAL_TOL < ib.RESIDUAL_ULPS * np.spacing(4096.0)
+
+
 def test_perturbed_preimage_matches_closed_form(bent):
     # T(1/4) = 0.55 exactly, so 1/4 must appear among the preimages of 0.55
     ys = [y for _, y in preimages(bent, 0.55)]
@@ -74,26 +95,25 @@ def test_perturbed_preimage_matches_closed_form(bent):
 
 def test_pullback_branch_convention(doubling):
     # path[0] acts on the point itself: 0.5 -> (0.5+1)/2 -> 0.75/2
-    assert pullback(doubling, 0.5, BranchId(2, (1, 0)))[0] == pytest.approx(
+    assert pullback(doubling, 0.5, (1, 0))[0] == pytest.approx(
         0.375, abs=1e-15
     )
-    assert pullback(doubling, 0.5, BranchId(2, (0, 1)))[0] == pytest.approx(
+    assert pullback(doubling, 0.5, (0, 1))[0] == pytest.approx(
         0.625, abs=1e-15
     )
 
 
 def test_pullback_roundtrip(bent):
-    bid = BranchId(4, (1, 0, 1, 1))
     xs = np.linspace(0, 0.99, 7)
-    back = forward(bent, pullback(bent, xs, bid), 4)
+    back = forward(bent, pullback(bent, xs, (1, 0, 1, 1)), 4)
     assert np.max(circle_distance(back, xs)) < 1e-10
 
 
 def test_deep_preimages_are_distinct_and_complete(bent):
     for depth in (1, 2, 4):
-        ends = list(ib.walk(bent, branch_ids(2, depth), 0.3))
+        ends = list(ib.walk(bent, all_paths(2, depth), 0.3))
         assert len(ends) == 2**depth
-        assert [e.bid.path for e in ends] == sorted(e.bid.path for e in ends)
+        assert [e.path for e in ends] == all_paths(2, depth)
         ys = np.array([e.u[0] for e in ends])
         assert len(set(np.round(ys, 10))) == 2**depth
         back = forward(bent, ys, depth)
@@ -119,11 +139,8 @@ def test_inverse_weight_sum_perturbed_has_unit_mean(bent):
 @settings(max_examples=150)
 def test_doubling_pullback_is_exact_halving(x, depth, raw_path):
     m_path = tuple((raw_path >> k) & 1 for k in range(depth))
-    bid = BranchId(depth, m_path)
-    from expcircle import linear_map
-
     m = linear_map(2)
-    y = pullback(m, x, bid)
+    y = pullback(m, x, m_path)
     assert circle_distance(forward(m, y, depth), x) < 1e-12
 
 
@@ -132,7 +149,7 @@ def test_branch_contraction_bound(bent):
     x = rng.random(200)
     y = rng.random(200)
     rhs = bent.lam ** -3 * circle_distance(x, y)
-    ends = list(ib.walk(bent, branch_ids(2, 3), x, y))
+    ends = list(ib.walk(bent, all_paths(2, 3), x, y))
     assert len(ends) == 8
     for end in ends:
         assert np.all(end.gap <= rhs + 1e-10)
@@ -144,7 +161,7 @@ def test_distortion_ratio_within_exponential_band(bent):
     x = rng.random(200)
     y = rng.random(200)
     for depth in (1, 3, 5):
-        for end in ib.walk(bent, branch_ids(2, depth)[:: max(1, 2**depth // 8)], x, y):
+        for end in ib.walk(bent, all_paths(2, depth)[:: max(1, 2**depth // 8)], x, y):
             r = end.du / end.dv
             d = circle_distance(x, y)
             assert np.all(r <= np.exp(omega * d) + 1e-9)
@@ -154,15 +171,15 @@ def test_distortion_ratio_within_exponential_band(bent):
 def test_distortion_ratio_is_one_for_linear(doubling):
     x = np.linspace(0, 0.9, 10)
     y = np.linspace(0.05, 0.95, 10)
-    end = next(ib.walk(doubling, [BranchId(2, (1, 0))], x, y))
+    end = next(ib.walk(doubling, [(1, 0)], x, y))
     assert np.allclose(end.du / end.dv, 1.0, atol=1e-15)
 
 
 def test_depth_validation(bent):
     with pytest.raises(ValueError):
-        pullback(bent, 0.5, BranchId(13, (0,) * 13))
+        pullback(bent, 0.5, (0,) * 13)
     with pytest.raises(ValueError):
-        pullback(bent, 0.5, BranchId(1, (5,)))
+        pullback(bent, 0.5, (5,))
 
 
 # Reference: the per-step loops that walked every path from scratch.  The
@@ -178,31 +195,31 @@ def _ref_pull_step(m, x, branch):
     return wrap(y)
 
 
-def _ref_orbit(m, x, bid, memo=None):
+def _ref_orbit(m, x, path, memo=None):
     memo = {} if memo is None else memo
     y = np.asarray(wrap(x))
     orbit = []
-    for k, b in enumerate(bid.path, 1):
-        if bid.path[:k] not in memo:
-            memo[bid.path[:k]] = _ref_pull_step(m, y, b)
-        y = memo[bid.path[:k]]
+    for k, b in enumerate(path, 1):
+        if path[:k] not in memo:
+            memo[path[:k]] = _ref_pull_step(m, y, b)
+        y = memo[path[:k]]
         orbit.append(y)
     return np.stack(orbit)
 
 
-def _ref_pair_orbits(m, x, y, bid, memo=None):
+def _ref_pair_orbits(m, x, y, path, memo=None):
     memo = {} if memo is None else memo
     u = np.atleast_1d(np.asarray(wrap(x), dtype=float))
     gap = np.atleast_1d(np.asarray(signed_gap(x, y), dtype=float))
     m0 = ib._anchor_offset(m)
     us, vs, gaps = [], [], []
-    for k, b in enumerate(bid.path, 1):
-        if bid.path[:k] not in memo:
+    for k, b in enumerate(path, 1):
+        if path[:k] not in memo:
             tu = m0 + b + u
             pu = ib._solve_lift(m, tu)
             pv = ib._solve_lift(m, tu + gap, lo=-1.0, hi=3.0)
-            memo[bid.path[:k]] = wrap(pu), wrap(pv), pv - pu
-        u, v, gap = memo[bid.path[:k]]
+            memo[path[:k]] = wrap(pu), wrap(pv), pv - pu
+        u, v, gap = memo[path[:k]]
         us.append(u)
         vs.append(v)
         gaps.append(np.abs(gap))
@@ -214,11 +231,11 @@ def _walk_paths(m):
     and all their prefixes.  The set is closed under prefixes, so every
     point of a path's orbit is the end of a path of its own."""
     if m.winding == 2:
-        return [b for depth in range(1, 9) for b in branch_ids(2, depth)]
+        return [p for depth in range(1, 9) for p in all_paths(2, depth)]
     rng = np.random.Generator(np.random.Philox(key=3))
     sample = _sampled_paths(m.winding, 8, rng, cap=24)
-    prefixes = {b.path[:k] for b in sample for k in range(1, b.depth + 1)}
-    return [BranchId(len(p), p) for p in sorted(prefixes)]
+    prefixes = {tuple(map(int, p[:k])) for p in sample for k in range(1, len(p) + 1)}
+    return sorted(prefixes)
 
 
 @pytest.mark.parametrize("m", standard_maps(), ids=repr)
@@ -229,28 +246,28 @@ def test_walk_matches_per_step_reference(m):
     paths = _walk_paths(m)
     single = list(ib.walk(m, paths, x))
     pairs = list(ib.walk(m, paths, x, y))
-    assert [e.bid.path for e in single] == sorted(b.path for b in paths)
+    assert [e.path for e in single] == sorted(paths)
     memo_x, memo_xy, memo_03 = {}, {}, {}
     # each orbit point is compared as the end of its own prefix path
     for e, e2 in zip(single, pairs, strict=True):
-        assert e.bid == e2.bid
+        assert e.path == e2.path
         assert e.v is None and e.dv is None and e.gap is None
-        ref = _ref_orbit(m, x, e.bid, memo_x)
+        ref = _ref_orbit(m, x, e.path, memo_x)
         assert np.array_equal(e.u, ref[-1])
         assert np.array_equal(e.du, np.prod(m.dlift(ref), axis=0))
-        ref_us, ref_vs, ref_gaps = _ref_pair_orbits(m, x, y, e.bid, memo_xy)
+        ref_us, ref_vs, ref_gaps = _ref_pair_orbits(m, x, y, e.path, memo_xy)
         assert np.array_equal(e2.u, ref_us[-1]) and np.array_equal(e2.v, ref_vs[-1])
         assert np.array_equal(e2.gap, ref_gaps[-1])
         assert np.array_equal(e2.du, np.prod(m.dlift(ref_us), axis=0))
         assert np.array_equal(e2.dv, np.prod(m.dlift(ref_vs), axis=0))
     depth = 8 if m.winding == 2 else 4
     ref_sum = np.zeros_like(x)
-    for bid in branch_ids(m.winding, depth):
-        ref_sum += 1.0 / np.prod(m.dlift(_ref_orbit(m, x, bid, memo_x)), axis=0)
+    for path in all_paths(m.winding, depth):
+        ref_sum += 1.0 / np.prod(m.dlift(_ref_orbit(m, x, path, memo_x)), axis=0)
     assert np.array_equal(inverse_weight_sum(m, x, depth), ref_sum)
-    ref_deep = [_ref_orbit(m, 0.3, bid, memo_03)[-1, 0]
-                for bid in branch_ids(m.winding, depth)]
-    assert [e.u[0] for e in ib.walk(m, branch_ids(m.winding, depth), 0.3)] == ref_deep
+    ref_deep = [_ref_orbit(m, 0.3, path, memo_03)[-1, 0]
+                for path in all_paths(m.winding, depth)]
+    assert [e.u[0] for e in ib.walk(m, all_paths(m.winding, depth), 0.3)] == ref_deep
 
 
 def test_walk_solves_each_prefix_once(bent, monkeypatch):
@@ -263,7 +280,7 @@ def test_walk_solves_each_prefix_once(bent, monkeypatch):
         return solve(m, target, *args, **kwargs)
 
     monkeypatch.setattr(ib, "_solve_lift", counted)
-    paths = [b for depth in range(1, 9) for b in branch_ids(2, depth)]
+    paths = [p for depth in range(1, 9) for p in all_paths(2, depth)]
     x, y = np.array([0.1, 0.7]), np.array([0.2, 0.5])
     n = x.size
     assert len(paths) == 510
@@ -281,7 +298,7 @@ def test_walk_solves_each_prefix_once(bent, monkeypatch):
     assert solves(lambda: list(ib.walk(bent, paths, x, y))) == (1020 * n, internal)
     # in any order: the walk sorts the paths itself
     assert solves(lambda: list(ib.walk(bent, paths[::-1], x, y))) == (1020 * n, internal)
-    assert solves(lambda: list(ib.walk(bent, branch_ids(2, 8), 0.3))) == (510, internal)
+    assert solves(lambda: list(ib.walk(bent, all_paths(2, 8), 0.3))) == (510, internal)
     assert solves(lambda: inverse_weight_sum(bent, x, 8)) == (510 * n, internal)
     # a lone depth-8 path: one call per step
     assert solves(lambda: list(ib.walk(bent, paths[-1:], x, y))) == (16 * n, 8)
@@ -293,6 +310,6 @@ def test_walk_solves_each_prefix_once(bent, monkeypatch):
 def test_walk_validates_before_solving(bent):
     # the bad second path is refused before the first one is yielded
     with pytest.raises(ValueError):
-        next(ib.walk(bent, [BranchId(1, (0,)), BranchId(1, (2,))], 0.1, 0.9))
+        next(ib.walk(bent, [(0,), (2,)], 0.1, 0.9))
     with pytest.raises(ArcViolation):
-        next(ib.walk(bent, [BranchId(1, (0,))], 0.1, np.nan))
+        next(ib.walk(bent, [(0,)], 0.1, np.nan))

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import tracemalloc
 import weakref
@@ -24,6 +25,7 @@ from expcircle import (
     inf_value,
     l1_distance,
     linear_map,
+    orbit,
     sup_norm,
     uniform_density,
 )
@@ -162,6 +164,31 @@ def test_invariant_density_is_fixed_and_unique(bent):
 def test_invariant_density_budget(bent):
     with pytest.raises(NoConvergence):
         invariant_density(bent, max_iter=1)
+
+
+def orbit_inputs():
+    """A density, stepped by apply, and a signed function, stepped by
+    apply_function."""
+    return [(GridDensity(np.exp(0.3 * cos_k(1))), apply),
+            (GridFunction(cos_k(1) + 0.2 * np.sin(2 * np.pi * 3 * X)), apply_function)]
+
+
+def test_orbit_matches_a_hand_loop_bit_for_bit(bent):
+    for f, step in orbit_inputs():
+        ref = f
+        for n, cur in enumerate(itertools.islice(orbit(bent, f), 20)):
+            if n:
+                ref = step(bent, ref)
+            assert type(cur) is type(f)
+            assert np.array_equal(cur.values, ref.values), (step.__name__, n)
+
+
+def test_orbit_applies_once_per_iterate_read(bent, count_work):
+    for f, _ in orbit_inputs():
+        for n in (0, 1, 7):
+            counts = count_work()
+            assert len(list(itertools.islice(orbit(bent, f), n + 1))) == n + 1
+            assert counts["apply"] == n
 
 
 def test_iterate_sup_and_c1_caps(bent):
