@@ -51,9 +51,7 @@ def _solve_lift(m: ExpandingMap, target, lo=0.0, hi=2.0):
     t = np.atleast_1d(np.asarray(target, dtype=float))
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    tol = RESIDUAL_TOL      # a scalar, for cheap compares, while the largest |t| allows
-    if RESIDUAL_ULPS * np.spacing(np.abs(t).max(initial=0.0)) > RESIDUAL_TOL:
-        tol = np.maximum(RESIDUAL_TOL, RESIDUAL_ULPS * np.spacing(np.abs(t)))
+    tol = np.maximum(RESIDUAL_TOL, RESIDUAL_ULPS * np.spacing(np.abs(t)))
     # one lift per bracket end, however many targets share it
     if np.any(m.lift(lo) - t > tol) or np.any(m.lift(hi) - t < -tol):
         raise RootFindingFailure("bracket does not enclose the target")

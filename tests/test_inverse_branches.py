@@ -296,7 +296,7 @@ def test_walk_solves_each_prefix_once(bent, monkeypatch):
     # one call per internal node for all its children
     assert solves(lambda: list(ib.walk(bent, paths, x))) == (510 * n, internal)
     assert solves(lambda: list(ib.walk(bent, paths, x, y))) == (1020 * n, internal)
-    # in any order: the walk sorts the paths itself
+    # in any order: the tree walk yields them in lexicographic order
     assert solves(lambda: list(ib.walk(bent, paths[::-1], x, y))) == (1020 * n, internal)
     assert solves(lambda: list(ib.walk(bent, all_paths(2, 8), 0.3))) == (510, internal)
     assert solves(lambda: inverse_weight_sum(bent, x, 8)) == (510 * n, internal)
