@@ -111,36 +111,47 @@ def _rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _trig_polynomial(seed, resolution: int, amp: np.ndarray) -> np.ndarray:
-    """sum over k = 1..len(amp) of a_k cos 2 pi k x + b_k sin 2 pi k x at
-    the nodes, with a_k then b_k drawn as N(0, 1) * amp."""
-    rng = _rng(seed)
+def _trig_polynomials(rng: np.random.Generator, resolution: int, amp: np.ndarray):
+    """Yield sum over k = 1..len(amp) of a_k cos 2 pi k x + b_k sin 2 pi k x
+    at the nodes, drawing a_k then b_k as N(0, 1) * amp at each next(), from
+    cos and sin tables built once."""
     k = np.arange(1, amp.size + 1)
-    a = rng.normal(size=amp.size) * amp
-    b = rng.normal(size=amp.size) * amp
     x = np.arange(resolution) / resolution
     phase = 2.0 * np.pi * np.outer(k, x)
-    return a @ np.cos(phase) + b @ np.sin(phase)
+    cos, sin = np.cos(phase), np.sin(phase)
+    while True:
+        a, b = rng.normal(size=(2, amp.size)) * amp
+        yield a @ cos + b @ sin
 
 
-def smooth_density(seed, resolution: int = DEFAULT_RESOLUTION, modes: int = 8,
-                   scale: float = 0.5) -> GridDensity:
-    """Random density with a trigonometric-polynomial log.
+def _smooth_densities(rng, resolution: int, modes: int = 8, scale: float = 0.5):
+    """Random densities with a trigonometric-polynomial log, one per next().
 
     Smoothness keeps node-mean quadrature errors at machine scale, which
     the 1e-10 identity audits rely on; rougher inputs are used only where
     no quadrature identity is asserted.
     """
     k = np.arange(1, modes + 1)
-    v = np.exp(_trig_polynomial(seed, resolution, scale / (1.0 + k) ** 2))
-    return GridDensity(v / v.mean())
+    for v in map(np.exp, _trig_polynomials(rng, resolution, scale / (1.0 + k) ** 2)):
+        yield GridDensity(v / v.mean())
+
+
+def _smooth_functions(rng, resolution: int, modes: int = 6):
+    """Random signed trigonometric polynomials (observable-shaped)."""
+    k = np.arange(1, modes + 1)
+    return map(GridFunction, _trig_polynomials(rng, resolution, 1.0 / (1.0 + k)))
+
+
+def smooth_density(seed, resolution: int = DEFAULT_RESOLUTION, modes: int = 8,
+                   scale: float = 0.5) -> GridDensity:
+    """One draw of ``_smooth_densities``."""
+    return next(_smooth_densities(_rng(seed), resolution, modes, scale))
 
 
 def smooth_function(seed, resolution: int = DEFAULT_RESOLUTION,
                     modes: int = 6) -> GridFunction:
-    """Random signed trigonometric polynomial (observable-shaped)."""
-    k = np.arange(1, modes + 1)
-    return GridFunction(_trig_polynomial(seed, resolution, 1.0 / (1.0 + k)))
+    """One draw of ``_smooth_functions``."""
+    return next(_smooth_functions(_rng(seed), resolution, modes))
 
 
 def cos_observable(resolution: int = DEFAULT_RESOLUTION) -> GridFunction:
@@ -364,55 +375,48 @@ def audit_partition(m: ExpandingMap, *, seed: int = 8,
 
 
 def _sampled_paths(w: int, max_depth: int, rng: np.random.Generator, cap: int = 600):
-    """Branch paths of every depth 1..max_depth: all of them, or a seeded
-    subsample of cap paths at a depth whose tree exceeds cap."""
+    """Branch paths of every depth 1..max_depth: all of them at a depth whose
+    tree has at most cap paths, else cap distinct rows of seeded digits in
+    [0, w) (first occurrences kept, the shortfall redrawn)."""
     out = []
     for depth in range(1, max_depth + 1):
-        total = w ** depth
-        idx = np.arange(total) if total <= cap else rng.choice(total, size=cap, replace=False)
-        # path[k] is digit k of the index in base w, least significant first
-        digits = np.unravel_index(idx, (w,) * depth, order="F")
-        out += zip(*digits)
+        if w ** depth <= cap:
+            out += itertools.product(range(w), repeat=depth)
+            continue
+        paths = {}
+        while len(paths) < cap:
+            rows = rng.integers(w, size=(cap - len(paths), depth))
+            paths.update(dict.fromkeys(map(tuple, rows.tolist())))
+        out += paths
     return out
 
 
-@_audit("backward-contraction")
+@_audit("backward-contraction", "distortion")
 def audit_backward_contraction(m: ExpandingMap, *, seed: int = 9, pairs: int = 1000,
-                               max_depth: int = 8, path_cap: int = 600) -> AuditResult:
-    """d(pullback x, pullback y) <= lambda^-n d(x, y) for sampled pairs over
-    (all, or a seeded subsample of) branch paths up to depth 8."""
-    rng = _rng(seed)
-    xs = rng.random(pairs)
-    ys = rng.random(pairs)
-    d = np.atleast_1d(circle_distance(xs, ys))
-    worst = -np.inf
-    paths = _sampled_paths(m.winding, max_depth, rng, cap=path_cap)
-    for end in walk(m, paths, xs, ys):
-        rhs = m.lam ** (-len(end.path)) * d
-        worst = max(worst, float((end.gap - rhs).max()))
-    return _gate(-worst, f"worst lhs - rhs = {worst:.3e} over {len(paths) * pairs} "
-                 "pair-path cells", slack=PAIR_SLACK)
-
-
-@_audit("distortion")
-def audit_distortion(m: ExpandingMap, *, seed: int = 10, pairs: int = 1000,
-                     max_depth: int = 8, path_cap: int = 600) -> AuditResult:
-    """Derivative-product ratios along shared inverse orbits stay inside
-    [exp(-Omega d), exp(Omega d)] uniformly in depth."""
+                               max_depth: int = 8, path_cap: int = 600) -> list:
+    """One walk of sampled pairs over (all, or a seeded subsample of) branch
+    paths up to depth 8 checks backward contraction, d(pullback x, pullback
+    y) <= lambda^-n d(x, y), and distortion: derivative-product ratios stay
+    inside [exp(-Omega d), exp(Omega d)] uniformly in depth."""
     rng = _rng(seed)
     xs = rng.random(pairs)
     ys = rng.random(pairs)
     omega = compute_ledger(m, 1.0).omega
-    d = circle_distance(xs, ys)
+    d = np.atleast_1d(circle_distance(xs, ys))
     lo = np.exp(-omega * d) - DISTORTION_SLACK
     hi = np.exp(omega * d) + DISTORTION_SLACK
-    worst = -np.inf
+    worst_gap = worst_band = -np.inf
     paths = _sampled_paths(m.winding, max_depth, rng, cap=path_cap)
     for end in walk(m, paths, xs, ys):
+        rhs = m.lam ** (-len(end.path)) * d
+        worst_gap = max(worst_gap, float((end.gap - rhs).max()))
         ratio = end.du / end.dv
-        worst = max(worst, float((ratio - hi).max()), float((lo - ratio).max()))
-    return _gate(-worst, f"worst band excess {worst:.3e} over {len(paths) * pairs} "
-                 "pair-path cells")
+        worst_band = max(worst_band, float((ratio - hi).max()), float((lo - ratio).max()))
+    cells = f"over {len(paths) * pairs} pair-path cells"
+    return [
+        _gate(-worst_gap, f"worst lhs - rhs = {worst_gap:.3e} {cells}", slack=PAIR_SLACK),
+        _gate(-worst_band, f"worst band excess {worst_band:.3e} {cells}"),
+    ]
 
 
 @_audit("operator-mass", "operator-positivity", "operator-contraction",
@@ -426,8 +430,7 @@ def audit_operator_identities(m: ExpandingMap, *, seed: int = 11, cases: int = 1
     min_value = np.inf
     worst_contr = -np.inf
     prev = None
-    for _ in range(cases):
-        psi = smooth_density(rng, resolution)
+    for psi in itertools.islice(_smooth_densities(rng, resolution), cases):
         raw = apply_function(m, psi)
         worst_mass = max(worst_mass, abs(integrate(raw) - integrate(psi)))
         min_value = min(min_value, float(raw.values.min()))
@@ -461,9 +464,8 @@ def audit_duality(m: ExpandingMap, *, seed: int = 12, cases: int = 20,
     x = np.arange(resolution) / resolution
     tx = evaluate(m, x)
     worst = -np.inf
-    for _ in range(cases):
-        f = smooth_function(rng, resolution)
-        g = smooth_function(rng, resolution)
+    inputs = _smooth_functions(rng, resolution)
+    for f, g in itertools.islice(zip(inputs, inputs), cases):
         lhs = float(np.mean(f.evaluate(tx) * g.values))
         rhs = integrate(GridFunction(f.values * apply_function(m, g).values))
         tol = DUALITY_REL_TOL * sup_norm(f) * sup_norm(g)
@@ -721,9 +723,7 @@ def audit_quadrature(*, seed: int = 13, resolution: int = DEFAULT_RESOLUTION) ->
     inequality, Hoelder scaling laws, and the refinement-rate check."""
     rng = _rng(seed)
     checks = {}
-    f = smooth_function(rng, resolution)
-    g = smooth_function(rng, resolution)
-    h = smooth_function(rng, resolution)
+    f, g, h = itertools.islice(_smooth_functions(rng, resolution), 3)
     lin = integrate(GridFunction(2.0 * f.values - 3.0 * g.values)) \
         - (2.0 * integrate(f) - 3.0 * integrate(g))
     checks["linearity"] = abs(lin) <= 1e-13

@@ -1,3 +1,4 @@
+import json
 import re
 import shlex
 from pathlib import Path
@@ -40,3 +41,13 @@ def test_ci_pins_the_running_library_versions(module):
     # the GOLDEN digests hash float output written under these versions
     major_minor = ".".join(module.__version__.split(".")[:2])
     assert installed(tier1_job())[module.__name__] == f"{major_minor}.*"
+
+
+def test_ci_gates_every_benchmark_workload():
+    workloads = [w["name"] for w in
+                 json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    (gate,) = [s["run"] for s in tier1_job()["steps"]
+               if "perfbench/run.py" in s.get("run", "")]
+    assert re.search(r"for w in ([^;]+);", gate).group(1).split() == workloads
+    assert 'perfbench/run.py --workload "$w" --seconds 1 | tail -n 1' in gate
+    assert 'r["correct"] is True and r["failed"] == 0' in gate

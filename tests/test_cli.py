@@ -64,16 +64,16 @@ GOLDEN = {
         "verify.json": "9ee0b88da25abdcc50fcd791ef3071f156f1871ddc9e2ace8e9921fc1c9e099b",
     },
     "verify on linear{3}": {
-        "verify.json": "e71f18aa75a1d00373f39e780015b80eeb6168cd8ee71d492453f5d54597357e",
+        "verify.json": "16e5f0769f5ff673525340f7c9860ea663c38921a1fb0d1583652ffa7130dd5c",
     },
     "verify on perturbed{2,0.02}": {
-        "verify.json": "74308e0838858ec8fdad4ba6e20163b5ea895428269008cef1f8aafe4d7b33c5",
+        "verify.json": "0e25963eb3daeee3e6b28e888201a4b169c9f57139cbc5916db83614485acd1c",
     },
     "verify on perturbed{2,0.05}": {
-        "verify.json": "13e6ef0d8eb7d823ad5415a878b491edb44973affc94f0f5f657b12d3c7d1e49",
+        "verify.json": "3c9a1a6845c47b2435fedc952d1a9b58810c09aab4f4c64f7e8bc3664e6f34b2",
     },
     "verify on perturbed{2,0.1}": {
-        "verify.json": "f089a0413ccaf83864534a056c00312841d886543b1e90730c93733af73865fa",
+        "verify.json": "340b1fff3fc70d69ff69e8f716a773fdf49e479e594af010413293ad95b84901",
     },
 }
 
