@@ -40,12 +40,9 @@ from .density_grid import (
     l1_distance,
     lipschitz_estimate,
     log_transform,
-    read_csv,
-    read_density_csv,
     sample,
     sup_norm,
     uniform_density,
-    write_csv,
 )
 from .errors import (
     ArcViolation,

@@ -9,6 +9,7 @@ run order and times it, fails it on a violation and builds its results.
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 import math
 import time
@@ -51,6 +52,7 @@ from .density_grid import (
 )
 from .errors import Violation
 from .inverse_branches import (
+    _anchor_offset,
     _solve_lift,
     inverse_weight_sum,
     preimages,
@@ -124,34 +126,34 @@ def _trig_polynomials(rng: np.random.Generator, resolution: int, amp: np.ndarray
         yield a @ cos + b @ sin
 
 
-def _smooth_densities(rng, resolution: int, modes: int = 8, scale: float = 0.5):
-    """Random densities with a trigonometric-polynomial log, one per next().
+def _smooth_densities(rng, resolution: int):
+    """Random densities whose log is a trigonometric polynomial of 8 modes
+    with amplitudes 0.5 / (1 + k)^2, one per next().
 
     Smoothness keeps node-mean quadrature errors at machine scale, which
     the 1e-10 identity audits rely on; rougher inputs are used only where
     no quadrature identity is asserted.
     """
-    k = np.arange(1, modes + 1)
-    for v in map(np.exp, _trig_polynomials(rng, resolution, scale / (1.0 + k) ** 2)):
+    k = np.arange(1, 9)
+    for v in map(np.exp, _trig_polynomials(rng, resolution, 0.5 / (1.0 + k) ** 2)):
         yield GridDensity(v / v.mean())
 
 
-def _smooth_functions(rng, resolution: int, modes: int = 6):
-    """Random signed trigonometric polynomials (observable-shaped)."""
-    k = np.arange(1, modes + 1)
+def _smooth_functions(rng, resolution: int):
+    """Random signed trigonometric polynomials of 6 modes with amplitudes
+    1 / (1 + k) (observable-shaped)."""
+    k = np.arange(1, 7)
     return map(GridFunction, _trig_polynomials(rng, resolution, 1.0 / (1.0 + k)))
 
 
-def smooth_density(seed, resolution: int = DEFAULT_RESOLUTION, modes: int = 8,
-                   scale: float = 0.5) -> GridDensity:
+def smooth_density(seed, resolution: int = DEFAULT_RESOLUTION) -> GridDensity:
     """One draw of ``_smooth_densities``."""
-    return next(_smooth_densities(_rng(seed), resolution, modes, scale))
+    return next(_smooth_densities(_rng(seed), resolution))
 
 
-def smooth_function(seed, resolution: int = DEFAULT_RESOLUTION,
-                    modes: int = 6) -> GridFunction:
+def smooth_function(seed, resolution: int = DEFAULT_RESOLUTION) -> GridFunction:
     """One draw of ``_smooth_functions``."""
-    return next(_smooth_functions(_rng(seed), resolution, modes))
+    return next(_smooth_functions(_rng(seed), resolution))
 
 
 def cos_observable(resolution: int = DEFAULT_RESOLUTION) -> GridFunction:
@@ -241,16 +243,29 @@ def _gate(margin: float, detail: str, slack: float = 0.0, strict: bool = False) 
 
 # (attribute, result count, run_all arguments taken, per-map), in run order.
 _AUDITS: list = []
+# The arguments run_all forwards to the audits that take them.
+_FORWARDED = ("seed", "trials", "resolution", "n_max")
 
 
-def _audit(*names: str, takes: tuple = (), per_map: bool = True):
+def _audit(*names: str):
     """Register an audit body that returns one Verdict per result name (a
-    bare Verdict for one) and receives the run_all arguments it ``takes``,
-    after the map if per-map.  The registered function times the body,
-    fails every name on a violation and returns the AuditResults, a list
-    for several names with the wall time on the first; the body's return
-    annotation is that of the registered function."""
+    bare Verdict for one).  The body's keyword-only parameters are the
+    run_all arguments it receives, each one of _FORWARDED (any other raises
+    TypeError); a positional parameter, the map, makes it per-map.  The
+    registered function times the body, fails every name on a violation
+    and returns the AuditResults, a list for several names with the wall
+    time on the first; the body's return annotation is that of the
+    registered function."""
     def register(body):
+        params = inspect.signature(body).parameters.values()
+        takes = tuple(p.name for p in params if p.kind is p.KEYWORD_ONLY)
+        unknown = [name for name in takes if name not in _FORWARDED]
+        if unknown:
+            raise TypeError(f"{body.__name__} takes {unknown}, which run_all "
+                            f"does not supply (it forwards {list(_FORWARDED)})")
+        per_map = any(p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+                      for p in params)
+
         @functools.wraps(body)
         def run(*args, **kwargs):
             t0 = time.perf_counter()
@@ -276,14 +291,14 @@ def _audit(*names: str, takes: tuple = (), per_map: bool = True):
 
 
 @_audit("certificate")
-def audit_certificate(m: ExpandingMap, *, seed: int = 3, samples: int = 4096) -> AuditResult:
+def audit_certificate(m: ExpandingMap) -> AuditResult:
     """Certified lambda really is a lower bound of T' on fresh samples, and
     forward steps are d1_sup-Lipschitz."""
-    rng = _rng(seed)
+    rng = _rng(3)
     cert = certify(m)
-    xs = rng.random(samples)
+    xs = rng.random(4096)
     dmin = float(m.dlift(xs).min())
-    ys = rng.random(samples)
+    ys = rng.random(4096)
     lip = float(
         (circle_distance(evaluate(m, xs), evaluate(m, ys))
          - m.d1_sup * circle_distance(xs, ys)).max()
@@ -296,29 +311,30 @@ def audit_certificate(m: ExpandingMap, *, seed: int = 3, samples: int = 4096) ->
 
 
 @_audit("second-derivative-fd")
-def audit_second_derivative(m: ExpandingMap, *, seed: int = 4, samples: int = 100) -> AuditResult:
+def audit_second_derivative(m: ExpandingMap) -> AuditResult:
     """T'' agrees with a central finite difference of T' (h=1e-5, tol 1e-5)."""
-    rng = _rng(seed)
-    xs = rng.random(samples)
+    rng = _rng(4)
+    xs = rng.random(100)
     h = 1e-5
     fd = (m.dlift(xs + h) - m.dlift(xs - h)) / (2.0 * h)
     worst = float(np.abs(fd - m.d2lift(xs)).max())
-    return _gate(-worst, f"worst |fd - T''| = {worst:.3e} over {samples} points",
+    return _gate(-worst, f"worst |fd - T''| = {worst:.3e} over 100 points",
                  slack=1e-5)
 
 
 @_audit("arc-expansion")
-def audit_arc_expansion(m: ExpandingMap, *, seed: int = 5, samples: int = 200) -> AuditResult:
+def audit_arc_expansion(m: ExpandingMap) -> AuditResult:
     """Arcs expand: pulling an arc of image-length ell through one branch
     yields an arc of length <= ell / lambda (strict expansion)."""
-    rng = _rng(seed)
-    targets = np.empty((2, samples))        # each arc's two ends, solved at once
-    ells = np.empty(samples)
-    for i in range(samples):
+    rng = _rng(5)
+    targets = np.empty((2, 200))            # each arc's two ends, solved at once
+    ells = np.empty(200)
+    m0 = _anchor_offset(m)                  # branch b's lifts start at m0 + b
+    for i in range(200):
         x = rng.random()
         ell = rng.uniform(1e-4, 0.95)
-        branch = rng.integers(m.winding)
-        targets[:, i] = branch + x, branch + x + ell
+        start = m0 + rng.integers(m.winding) + x
+        targets[:, i] = start, start + ell
         ells[i] = ell
     lo, hi = _solve_lift(m, targets)
     worst = float(np.max(m.lam * (hi - lo) - ells, initial=-np.inf))
@@ -326,49 +342,44 @@ def audit_arc_expansion(m: ExpandingMap, *, seed: int = 5, samples: int = 200) -
 
 
 @_audit("preimage-roundtrip")
-def audit_preimage_roundtrip(m: ExpandingMap, *, seed: int = 6, samples: int = 64,
-                             max_depth: int = 6) -> AuditResult:
-    """Forward-iterating a depth-n pullback recovers the base point."""
-    rng = _rng(seed)
-    xs = rng.random(samples)
+def audit_preimage_roundtrip(m: ExpandingMap) -> AuditResult:
+    """Forward-iterating a depth-n pullback, n <= 6, recovers the base point."""
+    rng = _rng(6)
+    xs = rng.random(64)
     worst = 0.0
-    paths = _sampled_paths(m.winding, max_depth, rng, cap=40)
+    paths = _sampled_paths(m.winding, 6, rng, cap=40)
     for end in walk(m, paths, xs):
         y = end.u
         for _ in range(len(end.path)):
             y = evaluate(m, y)
         worst = max(worst, float(circle_distance(y, xs).max()))
     return _gate(-worst, f"worst return distance {worst:.3e} over "
-                 f"{len(paths) * samples} cells", slack=1e-9)
+                 f"{len(paths) * 64} cells", slack=1e-9)
 
 
 @_audit("preimage-partition")
-def audit_partition(m: ExpandingMap, *, seed: int = 8,
-                    depths=(1, 2, 3), resolution: int = 512) -> AuditResult:
+def audit_partition(m: ExpandingMap) -> AuditResult:
     """Preimage arcs partition the circle (depth-1 gaps sum to 1), the
     branch-enumerated transfer of the constant density has unit node mean,
     and it matches the single-step grid operator iterated to the same
-    depth (two independent evaluation routes for L^n 1)."""
-    rng = _rng(seed)
+    depth (two independent evaluation routes for L^n 1, n = 1, 2, 3, on
+    512 nodes)."""
+    rng = _rng(8)
     worst_arc = 0.0
     for x in rng.random(16):
         pts = np.sort([p for _, p in preimages(m, float(x))])
         gaps = np.diff(np.append(pts, pts[0] + 1.0))
         worst_arc = max(worst_arc, abs(float(gaps.sum()) - 1.0))
-    nodes = np.arange(resolution) / resolution
+    nodes = np.arange(512) / 512
     worst_mass = 0.0
     worst_route = 0.0
-    grids = itertools.islice(orbit(m, GridFunction(np.ones(resolution))),
-                             1, max(depths) + 1)
+    grids = itertools.islice(orbit(m, GridFunction(np.ones(512))), 1, 4)
     for depth, grid in enumerate(grids, 1):
-        if depth in depths:
-            branch = inverse_weight_sum(m, nodes, depth)
-            worst_mass = max(worst_mass, abs(float(branch.mean()) - 1.0))
-            worst_route = max(worst_route,
-                              float(np.abs(branch - grid.values).max()))
-            if m.d2_sup == 0.0:
-                worst_route = max(worst_route,
-                                  float(np.abs(branch - 1.0).max()))
+        branch = inverse_weight_sum(m, nodes, depth)
+        worst_mass = max(worst_mass, abs(float(branch.mean()) - 1.0))
+        worst_route = max(worst_route, float(np.abs(branch - grid.values).max()))
+        if m.d2_sup == 0.0:
+            worst_route = max(worst_route, float(np.abs(branch - 1.0).max()))
     ok = worst_arc <= 1e-9 and worst_mass <= 1e-10 and worst_route <= 1e-9
     return Verdict(ok, f"worst arc defect {worst_arc:.1e}, mass defect "
                    f"{worst_mass:.1e}, route mismatch {worst_route:.1e}")
@@ -392,45 +403,43 @@ def _sampled_paths(w: int, max_depth: int, rng: np.random.Generator, cap: int = 
 
 
 @_audit("backward-contraction", "distortion")
-def audit_backward_contraction(m: ExpandingMap, *, seed: int = 9, pairs: int = 1000,
-                               max_depth: int = 8, path_cap: int = 600) -> list:
-    """One walk of sampled pairs over (all, or a seeded subsample of) branch
-    paths up to depth 8 checks backward contraction, d(pullback x, pullback
-    y) <= lambda^-n d(x, y), and distortion: derivative-product ratios stay
-    inside [exp(-Omega d), exp(Omega d)] uniformly in depth."""
-    rng = _rng(seed)
-    xs = rng.random(pairs)
-    ys = rng.random(pairs)
+def audit_backward_contraction(m: ExpandingMap) -> list:
+    """One walk of 1000 sampled pairs over (all, or a seeded subsample of)
+    branch paths up to depth 8 checks backward contraction, d(pullback x,
+    pullback y) <= lambda^-n d(x, y), and distortion: derivative-product
+    ratios stay inside [exp(-Omega d), exp(Omega d)] uniformly in depth."""
+    rng = _rng(9)
+    xs = rng.random(1000)
+    ys = rng.random(1000)
     omega = compute_ledger(m, 1.0).omega
     d = np.atleast_1d(circle_distance(xs, ys))
     lo = np.exp(-omega * d) - DISTORTION_SLACK
     hi = np.exp(omega * d) + DISTORTION_SLACK
     worst_gap = worst_band = -np.inf
-    paths = _sampled_paths(m.winding, max_depth, rng, cap=path_cap)
+    paths = _sampled_paths(m.winding, 8, rng)
     for end in walk(m, paths, xs, ys):
         rhs = m.lam ** (-len(end.path)) * d
         worst_gap = max(worst_gap, float((end.gap - rhs).max()))
         ratio = end.du / end.dv
         worst_band = max(worst_band, float((ratio - hi).max()), float((lo - ratio).max()))
-    cells = f"over {len(paths) * pairs} pair-path cells"
+    cells = f"over {len(paths) * 1000} pair-path cells"
     return [
         _gate(-worst_gap, f"worst lhs - rhs = {worst_gap:.3e} {cells}", slack=PAIR_SLACK),
         _gate(-worst_band, f"worst band excess {worst_band:.3e} {cells}"),
     ]
 
 
-@_audit("operator-mass", "operator-positivity", "operator-contraction",
-        takes=("resolution",))
-def audit_operator_identities(m: ExpandingMap, *, seed: int = 11, cases: int = 100,
+@_audit("operator-mass", "operator-positivity", "operator-contraction")
+def audit_operator_identities(m: ExpandingMap, *,
                               resolution: int = DEFAULT_RESOLUTION) -> list:
     """Mass conservation (raw, pre-renormalization), exact positivity, and
-    L1 contraction of single applications over random densities."""
-    rng = _rng(seed)
+    L1 contraction of single applications over 100 random densities."""
+    rng = _rng(11)
     worst_mass = 0.0
     min_value = np.inf
     worst_contr = -np.inf
     prev = None
-    for psi in itertools.islice(_smooth_densities(rng, resolution), cases):
+    for psi in itertools.islice(_smooth_densities(rng, resolution), 100):
         raw = apply_function(m, psi)
         worst_mass = max(worst_mass, abs(integrate(raw) - integrate(psi)))
         min_value = min(min_value, float(raw.values.min()))
@@ -448,7 +457,7 @@ def audit_operator_identities(m: ExpandingMap, *, seed: int = 11, cases: int = 1
         rough = GridDensity(v / v.mean())
         min_value = min(min_value, float(apply_function(m, rough).values.min()))
     return [
-        _gate(-worst_mass, f"worst raw mass drift {worst_mass:.3e} over {cases} "
+        _gate(-worst_mass, f"worst raw mass drift {worst_mass:.3e} over 100 "
               "densities", slack=MASS_TOL),
         _gate(min_value, f"min output node value {min_value:.3e}"),
         _gate(-worst_contr, f"worst ||Lu||_1 - ||u||_1 = {worst_contr:.3e}",
@@ -456,40 +465,39 @@ def audit_operator_identities(m: ExpandingMap, *, seed: int = 11, cases: int = 1
     ]
 
 
-@_audit("operator-duality", takes=("resolution",))
-def audit_duality(m: ExpandingMap, *, seed: int = 12, cases: int = 20,
-                  resolution: int = DEFAULT_RESOLUTION) -> AuditResult:
-    """int (f o T) g dm == int f (L g) dm up to interpolation error."""
-    rng = _rng(seed)
+@_audit("operator-duality")
+def audit_duality(m: ExpandingMap, *, resolution: int = DEFAULT_RESOLUTION) -> AuditResult:
+    """int (f o T) g dm == int f (L g) dm up to interpolation error, over 20
+    random pairs."""
+    rng = _rng(12)
     x = np.arange(resolution) / resolution
     tx = evaluate(m, x)
     worst = -np.inf
     inputs = _smooth_functions(rng, resolution)
-    for f, g in itertools.islice(zip(inputs, inputs), cases):
+    for f, g in itertools.islice(zip(inputs, inputs), 20):
         lhs = float(np.mean(f.evaluate(tx) * g.values))
         rhs = integrate(GridFunction(f.values * apply_function(m, g).values))
         tol = DUALITY_REL_TOL * sup_norm(f) * sup_norm(g)
         worst = max(worst, abs(lhs - rhs) - tol)
-    return _gate(-worst, f"worst |defect| - tol = {worst:.3e} over {cases} pairs")
+    return _gate(-worst, f"worst |defect| - tol = {worst:.3e} over 20 pairs")
 
 
-@_audit("sup-c1-bounds", takes=("resolution",))
-def audit_sup_c1_bounds(m: ExpandingMap, *, resolution: int = DEFAULT_RESOLUTION,
-                        steps=(1, 5, 15, 30)) -> AuditResult:
-    """sup and C1-size growth caps (1+Omega), (1+Omega)^2 for iterates."""
+@_audit("sup-c1-bounds")
+def audit_sup_c1_bounds(m: ExpandingMap, *, resolution: int = DEFAULT_RESOLUTION) -> AuditResult:
+    """sup and C1-size growth caps (1+Omega), (1+Omega)^2 for the iterates
+    n = 1, 5, 15, 30."""
     ok = True
     worst = -np.inf
     for _, f in _test_functions(resolution, 77):
-        for sup_lhs, sup_rhs, _, _, fine in check_growth_bounds(m, f, steps):
+        for sup_lhs, sup_rhs, _, _, fine in check_growth_bounds(m, f, (1, 5, 15, 30)):
             ok = ok and fine
             worst = max(worst, sup_lhs - sup_rhs)
     return Verdict(ok, f"worst sup-bound excess {worst:.3e} (2% slack applies)")
 
 
 @_audit("holder-log-contraction", "holder-growth-cap", "positivity-floor",
-        "pointwise-log-bounds", "holder-from-log", takes=("resolution",))
-def audit_regularity_sweep(m: ExpandingMap, *, alphas=DEFAULT_ALPHAS, n_max: int = 30,
-                           resolution: int = DEFAULT_RESOLUTION) -> list:
+        "pointwise-log-bounds", "holder-from-log")
+def audit_regularity_sweep(m: ExpandingMap, *, resolution: int = DEFAULT_RESOLUTION) -> list:
     """The n <= 30 iterate sweep over the canonical density family:
 
     * Hoelder-log contraction   H(log L^n psi) <= lam^(-an) H(log psi) + Omega
@@ -498,32 +506,32 @@ def audit_regularity_sweep(m: ExpandingMap, *, alphas=DEFAULT_ALPHAS, n_max: int
     * pointwise log bounds      exp(-H) <= psi <= exp(H) at checkpoints
     * Hoelder-from-log          H(psi) <= H_log exp(H_log)
     """
-    ledgers = {a: compute_ledger(m, a) for a in alphas}
+    ledgers = {a: compute_ledger(m, a) for a in DEFAULT_ALPHAS}
     pointwise_ns = {0, 1, 2, 5, 10, 20, 30}
     worst_log = worst_cap = -np.inf
     worst_floor = np.inf
     worst_chain = -np.inf
     pointwise_ok = True
     for psi in density_family(resolution):
-        # psi, L psi, ..., L^n_max psi, each applied when first read, and
-        # its plain and log profiles, each chained along its own orbit; the
+        # psi, L psi, ..., L^30 psi, each applied when first read, and its
+        # plain and log profiles, each chained along its own orbit; the
         # floor's extra steps continue the same walk
         psi_orbit = orbit(m, psi)
-        iterates, plain, logs = itertools.tee(itertools.islice(psi_orbit, n_max + 1), 3)
-        profiles = zip(iterates, holder_profiles(plain, alphas),
-                       holder_profiles(map(log_transform, logs), alphas))
+        iterates, plain, logs = itertools.tee(itertools.islice(psi_orbit, 31), 3)
+        profiles = zip(iterates, holder_profiles(plain, DEFAULT_ALPHAS),
+                       holder_profiles(map(log_transform, logs), DEFAULT_ALPHAS))
         cur, h_plain0, h_log0 = next(profiles)
         caps = {}
         floors = {}
         extra = 0
-        for i, a in enumerate(alphas):
+        for i, a in enumerate(DEFAULT_ALPHAS):
             caps[a] = holder_iteration_cap(h_plain0[i], ledgers[a])
             floors[a] = positivity_floor(h_plain0[i], ledgers[a])
-            extra = max(extra, floors[a][0] + 12 - n_max)
+            extra = max(extra, floors[a][0] + 12 - 30)
             pointwise_ok = pointwise_ok and pointwise_log_bounds_hold(psi, h_log0[i])
         lows = []                                   # inf L^n psi, n = 1, 2, ...
         for n, (cur, h_plain, h_log) in enumerate(profiles, 1):
-            for i, a in enumerate(alphas):
+            for i, a in enumerate(DEFAULT_ALPHAS):
                 led = ledgers[a]
                 bound = led.lam ** (-a * n) * h_log0[i] + led.omega
                 worst_log = max(worst_log, h_log[i] - bound)
@@ -547,16 +555,15 @@ def audit_regularity_sweep(m: ExpandingMap, *, alphas=DEFAULT_ALPHAS, n_max: int
     ]
 
 
-@_audit("class-entry", takes=("resolution",))
-def audit_class_entry(m: ExpandingMap, *, alphas=CLASS_ALPHAS,
-                      resolution: int = DEFAULT_RESOLUTION) -> AuditResult:
+@_audit("class-entry")
+def audit_class_entry(m: ExpandingMap, *, resolution: int = DEFAULT_RESOLUTION) -> AuditResult:
     """Densities with log-Hoelder coefficient below B land in the limit
     class after N(B) steps: iterates keep H(log) <= Omega+1, stay above
     2a, and their residual (psi - a)/(1 - a) stays within cap K."""
     cos_g = cos_observable(resolution)
     ok = True
     details = []
-    for a in alphas:
+    for a in CLASS_ALPHAS:
         led = compute_ledger(m, a)
         h_unit = holder_coefficient(cos_g, a)
         for cap in CLASS_CAPS:
@@ -581,10 +588,10 @@ def audit_class_entry(m: ExpandingMap, *, alphas=CLASS_ALPHAS,
                     ok = False
                     details.append(f"residual cap breach at n={n}, alpha={a}")
     return Verdict(ok, "; ".join(details) if details else
-                   f"B sweep {{5, 20, K}} x alpha {alphas}")
+                   f"B sweep {{5, 20, K}} x alpha {CLASS_ALPHAS}")
 
 
-@_audit("invariant-density", takes=("resolution",))
+@_audit("invariant-density")
 def audit_invariant_density(m: ExpandingMap, *,
                             resolution: int = DEFAULT_RESOLUTION) -> AuditResult:
     """Fixed density: residual below tol, unit mass, strict positivity with
@@ -614,41 +621,41 @@ def audit_invariant_density(m: ExpandingMap, *,
     )
 
 
-@_audit("cesaro-almost-invariance", takes=("resolution",))
-def audit_cesaro(m: ExpandingMap, *, resolution: int = DEFAULT_RESOLUTION,
-                 terms=(1, 5, 25)) -> AuditResult:
-    """Cesaro averages are 2/N-almost-invariant."""
+@_audit("cesaro-almost-invariance")
+def audit_cesaro(m: ExpandingMap, *, resolution: int = DEFAULT_RESOLUTION) -> AuditResult:
+    """Cesaro averages of N = 1, 5, 25 terms are 2/N-almost-invariant."""
     psi = density_family(resolution)[1]          # exp(cos 2 pi x)
     worst = -np.inf
-    for n_terms in terms:
-        c = cesaro(m, psi, n_terms)
+    terms = (1, 5, 25)
+    for n_terms, c in zip(terms, cesaro(m, psi, terms)):
         moved = l1_distance(apply_function(m, c), c)
         worst = max(worst, moved - 2.0 / n_terms)
     return _gate(-worst, f"worst moved - 2/N = {worst:.3e}", slack=1e-10)
 
 
-@_audit("coupling-deterministic", takes=("resolution",))
-def audit_coupling_deterministic(m: ExpandingMap, *, alpha: float = 1.0,
+@_audit("coupling-deterministic")
+def audit_coupling_deterministic(m: ExpandingMap, *,
                                  resolution: int = DEFAULT_RESOLUTION) -> AuditResult:
-    """Epoch decomposition run: envelopes and reconstruction at every step."""
-    led = compute_ledger(m, alpha)
+    """Epoch decomposition run at alpha = 1: envelopes and reconstruction at
+    every step."""
+    led = compute_ledger(m, 1.0)
     psi1 = cosine_density(resolution)
     phi, _ = cached_invariant(m, resolution)
     n_max = max(2 * led.n_big_k + 5, 60)
-    det = deterministic_contraction_run(m, psi1, phi, alpha, n_max)
+    det = deterministic_contraction_run(m, psi1, phi, 1.0, n_max)
     return Verdict(
         True, f"n_max={n_max}, worst tv excess {det.max_tv_excess():.3e}, "
         f"worst reconstruction {det.worst_reconstruction:.3e}",
     )
 
 
-@_audit("coupling-monte-carlo", takes=("trials", "seed", "resolution"))
-def audit_coupling_monte_carlo(m: ExpandingMap, *, alpha: float = 1.0,
-                               trials: int = 100_000, seed: int = 42,
+@_audit("coupling-monte-carlo")
+def audit_coupling_monte_carlo(m: ExpandingMap, *, trials: int = 100_000, seed: int = 42,
                                resolution: int = DEFAULT_RESOLUTION) -> AuditResult:
-    """Simulated pair: mismatch envelope, coupling inequality, marginals."""
+    """Simulated pair at alpha = 1: mismatch envelope, coupling inequality,
+    marginals."""
     psi1, psi2 = coupling_pair(resolution)
-    trace = monte_carlo_coupling(m, psi1, psi2, alpha, trials=trials, seed=seed)
+    trace = monte_carlo_coupling(m, psi1, psi2, 1.0, trials=trials, seed=seed)
     min_p = min((c["p_value"] for c in trace.chi2), default=1.0)
     return _gate(
         min_p - CHI2_P_FLOOR,
@@ -658,9 +665,8 @@ def audit_coupling_monte_carlo(m: ExpandingMap, *, alpha: float = 1.0,
     )
 
 
-@_audit("correlation-decay", "reduction-chain", takes=("n_max", "resolution"))
-def audit_correlation_decay(m: ExpandingMap, *, alphas=DEFAULT_ALPHAS,
-                            n_max: int = 60,
+@_audit("correlation-decay", "reduction-chain")
+def audit_correlation_decay(m: ExpandingMap, *, n_max: int = 60,
                             resolution: int = DEFAULT_RESOLUTION) -> list:
     """Main decay bound plus the reduction inequality over the full
     (f, g, alpha) sweep; then the reduction link by link, from the same walk
@@ -672,7 +678,7 @@ def audit_correlation_decay(m: ExpandingMap, *, alphas=DEFAULT_ALPHAS,
     rates = []
     chain_ok = True
     worst_cap = -np.inf
-    fs, gs = observable_family(resolution, alphas)
+    fs, gs = observable_family(resolution, DEFAULT_ALPHAS)
     for g_label, g, g_alphas in gs:
         reps = decay_report(m, [f for _, f in fs], g, g_alphas, n_max=n_max, phi=phi)
         chains = convergence_reports(m, normalized_observable_density(g, phi),
@@ -698,16 +704,15 @@ def audit_correlation_decay(m: ExpandingMap, *, alphas=DEFAULT_ALPHAS,
                     f"worst side-density cap excess {worst_cap:.3e}")]
 
 
-@_audit("density-convergence", takes=("n_max", "resolution"))
-def audit_density_convergence(m: ExpandingMap, *, alphas=DEFAULT_ALPHAS,
-                              n_max: int = 60,
+@_audit("density-convergence")
+def audit_density_convergence(m: ExpandingMap, *, n_max: int = 60,
                               resolution: int = DEFAULT_RESOLUTION) -> AuditResult:
     """||L^n psi - phi||_1 against the 8 (1 + H) theta^(alpha n) envelope."""
     phi, _ = cached_invariant(m, resolution)
     worst = -np.inf
     ok = True
     for psi in density_family(resolution):
-        for rep in density_convergence_report(m, psi, alphas, n_max=n_max, phi=phi):
+        for rep in density_convergence_report(m, psi, DEFAULT_ALPHAS, n_max=n_max, phi=phi):
             ok = ok and rep.all_ok()
             worst = max(worst, float((rep.l1_err - rep.bound).max()))
     return Verdict(ok, f"worst l1 - bound = {worst:.3e}")
@@ -717,11 +722,11 @@ def audit_density_convergence(m: ExpandingMap, *, alphas=DEFAULT_ALPHAS,
 # map-independent audits
 
 
-@_audit("grid-quadrature", takes=("resolution",), per_map=False)
-def audit_quadrature(*, seed: int = 13, resolution: int = DEFAULT_RESOLUTION) -> AuditResult:
+@_audit("grid-quadrature")
+def audit_quadrature(*, resolution: int = DEFAULT_RESOLUTION) -> AuditResult:
     """Node-mean quadrature: linearity, monotonicity, the l1 triangle
     inequality, Hoelder scaling laws, and the refinement-rate check."""
-    rng = _rng(seed)
+    rng = _rng(13)
     checks = {}
     f, g, h = itertools.islice(_smooth_functions(rng, resolution), 3)
     lin = integrate(GridFunction(2.0 * f.values - 3.0 * g.values)) \
@@ -758,26 +763,24 @@ def _ks_uniform(u: np.ndarray) -> float:
                      (x - np.arange(0.0, n) / n).max()))
 
 
-@_audit("sampling", takes=("resolution",), per_map=False)
-def audit_sampling(*, seed: int = 14, draws: int = 100_000,
-                   resolution: int = DEFAULT_RESOLUTION) -> AuditResult:
-    """Inverse-CDF sampling: uniform KS distance, point-mass localization,
-    and bit-reproducibility under a fixed seed."""
-    rng = _rng(seed)
-    u = sample(uniform_density(resolution), rng, draws)
+@_audit("sampling")
+def audit_sampling(*, resolution: int = DEFAULT_RESOLUTION) -> AuditResult:
+    """Inverse-CDF sampling of 100000 draws: uniform KS distance, point-mass
+    localization, and bit-reproducibility under a fixed seed."""
+    u = sample(uniform_density(resolution), _rng(14), 100_000)
     ks = _ks_uniform(u)
     v = np.zeros(resolution)
     v[resolution // 3] = resolution
-    pt = sample(GridDensity(v), _rng(seed + 1), 1000)
+    pt = sample(GridDensity(v), _rng(15), 1000)
     loc = float(circle_distance(pt, (resolution // 3) / resolution).max())
-    again = sample(uniform_density(resolution), _rng(seed), draws)
+    again = sample(uniform_density(resolution), _rng(14), 100_000)
     repro = bool(np.array_equal(u, again))
     ok = ks < 0.01 and loc <= 1.0 / resolution and repro
     return Verdict(ok, f"KS {ks:.4f}, point-mass radius {loc:.2e}, "
                    f"reproducible={repro}")
 
 
-@_audit("constants-reference", per_map=False)
+@_audit("constants-reference")
 def audit_constants_reference() -> AuditResult:
     """The zero-curvature column of the ledger in closed form, plus the
     range invariants every ledger must satisfy."""
@@ -807,7 +810,7 @@ def audit_constants_reference() -> AuditResult:
     return Verdict(ok, f"failed: {bad}" if bad else "closed-form column reproduced")
 
 
-@_audit("constants-monotonic", per_map=False)
+@_audit("constants-monotonic")
 def audit_constants_monotonic() -> AuditResult:
     """Omega increases along the perturbation sweep (d2_sup up, lambda down)."""
     eps = np.linspace(0.01, 0.1, 10)
@@ -826,8 +829,9 @@ def run_all(m: ExpandingMap, *, seed: int = 42, trials: int = 100_000,
             resolution: int = DEFAULT_RESOLUTION, n_max: int = 60) -> list:
     """Every registered audit, one after another in registration order: the
     per-map ones on ``m``, then the map-independent ones.  Each gets only
-    the arguments it registered (its seed is otherwise its own) and is
-    called through its module attribute, so a patched attribute runs."""
+    the arguments its keyword-only parameters name (its seeds are otherwise
+    its own) and is called through its module attribute, so a patched
+    attribute runs."""
     given = {"seed": seed, "trials": trials, "resolution": resolution, "n_max": n_max}
     results = []
     for attr, count, takes, per_map in _AUDITS:

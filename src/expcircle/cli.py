@@ -32,7 +32,6 @@ from .audits import cos_observable, coupling_pair, run_all
 from .circle_map import linear_map, perturbed_map
 from .correlation_suite import decay_report
 from .coupling_lab import CHI2_BINS, _check_run_bytes, monte_carlo_coupling
-from .density_grid import _write_rows
 from .errors import ConfigError, ExpCircleError
 from .system_constants import compute_ledger
 from .transfer_operator import check_bytes, invariant_density
@@ -43,6 +42,7 @@ TOL_CEILING = 1e-6       # the loosest fixed-point tolerance invariant accepts
 # past epoch, so _check_run_bytes counts its steps at 640 bytes each, with
 # its files written: 0.64 GB here, inside even a 1 GiB memory cap.
 N_MAX_CEILING = 10**6
+ROWS_PER_WRITE = 4096    # CSV rows formatted per write
 # The flag of each tuning key but tol: (type, help).
 _FLAGS = {
     "alpha": (float, "Hoelder order in (0, 1] (default 1)"),
@@ -201,6 +201,20 @@ def _write_json(path: Path, payload) -> None:
 def _rows(names, values) -> list:
     """The columns ``values`` as one dict per row, keyed by ``names``."""
     return [dict(zip(names, row)) for row in zip(*(v.tolist() for v in values))]
+
+
+def _write_rows(path, header: str, row_format: str, data: np.ndarray) -> None:
+    """Write ``header``, then ``row_format % row`` for each row of the 2-D
+    ``data``, one line each: the bytes np.savetxt writes with the same
+    format, which applies the same ``%`` to the same doubles row by row.
+    Rows are formatted ROWS_PER_WRITE at a time, one ``%`` and one write
+    per block instead of one per row."""
+    line = row_format + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for s in range(0, len(data), ROWS_PER_WRITE):
+            block = data[s:s + ROWS_PER_WRITE]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def _write_table(out: Path, stem: str, columns, payload: dict) -> None:

@@ -6,13 +6,11 @@ piecewise-linear periodic interpolation in between; M is a power of two
 periodic linear interpolant exactly.  Grid functions are immutable and
 have no arithmetic: callers combine the ``values`` arrays and wrap the
 result.  Densities are nonnegative grid functions of unit mean, divided
-by their node mean on construction; operations that should preserve mass
-log a warning when the drift exceeds 1e-8.
+by their node mean on construction.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 
 import numpy as np
@@ -25,10 +23,6 @@ from .errors import (
 )
 
 DEFAULT_RESOLUTION = 4096
-DRIFT_WARN = 1e-8
-ROWS_PER_WRITE = 4096    # CSV rows formatted per write
-
-logger = logging.getLogger(__name__)
 
 
 class GridFunction:
@@ -330,9 +324,10 @@ def _cell_masses(psi: GridDensity) -> np.ndarray:
     return (v + np.roll(v, -1)) / (2.0 * psi.resolution)
 
 
-def sample(psi: GridDensity, rng: np.random.Generator, size=None):
-    """Draw from the density via inverse-CDF with linear interpolation of
-    the cumulative cell masses (trapezoid mass per cell, uniform within).
+def sample(psi: GridDensity, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw ``size`` points from the density via inverse-CDF with linear
+    interpolation of the cumulative cell masses (trapezoid mass per cell,
+    uniform within).
 
     The uniform draws are looked up in ascending order and the points
     scattered back to draw order.  Each point is computed from its own
@@ -347,7 +342,7 @@ def sample(psi: GridDensity, rng: np.random.Generator, size=None):
         raise NonPositiveDensity("cannot sample from zero mass")
     cum /= total
     cum[-1] = 1.0
-    u = rng.random(size if size is not None else 1)
+    u = rng.random(size)
     order = np.argsort(u)
     u = u[order]
     j = np.searchsorted(cum, u, side="right")
@@ -365,42 +360,4 @@ def sample(psi: GridDensity, rng: np.random.Generator, size=None):
     frac[frac >= 1.0] = 0.0
     x = np.empty_like(frac)
     x[order] = frac
-    return float(x[0]) if size is None else x
-
-
-def _write_rows(path, header: str, row_format: str, data: np.ndarray) -> None:
-    """Write ``header``, then ``row_format % row`` for each row of the 2-D
-    ``data``, one line each: the bytes np.savetxt writes with the same
-    format, which applies the same ``%`` to the same doubles row by row.
-    Rows are formatted ROWS_PER_WRITE at a time, one ``%`` and one write
-    per block instead of one per row."""
-    line = row_format + "\n"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for s in range(0, len(data), ROWS_PER_WRITE):
-            block = data[s:s + ROWS_PER_WRITE]
-            fh.write(line * len(block) % tuple(block.ravel().tolist()))
-
-
-def write_csv(f: GridFunction, path) -> None:
-    """Write the header x,value and one row x,value per node, each number
-    with 17 significant digits (%.17g, so every double reads back exactly);
-    the bytes equal np.savetxt's with that format."""
-    data = np.column_stack([f.nodes, f.values])
-    _write_rows(path, "x,value", "%.17g,%.17g", data)
-
-
-def read_csv(path) -> GridFunction:
-    """Read rows x,value; the x column must be the uniform grid j/M."""
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if rows.ndim != 2 or rows.shape[1] != 2:
-        raise ValueError("expected two columns x,value")
-    M = rows.shape[0]
-    expected = np.arange(M) / M
-    if M < 8 or M & (M - 1) or np.max(np.abs(rows[:, 0] - expected)) > 1e-12:
-        raise ValueError("x column is not a uniform power-of-two grid on [0, 1)")
-    return GridFunction(rows[:, 1])
-
-
-def read_density_csv(path) -> GridDensity:
-    return GridDensity(read_csv(path).values)
+    return x

@@ -24,6 +24,7 @@ that are audited at the 1e-10 scale.
 from __future__ import annotations
 
 import itertools
+import logging
 import os
 import weakref
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ from scipy import sparse
 
 from .circle_map import ExpandingMap
 from .density_grid import (
+    DEFAULT_RESOLUTION,
     GridDensity,
     GridFunction,
     inf_value,
@@ -45,10 +47,11 @@ from .density_grid import (
 from .errors import NoConvergence
 from .inverse_branches import _anchor_offset, _solve_lift
 from .system_constants import compute_ledger
-from . import density_grid
 
-DRIFT_WARN = density_grid.DRIFT_WARN
-logger = density_grid.logger
+DRIFT_WARN = 1e-8               # the mass drift past which apply logs a warning
+INVARIANT_MAX_ITER = 10_000     # invariant_density's step budget
+
+logger = logging.getLogger(__name__)
 
 
 # Bytes per stencil row that _build_operator holds at its peak: the 60 it
@@ -214,33 +217,38 @@ def _derivative_l1(f: GridDensity) -> float:
     return float(_central_differences(f.values).mean())
 
 
-def cesaro(m: ExpandingMap, psi: GridDensity, n_terms: int) -> GridDensity:
-    """Average of L^k psi over k = 0..n_terms-1."""
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
+def cesaro(m: ExpandingMap, psi: GridDensity, terms) -> list:
+    """The averages of L^k psi over k = 0..n-1, one per length n of
+    ``terms``, in its order, from one walk of L up to max(terms) - 1."""
+    if min(terms) < 1:
+        raise ValueError("every length must be >= 1")
     acc = np.array(psi.values)
-    for cur in itertools.islice(orbit(m, psi), 1, n_terms):
-        acc += cur.values
-    return GridDensity(acc / n_terms)
+    averages = {}
+    for n, cur in enumerate(itertools.islice(orbit(m, psi), max(terms)), 1):
+        if n > 1:
+            acc += cur.values
+        if n in terms:
+            averages[n] = GridDensity(acc / n)
+    return [averages[n] for n in terms]
 
 
 def invariant_density(
     m: ExpandingMap,
     *,
-    resolution: int = density_grid.DEFAULT_RESOLUTION,
+    resolution: int = DEFAULT_RESOLUTION,
     tol: float = 1e-12,
-    max_iter: int = 10_000,
     psi0: GridDensity | None = None,
 ):
     """Fixed point of L by forward iteration from the uniform density.
 
     Stops when the successive L1 difference falls below ``tol``; raises
-    NoConvergence when the budget runs out.  Returns (phi, diagnostics).
+    NoConvergence after INVARIANT_MAX_ITER steps.  Returns (phi,
+    diagnostics).
     """
     rows = []
     steps = itertools.islice(
         orbit(m, psi0 if psi0 is not None else uniform_density(resolution)),
-        max_iter + 1)
+        INVARIANT_MAX_ITER + 1)
     for cur, nxt in itertools.pairwise(steps):
         rows.append((l1_distance(nxt, cur), sup_norm(nxt), inf_value(nxt),
                      _derivative_l1(nxt)))
@@ -248,7 +256,7 @@ def invariant_density(
             return nxt, IterationDiagnostics(*np.array(rows).T)
         del cur     # so that only nxt is alive while its successor is made
     raise NoConvergence(
-        f"no fixed point within {max_iter} steps on {m!r}; "
+        f"no fixed point within {INVARIANT_MAX_ITER} steps on {m!r}; "
         f"last l1_diff = {rows[-1][0]:.3e}"
     )
 

@@ -8,6 +8,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import stats
 
 import expcircle.density_grid as density_grid
+from expcircle import cli
 from expcircle import (
     GridDensity,
     GridFunction,
@@ -21,12 +22,9 @@ from expcircle import (
     l1_distance,
     lipschitz_estimate,
     log_transform,
-    read_csv,
-    read_density_csv,
     sample,
     sup_norm,
     uniform_density,
-    write_csv,
 )
 from expcircle.audits import density_family, smooth_function
 
@@ -391,7 +389,7 @@ def test_sampling_is_reproducible():
     assert np.array_equal(a, b)
 
 
-def searchsorted_sample(psi, rng, size=None):
+def searchsorted_sample(psi, rng, size):
     """Inverse-CDF sampling searched and computed in draw order."""
     v = psi.values
     M = psi.resolution
@@ -400,21 +398,20 @@ def searchsorted_sample(psi, rng, size=None):
     total = cum[-1]
     cum /= total
     cum[-1] = 1.0
-    u = rng.random(size if size is not None else 1)
+    u = rng.random(size)
     j = np.searchsorted(cum, u, side="right") - 1
     j = np.clip(j, 0, M - 1)
     cell = masses[j] / total
     frac = np.where(cell > 0, (u - cum[j]) / np.where(cell > 0, cell, 1.0), 0.0)
     x = (j + frac) / M
-    x = np.where(x >= 1.0, 0.0, x)
-    return float(x[0]) if size is None else x
+    return np.where(x >= 1.0, 0.0, x)
 
 
 def _bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
 
 
-@pytest.mark.parametrize("size", [None, 1, 7, 100_000])
+@pytest.mark.parametrize("size", [1, 7, 100_000])
 def test_sample_equals_draw_order_search_bit_for_bit(size):
     half = np.maximum(COS, 0.0)              # no mass on half the circle
     spike = np.zeros(M)
@@ -426,24 +423,7 @@ def test_sample_equals_draw_order_search_bit_for_bit(size):
         assert np.array_equal(_bits(got), _bits(want))
 
 
-def test_csv_roundtrip_is_exact(tmp_path):
-    rng = np.random.Generator(np.random.Philox(key=103))
-    f = GridFunction(rng.normal(size=256))
-    path = tmp_path / "f.csv"
-    write_csv(f, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "x,value"
-    g = read_csv(path)
-    assert np.array_equal(f.values, g.values)  # %.17g is lossless for float64
-
-    psi = GridDensity(np.exp(0.3 * np.cos(2 * np.pi * np.arange(256) / 256)))
-    write_csv(psi, path)
-    back = read_density_csv(path)
-    assert isinstance(back, GridDensity)
-    assert np.max(np.abs(back.values - psi.values)) < 1e-15
-
-
-ROWS = density_grid.ROWS_PER_WRITE
+ROWS = cli.ROWS_PER_WRITE
 CSV_SPECIALS = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2e-310,
                          1e16, 0.1, -1.0 / 3.0])
 CSV_LAYOUTS = {   # the row formats the CLI writes, and each column's kind
@@ -471,7 +451,7 @@ def test_block_writer_matches_savetxt(tmp_path, layout, rows):
             columns.append(v)
     data = np.column_stack(columns)
     header = ",".join(f"c{i}" for i in range(len(kinds)))
-    density_grid._write_rows(tmp_path / "block.csv", header, row_format, data)
+    cli._write_rows(tmp_path / "block.csv", header, row_format, data)
     np.savetxt(tmp_path / "savetxt.csv", data, fmt=row_format.split(","),
                delimiter=",", header=header, comments="")
     written = (tmp_path / "block.csv").read_bytes()

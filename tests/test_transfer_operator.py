@@ -64,7 +64,7 @@ def test_apply_is_the_normalized_raw_image(bent, caplog):
     for _ in range(3):
         raw = apply_function(bent, psi)
         caplog.clear()
-        with caplog.at_level("WARNING", logger=density_grid.logger.name):
+        with caplog.at_level("WARNING", logger=transfer_operator.logger.name):
             out = apply(bent, psi)
         drift = abs(integrate(raw) - 1.0)
         assert [r.getMessage() for r in caplog.records] == (
@@ -130,12 +130,24 @@ def test_duality_with_composition(bent, bent_phi):
 
 def test_cesaro_average_nearly_fixed(bent):
     psi = smooth_density(7)
-    for n in (5, 25):
-        avg = cesaro(bent, psi, n)
+    for n, avg in zip((5, 25), cesaro(bent, psi, (5, 25)), strict=True):
         moved = l1_distance(apply(bent, avg), avg)
         assert moved <= 2.0 / n + 1e-10
     with pytest.raises(ValueError):
-        cesaro(bent, psi, 0)
+        cesaro(bent, psi, (0,))
+
+
+def test_cesaro_averages_every_length_from_one_walk(bent, count_work):
+    psi = smooth_density(7)
+    counts = count_work()
+    got = cesaro(bent, psi, (25, 1, 5))
+    assert counts["apply"] == 24
+    # each average has the bits of its own walk, summed from L^0 psi up
+    for n, avg in zip((25, 1, 5), got, strict=True):
+        acc = np.array(psi.values)
+        for cur in itertools.islice(orbit(bent, psi), 1, n):
+            acc += cur.values
+        assert np.array_equal(avg.values, GridDensity(acc / n).values)
 
 
 def test_doubling_preserves_lebesgue(doubling):
@@ -161,9 +173,10 @@ def test_invariant_density_is_fixed_and_unique(bent):
     assert l1_distance(phi, other) < 1e-8
 
 
-def test_invariant_density_budget(bent):
-    with pytest.raises(NoConvergence):
-        invariant_density(bent, max_iter=1)
+def test_invariant_density_budget(bent, monkeypatch):
+    monkeypatch.setattr(transfer_operator, "INVARIANT_MAX_ITER", 1)
+    with pytest.raises(NoConvergence, match="within 1 steps"):
+        invariant_density(bent)
 
 
 def orbit_inputs():
