@@ -680,7 +680,8 @@ def audit_correlation_decay(m: ExpandingMap, *, n_max: int = 60,
     worst_cap = -np.inf
     fs, gs = observable_family(resolution, DEFAULT_ALPHAS)
     for g_label, g, g_alphas in gs:
-        reps = decay_report(m, [f for _, f in fs], g, g_alphas, n_max=n_max, phi=phi)
+        reps = decay_report(m, [f for _, f in fs], g, g_alphas, n_max=n_max, phi=phi,
+                            full_side_walk=True)
         chains = convergence_reports(m, normalized_observable_density(g, phi),
                                      reps[0][0].side_l1, [r.ledger for r, *_ in reps])
         for a, per_f, chain in zip(g_alphas, reps, chains, strict=True):

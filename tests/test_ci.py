@@ -51,3 +51,8 @@ def test_ci_gates_every_benchmark_workload():
     assert re.search(r"for w in ([^;]+);", gate).group(1).split() == workloads
     assert 'perfbench/run.py --workload "$w" --seconds 1 | tail -n 1' in gate
     assert 'r["correct"] is True and r["failed"] == 0' in gate
+
+
+def test_ci_job_has_a_time_limit():
+    # without one a runaway run holds the job for GitHub's default 6 hours
+    assert tier1_job()["timeout-minutes"] == 20

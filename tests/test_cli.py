@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import math
 import os
 import re
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import expcircle
-from expcircle import coupling_lab
+from expcircle import coupling_lab, correlation_suite
 from expcircle.audits import (MASS_TOL, PAIR_SLACK, cos_observable, coupling_pair,
                               standard_maps)
 from expcircle.circle_map import linear_map
@@ -714,6 +715,32 @@ def test_coarse_grid_decay_passes_its_invariance_check(tmp_path, m, resolution):
     cfg = write_config(tmp_path, {"map": config})
     assert main(["decay", "--config", cfg, "--resolution", str(resolution),
                  "--out", str(tmp_path)]) == 0
+
+
+def test_decay_drift_lines_do_not_grow_with_the_horizon(tmp_path, caplog):
+    # the side density is walked only while |corr_n| is above the reduction
+    # slack, so a longer horizon adds no steps to it and no drift lines
+    drifts = []
+    for n_max in ("100", "1000"):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="expcircle"):
+            assert main(["decay", "--resolution", "16", "--n-max", n_max,
+                         "--out", str(tmp_path)]) == 0
+        drifts.append(sum("mass drift" in r.getMessage() for r in caplog.records))
+    assert drifts[0] == drifts[1] > 0
+
+
+def test_decay_exits_four_on_a_side_density_defect(tmp_path, monkeypatch, capsys):
+    # psi_g replaced by phi: the side errors vanish, so the reduction check
+    # (not the envelope) fails at n = 0, where corr_0 is the variance of cos
+    monkeypatch.setattr(correlation_suite, "normalized_observable_density",
+                        lambda g, phi: phi)
+    assert main(["decay", "--n-max", "12", "--out", str(tmp_path)]) == 4
+    assert "decay bound violated" in capsys.readouterr().err
+    assert json.loads((tmp_path / "decay.json").read_text())["summary"]["all_ok"] is False
+    f = cos_observable(1024)
+    (rep,), = decay_report(make_map(RunConfig()), [f], f, (1.0,), n_max=60)
+    assert np.all(rep.ok) and not rep.reduction_ok[0]
 
 
 @pytest.mark.parametrize("config", [{"family": "linear", "w": 20000},

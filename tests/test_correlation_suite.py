@@ -13,10 +13,13 @@ from expcircle import (
     decay_report,
     density_convergence_report,
     integrate,
+    invariant_density,
     normalized_observable_density,
     perturbed_map,
     uniform_density,
 )
+from expcircle.audits import cos_observable, standard_maps
+from expcircle.correlation_suite import REDUCTION_SLACK
 
 M = 4096
 X = np.arange(M) / M
@@ -165,3 +168,35 @@ def test_density_convergence_bound_tracks_holder(doubling):
     assert rep.all_ok()
     # uniform in one application of L: frequency one dies instantly
     assert np.max(rep.l1_err[1:]) < 1e-12
+
+
+@pytest.mark.parametrize("m", standard_maps(), ids=repr)
+def test_side_density_is_walked_only_as_far_as_the_check_can_fail(count_work, m):
+    cos = cos_observable(1024)
+    phi, _ = invariant_density(m, resolution=1024)
+    counts = count_work()
+    (rep,), = decay_report(m, [cos], cos, (1.0,), n_max=60, phi=phi)
+    need = int(np.flatnonzero(np.abs(rep.corr) > REDUCTION_SLACK)[-1])
+    assert need < 60
+    # the invariance check, 60 steps of g phi and psi_g's steps to n = need;
+    # a whole side walk makes 60 of them
+    assert counts["apply"] == 1 + 60 + need
+    assert rep.side_l1.size == need + 1
+    counts = count_work()
+    (whole,), = decay_report(m, [cos], cos, (1.0,), n_max=60, phi=phi,
+                             full_side_walk=True)
+    assert counts["apply"] == 1 + 60 + 60
+    assert whole.side_l1.size == 61
+    assert np.array_equal(whole.side_l1[:need + 1], rep.side_l1)
+    assert_same_report(dataclasses.replace(whole, side_l1=rep.side_l1), rep)
+
+
+def test_short_horizon_walks_the_side_density_to_its_end():
+    m = perturbed_map(2, 0.1)
+    cos = cos_observable(1024)
+    phi, _ = invariant_density(m, resolution=1024)
+    (rep,), = decay_report(m, [cos], cos, (1.0,), n_max=3, phi=phi)
+    assert abs(rep.corr[-1]) > REDUCTION_SLACK
+    assert rep.side_l1.size == 4
+    assert rep.all_ok()
+
