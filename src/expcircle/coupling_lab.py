@@ -31,20 +31,35 @@ from .errors import AuditViolation, FloorViolation
 from .system_constants import ConstantsLedger, compute_ledger, hoelder_class_check
 from .transfer_operator import apply, check_bytes
 
+# Slack on tv_true against each envelope.  It must cover tv_true's float
+# floor, the node-mean L1 distance of two iterates that agree up to
+# rounding, and the gap between the grid operator and L, whose stencil
+# remainder is of order M^-4 per step.  Neither has a derived bound: 5e-6
+# is no error model.  Measured on the five standard maps at M = 1024 and
+# 4096 over 200 steps: the floor is at most 2.7e-16, and tv_true stays
+# below both envelopes, which stay above 7.7e-5, so the slack is not used.
 DETERMINISTIC_SLACK = 5e-6
+# Tolerance on the L1 error of each epoch's reconstruction
+# weight * residual + (1 - weight) * rho of the direct iterate.  In exact
+# arithmetic the identity holds while the grid operator conserves mass;
+# the floats add each step's rounding and the difference of the mass
+# drifts that apply divides out (logged past DRIFT_WARN = 1e-8), which no
+# bound covers.  Measured on the same runs: at most 5.0e-16.
 RECONSTRUCTION_TOL = 1e-8
 # A marginal chi-square p-value at or below this fails a Monte-Carlo run.
 CHI2_P_FLOOR = 1e-4
 CHI2_BINS = 64
 # Bytes a Monte-Carlo run holds, estimated from above.  Per trial: x, y,
 # four masks (coupled; and per epoch: equal at its start, newly coupled,
-# tails) and, at the peak, sample's temporaries for the regenerated pairs
-# (draws, their order, cell indices and masses, the points: about 42).
+# tails) and, at the peak, sample's temporaries for the regenerated pairs:
+# the draws, which become the points, their cell indices, cell masses and
+# gathered CDF values, and two masks (about 34; the guide table is per cell,
+# not per draw).
 # Per step: six 8-byte series (n, k, tv, the two bounds, the mismatch),
 # the final checks' temporaries and, at one-step epochs, the epoch's two
 # chi-square records; the coupling command adds its CSV columns and
 # streams its JSON.  No past epoch's grids or coins are kept.
-# tracemalloc: about 60 bytes a trial (200k trials, perturbed{2,0.05},
+# tracemalloc: about 55 bytes a trial (200k trials, perturbed{2,0.05},
 # M = 4096, 50 steps); the whole coupling command, its files written,
 # peaks 610 bytes a step higher at 16384 steps than at 8192 (1000 trials,
 # M = 64) on perturbed{100,1}, whose epochs are one step long, and 101 and
@@ -266,6 +281,16 @@ def monte_carlo_coupling(
     if n_max is None:
         n_max = 5 * led.n_big_k
     _check_run_bytes(trials, n_max)
+    # The trials are independent, and a pair is counted unequal at step n
+    # exactly when it is uncoupled (its points were drawn apart, and the
+    # count is taken at the epoch's start), with probability
+    # p_n <= (1 - a)^k.  The mismatch is a mean of trials Bernoulli(p_n)
+    # draws.  By Hoeffding it passes p_n + slack, failing the envelope
+    # check, with probability at most exp(-2 trials slack^2) = exp(-50).
+    # Since tv <= 2 p_n (the coupling inequality), the check
+    # tv <= 2 mismatch + slack fails only if the mismatch falls below
+    # p_n - slack / 2, with probability at most exp(-12.5) = 3.7e-6.  Both
+    # hold per epoch, as the mismatch is constant within one.
     slack = 5.0 / np.sqrt(trials)
     epochs = _coupling_epochs(m, psi1, psi2, alpha, n_max)
     det = next(epochs)

@@ -324,16 +324,27 @@ def _cell_masses(psi: GridDensity) -> np.ndarray:
     return (v + np.roll(v, -1)) / (2.0 * psi.resolution)
 
 
+# Advance rounds that sample makes from its guide table before it searches
+# for the draws still unresolved.
+GUIDE_ROUNDS = 4
+
+
 def sample(psi: GridDensity, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw ``size`` points from the density via inverse-CDF with linear
     interpolation of the cumulative cell masses (trapezoid mass per cell,
     uniform within).
 
-    The uniform draws are looked up in ascending order and the points
-    scattered back to draw order.  Each point is computed from its own
-    draw alone, so the order changes no bit; sorted keys make the binary
-    search's branches predictable and its loads local (about half the
-    time at 100k draws, the sort included)."""
+    A draw u falls in cell j, the last CDF index with cum[j] <= u, which
+    is np.searchsorted(cum, u, side="right") - 1.  A guide table gives a
+    start for it: start[k], the last CDF index at or below k/M, is at most
+    j for every u in [k/M, (k+1)/M), since u * M is exact.  As the CDF is
+    nondecreasing, j is then start[k] advanced while cum[j + 1] <= u.  Each
+    round advances every draw at once, and on a density of moderate
+    maximum a round or two resolve them all.  After GUIDE_ROUNDS rounds
+    the draws still unresolved are searched, so that a CDF that crawls for
+    many cells (a density near 0 on half the circle) costs no round per
+    cell.  Each cell index, and so each point, is the searched one, bit
+    for bit."""
     M = psi.resolution
     masses = _cell_masses(psi)
     cum = np.concatenate([[0.0], np.cumsum(masses)])
@@ -342,12 +353,19 @@ def sample(psi: GridDensity, rng: np.random.Generator, size: int) -> np.ndarray:
         raise NonPositiveDensity("cannot sample from zero mass")
     cum /= total
     cum[-1] = 1.0
+    right = cum[1:]                     # the CDF at each cell's right end
+    start = np.searchsorted(cum, np.arange(M) / M, side="right")
+    start -= 1
     u = rng.random(size)
-    order = np.argsort(u)
-    u = u[order]
-    j = np.searchsorted(cum, u, side="right")
-    j -= 1
-    np.clip(j, 0, M - 1, out=j)
+    j = start[(u * M).astype(np.intp)]
+    for _ in range(GUIDE_ROUNDS):
+        step = right[j] <= u
+        if not step.any():
+            break
+        j += step
+    else:                               # still moving after every round
+        moving = np.flatnonzero(right[j] <= u)
+        j[moving] = np.searchsorted(cum, u[moving], side="right") - 1
     cell = masses[j]
     cell /= total
     # the fraction of the cell below u, 0 in a cell of no mass
@@ -358,6 +376,4 @@ def sample(psi: GridDensity, rng: np.random.Generator, size: int) -> np.ndarray:
     frac += j
     frac /= M
     frac[frac >= 1.0] = 0.0
-    x = np.empty_like(frac)
-    x[order] = frac
-    return x
+    return frac

@@ -152,21 +152,31 @@ def _operator(m: ExpandingMap, resolution: int):
 
 
 def apply_function(m: ExpandingMap, f: GridFunction) -> GridFunction:
-    """L f without any renormalization; preserves node-wise nonnegativity."""
+    """L f without any renormalization; preserves node-wise nonnegativity:
+    E f is clamped at zero when f is a density, nonnegative by
+    construction, or has no negative node value.  The one image kernel of
+    the package: apply goes through it too."""
     E, wgt = _operator(m, f.resolution)
     v = f.values
     ev = E @ v
-    if v.min() >= 0.0:
+    if isinstance(f, GridDensity) or v.min() >= 0.0:
         np.maximum(ev, 0.0, out=ev)
     ev = ev.reshape(wgt.shape)
     ev *= wgt
-    return _owned(ev.sum(axis=0))
+    # the branches added in order: the floats of ev.sum(axis=0), without
+    # its reduction machinery
+    raw = ev[0] + ev[1]
+    for row in ev[2:]:
+        raw += row
+    return _owned(raw)
 
 
 def apply(m: ExpandingMap, psi: GridDensity) -> GridDensity:
     """L psi, renormalized to unit mean (mass drift is logged past 1e-8)."""
     raw = apply_function(m, psi).values
-    mean = float(raw.mean())    # integrate(), taken once for both uses
+    # integrate(), taken once for both uses: the float of raw.mean(), the
+    # same pairwise sum divided by M, without mean's wrapper
+    mean = float(raw.sum()) / raw.size
     drift = abs(mean - 1.0)
     if drift > DRIFT_WARN:
         logger.warning(

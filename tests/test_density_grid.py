@@ -389,15 +389,21 @@ def test_sampling_is_reproducible():
     assert np.array_equal(a, b)
 
 
-def searchsorted_sample(psi, rng, size):
-    """Inverse-CDF sampling searched and computed in draw order."""
+def reference_cdf(psi):
+    """(cell masses, their normalized cumulative sums from 0 to 1, total)."""
     v = psi.values
-    M = psi.resolution
-    masses = (v + np.roll(v, -1)) / (2.0 * M)
+    masses = (v + np.roll(v, -1)) / (2.0 * psi.resolution)
     cum = np.concatenate([[0.0], np.cumsum(masses)])
     total = cum[-1]
     cum /= total
     cum[-1] = 1.0
+    return masses, cum, total
+
+
+def searchsorted_sample(psi, rng, size):
+    """Inverse-CDF sampling searched and computed in draw order."""
+    M = psi.resolution
+    masses, cum, total = reference_cdf(psi)
     u = rng.random(size)
     j = np.searchsorted(cum, u, side="right") - 1
     j = np.clip(j, 0, M - 1)
@@ -411,16 +417,58 @@ def _bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
 
 
-@pytest.mark.parametrize("size", [1, 7, 100_000])
+def guide_table_densities(m):
+    """Densities at resolution m that the guide table must get right."""
+    x = np.arange(m) / m
+    cos = np.cos(2 * np.pi * x)
+    spike = np.zeros(m)
+    spike[m - 1] = 1.0                       # mass only in the wrapping cells
+    first_half = x < 0.5
+    return (1.0 + 0.5 * cos,
+            np.maximum(cos, 0.0),            # no mass on half the circle
+            spike,
+            # the CDF crawls over the first half: a draw below 2/m starts
+            # up to m/4 cells short of its own
+            np.where(first_half, 2.0 / m, 1.0),
+            np.where(first_half, 1e-12, 1.0))
+
+
+@pytest.mark.parametrize("size", [0, 1, 7, 100_000])
 def test_sample_equals_draw_order_search_bit_for_bit(size):
-    half = np.maximum(COS, 0.0)              # no mass on half the circle
-    spike = np.zeros(M)
-    spike[M - 1] = 1.0                       # mass only in the wrapping cells
-    for psi in (GridDensity(1.0 + 0.5 * COS), GridDensity(half), GridDensity(spike)):
-        got = sample(psi, np.random.Generator(np.random.Philox(key=17)), size)
-        want = searchsorted_sample(psi, np.random.Generator(np.random.Philox(key=17)), size)
-        assert type(got) is type(want)
-        assert np.array_equal(_bits(got), _bits(want))
+    for m in (8, M, 65536):
+        for values in guide_table_densities(m):
+            psi = GridDensity(values)
+            got = sample(psi, np.random.Generator(np.random.Philox(key=17)), size)
+            want = searchsorted_sample(psi, np.random.Generator(np.random.Philox(key=17)),
+                                       size)
+            assert type(got) is type(want) and got.shape == (size,)
+            assert np.array_equal(_bits(got), _bits(want))
+
+
+class FixedDraws:
+    """A stand-in generator whose random(size) returns the given draws."""
+
+    def __init__(self, draws):
+        self.draws = draws
+
+    def random(self, size):
+        assert size == self.draws.size
+        return self.draws.copy()
+
+
+def test_sample_resolves_draws_on_cdf_values_like_the_search():
+    # a draw equal to a CDF value, or to a guide-table key k/m, belongs to
+    # the last cell starting at or below it; random draws almost never hit
+    # one
+    for m in (8, M, 65536):
+        for values in guide_table_densities(m):
+            psi = GridDensity(values)
+            cum = reference_cdf(psi)[1]
+            draws = np.concatenate([cum, np.nextafter(cum, 0.0), np.arange(m) / m])
+            draws = draws[draws < 1.0]
+            got = sample(psi, FixedDraws(draws), draws.size)
+            want = searchsorted_sample(psi, FixedDraws(draws), draws.size)
+            assert np.array_equal(_bits(got), _bits(want))
 
 
 ROWS = cli.ROWS_PER_WRITE

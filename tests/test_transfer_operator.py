@@ -26,6 +26,7 @@ from expcircle import (
     l1_distance,
     linear_map,
     orbit,
+    perturbed_map,
     sup_norm,
     uniform_density,
 )
@@ -73,6 +74,36 @@ def test_apply_is_the_normalized_raw_image(bent, caplog):
         assert np.array_equal(out.values, GridDensity(raw.values).values)
         psi = out
     assert drift > transfer_operator.DRIFT_WARN
+
+
+@pytest.mark.parametrize("w", [2, 3])
+def test_apply_function_is_the_clamped_branch_sum_bit_for_bit(w):
+    # the branches added in order are the floats of the (w, M) reduction,
+    # and a density's image is clamped like any nonnegative input's
+    m = perturbed_map(w, 0.05)
+    E, wgt = transfer_operator._operator(m, M)
+    rough = np.abs(np.random.Generator(np.random.Philox(key=w)).normal(size=M))
+    for f in (GridFunction(cos_k(1) + 0.3 * cos_k(5)), GridFunction(rough),
+              GridDensity(rough), smooth_density(w)):
+        ev = E @ f.values
+        if f.values.min() >= 0.0:
+            ev = np.maximum(ev, 0.0)
+        want = (ev.reshape(wgt.shape) * wgt).sum(axis=0)
+        got = apply_function(m, f).values
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_apply_leaves_its_input_and_returns_a_read_only_image(bent):
+    psi = smooth_density(3)
+    before = psi.values.copy()
+    for step in (apply, apply_function):
+        out = step(bent, psi)
+        assert np.array_equal(psi.values.view(np.int64), before.view(np.int64))
+        assert not out.values.flags.writeable
+        assert not np.shares_memory(out.values, psi.values)
+        with pytest.raises(ValueError):
+            out.values[0] = 1.0
+    assert type(apply(bent, psi)) is GridDensity
 
 
 def test_positivity_is_exact(bent):
@@ -384,8 +415,9 @@ def test_non_finite_products_are_refused(monkeypatch):
         poisoned = wgt.copy()
         poisoned[1, 7] = bad
         monkeypatch.setitem(transfer_operator._OPERATORS[m], M, (E, poisoned))
-        with pytest.raises(ValueError, match="grid values must be finite"):
-            apply_function(m, GridFunction(cos_k(1)))
+        for f in (GridFunction(cos_k(1)), uniform_density(M)):
+            with pytest.raises(ValueError, match="grid values must be finite"):
+                apply_function(m, f)
         with pytest.raises(ValueError, match="grid values must be finite"):
             apply(m, uniform_density(M))
         raw = np.ones(M)
