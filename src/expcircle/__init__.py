@@ -62,10 +62,6 @@ from .errors import (
     Violation,
     ZeroObservable,
 )
-from .inverse_branches import (
-    inverse_weight_sum,
-    preimages,
-)
 from .system_constants import (
     ConstantsLedger,
     compute_ledger,

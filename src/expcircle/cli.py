@@ -31,7 +31,7 @@ import numpy as np
 from .audits import cos_observable, coupling_pair, run_all
 from .circle_map import linear_map, perturbed_map
 from .correlation_suite import decay_report
-from .coupling_lab import CHI2_BINS, _check_run_bytes, monte_carlo_coupling
+from .coupling_lab import CHI2_BINS, DEFAULT_EPOCHS, _check_run_bytes, monte_carlo_coupling
 from .errors import ConfigError, ExpCircleError
 from .system_constants import compute_ledger
 from .transfer_operator import check_bytes, invariant_density
@@ -49,7 +49,7 @@ _FLAGS = {
     "resolution": (int, "grid nodes, power of two (default 4096)"),
     "seed": (int, "RNG seed (default 42)"),
     "trials": (int, "Monte-Carlo trials (default 100000)"),
-    "n_max": (int, "step horizon (default: 60, coupling: 5 epochs)"),
+    "n_max": (int, f"step horizon (default: 60, coupling: {DEFAULT_EPOCHS} epochs)"),
 }
 # Each map family: its constructor and the map keys it reads besides
 # family, in the constructor's argument order.
@@ -289,9 +289,9 @@ def cmd_decay(cfg: RunConfig) -> int:
 def cmd_coupling(cfg: RunConfig) -> int:
     m = make_map(cfg)
     n_max = cfg.n_max
-    if n_max is None:   # five epochs, held to the same ceiling as --n-max
-        n_max = 5 * compute_ledger(m, cfg.alpha).n_big_k
-        _check_n_max(n_max, "the default n_max of 5 epochs")
+    if n_max is None:   # held to the same ceiling as --n-max
+        n_max = DEFAULT_EPOCHS * compute_ledger(m, cfg.alpha).n_big_k
+        _check_n_max(n_max, f"the default n_max of {DEFAULT_EPOCHS} epochs")
     psi1, psi2 = coupling_pair(cfg.resolution)
     trace = monte_carlo_coupling(m, psi1, psi2, cfg.alpha, n_max,
                                  trials=cfg.trials, seed=cfg.seed)

@@ -46,6 +46,8 @@ DETERMINISTIC_SLACK = 5e-6
 # drifts that apply divides out (logged past DRIFT_WARN = 1e-8), which no
 # bound covers.  Measured on the same runs: at most 5.0e-16.
 RECONSTRUCTION_TOL = 1e-8
+# Epochs of N_K steps in a Monte-Carlo coupling run's default horizon.
+DEFAULT_EPOCHS = 5
 # A marginal chi-square p-value at or below this fails a Monte-Carlo run.
 CHI2_P_FLOOR = 1e-4
 CHI2_BINS = 64
@@ -279,7 +281,7 @@ def monte_carlo_coupling(
     """
     led = compute_ledger(m, alpha)
     if n_max is None:
-        n_max = 5 * led.n_big_k
+        n_max = DEFAULT_EPOCHS * led.n_big_k
     _check_run_bytes(trials, n_max)
     # The trials are independent, and a pair is counted unequal at step n
     # exactly when it is uncoupled (its points were drawn apart, and the

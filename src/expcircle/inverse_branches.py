@@ -1,4 +1,4 @@
-"""Inverse-branch machinery: single-step preimages and the pullback tree.
+"""Inverse-branch machinery: the single-step root solve and the pullback tree.
 
 Depth-n preimages are always composed from single-step pullbacks; nothing
 here inverts the n-fold composition directly.  Every depth-n caller goes
@@ -15,7 +15,6 @@ step first).
 from __future__ import annotations
 
 import operator
-from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -32,6 +31,11 @@ MAX_DEPTH = 12
 RESIDUAL_TOL = 1e-12
 RESIDUAL_ULPS = 2
 NEWTON_BUDGET = 80
+
+
+def _residual_tol(t):
+    """The stop rule's bound on |F(y) - t| at target t."""
+    return np.maximum(RESIDUAL_TOL, RESIDUAL_ULPS * np.spacing(np.abs(t)))
 
 
 def _anchor_offset(m: ExpandingMap) -> float:
@@ -51,7 +55,7 @@ def _solve_lift(m: ExpandingMap, target, lo=0.0, hi=2.0):
     t = np.atleast_1d(np.asarray(target, dtype=float))
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    tol = np.maximum(RESIDUAL_TOL, RESIDUAL_ULPS * np.spacing(np.abs(t)))
+    tol = _residual_tol(t)
     # one lift per bracket end, however many targets share it
     if np.any(m.lift(lo) - t > tol) or np.any(m.lift(hi) - t < -tol):
         raise RootFindingFailure("bracket does not enclose the target")
@@ -71,14 +75,6 @@ def _solve_lift(m: ExpandingMap, target, lo=0.0, hi=2.0):
     raise RootFindingFailure(
         f"residual {np.max(np.abs(m.lift(y) - t)):.3e} after {NEWTON_BUDGET} iterations"
     )
-
-
-def preimages(m: ExpandingMap, x):
-    """All single-step preimages of x as ((b,), point) pairs, sorted by
-    point: the ends of a depth-one ``walk``."""
-    ends = walk(m, [(b,) for b in range(m.winding)], float(x))
-    return sorted(((end.path, float(end.u[0])) for end in ends),
-                  key=lambda p: p[1])
 
 
 class Pullback(NamedTuple):
@@ -177,20 +173,6 @@ def walk(m: ExpandingMap, paths, x, y=None):
 
 def _pullback(node: _Node) -> Pullback:
     pts, gap, prod = node.pts, node.gap, node.prod
-    if gap is None:
-        return Pullback(node.path, pts[0], prod[0])
-    return Pullback(node.path, pts[0], prod[0], pts[1], prod[1], np.abs(gap))
+    pair = () if gap is None else (pts[1], prod[1], np.abs(gap))
+    return Pullback(node.path, pts[0], prod[0], *pair)
 
-
-def inverse_weight_sum(m: ExpandingMap, x, depth: int):
-    """sum over depth-n branches of 1 / (T^n)' at the branch preimage.
-
-    This is the depth-n transfer of the constant one density, evaluated by
-    exhaustive branch enumeration: its node mean is 1 (mass conservation)
-    and it equals 1 pointwise exactly when T'' = 0.  Vectorized over base
-    points; the branches are summed in lexicographic path order.
-    """
-    total = 0.0
-    for end in walk(m, product(range(m.winding), repeat=depth), x):
-        total += 1.0 / end.du
-    return float(total[0]) if np.ndim(x) == 0 else total

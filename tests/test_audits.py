@@ -115,7 +115,26 @@ def test_arc_expansion_solves_above_the_anchor():
 def test_partition_audit_reports_arc_mass_and_route_defects(doubling):
     res = audit_partition(doubling)
     assert res.ok
-    assert "arc defect" in res.detail and "route mismatch" in res.detail
+    assert "arc band excess" in res.detail and "route mismatch" in res.detail
+
+
+@pytest.mark.parametrize("m", [linear_map(2), linear_map(3)], ids=repr)
+def test_partition_fails_when_a_depth_one_preimage_moves(m, monkeypatch):
+    # branch 0's depth-one preimages move by 1e-3 and keep their
+    # derivative products, so only the arc band can catch it: the arcs'
+    # lengths still sum to 1
+    calls = []
+
+    def moved(*args):
+        calls.append(args)
+        for end in inverse_branches.walk(*args):
+            yield end._replace(u=end.u + 1e-3) if end.path == (0,) else end
+
+    monkeypatch.setattr(audits, "walk", moved)
+    res = audit_partition(m)
+    assert not res.ok
+    assert res.detail.startswith("worst arc band excess 1.0e-03, ")
+    assert len(calls) == 1
 
 
 def test_run_all_roster_and_forwarding(monkeypatch):

@@ -61,19 +61,19 @@ GOLDEN = {
         "coupling.json": "b5b88c3533f453dde9edf5d0e37f4c2e638412bc36f3a24746f508d6fe988c3b",
     },
     "verify on linear{2}": {
-        "verify.json": "9ee0b88da25abdcc50fcd791ef3071f156f1871ddc9e2ace8e9921fc1c9e099b",
+        "verify.json": "46d43a277424c4ca22cc3a39a8f65cc4c8a278e17fa2461ab15e325722de939a",
     },
     "verify on linear{3}": {
-        "verify.json": "16e5f0769f5ff673525340f7c9860ea663c38921a1fb0d1583652ffa7130dd5c",
+        "verify.json": "cfbc8548a31008de1b5c029b15bb63b521d6c7ac5ba6fe3389028970791ff5ec",
     },
     "verify on perturbed{2,0.02}": {
-        "verify.json": "0e25963eb3daeee3e6b28e888201a4b169c9f57139cbc5916db83614485acd1c",
+        "verify.json": "c2d2e7c41cf8064c73b3d37d447010f9c3b69d5a13ca41686f632e96d5f4655f",
     },
     "verify on perturbed{2,0.05}": {
-        "verify.json": "3c9a1a6845c47b2435fedc952d1a9b58810c09aab4f4c64f7e8bc3664e6f34b2",
+        "verify.json": "34c044e6086db90f7e23ad7f760089358c12d9abdd1501bbb875026b0f727c75",
     },
     "verify on perturbed{2,0.1}": {
-        "verify.json": "340b1fff3fc70d69ff69e8f716a773fdf49e479e594af010413293ad95b84901",
+        "verify.json": "769574f53195721ae698ffcf90be056221db9b4c983559d6866035261a18731d",
     },
 }
 

@@ -26,7 +26,7 @@ from expcircle import (
     sup_norm,
     uniform_density,
 )
-from expcircle.audits import density_family, smooth_function
+from expcircle.audits import _smooth_functions, density_family
 
 M = 4096
 X = np.arange(M) / M
@@ -148,7 +148,7 @@ def test_holder_profile_matches_every_node_pair(res):
         *(log_transform(psi) for psi in densities),
         GridFunction(dist0**0.3),
         GridFunction(dist0),  # for alpha < 1 its sup is at the antipodal lag M/2
-        smooth_function(rng, res),
+        next(_smooth_functions(rng, res)),
         GridFunction(rng.normal(size=res)),
         GridFunction(np.full(res, 2.5)),
     ]

@@ -9,9 +9,7 @@ from expcircle import (
     ArcViolation,
     circle_distance,
     evaluate,
-    inverse_weight_sum,
     linear_map,
-    preimages,
 )
 from expcircle import inverse_branches as ib
 from expcircle.audits import _sampled_paths, standard_maps
@@ -36,6 +34,21 @@ def all_paths(w, depth):
     return list(product(range(w), repeat=depth))
 
 
+def depth_one(m, x):
+    """The depth-one ends of x as ((b,), point) pairs, sorted by point."""
+    ends = ib.walk(m, all_paths(m.winding, 1), x)
+    return sorted(((e.path, float(e.u[0])) for e in ends), key=lambda p: p[1])
+
+
+def weight_sum(m, x, depth):
+    """The sum of 1/(T^n)' over the depth-n ends of x, in lexicographic
+    path order: L^n 1 at x by branch enumeration."""
+    total = 0.0
+    for e in ib.walk(m, all_paths(m.winding, depth), x):
+        total += 1.0 / e.du
+    return total
+
+
 def test_walk_refuses_bad_paths(bent):
     bad = [(), (-1,), (0, -2),                          # empty, negative
            (0.0,), (1, 0.5), ("0",), (np.float64(1.0),),  # non-integer
@@ -55,7 +68,7 @@ def test_walk_takes_integer_entries_of_any_type(bent):
 
 
 def test_doubling_preimages_of_half(doubling):
-    got = preimages(doubling, 0.5)
+    got = depth_one(doubling, 0.5)
     assert [round(y, 15) for _, y in got] == [0.25, 0.75]
     assert [path for path, _ in got] == [(0,), (1,)]
 
@@ -63,7 +76,7 @@ def test_doubling_preimages_of_half(doubling):
 def test_preimages_map_forward(doubling, tripling, bent):
     for m in (doubling, tripling, bent):
         for x in (0.0, 0.1, 0.5, 0.9321):
-            ys = preimages(m, x)
+            ys = depth_one(m, x)
             assert len(ys) == m.winding
             for _, y in ys:
                 assert circle_distance(evaluate(m, y), x) < 1e-12
@@ -74,7 +87,7 @@ def test_preimages_of_a_large_winding_map():
     # reads it in spacings of t
     m = linear_map(20000)
     x = 0.123456789
-    got = preimages(m, x)
+    got = depth_one(m, x)
     assert [path for path, _ in got] == [(b,) for b in range(m.winding)]
     ys = np.array([y for _, y in got])
     assert np.max(circle_distance(evaluate(m, ys), x)) < 1e-10
@@ -89,7 +102,7 @@ def test_stop_rule_is_the_fixed_tolerance_below_4096():
 
 def test_perturbed_preimage_matches_closed_form(bent):
     # T(1/4) = 0.55 exactly, so 1/4 must appear among the preimages of 0.55
-    ys = [y for _, y in preimages(bent, 0.55)]
+    ys = [y for _, y in depth_one(bent, 0.55)]
     assert min(abs(y - 0.25) for y in ys) < 1e-12
 
 
@@ -124,12 +137,12 @@ def test_inverse_weight_sum_linear_is_pointwise_one(doubling, tripling):
     xs = np.linspace(0, 0.999, 41)
     for m in (doubling, tripling):
         for depth in (1, 2, 5):
-            assert np.max(np.abs(inverse_weight_sum(m, xs, depth) - 1.0)) < 1e-12
+            assert np.max(np.abs(weight_sum(m, xs, depth) - 1.0)) < 1e-12
 
 
 def test_inverse_weight_sum_perturbed_has_unit_mean(bent):
     xs = np.arange(512) / 512
-    w = inverse_weight_sum(bent, xs, 3)
+    w = weight_sum(bent, xs, 3)
     assert abs(w.mean() - 1.0) < 1e-10
     # curvature makes it genuinely non-constant
     assert w.max() - w.min() > 1e-3
@@ -264,7 +277,7 @@ def test_walk_matches_per_step_reference(m):
     ref_sum = np.zeros_like(x)
     for path in all_paths(m.winding, depth):
         ref_sum += 1.0 / np.prod(m.dlift(_ref_orbit(m, x, path, memo_x)), axis=0)
-    assert np.array_equal(inverse_weight_sum(m, x, depth), ref_sum)
+    assert np.array_equal(weight_sum(m, x, depth), ref_sum)
     ref_deep = [_ref_orbit(m, 0.3, path, memo_03)[-1, 0]
                 for path in all_paths(m.winding, depth)]
     assert [e.u[0] for e in ib.walk(m, all_paths(m.winding, depth), 0.3)] == ref_deep
@@ -299,7 +312,7 @@ def test_walk_solves_each_prefix_once(bent, monkeypatch):
     # in any order: the tree walk yields them in lexicographic order
     assert solves(lambda: list(ib.walk(bent, paths[::-1], x, y))) == (1020 * n, internal)
     assert solves(lambda: list(ib.walk(bent, all_paths(2, 8), 0.3))) == (510, internal)
-    assert solves(lambda: inverse_weight_sum(bent, x, 8)) == (510 * n, internal)
+    assert solves(lambda: weight_sum(bent, x, 8)) == (510 * n, internal)
     # a lone depth-8 path: one call per step
     assert solves(lambda: list(ib.walk(bent, paths[-1:], x, y))) == (16 * n, 8)
     # one path from scratch per call, as the per-step reference does
