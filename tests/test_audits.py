@@ -275,7 +275,8 @@ def _reference_contraction(m, seed=9, pairs=1000, max_depth=8, path_cap=600):
         rhs = m.lam ** (-len(end.path)) * d
         worst = max(worst, float((end.gap - rhs).max()))
     return audits._gate(-worst, f"worst lhs - rhs = {worst:.3e} over "
-                        f"{len(paths) * pairs} pair-path cells", slack=audits.PAIR_SLACK)
+                        f"{len(paths) * pairs} pair-path cells",
+                        slack=2.0 * audits._step_error(m) / (m.lam - 1.0))
 
 
 def _reference_distortion(m, seed=9, pairs=1000, max_depth=8, path_cap=600):
@@ -382,7 +383,57 @@ def test_sampled_paths_never_hand_the_tree_size_to_numpy(w):
 
 
 def test_preimage_roundtrip_runs_at_degree_235():
-    # the verdict is item 13's high-degree class, not asserted here
     res = audit_preimage_roundtrip(perturbed_map(235, 0.3))
     assert isinstance(res, AuditResult)
     assert res.name == "preimage-roundtrip"
+    assert res.ok, res.detail
+
+
+@pytest.mark.parametrize("w, eps", [(7, 0.5), (16, 0.3), (16, 0.45), (50, 0.3)])
+def test_preimage_roundtrip_passes_at_high_degree(w, eps):
+    # checked after n forward steps, a step's error grew past any fixed
+    # slack here: 2.6e-8 on perturbed{7,0.5}, 4.2e-5 on {50,0.3}
+    res = audit_preimage_roundtrip(perturbed_map(w, eps))
+    assert res.ok, res.detail
+
+
+@pytest.mark.parametrize("path", [(0,), (1, 0, 1)], ids=["depth-1", "depth-3"])
+@pytest.mark.parametrize("m", [linear_map(2), perturbed_map(2, 0.05)], ids=repr)
+def test_preimage_roundtrip_fails_when_a_root_moves_after_newton(m, path, monkeypatch):
+    # a 1e-11 move is 10 step errors: T of the moved node misses its parent
+    # by at least lambda 1e-11 - r, and its children miss it by 1e-11 - r.
+    # Checked after n forward steps against 1e-9 instead, T^n carries the
+    # move to at most 1e-11 d1_sup^3 (1.2e-10 here), which passes
+    def moved(*args):
+        for end in inverse_branches.walk(*args):
+            yield end._replace(u=end.u + 1e-11) if end.path == path else end
+
+    monkeypatch.setattr(audits, "walk", moved)
+    res = audit_preimage_roundtrip(m)
+    assert not res.ok
+    assert res.margin < -(1e-11 - 3.0 * audits._step_error(m))
+
+
+def test_forward_return_distance_follows_the_conditioning_model(bent):
+    # The check preimage-roundtrip no longer makes: T^n of a depth-n end
+    # against x.  Each pullback step leaves an error of at most r (plus 2
+    # ulps of 1 for a forward wrap), and each forward step multiplies what
+    # it carries by at most d1_sup, so the distance is within that times
+    # 1 + d1_sup + ... + d1_sup^(n-1).  By depth 6 it is far past the
+    # one-step slack, so no slack fit for one step fits the n-fold check.
+    rng = audits._rng(6)
+    xs = rng.random(64)
+    paths = audits._sampled_paths(bent.winding, 6, rng, cap=40)
+    step = audits._step_error(bent) + 2.0 * np.spacing(1.0)
+    worst = collections.defaultdict(float)
+    for end in inverse_branches.walk(bent, paths, xs):
+        y = end.u
+        for _ in end.path:
+            y = audits.evaluate(bent, y)
+        n = len(end.path)
+        worst[n] = max(worst[n], float(audits.circle_distance(y, xs).max()))
+    d = bent.d1_sup
+    assert sorted(worst) == [1, 2, 3, 4, 5, 6]
+    for n, dist in worst.items():
+        assert dist <= step * (d ** n - 1.0) / (d - 1.0), n
+    assert worst[6] > 10.0 * step

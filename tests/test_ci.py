@@ -56,3 +56,14 @@ def test_ci_gates_every_benchmark_workload():
 def test_ci_job_has_a_time_limit():
     # without one a runaway run holds the job for GitHub's default 6 hours
     assert tier1_job()["timeout-minutes"] == 20
+
+
+def test_ci_verifies_a_high_degree_map_before_tier1():
+    steps = tier1_job()["steps"]
+    names = [s.get("name") for s in steps]
+    at = names.index("High-degree verify")
+    assert at < names.index("Tier-1 tests") == len(steps) - 1
+    run = steps[at]["run"]
+    config = json.loads(re.search(r"printf '([^']+)' > \"(\S+)\"", run).group(1))
+    assert config == {"map": {"family": "perturbed", "w": 7, "eps": 0.5}}
+    assert "PYTHONPATH=src python -m expcircle verify --config" in run

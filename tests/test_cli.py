@@ -14,7 +14,7 @@ import pytest
 
 import expcircle
 from expcircle import coupling_lab, correlation_suite
-from expcircle.audits import (MASS_TOL, PAIR_SLACK, cos_observable, coupling_pair,
+from expcircle.audits import (MASS_TOL, _step_error, cos_observable, coupling_pair,
                               standard_maps)
 from expcircle.circle_map import linear_map
 from expcircle import cli
@@ -61,19 +61,19 @@ GOLDEN = {
         "coupling.json": "b5b88c3533f453dde9edf5d0e37f4c2e638412bc36f3a24746f508d6fe988c3b",
     },
     "verify on linear{2}": {
-        "verify.json": "46d43a277424c4ca22cc3a39a8f65cc4c8a278e17fa2461ab15e325722de939a",
+        "verify.json": "abb6273964f0e15a4b0f3a90ab7683e25f7a87883ad17f320abbf939c28c8453",
     },
     "verify on linear{3}": {
-        "verify.json": "cfbc8548a31008de1b5c029b15bb63b521d6c7ac5ba6fe3389028970791ff5ec",
+        "verify.json": "be173d75bcbefc54bedd31c387fb7dfd9750b3b806421469a3b736d244dc1da8",
     },
     "verify on perturbed{2,0.02}": {
-        "verify.json": "c2d2e7c41cf8064c73b3d37d447010f9c3b69d5a13ca41686f632e96d5f4655f",
+        "verify.json": "c44ffa252606200c66c7561fbcd47e45a12fafbe5b203d2993c1b4b9808d3e1f",
     },
     "verify on perturbed{2,0.05}": {
-        "verify.json": "34c044e6086db90f7e23ad7f760089358c12d9abdd1501bbb875026b0f727c75",
+        "verify.json": "a2fa5a39f2bd21bc04ae93378e7690aece15154bd9ee4e38c8f2ced8b5033cef",
     },
     "verify on perturbed{2,0.1}": {
-        "verify.json": "769574f53195721ae698ffcf90be056221db9b4c983559d6866035261a18731d",
+        "verify.json": "c43ce88ec8bdc6ce0576ef764162ff5abeea5b82f9f7eb4432378247e13c5735",
     },
 }
 
@@ -297,13 +297,16 @@ VERIFY_NAMES = [
 ]
 
 # Every result with a numeric margin: (the number its detail prints last,
-# as a function of the margin less its slack; the slack; whether the
-# comparison is strict).  Every other result reports margin null.
+# as a function of the margin less its slack; the slack, or the slack as a
+# function of the map; whether the comparison is strict).  Every other
+# result reports margin null.
 MARGINS = {
     "second-derivative-fd": (lambda g: -g, 1e-5, False),
     "arc-expansion": (lambda g: -g, 1e-12, False),
-    "preimage-roundtrip": (lambda g: -g, 1e-9, False),
-    "backward-contraction": (lambda g: -g, PAIR_SLACK, False),
+    "preimage-roundtrip": (lambda g: -g, lambda m: _step_error(m) + 2.0 * np.spacing(1.0),
+                           False),
+    "backward-contraction": (lambda g: -g, lambda m: 2.0 * _step_error(m) / (m.lam - 1.0),
+                             False),
     "distortion": (lambda g: -g, 0.0, False),   # its band already has a slack
     "operator-mass": (lambda g: -g, MASS_TOL, False),
     "operator-positivity": (lambda g: g, 0.0, False),
@@ -366,6 +369,7 @@ def test_verify_standard_maps(verify_run, m):
             assert r["margin"] is None, r
             continue
         printed, slack, strict = MARGINS[r["name"]]
+        slack = slack(m) if callable(slack) else slack
         margin = r["margin"]
         # the margin includes the slack, so its sign is the verdict
         assert r["ok"] == (margin > 0 if strict else margin >= 0), r
