@@ -81,7 +81,7 @@ def evaluate(m: ExpandingMap, x):
     return wrap(m.lift(np.asarray(x, dtype=float)))
 
 
-def _audit(m: ExpandingMap, points: int = AUDIT_POINTS) -> None:
+def _audit(m: ExpandingMap) -> None:
     """Check the asserted constants against a dense sample of the lift."""
     if m.winding < 2:
         raise DegreeMismatch(f"winding must be >= 2, got {m.winding}")
@@ -91,7 +91,7 @@ def _audit(m: ExpandingMap, points: int = AUDIT_POINTS) -> None:
             raise CertificationError(f"{name} must be finite, got {value!r}")
     if m.lam <= 1.0:
         raise NotExpanding(f"expansion constant must exceed 1, got {m.lam}")
-    x = np.arange(points) / points
+    x = np.arange(AUDIT_POINTS) / AUDIT_POINTS
     d1 = m.dlift(x)
     if np.any(d1 < m.lam - 1e-12):
         raise NotExpanding(
@@ -107,7 +107,7 @@ def _audit(m: ExpandingMap, points: int = AUDIT_POINTS) -> None:
             f"max sampled |T''| = {d2.max():.12g} above asserted bound {m.d2_sup:.12g}"
         )
     # degree consistency of the lift, sampled on a coarser subgrid
-    xs = x[:: max(1, points // 1024)]
+    xs = x[:: AUDIT_POINTS // 1024]
     inc = m.lift(xs + 1.0) - m.lift(xs)
     if np.any(np.abs(inc - m.winding) > 1e-9):
         raise DegreeMismatch(

@@ -5,11 +5,11 @@ here inverts the n-fold composition directly.  Every depth-n caller goes
 through ``walk``, which solves each node of the path tree once: all the
 children it needs, and both points of a pair, in one vectorized call.
 Depth-one branch i is the monotone piece of the lift whose image covers
-[m0 + i, m0 + i + 1) with m0 = ceil(F(0)); equivalently, the arc between
-consecutive preimages of the anchor point 0.  A depth-n path is a plain
-tuple of n branch indices: path[k] selects the single-step branch applied
-at pullback step k, counted from the point being pulled back (shallowest
-step first).
+[m0 + i, m0 + i + 1) with m0 from ``_anchor_offset``; equivalently, the arc
+between consecutive preimages of the anchor point 0.  A depth-n path is a
+plain tuple of n branch indices: path[k] selects the single-step branch
+applied at pullback step k, counted from the point being pulled back
+(shallowest step first).
 """
 
 from __future__ import annotations
@@ -39,8 +39,9 @@ def _residual_tol(t):
 
 
 def _anchor_offset(m: ExpandingMap) -> float:
+    """m0 = ceil(F(0) - the stop rule's bound): branch 0's first target."""
     f0 = float(np.asarray(m.lift(0.0), dtype=float))
-    return float(np.ceil(f0 - 1e-9))
+    return float(np.ceil(f0 - _residual_tol(f0)))
 
 
 def _solve_lift(m: ExpandingMap, target, lo=0.0, hi=2.0):

@@ -1,8 +1,11 @@
+import ast
 import collections
+import dataclasses
 import gc
 import inspect
 import logging
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +24,6 @@ from expcircle.audits import (
     audit_correlation_decay,
     audit_density_convergence,
     audit_partition,
-    audit_preimage_roundtrip,
     audit_quadrature,
     audit_regularity_sweep,
     audit_sampling,
@@ -95,21 +97,38 @@ def test_ks_statistic_matches_scipy_stats(draws):
 def test_geometric_audits_pass_quickly(bent):
     for res in (
         audit_certificate(bent),
-        audit_arc_expansion(bent),
-        audit_preimage_roundtrip(bent),
+        *audit_arc_expansion(bent),
         *audit_backward_contraction(bent),
     ):
         assert res.ok, f"{res.name}: {res.detail}"
 
 
+def _shifted_doubling(f0):
+    """2x + f0 as a custom map."""
+    return custom_map(lambda x: 2.0 * np.asarray(x, dtype=float) + f0,
+                      lambda x: np.full_like(np.asarray(x, dtype=float), 2.0),
+                      lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+                      winding=2, lam=2.0, d2_sup=0.0)
+
+
 def test_arc_expansion_solves_above_the_anchor():
     # F(0) = 0.5, so branch b's lifts of [0, 1) start at 1 + b, as in walk
-    m = custom_map(lambda x: 2.0 * x + 0.5,
-                   lambda x: np.full_like(np.asarray(x, dtype=float), 2.0),
-                   lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                   winding=2, lam=2.0, d2_sup=0.0)
-    res = audit_arc_expansion(m)
-    assert res.ok, res.detail
+    res = audit_arc_expansion(_shifted_doubling(0.5))
+    assert [r.name for r in res] == ["arc-expansion", "preimage-roundtrip"]
+    assert all(r.ok for r in res), res
+
+
+def test_anchor_above_a_lift_just_past_an_integer():
+    # F(0) = 5e-10 is past 0 by more than the stop rule's 1e-12, so the
+    # anchor is 1: branch 0's target at x = 0 is 1, not 0, which lies below
+    # F on the whole bracket and failed with "bracket does not enclose"
+    m = _shifted_doubling(5e-10)
+    assert inverse_branches._anchor_offset(m) == 1.0
+    ends = list(inverse_branches.walk(m, [(0,), (1,)], 0.0))
+    assert [float(end.u[0]) for end in ends] == pytest.approx([0.5, 1.0])
+    phi, _ = transfer_operator.invariant_density(m, resolution=1024)
+    assert np.abs(phi.values - 1.0).max() < 1e-12
+    assert all(r.ok for r in audit_arc_expansion(m))
 
 
 def test_partition_audit_reports_arc_mass_and_route_defects(doubling):
@@ -147,7 +166,7 @@ def test_run_all_roster_and_forwarding(monkeypatch):
         return record
 
     attrs = [a for a in dir(audits) if a.startswith("audit_")]
-    assert len(attrs) == 21
+    assert len(attrs) == 20
     for attr in attrs:
         monkeypatch.setattr(audits, attr, recorder(attr))
     m = object()            # the recorders never look at the map
@@ -158,7 +177,6 @@ def test_run_all_roster_and_forwarding(monkeypatch):
         ("audit_certificate", (m,), {}),
         ("audit_second_derivative", (m,), {}),
         ("audit_arc_expansion", (m,), {}),
-        ("audit_preimage_roundtrip", (m,), {}),
         ("audit_partition", (m,), {}),
         ("audit_backward_contraction", (m,), {}),
         ("audit_operator_identities", (m,), res),
@@ -383,18 +401,23 @@ def test_sampled_paths_never_hand_the_tree_size_to_numpy(w):
 
 
 def test_preimage_roundtrip_runs_at_degree_235():
-    res = audit_preimage_roundtrip(perturbed_map(235, 0.3))
-    assert isinstance(res, AuditResult)
-    assert res.name == "preimage-roundtrip"
-    assert res.ok, res.detail
+    # the walk samples its depth-one branches here (152 of 235), so arcs
+    # are taken within each branch: across them they would span the
+    # missing ones
+    res = audit_arc_expansion(perturbed_map(235, 0.3))
+    assert all(isinstance(r, AuditResult) for r in res)
+    assert [r.name for r in res] == ["arc-expansion", "preimage-roundtrip"]
+    assert all(r.ok for r in res), res
+    assert res[0].detail.endswith(" over 9576 arcs")
+    assert res[1].seconds == 0.0
 
 
 @pytest.mark.parametrize("w, eps", [(7, 0.5), (16, 0.3), (16, 0.45), (50, 0.3)])
 def test_preimage_roundtrip_passes_at_high_degree(w, eps):
     # checked after n forward steps, a step's error grew past any fixed
     # slack here: 2.6e-8 on perturbed{7,0.5}, 4.2e-5 on {50,0.3}
-    res = audit_preimage_roundtrip(perturbed_map(w, eps))
-    assert res.ok, res.detail
+    res = audit_arc_expansion(perturbed_map(w, eps))
+    assert all(r.ok for r in res), res
 
 
 @pytest.mark.parametrize("path", [(0,), (1, 0, 1)], ids=["depth-1", "depth-3"])
@@ -409,9 +432,25 @@ def test_preimage_roundtrip_fails_when_a_root_moves_after_newton(m, path, monkey
             yield end._replace(u=end.u + 1e-11) if end.path == path else end
 
     monkeypatch.setattr(audits, "walk", moved)
-    res = audit_preimage_roundtrip(m)
+    arcs, res = audit_arc_expansion(m)
     assert not res.ok
     assert res.margin < -(1e-11 - 3.0 * audits._step_error(m))
+    # the arc check holds at whatever points it is given: a moved
+    # depth-one node moves every end of its arcs alike
+    assert arcs.ok, arcs.detail
+
+
+@pytest.mark.parametrize("m, overstated", [(linear_map(2), 1e-12),
+                                           (perturbed_map(2, 0.05), 1e-4)], ids=repr)
+def test_arc_expansion_fails_on_an_overstated_lambda(m, overstated):
+    # lambda |J| <= |T(J)| holds exactly at the computed ends, so the slack
+    # covers rounding only, and an overstated lambda fails once its excess
+    # on the longest arc passes it: from a relative 1e-13 on linear{2} and
+    # 1e-5 on perturbed{2,0.05}.  The walk does not read lambda.
+    arcs, roundtrip = audit_arc_expansion(dataclasses.replace(m, lam=m.lam * (1.0 + overstated)))
+    assert not arcs.ok
+    assert arcs.margin < 0.0
+    assert roundtrip.ok, roundtrip.detail
 
 
 def test_forward_return_distance_follows_the_conditioning_model(bent):
@@ -437,3 +476,25 @@ def test_forward_return_distance_follows_the_conditioning_model(bent):
     for n, dist in worst.items():
         assert dist <= step * (d ** n - 1.0) / (d - 1.0), n
     assert worst[6] > 10.0 * step
+
+
+def test_only_walk_and_the_operator_build_solve_roots():
+    # every other caller reads walk's tree, so a per-audit root solve
+    # cannot come back: (module, innermost function) of each reference to
+    # _solve_lift, None for module level (an import)
+    users = set()
+
+    def visit(node, module, scope):
+        if isinstance(node, ast.FunctionDef):
+            scope = node.name
+        names = ([alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                 else [getattr(node, "id", None), getattr(node, "attr", None)])
+        if "_solve_lift" in names:
+            users.add((module, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for path in Path(audits.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    assert users == {("inverse_branches", "walk"),
+                     ("transfer_operator", None), ("transfer_operator", "_build_operator")}

@@ -20,6 +20,7 @@ from expcircle.circle_map import linear_map
 from expcircle import cli
 from expcircle.cli import N_MAX_CEILING, RunConfig, _write_json, main, make_map
 from expcircle.correlation_suite import decay_report
+from expcircle.inverse_branches import _anchor_offset
 from expcircle.coupling_lab import CHI2_P_FLOOR, monte_carlo_coupling
 from expcircle.transfer_operator import invariant_density
 from expcircle.system_constants import ROUNDING_SLACK
@@ -61,19 +62,19 @@ GOLDEN = {
         "coupling.json": "b5b88c3533f453dde9edf5d0e37f4c2e638412bc36f3a24746f508d6fe988c3b",
     },
     "verify on linear{2}": {
-        "verify.json": "abb6273964f0e15a4b0f3a90ab7683e25f7a87883ad17f320abbf939c28c8453",
+        "verify.json": "4f692b028dee0c24cb5f5aeb758c2c1c80d027a3a0b1d8cc11581e0be51c5200",
     },
     "verify on linear{3}": {
-        "verify.json": "be173d75bcbefc54bedd31c387fb7dfd9750b3b806421469a3b736d244dc1da8",
+        "verify.json": "9bbf565f64070ea55f6c32ba34a2941a80e12a72f685d8cdb231c31637f2b844",
     },
     "verify on perturbed{2,0.02}": {
-        "verify.json": "c44ffa252606200c66c7561fbcd47e45a12fafbe5b203d2993c1b4b9808d3e1f",
+        "verify.json": "6e0697dbacd250126433688acb32557298b88706ad4398951964615e573376cb",
     },
     "verify on perturbed{2,0.05}": {
-        "verify.json": "a2fa5a39f2bd21bc04ae93378e7690aece15154bd9ee4e38c8f2ced8b5033cef",
+        "verify.json": "52646b64c90844468d4fd33600f29b8661d71eb2e15877609c7929dfdc935976",
     },
     "verify on perturbed{2,0.1}": {
-        "verify.json": "c43ce88ec8bdc6ce0576ef764162ff5abeea5b82f9f7eb4432378247e13c5735",
+        "verify.json": "88317ee42e702ce99f9a6b456ab38d33307ad5934bea23da5717e6eb9f9b3a93",
     },
 }
 
@@ -302,7 +303,8 @@ VERIFY_NAMES = [
 # result reports margin null.
 MARGINS = {
     "second-derivative-fd": (lambda g: -g, 1e-5, False),
-    "arc-expansion": (lambda g: -g, 1e-12, False),
+    "arc-expansion": (lambda g: -g, lambda m: 8.0 * np.spacing(_anchor_offset(m) + m.winding)
+                      + (m.lam + 1.5) * np.spacing(1.0), False),
     "preimage-roundtrip": (lambda g: -g, lambda m: _step_error(m) + 2.0 * np.spacing(1.0),
                            False),
     "backward-contraction": (lambda g: -g, lambda m: 2.0 * _step_error(m) / (m.lam - 1.0),
