@@ -210,7 +210,6 @@ def decay_report(
 
 @dataclass
 class ConvergenceReport:
-    map_label: str
     alpha: float
     psi_holder: float
     ns: np.ndarray
@@ -243,10 +242,10 @@ def density_convergence_report(
     ledgers = [compute_ledger(m, a) for a in alphas]
     if phi is None:
         phi, _ = invariant_density(m, resolution=psi.resolution)
-    return convergence_reports(m, psi, _l1_errors(orbit(m, psi), phi, n_max), ledgers)
+    return convergence_reports(psi, _l1_errors(orbit(m, psi), phi, n_max), ledgers)
 
 
-def convergence_reports(m: ExpandingMap, psi: GridDensity, err: np.ndarray,
+def convergence_reports(psi: GridDensity, err: np.ndarray,
                         ledgers) -> list[ConvergenceReport]:
     """One walk's errors ``err``, ||L^n psi - phi||_1 for n = 0, 1, ..., against
     8 (1 + H_alpha(psi)) theta_paper^(alpha n), one report per ledger."""
@@ -256,7 +255,6 @@ def convergence_reports(m: ExpandingMap, psi: GridDensity, err: np.ndarray,
     for led, h in zip(ledgers, hs):
         bound = led.d_tilde * (1.0 + h) * led.theta_paper ** (led.alpha * ns)
         reports.append(ConvergenceReport(
-            map_label=repr(m),
             alpha=led.alpha,
             psi_holder=h,
             ns=ns,

@@ -82,7 +82,7 @@ def decompose(psi: GridDensity, a: float) -> GridDensity:
     return GridDensity((psi.values - a) / (1.0 - a))
 
 
-@dataclass
+@dataclass(kw_only=True)
 class DeterministicCoupling:
     """Grid-level epoch bookkeeping for one pair of start densities, with
     one entry per step n = 0..n_max in each series."""
@@ -100,30 +100,33 @@ class DeterministicCoupling:
                                        self.tv_true - self.bound_theta)))
 
 
-def _coupling_epochs(
-    m: ExpandingMap,
-    psi1: GridDensity,
-    psi2: GridDensity,
-    alpha: float,
-    n_max: int,
-):
-    """deterministic_contraction_run one epoch at a time.  First yields the
-    run, whose tv_true and worst_reconstruction fill in as the steps go;
-    then, after each epoch's decompose and at n_max, (n, residual pair,
-    (L^n psi1, L^n psi2)).  Keeps nothing from a past epoch."""
-    led = compute_ledger(m, alpha)
+def _start(led: ConstantsLedger, psi1: GridDensity, psi2: GridDensity,
+           n_max: int) -> DeterministicCoupling:
+    """The run of the pair over n_max steps, its envelopes written and only
+    tv_true[0] filled, once both start densities pass the class check."""
     for which, psi in (("psi1", psi1), ("psi2", psi2)):
         if not hoelder_class_check(psi, led.big_k, led.alpha):
             raise AuditViolation(f"{which} is not in the admissible class (cap K)")
-    a, n_epoch = led.a, led.n_big_k
     ns = np.arange(n_max + 1)
-    ks = ns // n_epoch
-    bound_coupling = 2.0 * (1.0 - a) ** ks
-    bound_theta = led.d_exact * led.theta_exact ** (led.alpha * ns)
+    ks = ns // led.n_big_k
     tv_true = np.empty(n_max + 1)
     tv_true[0] = l1_distance(psi1, psi2)
-    run = DeterministicCoupling(led, ns, ks, tv_true, bound_coupling, bound_theta)
-    yield run
+    return DeterministicCoupling(
+        ledger=led, ns=ns, ks=ks, tv_true=tv_true,
+        bound_coupling=2.0 * (1.0 - led.a) ** ks,
+        bound_theta=led.d_exact * led.theta_exact ** (led.alpha * ns),
+    )
+
+
+def _coupling_epochs(m: ExpandingMap, run: DeterministicCoupling,
+                     psi1: GridDensity, psi2: GridDensity):
+    """Walk the pair over run's steps, filling its tv_true and
+    worst_reconstruction.  Yields, after each epoch's decompose and at
+    n_max, (n, residual pair, (L^n psi1, L^n psi2)).  Keeps nothing from a
+    past epoch."""
+    a, n_epoch = run.ledger.a, run.ledger.n_big_k
+    bound_coupling, bound_theta = run.bound_coupling, run.bound_theta
+    n_max = len(run.ns) - 1
     direct = [psi1, psi2]
     # Until the first decompose the residuals are the direct densities
     # themselves, so each is applied once per step.
@@ -158,7 +161,7 @@ def _coupling_epochs(
                 raise AuditViolation(
                     f"epoch reconstruction off by {err:.3e} at n = {n}"
                 )
-        tv = tv_true[n] = l1_distance(direct[0], direct[1])
+        tv = run.tv_true[n] = l1_distance(direct[0], direct[1])
         if (tv > bound_coupling[n] + DETERMINISTIC_SLACK
                 or tv > bound_theta[n] + DETERMINISTIC_SLACK):
             raise AuditViolation(
@@ -179,9 +182,8 @@ def deterministic_contraction_run(
     """Evolve the pair for n_max steps, extracting the uniform component at
     every epoch and auditing tv against both envelope forms at every step,
     with slack DETERMINISTIC_SLACK."""
-    epochs = _coupling_epochs(m, psi1, psi2, alpha, n_max)
-    run = next(epochs)
-    for _ in epochs:
+    run = _start(compute_ledger(m, alpha), psi1, psi2, n_max)
+    for _ in _coupling_epochs(m, run, psi1, psi2):
         pass
     return run
 
@@ -223,19 +225,14 @@ def _check_run_bytes(trials: int, n_max: int = 0) -> None:
                 f"a Monte-Carlo run of {trials} trials{steps} would hold about")
 
 
-@dataclass
-class CouplingTrace:
-    """Per-step series of the Monte-Carlo coupling run."""
+@dataclass(kw_only=True)
+class CouplingTrace(DeterministicCoupling):
+    """The deterministic run of the pair plus the Monte-Carlo draws over it:
+    the per-step mismatch and the chi-square checks of both marginals."""
 
-    ledger: ConstantsLedger
     trials: int
     seed: int
-    ns: np.ndarray
-    ks: np.ndarray
-    tv_true: np.ndarray
     empirical_mismatch: np.ndarray
-    bound_coupling: np.ndarray
-    bound_theta: np.ndarray
     chi2: list                           # {n, marginal, statistic, dof, p_value}
 
     def summary(self) -> dict:
@@ -270,9 +267,9 @@ def monte_carlo_coupling(
     within a full epoch only the pairs equal at its start are stepped, and
     each step's mismatch is the fraction of pairs unequal at the epoch's
     start; a last, partial epoch steps every point, which its chi-square
-    checks read.  The deterministic run evolves alongside, and each epoch
-    is let go once its regeneration and chi-square checks are done.  Runs
-    on the calling thread.
+    checks read.  The deterministic run, which the returned trace extends,
+    evolves alongside, and each epoch is let go once its regeneration and
+    chi-square checks are done.  Runs on the calling thread.
 
     Audits the mismatch envelope and the tv <= 2 P(X != Y) inequality at
     every step with Monte-Carlo slack 5/sqrt(trials), and both sampled
@@ -294,8 +291,7 @@ def monte_carlo_coupling(
     # p_n - slack / 2, with probability at most exp(-12.5) = 3.7e-6.  Both
     # hold per epoch, as the mismatch is constant within one.
     slack = 5.0 / np.sqrt(trials)
-    epochs = _coupling_epochs(m, psi1, psi2, alpha, n_max)
-    det = next(epochs)
+    run = _start(led, psi1, psi2, n_max)
     a, n_epoch = led.a, led.n_big_k
     rng = np.random.Generator(np.random.Philox(key=seed))
     x = sample(psi1, rng, trials)
@@ -304,7 +300,7 @@ def monte_carlo_coupling(
     mismatch = np.empty(n_max + 1)
     mismatch[0] = float(np.mean(x != y))
     chi2 = []
-    for n, (res1, res2), marginals in epochs:
+    for n, (res1, res2), marginals in _coupling_epochs(m, run, psi1, psi2):
         rest = n % n_epoch
         if rest:
             # no regeneration follows a last, partial epoch, and its
@@ -336,20 +332,8 @@ def monte_carlo_coupling(
             coupled |= newly
             mismatch[n] = float(np.mean(x != y))
         chi2 += _chi2_marginals(n, (x, y), marginals)
-    ns, tv = det.ns, det.tv_true
-    theoretical = det.bound_coupling / 2.0
-    trace = CouplingTrace(
-        ledger=led,
-        trials=trials,
-        seed=seed,
-        ns=ns,
-        ks=det.ks,
-        tv_true=tv,
-        empirical_mismatch=mismatch,
-        bound_coupling=det.bound_coupling,
-        bound_theta=det.bound_theta,
-        chi2=chi2,
-    )
+    ns, tv = run.ns, run.tv_true
+    theoretical = run.bound_coupling / 2.0
     bad = mismatch > theoretical + slack
     if np.any(bad):
         n_bad = int(ns[bad][0])
@@ -368,4 +352,5 @@ def monte_carlo_coupling(
         if c["p_value"] <= CHI2_P_FLOOR:
             raise AuditViolation(f"{c['marginal']} marginal chi2 p-value "
                                  f"{c['p_value']:.3g} <= {CHI2_P_FLOOR:g} at n = {c['n']}")
-    return trace
+    return CouplingTrace(**vars(run), trials=trials, seed=seed,
+                         empirical_mismatch=mismatch, chi2=chi2)

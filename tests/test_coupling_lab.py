@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import threading
 import tracemalloc
@@ -8,6 +9,8 @@ from scipy import stats
 
 from expcircle import (
     AuditViolation,
+    CouplingTrace,
+    DeterministicCoupling,
     FloorViolation,
     GridDensity,
     apply,
@@ -94,13 +97,15 @@ def test_deterministic_run_raises_at_the_first_step_past_the_envelope(bent, monk
 
 def test_deterministic_run_rejects_wild_start(bent):
     # far outside the admissible class: log-Hoelder above K is impossible
-    # here, so build a density failing the positivity side instead
+    # here, so build a density failing the positivity side instead.  Both
+    # entry points start their run through the same check.
     spike = np.full(M, 1e-9)
     spike[0] = M
-    with pytest.raises(AuditViolation):
-        deterministic_contraction_run(
-            bent, GridDensity(spike), uniform_density(M), 1.0, 5
-        )
+    args = (bent, GridDensity(spike), uniform_density(M), 1.0, 5)
+    with pytest.raises(AuditViolation, match="psi1 is not in the admissible class"):
+        deterministic_contraction_run(*args)
+    with pytest.raises(AuditViolation, match="psi1 is not in the admissible class"):
+        monte_carlo_coupling(*args, trials=1000, seed=42)
 
 
 def test_monte_carlo_epoch_coin_statistics(doubling):
@@ -142,6 +147,13 @@ def test_monte_carlo_writes_the_audited_envelopes(bent):
     for field in ("ns", "ks", "tv_true", "bound_coupling", "bound_theta"):
         a, b = getattr(trace, field), getattr(det, field)
         assert a.dtype == b.dtype and np.array_equal(a, b), field
+    worst = (trace.worst_reconstruction, det.worst_reconstruction)
+    assert np.float64(worst[0]).view(np.int64) == np.float64(worst[1]).view(np.int64)
+    assert trace.ledger == det.ledger
+    # a trace is the run plus its draws, and declares none of the run's fields
+    assert isinstance(trace, DeterministicCoupling)
+    assert not set(CouplingTrace.__annotations__) & {
+        f.name for f in dataclasses.fields(DeterministicCoupling)}
 
 
 def test_monte_carlo_peaks_below_its_memory_estimate(monkeypatch):
