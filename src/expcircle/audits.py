@@ -13,7 +13,6 @@ import inspect
 import itertools
 import math
 import time
-import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,9 +26,10 @@ from .circle_map import (
     linear_map,
     perturbed_map,
 )
-from .coupling_lab import (CHI2_P_FLOOR, decompose, deterministic_contraction_run,
-                           monte_carlo_coupling)
+from .coupling_lab import (CHI2_P_FLOOR, DEFAULT_SEED, DEFAULT_TRIALS, decompose,
+                           deterministic_contraction_run, monte_carlo_coupling)
 from .correlation_suite import (
+    DEFAULT_N_MAX,
     convergence_reports,
     decay_report,
     density_convergence_report,
@@ -62,6 +62,7 @@ from .system_constants import (
 )
 from .transfer_operator import (
     apply_function,
+    cached_invariant,
     cesaro,
     check_growth_bounds,
     invariant_density,
@@ -210,19 +211,6 @@ def observable_family(resolution: int, alphas):
     x = np.arange(resolution) / resolution
     cusps = [("cusp", GridFunction(np.minimum(x, 1.0 - x) ** a), (a,)) for a in alphas]
     return fs, [(*fs[0], tuple(alphas)), *cusps]
-
-
-# Per-map invariant densities, keyed by resolution; an entry lives as long
-# as its map.
-_INVARIANTS: "weakref.WeakKeyDictionary[ExpandingMap, dict]" = weakref.WeakKeyDictionary()
-
-
-def cached_invariant(m: ExpandingMap, resolution: int = DEFAULT_RESOLUTION):
-    """(phi, diagnostics) of ``m`` at ``resolution``, computed on first use."""
-    per_map = _INVARIANTS.setdefault(m, {})
-    if resolution not in per_map:
-        per_map[resolution] = invariant_density(m, resolution=resolution)
-    return per_map[resolution]
 
 
 class Verdict(NamedTuple):
@@ -681,7 +669,8 @@ def audit_coupling_deterministic(m: ExpandingMap, *,
 
 
 @_audit("coupling-monte-carlo")
-def audit_coupling_monte_carlo(m: ExpandingMap, *, trials: int = 100_000, seed: int = 42,
+def audit_coupling_monte_carlo(m: ExpandingMap, *, trials: int = DEFAULT_TRIALS,
+                               seed: int = DEFAULT_SEED,
                                resolution: int = DEFAULT_RESOLUTION) -> AuditResult:
     """Simulated pair at alpha = 1: mismatch envelope, coupling inequality,
     marginals."""
@@ -697,7 +686,7 @@ def audit_coupling_monte_carlo(m: ExpandingMap, *, trials: int = 100_000, seed: 
 
 
 @_audit("correlation-decay", "reduction-chain")
-def audit_correlation_decay(m: ExpandingMap, *, n_max: int = 60,
+def audit_correlation_decay(m: ExpandingMap, *, n_max: int = DEFAULT_N_MAX,
                             resolution: int = DEFAULT_RESOLUTION) -> list:
     """Main decay bound plus the reduction inequality over the full
     (f, g, alpha) sweep; then the reduction link by link, from the same walk
@@ -711,7 +700,7 @@ def audit_correlation_decay(m: ExpandingMap, *, n_max: int = 60,
     worst_cap = -np.inf
     fs, gs = observable_family(resolution, DEFAULT_ALPHAS)
     for g_label, g, g_alphas in gs:
-        reps = decay_report(m, [f for _, f in fs], g, g_alphas, n_max=n_max, phi=phi,
+        reps = decay_report(m, [f for _, f in fs], g, g_alphas, n_max=n_max,
                             full_side_walk=True)
         chains = convergence_reports(normalized_observable_density(g, phi),
                                      reps[0][0].side_l1, [r.ledger for r, *_ in reps])
@@ -737,14 +726,13 @@ def audit_correlation_decay(m: ExpandingMap, *, n_max: int = 60,
 
 
 @_audit("density-convergence")
-def audit_density_convergence(m: ExpandingMap, *, n_max: int = 60,
+def audit_density_convergence(m: ExpandingMap, *, n_max: int = DEFAULT_N_MAX,
                               resolution: int = DEFAULT_RESOLUTION) -> AuditResult:
     """||L^n psi - phi||_1 against the 8 (1 + H) theta^(alpha n) envelope."""
-    phi, _ = cached_invariant(m, resolution)
     worst = -np.inf
     ok = True
     for psi in density_family(resolution):
-        for rep in density_convergence_report(m, psi, DEFAULT_ALPHAS, n_max=n_max, phi=phi):
+        for rep in density_convergence_report(m, psi, DEFAULT_ALPHAS, n_max=n_max):
             ok = ok and rep.all_ok()
             worst = max(worst, float((rep.l1_err - rep.bound).max()))
     return Verdict(ok, f"worst l1 - bound = {worst:.3e}")
@@ -857,8 +845,8 @@ def audit_constants_monotonic() -> AuditResult:
 # aggregate runner
 
 
-def run_all(m: ExpandingMap, *, seed: int = 42, trials: int = 100_000,
-            resolution: int = DEFAULT_RESOLUTION, n_max: int = 60) -> list:
+def run_all(m: ExpandingMap, *, seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS,
+            resolution: int = DEFAULT_RESOLUTION, n_max: int = DEFAULT_N_MAX) -> list:
     """Every registered audit, one after another in registration order: the
     per-map ones on ``m``, then the map-independent ones.  Each gets only
     the arguments its keyword-only parameters name (its seeds are otherwise

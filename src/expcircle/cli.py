@@ -8,7 +8,7 @@ by flags; the map itself is configured in the file, e.g.::
 Besides ``map`` and ``out``, a command takes the flags and config keys of
 only the tuning values it reads, its row of ``COMMANDS``; a map takes only
 the keys its family reads, its row of ``MAP_FAMILIES``.  Defaults:
-perturbed{2,0.05}, alpha=1, resolution=4096, seed=42, trials=100000.
+perturbed{2,0.05} at alpha=1, and the other fields of ``RunConfig``.
 Output directory: ``--out``, else the config ``out`` key, else
 ``$EXPCIRCLE_OUT``, else the working directory.  Exit codes: 0 ok, else
 the ``exit_code`` of the package error raised (2 configuration/map error,
@@ -30,8 +30,10 @@ import numpy as np
 
 from .audits import cos_observable, coupling_pair, run_all
 from .circle_map import linear_map, perturbed_map
-from .correlation_suite import decay_report
-from .coupling_lab import CHI2_BINS, DEFAULT_EPOCHS, _check_run_bytes, monte_carlo_coupling
+from .correlation_suite import DEFAULT_N_MAX, decay_report
+from .coupling_lab import (CHI2_BINS, DEFAULT_EPOCHS, DEFAULT_SEED, DEFAULT_TRIALS,
+                           _check_run_bytes, monte_carlo_coupling)
+from .density_grid import DEFAULT_RESOLUTION
 from .errors import ConfigError, ExpCircleError
 from .system_constants import compute_ledger
 from .transfer_operator import check_bytes, invariant_density
@@ -46,10 +48,11 @@ ROWS_PER_WRITE = 4096    # CSV rows formatted per write
 # The flag of each tuning key but tol: (type, help).
 _FLAGS = {
     "alpha": (float, "Hoelder order in (0, 1] (default 1)"),
-    "resolution": (int, "grid nodes, power of two (default 4096)"),
-    "seed": (int, "RNG seed (default 42)"),
-    "trials": (int, "Monte-Carlo trials (default 100000)"),
-    "n_max": (int, f"step horizon (default: 60, coupling: {DEFAULT_EPOCHS} epochs)"),
+    "resolution": (int, f"grid nodes, power of two (default {DEFAULT_RESOLUTION})"),
+    "seed": (int, f"RNG seed (default {DEFAULT_SEED})"),
+    "trials": (int, f"Monte-Carlo trials (default {DEFAULT_TRIALS})"),
+    "n_max": (int, f"step horizon (default: {DEFAULT_N_MAX}, "
+                   f"coupling: {DEFAULT_EPOCHS} epochs)"),
 }
 # Each map family: its constructor and the map keys it reads besides
 # family, in the constructor's argument order.
@@ -62,9 +65,9 @@ class RunConfig:
     w: int = 2
     eps: float = 0.05
     alpha: float = 1.0
-    resolution: int = 4096
-    seed: int = 42
-    trials: int = 100_000
+    resolution: int = DEFAULT_RESOLUTION
+    seed: int = DEFAULT_SEED
+    trials: int = DEFAULT_TRIALS
     n_max: int | None = None
     tol: float = 1e-12
     out: str = "."
@@ -271,7 +274,7 @@ def cmd_invariant(cfg: RunConfig) -> int:
 def cmd_decay(cfg: RunConfig) -> int:
     m = make_map(cfg)
     f = cos_observable(cfg.resolution)
-    n_max = cfg.n_max or 60
+    n_max = cfg.n_max or DEFAULT_N_MAX
     (rep,), = decay_report(m, [f], f, (cfg.alpha,), n_max=n_max)
     _write_table(_out_dir(cfg), "decay", [
         ("n", rep.ns, "%d"),
@@ -308,7 +311,7 @@ def cmd_coupling(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     m = make_map(cfg)
-    n_max = cfg.n_max or 60
+    n_max = cfg.n_max or DEFAULT_N_MAX
     results = run_all(m, seed=cfg.seed, trials=cfg.trials,
                       resolution=cfg.resolution, n_max=n_max)
     for r in results:

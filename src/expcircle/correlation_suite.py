@@ -27,7 +27,7 @@ from .density_grid import (
 )
 from .errors import NotInvariant, ZeroObservable
 from .system_constants import ConstantsLedger, compute_ledger
-from .transfer_operator import apply_function, invariant_density, orbit
+from .transfer_operator import apply_function, cached_invariant, orbit
 
 INVARIANCE_TOL = 1e-10
 BOUND_SLACK = 1e-9
@@ -42,6 +42,7 @@ BOUND_SLACK = 1e-9
 REDUCTION_SLACK = 1e-8
 CONVERGENCE_SLACK = 1e-8
 EARLY_STOP = 1e-14
+DEFAULT_N_MAX = 60      # the step horizon of a decay or convergence run
 
 
 def _check_invariant(m: ExpandingMap, phi: GridDensity) -> None:
@@ -139,8 +140,7 @@ def decay_report(
     g: GridFunction,
     alphas,
     *,
-    n_max: int = 60,
-    phi: GridDensity | None = None,
+    n_max: int = DEFAULT_N_MAX,
     full_side_walk: bool = False,
 ) -> list[list[DecayReport]]:
     """Per alpha in ``alphas`` and f in ``fs``, indexed [alpha][f], the
@@ -149,7 +149,8 @@ def decay_report(
     plus the reduction route through the normalized observable density.
     A curve stops early once it and its envelope drop below 1e-14.  Every
     report reads one walk of g phi, one Hoelder profile of g and one walk
-    of the normalized density psi_g.
+    of the normalized density psi_g; phi is the map's cached_invariant at
+    g's resolution.
 
     The reduction check |corr_n| <= 3 sup|f| sup|g| ||L^n psi_g - phi||_1
     + REDUCTION_SLACK holds whatever the side term is wherever |corr_n| is
@@ -159,8 +160,7 @@ def decay_report(
     fails.  ``full_side_walk=True`` walks psi_g as far as the longest curve
     instead, for a caller that reads psi_g's own convergence."""
     ledgers = [compute_ledger(m, a) for a in alphas]
-    if phi is None:
-        phi, _ = invariant_density(m, resolution=g.resolution)
+    phi, _ = cached_invariant(m, g.resolution)
     g_sup = sup_norm(g)
     g_hs = holder_profile(g, alphas)
     corr = correlation_series(m, phi, fs, g, n_max)
@@ -233,15 +233,13 @@ def density_convergence_report(
     psi: GridDensity,
     alphas,
     *,
-    n_max: int = 60,
-    phi: GridDensity | None = None,
+    n_max: int = DEFAULT_N_MAX,
 ) -> list[ConvergenceReport]:
     """||L^n psi - phi||_1 against 8 (1 + H_alpha(psi)) theta_paper^(alpha n),
     one report per alpha in ``alphas``, from one walk of L and one Hoelder
-    profile of psi."""
+    profile of psi; phi is the map's cached_invariant at psi's resolution."""
     ledgers = [compute_ledger(m, a) for a in alphas]
-    if phi is None:
-        phi, _ = invariant_density(m, resolution=psi.resolution)
+    phi, _ = cached_invariant(m, psi.resolution)
     return convergence_reports(psi, _l1_errors(orbit(m, psi), phi, n_max), ledgers)
 
 

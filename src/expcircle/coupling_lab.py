@@ -13,6 +13,7 @@ coins of head probability a.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ from .density_grid import (
 )
 from .errors import AuditViolation, FloorViolation
 from .system_constants import ConstantsLedger, compute_ledger, hoelder_class_check
-from .transfer_operator import apply, check_bytes
+from .transfer_operator import check_bytes, orbit
 
 # Slack on tv_true against each envelope.  It must cover tv_true's float
 # floor, the node-mean L1 distance of two iterates that agree up to
@@ -46,8 +47,11 @@ DETERMINISTIC_SLACK = 5e-6
 # drifts that apply divides out (logged past DRIFT_WARN = 1e-8), which no
 # bound covers.  Measured on the same runs: at most 5.0e-16.
 RECONSTRUCTION_TOL = 1e-8
-# Epochs of N_K steps in a Monte-Carlo coupling run's default horizon.
+# A Monte-Carlo coupling run's defaults: its horizon, in epochs of N_K
+# steps, its pairs and its seed.
 DEFAULT_EPOCHS = 5
+DEFAULT_TRIALS = 100_000
+DEFAULT_SEED = 42
 # A marginal chi-square p-value at or below this fails a Monte-Carlo run.
 CHI2_P_FLOOR = 1e-4
 CHI2_BINS = 64
@@ -121,32 +125,35 @@ def _start(led: ConstantsLedger, psi1: GridDensity, psi2: GridDensity,
 def _coupling_epochs(m: ExpandingMap, run: DeterministicCoupling,
                      psi1: GridDensity, psi2: GridDensity):
     """Walk the pair over run's steps, filling its tv_true and
-    worst_reconstruction.  Yields, after each epoch's decompose and at
-    n_max, (n, residual pair, (L^n psi1, L^n psi2)).  Keeps nothing from a
-    past epoch."""
+    worst_reconstruction.  The pair is one ``orbit`` per density; at each
+    epoch's end the residual pair and the pool are each walked N_K steps by
+    ``orbit`` from the epoch's start (the first epoch's residuals are the
+    pair itself, and the pool starts there as the uniform density), then
+    split and checked.  Yields, after each epoch's decompose,
+    (n, residual pair, (L^n psi1, L^n psi2)), and at the end of a last,
+    partial epoch (n_max, None, the pair): no residual is walked there.
+    Keeps nothing from a past epoch."""
     a, n_epoch = run.ledger.a, run.ledger.n_big_k
     bound_coupling, bound_theta = run.bound_coupling, run.bound_theta
     n_max = len(run.ns) - 1
-    direct = [psi1, psi2]
-    # Until the first decompose the residuals are the direct densities
-    # themselves, so each is applied once per step.
-    resid = direct
-    rho = None
-    for n in range(1, n_max + 1):
-        direct = [apply(m, d) for d in direct]
-        resid = direct if n <= n_epoch else [apply(m, r) for r in resid]
-        if rho is not None:
-            rho = apply(m, rho)
+
+    def epoch_on(f):
+        return next(itertools.islice(orbit(m, f), n_epoch, None))
+
+    pair = zip(*(itertools.islice(orbit(m, psi), 1, None) for psi in (psi1, psi2)))
+    resid = rho = None
+    for n, direct in zip(range(1, n_max + 1), pair):
         if n % n_epoch == 0:
-            resid = [decompose(r, a) for r in resid]
+            walked = direct if resid is None else [epoch_on(r) for r in resid]
+            resid = tuple(decompose(r, a) for r in walked)
             weight_prev = bound_coupling[n - n_epoch] / 2.0
-            deposit = a * weight_prev
             if rho is None:
                 rho = uniform_density(psi1.resolution)
             else:
+                deposit = a * weight_prev
                 regen_prev = 1.0 - weight_prev
                 rho = GridDensity(
-                    (deposit + regen_prev * rho.values) / (deposit + regen_prev)
+                    (deposit + regen_prev * epoch_on(rho).values) / (deposit + regen_prev)
                 )
             weight = bound_coupling[n] / 2.0
             err = max(
@@ -168,8 +175,10 @@ def _coupling_epochs(m: ExpandingMap, run: DeterministicCoupling,
                 f"tv = {tv:.6g} exceeds envelope at n = {n} "
                 f"(coupling {bound_coupling[n]:.6g}, theta {bound_theta[n]:.6g})"
             )
-        if n % n_epoch == 0 or n == n_max:
-            yield n, tuple(resid), tuple(direct)
+        if n % n_epoch == 0:
+            yield n, resid, direct
+        elif n == n_max:
+            yield n, None, direct
 
 
 def deterministic_contraction_run(
@@ -255,8 +264,8 @@ def monte_carlo_coupling(
     alpha: float,
     n_max: int | None = None,
     *,
-    trials: int = 100_000,
-    seed: int = 42,
+    trials: int = DEFAULT_TRIALS,
+    seed: int = DEFAULT_SEED,
 ) -> CouplingTrace:
     """Simulate the coupled pair over ``trials`` independent runs.
 
@@ -269,7 +278,8 @@ def monte_carlo_coupling(
     start; a last, partial epoch steps every point, which its chi-square
     checks read.  The deterministic run, which the returned trace extends,
     evolves alongside, and each epoch is let go once its regeneration and
-    chi-square checks are done.  Runs on the calling thread.
+    chi-square checks are done; no residual is walked for a last, partial
+    epoch, which regenerates nothing.  Runs on the calling thread.
 
     Audits the mismatch envelope and the tv <= 2 P(X != Y) inequality at
     every step with Monte-Carlo slack 5/sqrt(trials), and both sampled
@@ -300,7 +310,7 @@ def monte_carlo_coupling(
     mismatch = np.empty(n_max + 1)
     mismatch[0] = float(np.mean(x != y))
     chi2 = []
-    for n, (res1, res2), marginals in _coupling_epochs(m, run, psi1, psi2):
+    for n, resid, marginals in _coupling_epochs(m, run, psi1, psi2):
         rest = n % n_epoch
         if rest:
             # no regeneration follows a last, partial epoch, and its
@@ -327,8 +337,8 @@ def monte_carlo_coupling(
             fresh = rng.random(int(newly.sum()))
             x[newly] = fresh
             y[newly] = fresh
-            x[tails] = sample(res1, rng, int(tails.sum()))
-            y[tails] = sample(res2, rng, int(tails.sum()))
+            x[tails] = sample(resid[0], rng, int(tails.sum()))
+            y[tails] = sample(resid[1], rng, int(tails.sum()))
             coupled |= newly
             mismatch[n] = float(np.mean(x != y))
         chi2 += _chi2_marginals(n, (x, y), marginals)

@@ -66,10 +66,11 @@ TABLE_PEAK_BYTES_PER_ROW = 61
 SOLVE_BLOCK = 4096
 TABLE_BYTES_CAP = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
 
-# Per-map operators, keyed by resolution; an entry lives as long as its map.
-# The cache takes no lock: expcircle starts no thread, and its audits run
-# serially.
+# Per-map operators and invariant densities (cached_invariant), each keyed
+# by resolution; an entry lives as long as its map.  The caches take no
+# lock: expcircle starts no thread, and its audits run serially.
 _OPERATORS: "weakref.WeakKeyDictionary[ExpandingMap, dict]" = weakref.WeakKeyDictionary()
+_INVARIANTS: "weakref.WeakKeyDictionary[ExpandingMap, dict]" = weakref.WeakKeyDictionary()
 
 
 def _index_dtype(winding: int, resolution: int):
@@ -188,8 +189,8 @@ def apply(m: ExpandingMap, psi: GridDensity) -> GridDensity:
 def orbit(m: ExpandingMap, f: GridFunction):
     """Yield f, L f, L^2 f, ... lazily: each application is made when its
     iterate is read, by ``apply`` for a GridDensity and ``apply_function``
-    for any other GridFunction.  Every L^n walk of the package but the
-    coupling epochs' goes through here."""
+    for any other GridFunction.  Every L^n walk of the package goes through
+    here."""
     step = apply if isinstance(f, GridDensity) else apply_function
     while True:
         yield f
@@ -269,6 +270,15 @@ def invariant_density(
         f"no fixed point within {INVARIANT_MAX_ITER} steps on {m!r}; "
         f"last l1_diff = {rows[-1][0]:.3e}"
     )
+
+
+def cached_invariant(m: ExpandingMap, resolution: int = DEFAULT_RESOLUTION):
+    """(phi, diagnostics) of ``m`` at ``resolution``, computed on first use
+    by invariant_density at its default tolerance."""
+    per_map = _INVARIANTS.setdefault(m, {})
+    if resolution not in per_map:
+        per_map[resolution] = invariant_density(m, resolution=resolution)
+    return per_map[resolution]
 
 
 def _c1_size(f: GridFunction) -> float:

@@ -10,8 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from expcircle import (AuditResult, density_grid, invariant_density, linear_map,
-                       perturbed_map, transfer_operator)
+from expcircle import AuditResult, density_grid, linear_map, perturbed_map, transfer_operator
 from expcircle.cli import RunConfig, main, make_map
 
 M = 4096
@@ -36,7 +35,9 @@ def bent():
 
 @pytest.fixture(scope="session")
 def bent_phi(bent):
-    phi, _ = invariant_density(bent)
+    """bent's fixed point, the one decay_report and density_convergence_report
+    read from the cache."""
+    phi, _ = transfer_operator.cached_invariant(bent)
     return phi
 
 

@@ -222,17 +222,19 @@ def test_audit_signature_says_what_run_all_forwards(monkeypatch):
 
 
 def test_cached_invariant_is_freed_with_its_map():
+    # the fixed point is cached beside the operator table, under its rule
     gc.collect()
-    held = len(transfer_operator._OPERATORS)
+    held = len(transfer_operator._OPERATORS), len(transfer_operator._INVARIANTS)
     maps = [perturbed_map(2, 0.05) for _ in range(3)]
     for m in maps:
         phi, _ = audits.cached_invariant(m, 512)
         assert audits.cached_invariant(m, 512)[0] is phi
+    assert len(transfer_operator._INVARIANTS) == held[1] + 3
     alive = [weakref.ref(m) for m in maps]
     del m, maps
     gc.collect()
     assert all(ref() is None for ref in alive)
-    assert len(transfer_operator._OPERATORS) == held
+    assert (len(transfer_operator._OPERATORS), len(transfer_operator._INVARIANTS)) == held
 
 
 @pytest.mark.parametrize("audit, applies, scans", [
@@ -478,10 +480,9 @@ def test_forward_return_distance_follows_the_conditioning_model(bent):
     assert worst[6] > 10.0 * step
 
 
-def test_only_walk_and_the_operator_build_solve_roots():
-    # every other caller reads walk's tree, so a per-audit root solve
-    # cannot come back: (module, innermost function) of each reference to
-    # _solve_lift, None for module level (an import)
+def references(name: str) -> set:
+    """(module, innermost function) of each reference to ``name`` in the
+    package's source, None for module level (an import)."""
     users = set()
 
     def visit(node, module, scope):
@@ -489,12 +490,25 @@ def test_only_walk_and_the_operator_build_solve_roots():
             scope = node.name
         names = ([alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
                  else [getattr(node, "id", None), getattr(node, "attr", None)])
-        if "_solve_lift" in names:
+        if name in names:
             users.add((module, scope))
         for child in ast.iter_child_nodes(node):
             visit(child, module, scope)
 
     for path in Path(audits.__file__).parent.glob("*.py"):
         visit(ast.parse(path.read_text()), path.stem, None)
-    assert users == {("inverse_branches", "walk"),
-                     ("transfer_operator", None), ("transfer_operator", "_build_operator")}
+    return users
+
+
+def test_only_walk_and_the_operator_build_solve_roots():
+    # every other caller reads walk's tree, so a per-audit root solve
+    # cannot come back
+    assert references("_solve_lift") == {
+        ("inverse_branches", "walk"),
+        ("transfer_operator", None), ("transfer_operator", "_build_operator")}
+
+
+def test_only_orbit_steps_a_density():
+    # every L^n walk of a density goes through orbit, so a per-caller step
+    # loop cannot come back; the package exports apply for its users
+    assert references("apply") == {("transfer_operator", "orbit"), ("__init__", None)}

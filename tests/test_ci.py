@@ -66,4 +66,5 @@ def test_ci_verifies_a_high_degree_map_before_tier1():
     run = steps[at]["run"]
     config = json.loads(re.search(r"printf '([^']+)' > \"(\S+)\"", run).group(1))
     assert config == {"map": {"family": "perturbed", "w": 7, "eps": 0.5}}
-    assert "PYTHONPATH=src python -m expcircle verify --config" in run
+    # as tier-1 does, a warning (an overflow, a NaN) fails the run
+    assert "PYTHONPATH=src python -W error -m expcircle verify --config" in run

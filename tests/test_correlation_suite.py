@@ -13,13 +13,13 @@ from expcircle import (
     decay_report,
     density_convergence_report,
     integrate,
-    invariant_density,
     normalized_observable_density,
     perturbed_map,
     uniform_density,
 )
 from expcircle.audits import cos_observable, standard_maps
 from expcircle.correlation_suite import REDUCTION_SLACK
+from expcircle.transfer_operator import cached_invariant
 
 M = 4096
 X = np.arange(M) / M
@@ -90,24 +90,24 @@ def test_decay_report_doubling(doubling):
     assert s["all_ok"] and s["map"] == "linear{2}"
 
 
-def test_decay_report_perturbed_cusp(bent, bent_phi):
+def test_decay_report_perturbed_cusp(bent):
     cusp = GridFunction(np.minimum(X, 1.0 - X) ** 0.5)
-    (rep,), = decay_report(bent, [COS], cusp, (0.5,), phi=bent_phi, n_max=50)
+    (rep,), = decay_report(bent, [COS], cusp, (0.5,), n_max=50)
     assert rep.all_ok()
     # the curve genuinely decays to noise level
     assert abs(rep.corr[-1]) < 1e-10
     assert rep.g_holder == pytest.approx(1.0, rel=1e-6)
 
 
-def test_multi_f_decay_report_matches_single_f_reports(bent, bent_phi):
+def test_multi_f_decay_report_matches_single_f_reports(bent):
     cusp = GridFunction(np.minimum(X, 1.0 - X) ** 0.5)
     ripple = GridFunction(np.sin(2 * np.pi * 3 * X) + 0.3 * COS.values)
     tiny = GridFunction(1e-30 * COS.values)      # its curve stops at n = 0
     fs = [COS, tiny, ripple]
-    reps, = decay_report(bent, fs, cusp, (0.5,), phi=bent_phi, n_max=30)
+    reps, = decay_report(bent, fs, cusp, (0.5,), n_max=30)
     assert [len(r.ns) for r in reps] == [31, 1, 31]
     for f, rep in zip(fs, reps, strict=True):
-        (one,), = decay_report(bent, [f], cusp, (0.5,), phi=bent_phi, n_max=30)
+        (one,), = decay_report(bent, [f], cusp, (0.5,), n_max=30)
         for name in ("ns", "corr", "bound", "ok", "reduction_ok"):
             a, b = getattr(rep, name), getattr(one, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
@@ -128,29 +128,29 @@ def assert_same_report(multi, single):
             assert a == b, field.name
 
 
-def test_multi_alpha_reports_match_single_alpha_reports(bent, bent_phi):
+def test_multi_alpha_reports_match_single_alpha_reports(bent):
     alphas = (0.3, 0.5, 1.0)
     cusp = GridFunction(np.minimum(X, 1.0 - X) ** 0.5)
     ripple = GridFunction(np.sin(2 * np.pi * 3 * X) + 0.3 * COS.values)
     fs = [COS, ripple]
-    reps = decay_report(bent, fs, cusp, alphas, phi=bent_phi, n_max=30)
+    reps = decay_report(bent, fs, cusp, alphas, n_max=30)
     assert [[r.alpha for r in per_f] for per_f in reps] == [[a, a] for a in alphas]
     for a, per_f in zip(alphas, reps, strict=True):
-        singles, = decay_report(bent, fs, cusp, (a,), phi=bent_phi, n_max=30)
+        singles, = decay_report(bent, fs, cusp, (a,), n_max=30)
         for multi, single in zip(per_f, singles, strict=True):
             assert_same_report(multi, single)
     v = np.exp(np.cos(2 * np.pi * X))
     psi = GridDensity(v / v.mean())
-    reps = density_convergence_report(bent, psi, alphas, n_max=40, phi=bent_phi)
+    reps = density_convergence_report(bent, psi, alphas, n_max=40)
     for a, multi in zip(alphas, reps, strict=True):
-        single, = density_convergence_report(bent, psi, (a,), n_max=40, phi=bent_phi)
+        single, = density_convergence_report(bent, psi, (a,), n_max=40)
         assert_same_report(multi, single)
 
 
-def test_density_convergence_perturbed(bent, bent_phi):
+def test_density_convergence_perturbed(bent):
     v = np.exp(np.cos(2 * np.pi * X))
     psi = GridDensity(v / v.mean())
-    reps = density_convergence_report(bent, psi, (0.5, 1.0), n_max=120, phi=bent_phi)
+    reps = density_convergence_report(bent, psi, (0.5, 1.0), n_max=120)
     assert [rep.alpha for rep in reps] == [0.5, 1.0]
     for rep in reps:
         assert rep.all_ok()
@@ -173,9 +173,9 @@ def test_density_convergence_bound_tracks_holder(doubling):
 @pytest.mark.parametrize("m", standard_maps(), ids=repr)
 def test_side_density_is_walked_only_as_far_as_the_check_can_fail(count_work, m):
     cos = cos_observable(1024)
-    phi, _ = invariant_density(m, resolution=1024)
+    cached_invariant(m, 1024)
     counts = count_work()
-    (rep,), = decay_report(m, [cos], cos, (1.0,), n_max=60, phi=phi)
+    (rep,), = decay_report(m, [cos], cos, (1.0,), n_max=60)
     need = int(np.flatnonzero(np.abs(rep.corr) > REDUCTION_SLACK)[-1])
     assert need < 60
     # the invariance check, 60 steps of g phi and psi_g's steps to n = need;
@@ -183,8 +183,7 @@ def test_side_density_is_walked_only_as_far_as_the_check_can_fail(count_work, m)
     assert counts["apply"] == 1 + 60 + need
     assert rep.side_l1.size == need + 1
     counts = count_work()
-    (whole,), = decay_report(m, [cos], cos, (1.0,), n_max=60, phi=phi,
-                             full_side_walk=True)
+    (whole,), = decay_report(m, [cos], cos, (1.0,), n_max=60, full_side_walk=True)
     assert counts["apply"] == 1 + 60 + 60
     assert whole.side_l1.size == 61
     assert np.array_equal(whole.side_l1[:need + 1], rep.side_l1)
@@ -194,8 +193,7 @@ def test_side_density_is_walked_only_as_far_as_the_check_can_fail(count_work, m)
 def test_short_horizon_walks_the_side_density_to_its_end():
     m = perturbed_map(2, 0.1)
     cos = cos_observable(1024)
-    phi, _ = invariant_density(m, resolution=1024)
-    (rep,), = decay_report(m, [cos], cos, (1.0,), n_max=3, phi=phi)
+    (rep,), = decay_report(m, [cos], cos, (1.0,), n_max=3)
     assert abs(rep.corr[-1]) > REDUCTION_SLACK
     assert rep.side_l1.size == 4
     assert rep.all_ok()

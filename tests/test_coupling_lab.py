@@ -78,21 +78,29 @@ def test_deterministic_run_bookkeeping(bent):
     assert tv_at[2 * led.n_big_k] < tv_at[led.n_big_k]
 
 
-def test_deterministic_run_raises_at_the_first_step_past_the_envelope(bent, monkeypatch):
+@pytest.mark.parametrize("extra, applies", [(0, 147), (3, 153)])
+def test_deterministic_run_walks_residuals_only_to_an_epoch_end(bent, count_work,
+                                                                extra, applies):
+    # over 2 N_K + extra steps the pair takes 2 n_max applications, and the
+    # residual pair and the pool 3 N_K over the second epoch (the first
+    # epoch's residuals are the pair itself); a last, partial epoch
+    # regenerates nothing, so none of them is walked there
+    n_big_k = compute_ledger(bent, 1.0).n_big_k
+    n_max = 2 * n_big_k + extra
+    counts = count_work()
+    deterministic_contraction_run(bent, tilted(), uniform_density(M), 1.0, n_max)
+    assert counts["apply"] == 2 * n_max + 3 * n_big_k == applies
+
+
+def test_deterministic_run_raises_at_the_first_step_past_the_envelope(bent, count_work,
+                                                                      monkeypatch):
     # a negative slack puts every step past the envelope: the run stops at
     # n = 1, the first step it audits, after that step's two applications
-    applied = []
-    apply_ = coupling_lab.apply
-
-    def counted(m, psi):
-        applied.append(1)
-        return apply_(m, psi)
-
-    monkeypatch.setattr(coupling_lab, "apply", counted)
     monkeypatch.setattr(coupling_lab, "DETERMINISTIC_SLACK", -10.0)
+    counts = count_work()
     with pytest.raises(AuditViolation, match="exceeds envelope at n = 1 "):
         deterministic_contraction_run(bent, tilted(), uniform_density(M), 1.0, 5)
-    assert len(applied) == 2
+    assert counts["apply"] == 2
 
 
 def test_deterministic_run_rejects_wild_start(bent):
