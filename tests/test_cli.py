@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -14,9 +16,9 @@ import pytest
 
 import expcircle
 from expcircle import coupling_lab, correlation_suite
-from expcircle.audits import (MASS_TOL, _step_error, cos_observable, coupling_pair,
-                              standard_maps)
-from expcircle.circle_map import linear_map
+from expcircle.audits import (MASS_TOL, _step_error, audit_coupling_monte_carlo,
+                              cos_observable, coupling_pair, standard_maps)
+from expcircle.circle_map import linear_map, perturbed_map
 from expcircle import cli
 from expcircle.cli import N_MAX_CEILING, RunConfig, _write_json, main, make_map
 from expcircle.correlation_suite import decay_report
@@ -59,26 +61,26 @@ GOLDEN = {
     },
     "coupling --trials 20000 --n-max 21": {
         "coupling.csv": "cd0198987ada4852a7aa2c704a1cb5bf5c53629f118780bf64112c022037f8b8",
-        "coupling.json": "b5b88c3533f453dde9edf5d0e37f4c2e638412bc36f3a24746f508d6fe988c3b",
+        "coupling.json": "9b95e0a77d895bcd31d808e2cd83ebf1d282c82c50ae1559994f6b4fa88a25eb",
     },
     "coupling --trials 20000 --n-max 30": {
         "coupling.csv": "c74fbe21ed02225c30b860c2e631f4bbb37c1c0ed742c5a82095f3c0c733feab",
-        "coupling.json": "6988772444d2ff6b0496434d4f2cb81d0d75d9456524b8b429026c239af36ccb",
+        "coupling.json": "f97bfced4bfaabadadfc1e586bb6054fd894313df530f3b91f77333ff63196c8",
     },
     "verify on linear{2}": {
-        "verify.json": "4f692b028dee0c24cb5f5aeb758c2c1c80d027a3a0b1d8cc11581e0be51c5200",
+        "verify.json": "0ebbabb628f7e0d95fa95946d583d28db7e226a7dd91ac7de7b08e6680992947",
     },
     "verify on linear{3}": {
-        "verify.json": "9bbf565f64070ea55f6c32ba34a2941a80e12a72f685d8cdb231c31637f2b844",
+        "verify.json": "f4078603a24c5dba0e6d140d399126ae2556be53174269957894ae8bad97ae80",
     },
     "verify on perturbed{2,0.02}": {
-        "verify.json": "6e0697dbacd250126433688acb32557298b88706ad4398951964615e573376cb",
+        "verify.json": "b27ecf7a7158203405906419b1eaac975fa13047752716589b782b1199d8ad8a",
     },
     "verify on perturbed{2,0.05}": {
-        "verify.json": "52646b64c90844468d4fd33600f29b8661d71eb2e15877609c7929dfdc935976",
+        "verify.json": "bd3cd7ade850b68f929b7a59facddf0596574467643a319d5638f73649749c77",
     },
     "verify on perturbed{2,0.1}": {
-        "verify.json": "88317ee42e702ce99f9a6b456ab38d33307ad5934bea23da5717e6eb9f9b3a93",
+        "verify.json": "eebbef78739bc2e5bfd82060d7388ec7d1b3dab609e9601a1c963f95e3ced2b4",
     },
 }
 
@@ -782,6 +784,25 @@ def test_collapsed_coupling_marginals_exit_four(tmp_path, capsys):
     assert not (tmp_path / "coupling.json").exists()
 
 
+def test_nan_p_value_fails_coupling_and_its_audit(tmp_path, monkeypatch, capsys):
+    # a bin with no mass and no draws gives a 0/0 statistic; a NaN third
+    # p-value must fail the run, which a "p <= floor" check and a min over
+    # the p-values would both let through
+    tail = coupling_lab._chi2_tail
+    calls = itertools.count()
+    monkeypatch.setattr(coupling_lab, "_chi2_tail",
+                        lambda dof, x: math.nan if next(calls) == 2 else tail(dof, x))
+    cfg = write_config(tmp_path, {"map": {"family": "perturbed", "w": 2, "eps": 0.1},
+                                  "trials": 5000, "resolution": 1024, "seed": 1})
+    assert main(["coupling", "--config", cfg, "--out", str(tmp_path)]) == 4
+    assert "p-value nan not above" in capsys.readouterr().err
+    assert not (tmp_path / "coupling.json").exists()
+    calls = itertools.count()
+    result = audit_coupling_monte_carlo(perturbed_map(2, 0.1), trials=5000, seed=1,
+                                        resolution=1024)
+    assert not result.ok and "p-value nan" in result.detail
+
+
 def test_unreachable_tolerance_exits_three(tmp_path, capsys):
     # successive iterates at M = 16 keep an L1 difference near 1e-16
     cfg = write_config(tmp_path, {"resolution": 16, "tol": 1e-300})
@@ -798,38 +819,44 @@ def child_env() -> dict:
     return env
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    # scipy.stats would dominate start-up; the package needs only
-    # scipy.sparse, and scipy.special for the chi-square test
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, expcircle.cli; print('scipy.stats' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        env=child_env(),
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
-
-
-def test_invariant_and_decay_leave_scipy_special_out(tmp_path):
-    # only the Monte-Carlo coupling's chi-square test needs scipy.special
-    runs = [["invariant", "--resolution", "512"],
-            ["decay", "--resolution", "512", "--n-max", "4"]]
+def test_no_command_imports_scipy_special_or_stats(tmp_path):
+    # the chi-square tail is a closed form in stdlib math, so no command,
+    # coupling and verify included, pays scipy.special's start-up, and
+    # none pays scipy.stats', which would dominate it
+    runs = {"constants": [],
+            "invariant": ["--resolution", "512"],
+            "decay": ["--resolution", "512", "--n-max", "4"],
+            "coupling": ["--resolution", "1024", "--trials", "1000"],
+            "verify": ["--resolution", "1024", "--trials", "1000"]}
+    assert set(runs) == set(cli.COMMANDS)
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys; from expcircle.cli import main\n"
-         f"for argv in {runs!r}:\n"
-         f"    assert main(argv + ['--out', {str(tmp_path)!r}]) == 0\n"
-         "print('scipy.special' in sys.modules)"],
+         f"for name, argv in {runs!r}.items():\n"
+         f"    assert main([name, *argv, '--out', {str(tmp_path)!r}]) == 0\n"
+         "print('scipy.special' in sys.modules, 'scipy.stats' in sys.modules)"],
         capture_output=True,
         text=True,
         env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-1] == "False False"
     assert {p.name for p in tmp_path.iterdir()} == {
-        "invariant.csv", "invariant.json", "decay.csv", "decay.json"}
+        "constants.json", "invariant.csv", "invariant.json", "decay.csv",
+        "decay.json", "coupling.csv", "coupling.json", "verify.json"}
+
+
+def test_scipy_sparse_is_the_only_scipy_import():
+    found = []
+    for path in sorted(Path(expcircle.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found += [(path.stem, a.name) for a in node.names
+                          if a.name.split(".")[0] == "scipy"]
+            elif (isinstance(node, ast.ImportFrom) and node.module
+                  and node.module.split(".")[0] == "scipy"):
+                found += [(path.stem, f"{node.module}.{a.name}") for a in node.names]
+    assert found == [("transfer_operator", "scipy.sparse")]
 
 
 def test_module_entry_point(tmp_path):
