@@ -67,7 +67,7 @@ from .system_constants import (
     compute_ledger,
     hoelder_class_check,
     holder_iteration_cap,
-    pointwise_log_bounds_hold,
+    pointwise_log_excess,
     positivity_floor,
 )
 from .transfer_operator import (

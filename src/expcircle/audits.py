@@ -1,10 +1,13 @@
 """Quantitative audit sweeps shared by the ``verify`` subcommand and tests.
 
 Each audit exercises one guaranteed property of the library on a concrete
-map and returns AuditResult records.  Audits are pure functions of their
-seeds, so results are reproducible; the tolerances pinned here are the
-ones quoted by the acceptance tests.  ``_audit`` registers each audit in
-run order and times it, fails it on a violation and builds its results.
+map.  Its body returns only the Parts of its results, each one named
+comparison at its worst case over the audit's sweep.  ``_audit`` registers
+each body in run order, times it, and derives each result's verdict,
+margin, tightest part and detail from its parts (``_result``), the one
+place a verdict is decided.  Audits are pure functions of their seeds, so
+results are reproducible; the tolerances pinned here are the ones quoted
+by the acceptance tests.
 """
 from __future__ import annotations
 
@@ -26,10 +29,14 @@ from .circle_map import (
     linear_map,
     perturbed_map,
 )
-from .coupling_lab import (CHI2_P_FLOOR, DEFAULT_SEED, DEFAULT_TRIALS, decompose,
+from .coupling_lab import (CHI2_P_FLOOR, DEFAULT_SEED, DEFAULT_TRIALS,
+                           DETERMINISTIC_SLACK, RECONSTRUCTION_TOL, decompose,
                            deterministic_contraction_run, monte_carlo_coupling)
 from .correlation_suite import (
+    BOUND_SLACK,
+    CONVERGENCE_SLACK,
     DEFAULT_N_MAX,
+    REDUCTION_SLACK,
     convergence_reports,
     decay_report,
     density_convergence_report,
@@ -55,9 +62,9 @@ from .inverse_branches import _anchor_offset, _residual_tol, walk
 from .system_constants import (
     ROUNDING_SLACK,
     compute_ledger,
-    hoelder_class_check,
+    hoelder_log_bound,
     holder_iteration_cap,
-    pointwise_log_bounds_hold,
+    pointwise_log_excess,
     positivity_floor,
 )
 from .transfer_operator import (
@@ -75,6 +82,14 @@ CLASS_CAPS = (5.0, 20.0, None)           # None -> the ledger's K
 MASS_TOL = 1e-10
 DUALITY_REL_TOL = 5e-3
 UNIQUENESS_TOL = 1e-8
+# The range invariants of every ledger: (name, field, op, bound).
+LEDGER_RANGES = (
+    ("Omega", "omega", ">=", 0.0), ("a", "a", ">", 0.0), ("a", "a", "<=", 0.5),
+    ("K", "big_k", ">", 1.0), ("theta_exact", "theta_exact", ">", 0.0),
+    ("theta_exact", "theta_exact", "<", 1.0), ("theta_paper", "theta_paper", ">", 0.0),
+    ("theta_paper", "theta_paper", "<", 1.0), ("D_exact", "d_exact", "<=", 4.0),
+    ("C", "c_corr", ">=", 384.0), ("N_K", "n_big_k", ">=", 1),
+)
 
 # Error models of the pullback gates, each built on _step_error's r.  As
 # T' >= lambda a pullback step lands within r / lambda of the exact preimage
@@ -90,27 +105,93 @@ UNIQUENESS_TOL = 1e-8
 DISTORTION_SLACK = 1e-9
 
 
+class Part(NamedTuple):
+    """One comparison of a result at its worst case over its audit's sweep,
+    ``measured op bound``, where op is <=, <, >= or >, and the bound is
+    widened by ``slack``: raised for < and <=, lowered for > and >=."""
+    label: str
+    measured: float
+    bound: float
+    slack: float = 0.0
+    op: str = "<="
+
+    @property
+    def margin(self) -> float:
+        """_margins of the part: 0 or more exactly where it holds."""
+        return float(_margins(self.measured, self.bound, self.slack, self.op))
+
+    def __str__(self) -> str:
+        widened = f" {'+' if self.op[0] == '<' else '-'} {self.slack:.2g}" if self.slack else ""
+        return f"{self.label} = {self.measured:.3e} {self.op} {self.bound:.4g}{widened}"
+
+
+def _margins(measured, bound, slack, op):
+    """Elementwise, the threshold bound + slack less measured for <= and <,
+    measured less the threshold bound - slack for >= and >; a strict op
+    takes the float next to it on the passing side (x < t exactly where x
+    <= nextafter(t, -inf)).  A rounded difference has the exact one's sign,
+    so this is 0 or more exactly where the comparison holds.  It is -inf,
+    a failure, where an operand or the difference is NaN or infinite."""
+    upper = op[0] == "<"
+    threshold = np.add(bound, slack) if upper else np.subtract(bound, slack)
+    if len(op) == 1:
+        threshold = np.nextafter(threshold, -np.inf if upper else np.inf)
+    margin = np.subtract(threshold, measured) if upper else np.subtract(measured, threshold)
+    finite = np.isfinite(margin) & np.isfinite(measured) & np.isfinite(bound) & np.isfinite(slack)
+    return np.where(finite, margin, -np.inf)
+
+
+def _worst(label: str, measured, bound, slack: float = 0.0, op: str = "<=") -> Part:
+    """The Part of the cell with the smallest margin, the first of equal
+    ones, of the comparison of ``measured`` against ``bound`` cell by cell
+    (each a scalar or a sequence, broadcast against each other)."""
+    measured, bound = np.broadcast_arrays(np.asarray(measured, dtype=float),
+                                          np.asarray(bound, dtype=float))
+    i = np.argmin(_margins(measured, bound, slack, op))
+    return Part(label, float(measured.flat[i]), float(bound.flat[i]), slack, op)
+
+
 @dataclass(frozen=True)
 class AuditResult:
     name: str
     ok: bool
     detail: str = ""
-    seconds: float = 0.0
-    margin: float | None = None     # bound + slack - measured; None if compound
+    margin: float | None = None     # the tightest part's if finite, else None
+    parts: tuple = ()               # the Parts all of the above derive from
+    body: str = ""                  # the audit function that measured them
+    seconds: float = 0.0            # that body's wall time, shared by its results
 
     def __bool__(self) -> bool:
         return self.ok
 
+    @property
+    def tightest(self) -> Part | None:
+        """The part with the smallest margin, one that fails if any does."""
+        return min(self.parts, key=lambda p: p.margin, default=None)
+
+
+def _result(name: str, parts, body: str, seconds: float) -> AuditResult:
+    """The result ``name`` of its parts: it passes when every part holds,
+    its margin is the tightest part's, and its detail shows every part that
+    fails, else the tightest.  A violation raised instead fails it, with no
+    margin and the violation's message as its detail."""
+    if isinstance(parts, Violation):
+        return AuditResult(name, False, str(parts), body=body, seconds=seconds)
+    margins = [p.margin for p in parts]
+    failed = [p for p, margin in zip(parts, margins) if margin < 0.0]
+    margin = min(margins)
+    tight = parts[margins.index(margin)]
+    if failed:
+        detail = "failed: " + "; ".join(map(str, failed))
+    else:
+        detail = (f"tightest of {len(parts)}: " if len(parts) > 1 else "") + str(tight)
+    return AuditResult(name, not failed, detail, margin if math.isfinite(margin) else None,
+                       tuple(parts), body, seconds)
+
 
 def standard_maps() -> list:
     """The five concrete maps every sweep runs on."""
-    return [
-        linear_map(2),
-        linear_map(3),
-        perturbed_map(2, 0.02),
-        perturbed_map(2, 0.05),
-        perturbed_map(2, 0.1),
-    ]
+    return [linear_map(2), linear_map(3), *(perturbed_map(2, eps) for eps in (0.02, 0.05, 0.1))]
 
 
 def _rng(seed) -> np.random.Generator:
@@ -170,22 +251,14 @@ def density_family(resolution: int = DEFAULT_RESOLUTION) -> list:
     """Canonical strictly positive densities for the contraction sweeps."""
     x = np.arange(resolution) / resolution
     cos = cos_observable(resolution).values
-
-    def norm(v):
-        return GridDensity(v / v.mean())
-
-    return [
-        norm(1.0 + 0.5 * cos),
-        norm(np.exp(cos)),
-        norm(np.exp(0.3 * cos + 0.2 * np.sin(4.0 * np.pi * x))),
-    ]
+    return [GridDensity(v / v.mean()) for v in
+            (1.0 + 0.5 * cos, np.exp(cos), np.exp(0.3 * cos + 0.2 * np.sin(4.0 * np.pi * x)))]
 
 
 def cosine_density(resolution: int = DEFAULT_RESOLUTION) -> GridDensity:
     """exp(0.3 cos 2 pi x), normalized: the second start of the invariant
     density and the first density of the coupling pair."""
-    x = np.arange(resolution) / resolution
-    v = np.exp(0.3 * np.cos(2.0 * np.pi * x))
+    v = np.exp(0.3 * cos_observable(resolution).values)
     return GridDensity(v / v.mean())
 
 
@@ -213,25 +286,6 @@ def observable_family(resolution: int, alphas):
     return fs, [(*fs[0], tuple(alphas)), *cusps]
 
 
-class Verdict(NamedTuple):
-    """One result as an audit body measured it; ``margin`` is bound plus
-    slack minus measured (>= 0 passes), None where the verdict is not one
-    comparison."""
-    ok: bool
-    detail: str
-    margin: float | None = None
-
-
-def _gate(margin: float, detail: str, slack: float = 0.0, strict: bool = False) -> Verdict:
-    """A single numeric comparison: pass at margin + slack >= 0 (> if
-    strict), and that sum is the recorded margin, so its sign is the
-    verdict.  A float sum is 0 only when margin is exactly -slack, and
-    rounding keeps the sign of any other, so this passes exactly where
-    margin >= -slack (> -slack) does."""
-    margin = float(margin + slack)
-    return Verdict(margin > 0.0 if strict else margin >= 0.0, detail, margin)
-
-
 # (attribute, result count, run_all arguments taken, per-map), in run order.
 _AUDITS: list = []
 # The arguments run_all forwards to the audits that take them.
@@ -239,14 +293,13 @@ _FORWARDED = ("seed", "trials", "resolution", "n_max")
 
 
 def _audit(*names: str):
-    """Register an audit body that returns one Verdict per result name (a
-    bare Verdict for one).  The body's keyword-only parameters are the
-    run_all arguments it receives, each one of _FORWARDED (any other raises
-    TypeError); a positional parameter, the map, makes it per-map.  The
-    registered function times the body, fails every name on a violation
-    and returns the AuditResults, a list for several names with the wall
-    time on the first; the body's return annotation is that of the
-    registered function."""
+    """Register an audit body that returns the Parts of each result name: a
+    list of them for one name, one list per name for several.  The body's
+    keyword-only parameters are the run_all arguments it receives, each one
+    of _FORWARDED (any other raises TypeError); a positional parameter, the
+    map, makes it per-map.  The registered function times the body and
+    returns its AuditResults (_result), a list for several names; the
+    body's return annotation is that of the registered function."""
     def register(body):
         params = inspect.signature(body).parameters.values()
         takes = tuple(p.name for p in params if p.kind is p.KEYWORD_ONLY)
@@ -262,13 +315,12 @@ def _audit(*names: str):
             t0 = time.perf_counter()
             try:
                 out = body(*args, **kwargs)
+                out = out if len(names) > 1 else [out]
             except Violation as exc:
-                verdicts = [Verdict(False, str(exc))] * len(names)
-            else:
-                verdicts = out if len(names) > 1 else [out]
-            seconds = [time.perf_counter() - t0] + [0.0] * (len(names) - 1)
-            results = [AuditResult(name, bool(v.ok), v.detail, s, v.margin)
-                       for name, v, s in zip(names, verdicts, seconds, strict=True)]
+                out = [exc] * len(names)
+            seconds = time.perf_counter() - t0
+            results = [_result(name, parts, body.__name__, seconds)
+                       for name, parts in zip(names, out, strict=True)]
             return results if len(names) > 1 else results[0]
 
         _AUDITS.append((body.__name__, len(names), takes, per_map))
@@ -290,27 +342,20 @@ def audit_certificate(m: ExpandingMap) -> AuditResult:
     xs = rng.random(4096)
     dmin = float(m.dlift(xs).min())
     ys = rng.random(4096)
-    lip = float(
-        (circle_distance(evaluate(m, xs), evaluate(m, ys))
-         - m.d1_sup * circle_distance(xs, ys)).max()
-    )
-    ok = dmin >= cert["lambda"] and lip <= 1e-12
-    return Verdict(
-        ok, f"min sampled T' - lambda = {dmin - cert['lambda']:.3e}, "
-        f"worst forward-Lipschitz excess = {lip:.3e}",
-    )
+    lip = float((circle_distance(evaluate(m, xs), evaluate(m, ys))
+                 - m.d1_sup * circle_distance(xs, ys)).max())
+    return [Part("min sampled T'", dmin, cert["lambda"], op=">="),
+            Part("worst forward-Lipschitz excess", lip, 1e-12)]
 
 
 @_audit("second-derivative-fd")
 def audit_second_derivative(m: ExpandingMap) -> AuditResult:
     """T'' agrees with a central finite difference of T' (h=1e-5, tol 1e-5)."""
-    rng = _rng(4)
-    xs = rng.random(100)
+    xs = _rng(4).random(100)
     h = 1e-5
     fd = (m.dlift(xs + h) - m.dlift(xs - h)) / (2.0 * h)
     worst = float(np.abs(fd - m.d2lift(xs)).max())
-    return _gate(-worst, f"worst |fd - T''| = {worst:.3e} over 100 points",
-                 slack=1e-5)
+    return [Part("worst |fd - T''| over 100 points", worst, 0.0, 1e-5)]
 
 
 def _step_error(m: ExpandingMap) -> float:
@@ -341,10 +386,11 @@ def audit_arc_expansion(m: ExpandingMap) -> list:
     for end in walk(m, nodes, xs):       # a parent comes before its children
         pulled[end.path] = end.u
         tu = evaluate(m, end.u)
-        worst = max(worst, float(circle_distance(tu, pulled[end.path[:-1]]).max()))
+        # np.maximum, unlike max, keeps a NaN, which then fails the part
+        worst = np.maximum(worst, circle_distance(tu, pulled[end.path[:-1]]).max())
         if len(end.path) == 1:          # arcs within one branch, no wrap arc
             excess = m.lam * (np.diff(end.u) % 1.0) - np.diff(tu) % 1.0
-            worst_arc = max(worst_arc, float(excess.max()))
+            worst_arc = np.maximum(worst_arc, excess.max())
     arcs = (xs.size - 1) * sum(len(p) == 1 for p in nodes)
     # Arc slack: T' >= lambda on a piece, so the inequality holds exactly at
     # the computed ends, whatever their root error.  Each T value rounds by
@@ -358,10 +404,10 @@ def audit_arc_expansion(m: ExpandingMap) -> list:
     # 2.2e-16 (linear{3}) and 9.7e-13 to 1.0e-12 (perturbed).
     top = _anchor_offset(m) + m.winding
     return [
-        _gate(-worst_arc, f"worst lambda*|J| - |T(J)| = {worst_arc:.3e} over {arcs} arcs",
-              slack=8.0 * np.spacing(top) + (m.lam + 1.5) * np.spacing(1.0)),
-        _gate(-worst, f"worst one-step return distance {worst:.3e} over "
-              f"{len(nodes) * 64} node points", slack=_step_error(m) + 2.0 * np.spacing(1.0)),
+        [Part(f"worst lambda |J| - |T(J)| over {arcs} arcs", worst_arc, 0.0,
+              8.0 * np.spacing(top) + (m.lam + 1.5) * np.spacing(1.0))],
+        [Part(f"worst one-step return distance over {len(nodes) * 64} node points",
+              worst, 0.0, _step_error(m) + 2.0 * np.spacing(1.0))],
     ]
 
 
@@ -388,15 +434,15 @@ def audit_partition(m: ExpandingMap) -> AuditResult:
     # to 1.5e-12 on the standard maps, whose worst excess is 0 (linear{2}),
     # 5.6e-17 (linear{3}) and -9.6e-3 to -2.4e-2 (perturbed).
     slack = 2.0 * _step_error(m) / m.lam + 2.0 * np.spacing(1.0)
-    grids = itertools.islice(orbit(m, GridFunction(np.ones(512))), 1, 4)
-    grids = np.array([g.values for g in grids])
+    grids = np.array([g.values for g in
+                      itertools.islice(orbit(m, GridFunction(np.ones(512))), 1, 4)])
     worst_mass = float(np.abs(branch.mean(axis=1) - 1.0).max())
     worst_route = float(np.abs(branch - grids).max())
     if m.d2_sup == 0.0:
-        worst_route = max(worst_route, float(np.abs(branch - 1.0).max()))
-    ok = worst_arc <= slack and worst_mass <= 1e-10 and worst_route <= 1e-9
-    return Verdict(ok, f"worst arc band excess {worst_arc:.1e}, mass defect "
-                   f"{worst_mass:.1e}, route mismatch {worst_route:.1e}")
+        worst_route = np.maximum(worst_route, np.abs(branch - 1.0).max())
+    return [Part("worst arc band excess", worst_arc, 0.0, slack),
+            Part("mass defect", worst_mass, 1e-10),
+            Part("route mismatch", worst_route, 1e-9)]
 
 
 def _sampled_paths(w: int, max_depth: int, rng: np.random.Generator, cap: int = 600):
@@ -433,18 +479,18 @@ def audit_backward_contraction(m: ExpandingMap) -> list:
     paths = _sampled_paths(m.winding, 8, rng)
     for end in walk(m, paths, xs, ys):
         rhs = m.lam ** (-len(end.path)) * d
-        worst_gap = max(worst_gap, float((end.gap - rhs).max()))
+        worst_gap = np.maximum(worst_gap, (end.gap - rhs).max())
         ratio = end.du / end.dv
-        worst_band = max(worst_band, float((ratio - hi).max()), float((lo - ratio).max()))
+        worst_band = np.maximum(worst_band, np.maximum(ratio - hi, lo - ratio).max())
     cells = f"over {len(paths) * 1000} pair-path cells"
     # The pair slack: a lifted gap |u_n - v_n| is off by 2 r / (lambda - 1),
     # at most 5.4e-12 (perturbed{2,0.1}, lambda 1.372).  Measured worst
     # lhs - rhs: 1.8e-16 and 2.3e-16 on linear{2} and {3}, where the bound
     # is attained, and -2.5e-7 to -7.9e-6 on the perturbed maps.
     return [
-        _gate(-worst_gap, f"worst lhs - rhs = {worst_gap:.3e} {cells}",
-              slack=2.0 * _step_error(m) / (m.lam - 1.0)),
-        _gate(-worst_band, f"worst band excess {worst_band:.3e} {cells}"),
+        [Part(f"worst lhs - rhs {cells}", worst_gap, 0.0,
+              2.0 * _step_error(m) / (m.lam - 1.0))],
+        [Part(f"worst band excess {cells}", worst_band, 0.0)],
     ]
 
 
@@ -454,34 +500,24 @@ def audit_operator_identities(m: ExpandingMap, *,
     """Mass conservation (raw, pre-renormalization), exact positivity, and
     L1 contraction of single applications over 100 random densities."""
     rng = _rng(11)
-    worst_mass = 0.0
-    min_value = np.inf
-    worst_contr = -np.inf
+    drifts, lows, growths = [], [], []
     prev = None
     for psi in itertools.islice(_smooth_densities(rng, resolution), 100):
         raw = apply_function(m, psi)
-        worst_mass = max(worst_mass, abs(integrate(raw) - integrate(psi)))
-        min_value = min(min_value, float(raw.values.min()))
+        drifts.append(abs(integrate(raw) - integrate(psi)))
+        lows.append(float(raw.values.min()))
         if prev is not None:
             u = GridFunction(psi.values - prev.values)
-            worst_contr = max(
-                worst_contr,
-                float(np.abs(apply_function(m, u).values).mean())
-                - float(np.abs(u.values).mean()),
-            )
+            growths.append(float(np.abs(apply_function(m, u).values).mean())
+                           - float(np.abs(u.values).mean()))
         prev = psi
     # positivity must also hold for rough (non-smooth) nonnegative input
     for _ in range(10):
         v = np.abs(rng.normal(size=resolution)) + 1e-9
-        rough = GridDensity(v / v.mean())
-        min_value = min(min_value, float(apply_function(m, rough).values.min()))
-    return [
-        _gate(-worst_mass, f"worst raw mass drift {worst_mass:.3e} over 100 "
-              "densities", slack=MASS_TOL),
-        _gate(min_value, f"min output node value {min_value:.3e}"),
-        _gate(-worst_contr, f"worst ||Lu||_1 - ||u||_1 = {worst_contr:.3e}",
-              slack=MASS_TOL),
-    ]
+        lows.append(float(apply_function(m, GridDensity(v / v.mean())).values.min()))
+    return [[_worst("raw mass drift over 100 densities", drifts, 0.0, MASS_TOL)],
+            [_worst("output node value", lows, 0.0, op=">=")],
+            [_worst("||Lu||_1 - ||u||_1", growths, 0.0, MASS_TOL)]]
 
 
 @_audit("operator-duality")
@@ -489,29 +525,25 @@ def audit_duality(m: ExpandingMap, *, resolution: int = DEFAULT_RESOLUTION) -> A
     """int (f o T) g dm == int f (L g) dm up to interpolation error, over 20
     random pairs."""
     rng = _rng(12)
-    x = np.arange(resolution) / resolution
-    tx = evaluate(m, x)
-    worst = -np.inf
+    tx = evaluate(m, np.arange(resolution) / resolution)
+    excess = []
     inputs = _smooth_functions(rng, resolution)
     for f, g in itertools.islice(zip(inputs, inputs), 20):
         lhs = float(np.mean(f.evaluate(tx) * g.values))
         rhs = integrate(GridFunction(f.values * apply_function(m, g).values))
-        tol = DUALITY_REL_TOL * sup_norm(f) * sup_norm(g)
-        worst = max(worst, abs(lhs - rhs) - tol)
-    return _gate(-worst, f"worst |defect| - tol = {worst:.3e} over 20 pairs")
+        excess.append(abs(lhs - rhs) - DUALITY_REL_TOL * sup_norm(f) * sup_norm(g))
+    return [_worst("|defect| - tol over 20 pairs", excess, 0.0)]
 
 
 @_audit("sup-c1-bounds")
 def audit_sup_c1_bounds(m: ExpandingMap, *, resolution: int = DEFAULT_RESOLUTION) -> AuditResult:
     """sup and C1-size growth caps (1+Omega), (1+Omega)^2 for the iterates
-    n = 1, 5, 15, 30."""
-    ok = True
-    worst = -np.inf
-    for _, f in _test_functions(resolution, 77):
-        for sup_lhs, sup_rhs, _, _, fine in check_growth_bounds(m, f, (1, 5, 15, 30)):
-            ok = ok and fine
-            worst = max(worst, sup_lhs - sup_rhs)
-    return Verdict(ok, f"worst sup-bound excess {worst:.3e} (2% slack applies)")
+    n = 1, 5, 15, 30, each with check_growth_bounds' 2% slack."""
+    sup_lhs, sup_cap, c1_lhs, c1_cap = np.array([
+        row for _, f in _test_functions(resolution, 77)
+        for row in check_growth_bounds(m, f, (1, 5, 15, 30))]).T
+    return [_worst("sup |L^n f| against 1.02 (1 + Omega) sup |f|", sup_lhs, sup_cap),
+            _worst("C1 size of L^n f against 1.02 (1 + Omega)^2 that of f", c1_lhs, c1_cap)]
 
 
 @_audit("holder-log-contraction", "holder-growth-cap", "positivity-floor",
@@ -527,10 +559,7 @@ def audit_regularity_sweep(m: ExpandingMap, *, resolution: int = DEFAULT_RESOLUT
     """
     ledgers = {a: compute_ledger(m, a) for a in DEFAULT_ALPHAS}
     pointwise_ns = {0, 1, 2, 5, 10, 20, 30}
-    worst_log = worst_cap = -np.inf
-    worst_floor = np.inf
-    worst_chain = -np.inf
-    pointwise_ok = True
+    log_ex, cap_ex, floor_ex, pointwise_ex, chain_ex = [], [], [], [], []   # per cell
     for psi in density_family(resolution):
         # psi, L psi, ..., L^30 psi, each applied when first read, and its
         # plain and log profiles, each chained along its own orbit; the
@@ -540,37 +569,31 @@ def audit_regularity_sweep(m: ExpandingMap, *, resolution: int = DEFAULT_RESOLUT
         profiles = zip(iterates, holder_profiles(plain, DEFAULT_ALPHAS),
                        holder_profiles(map(log_transform, logs), DEFAULT_ALPHAS))
         cur, h_plain0, h_log0 = next(profiles)
-        caps = {}
-        floors = {}
-        extra = 0
-        for i, a in enumerate(DEFAULT_ALPHAS):
-            caps[a] = holder_iteration_cap(h_plain0[i], ledgers[a])
-            floors[a] = positivity_floor(h_plain0[i], ledgers[a])
-            extra = max(extra, floors[a][0] + 12 - 30)
-            pointwise_ok = pointwise_ok and pointwise_log_bounds_hold(psi, h_log0[i])
+        caps = [holder_iteration_cap(h, ledgers[a]) for h, a in zip(h_plain0, DEFAULT_ALPHAS)]
+        floors = [positivity_floor(h, ledgers[a]) for h, a in zip(h_plain0, DEFAULT_ALPHAS)]
+        extra = max(0, *(n1 + 12 - 30 for n1, _ in floors))
+        pointwise_ex += [pointwise_log_excess(psi, h) for h in h_log0]
         lows = []                                   # inf L^n psi, n = 1, 2, ...
         for n, (cur, h_plain, h_log) in enumerate(profiles, 1):
             for i, a in enumerate(DEFAULT_ALPHAS):
                 led = ledgers[a]
                 bound = led.lam ** (-a * n) * h_log0[i] + led.omega
-                worst_log = max(worst_log, h_log[i] - bound)
-                worst_cap = max(worst_cap, h_plain[i] - caps[a])
-                worst_chain = max(
-                    worst_chain, h_plain[i] - h_log[i] * math.exp(h_log[i])
-                )
+                log_ex.append(h_log[i] - bound)
+                cap_ex.append(h_plain[i] - caps[i])
+                chain_ex.append(h_plain[i] - h_log[i] * math.exp(h_log[i]))
             if n in pointwise_ns:
-                for h in h_log:
-                    pointwise_ok = pointwise_ok and pointwise_log_bounds_hold(cur, h)
+                pointwise_ex += [pointwise_log_excess(cur, h) for h in h_log]
             lows.append(float(cur.values.min()))
         lows += [float(cur.values.min()) for cur in itertools.islice(psi_orbit, extra)]
-        for n1, floor in floors.values():
-            worst_floor = min(worst_floor, min(lows[n1 - 1:]) - floor)
+        floor_ex += [np.min(lows[n1 - 1:]) - floor for n1, floor in floors]
     return [
-        _gate(-worst_log, f"worst excess {worst_log:.3e}", slack=ROUNDING_SLACK),
-        _gate(-worst_cap, f"worst excess {worst_cap:.3e}", slack=ROUNDING_SLACK),
-        _gate(worst_floor, f"worst inf - floor = {worst_floor:.3e}"),
-        Verdict(pointwise_ok, "checkpoints n in {0,1,2,5,10,20,30}"),
-        _gate(-worst_chain, f"worst excess {worst_chain:.3e}", slack=ROUNDING_SLACK),
+        [_worst("worst H(log L^n psi) - (lambda^(-alpha n) H(log psi) + Omega)",
+                log_ex, 0.0, ROUNDING_SLACK)],
+        [_worst("worst H(L^n psi) - cap(H(psi))", cap_ex, 0.0, ROUNDING_SLACK)],
+        [_worst("worst inf L^n psi - floor, n >= N1", floor_ex, 0.0, op=">=")],
+        [_worst("worst excess of L^n psi over [exp(-H), exp(H)] at n in "
+                "{0,1,2,5,10,20,30}", pointwise_ex, 0.0)],
+        [_worst("worst H(L^n psi) - H_log exp(H_log)", chain_ex, 0.0, ROUNDING_SLACK)],
     ]
 
 
@@ -580,8 +603,7 @@ def audit_class_entry(m: ExpandingMap, *, resolution: int = DEFAULT_RESOLUTION) 
     class after N(B) steps: iterates keep H(log) <= Omega+1, stay above
     2a, and their residual (psi - a)/(1 - a) stays within cap K."""
     cos_g = cos_observable(resolution)
-    ok = True
-    details = []
+    seeds, kept, floors, residuals = [], [], [], []      # (measured, bound) cells
     for a in CLASS_ALPHAS:
         led = compute_ledger(m, a)
         h_unit = holder_coefficient(cos_g, a)
@@ -589,25 +611,20 @@ def audit_class_entry(m: ExpandingMap, *, resolution: int = DEFAULT_RESOLUTION) 
             big_b = led.big_k if cap is None else cap
             c = min(0.7 * big_b / h_unit, 6.0)
             v = np.exp(c * cos_g.values)
-            cur = GridDensity(v / v.mean())          # the iterate, from n = 0
-            if not hoelder_class_check(cur, big_b, a):
-                ok = False
-                details.append(f"seed density left class B={big_b:.3g}")
-                continue
+            psi = GridDensity(v / v.mean())
+            seeds.append((hoelder_log_bound(psi, big_b, a), big_b))
             nb = led.n_of(big_b)
-            steps = itertools.islice(orbit(m, cur), nb + 1, nb + 13)
-            for n, cur in enumerate(steps, nb + 1):
-                if not hoelder_class_check(cur, led.omega + 1.0, a):
-                    ok = False
-                    details.append(f"class exit at n={n}, B={big_b:.3g}, alpha={a}")
-                if inf_value(cur) < 2.0 * led.a - 1e-9:
-                    ok = False
-                    details.append(f"floor breach at n={n}, B={big_b:.3g}, alpha={a}")
-                if not hoelder_class_check(decompose(cur, led.a), led.big_k, a):
-                    ok = False
-                    details.append(f"residual cap breach at n={n}, alpha={a}")
-    return Verdict(ok, "; ".join(details) if details else
-                   f"B sweep {{5, 20, K}} x alpha {CLASS_ALPHAS}")
+            for cur in itertools.islice(orbit(m, psi), nb + 1, nb + 13):
+                kept.append((hoelder_log_bound(cur, led.omega + 1.0, a), led.omega + 1.0))
+                floors.append((inf_value(cur), 2.0 * led.a))
+                residuals.append((hoelder_log_bound(decompose(cur, led.a), led.big_k, a),
+                                  led.big_k))
+    return [_worst(f"H(log psi) against B, B in {{5, 20, K}} x alpha in {CLASS_ALPHAS}",
+                   *zip(*seeds), ROUNDING_SLACK),
+            _worst("H(log L^n psi) against Omega + 1, N(B) < n <= N(B) + 12",
+                   *zip(*kept), ROUNDING_SLACK),
+            _worst("inf L^n psi against 2a", *zip(*floors), 1e-9, ">="),
+            _worst("H(log residual) against K", *zip(*residuals), ROUNDING_SLACK)]
 
 
 @_audit("invariant-density")
@@ -617,39 +634,30 @@ def audit_invariant_density(m: ExpandingMap, *,
     the class floor, Lipschitz cap (1+Omega)^2, and seed independence."""
     led = compute_ledger(m, 1.0)
     phi, diag = cached_invariant(m, resolution)
-    residual = l1_distance(apply_function(m, phi), phi)
-    phi2, _ = invariant_density(m, resolution=resolution,
-                                psi0=cosine_density(resolution))
-    seed_gap = l1_distance(phi, phi2)
-    lip = lipschitz_estimate(phi)
-    lip_cap = 1.05 * (1.0 + led.omega) ** 2
-    checks = {
-        "residual": residual <= 1e-12,
-        "mass": abs(integrate(phi) - 1.0) <= 1e-12,
-        "floor": inf_value(phi) >= led.lower_floor - 1e-9,
-        "lipschitz": lip <= lip_cap,
-        "uniqueness": seed_gap <= UNIQUENESS_TOL,
-    }
+    phi2, _ = invariant_density(m, resolution=resolution, psi0=cosine_density(resolution))
+    parts = [
+        Part(f"residual ||L phi - phi||_1 after {diag.n_steps} steps",
+             l1_distance(apply_function(m, phi), phi), 1e-12),
+        Part("mass defect |int phi - 1|", abs(integrate(phi) - 1.0), 1e-12),
+        Part("inf phi against exp(-(Omega + 1))", inf_value(phi), led.lower_floor, 1e-9, ">="),
+        Part("Lipschitz constant against 1.05 (1 + Omega)^2", lipschitz_estimate(phi),
+             1.05 * (1.0 + led.omega) ** 2),
+        Part("seed gap ||phi - phi'||_1", l1_distance(phi, phi2), UNIQUENESS_TOL),
+    ]
     if m.d2_sup == 0.0:
-        checks["lebesgue"] = float(np.abs(phi.values - 1.0).max()) <= 1e-10
-    bad = [k for k, good in checks.items() if not good]
-    return Verdict(
-        not bad, (f"failed: {bad}; " if bad else "")
-        + f"residual {residual:.2e}, seed gap {seed_gap:.2e}, "
-        f"Lipschitz {lip:.3g} <= {lip_cap:.3g}, {diag.n_steps} steps",
-    )
+        parts.append(Part("Lebesgue: sup |phi - 1|", float(np.abs(phi.values - 1.0).max()),
+                          1e-10))
+    return parts
 
 
 @_audit("cesaro-almost-invariance")
 def audit_cesaro(m: ExpandingMap, *, resolution: int = DEFAULT_RESOLUTION) -> AuditResult:
     """Cesaro averages of N = 1, 5, 25 terms are 2/N-almost-invariant."""
     psi = density_family(resolution)[1]          # exp(cos 2 pi x)
-    worst = -np.inf
     terms = (1, 5, 25)
-    for n_terms, c in zip(terms, cesaro(m, psi, terms)):
-        moved = l1_distance(apply_function(m, c), c)
-        worst = max(worst, moved - 2.0 / n_terms)
-    return _gate(-worst, f"worst moved - 2/N = {worst:.3e}", slack=1e-10)
+    moved = [l1_distance(apply_function(m, c), c) - 2.0 / n_terms
+             for n_terms, c in zip(terms, cesaro(m, psi, terms))]
+    return [_worst("||L c - c||_1 - 2/N over N = 1, 5, 25", moved, 0.0, 1e-10)]
 
 
 @_audit("coupling-deterministic")
@@ -658,14 +666,15 @@ def audit_coupling_deterministic(m: ExpandingMap, *,
     """Epoch decomposition run at alpha = 1: envelopes and reconstruction at
     every step."""
     led = compute_ledger(m, 1.0)
-    psi1 = cosine_density(resolution)
     phi, _ = cached_invariant(m, resolution)
     n_max = max(2 * led.n_big_k + 5, 60)
-    det = deterministic_contraction_run(m, psi1, phi, 1.0, n_max)
-    return Verdict(
-        True, f"n_max={n_max}, worst tv excess {det.max_tv_excess():.3e}, "
-        f"worst reconstruction {det.worst_reconstruction:.3e}",
-    )
+    det = deterministic_contraction_run(m, cosine_density(resolution), phi, 1.0, n_max)
+    return [_worst(f"tv against 2 (1 - a)^k, n <= {n_max}", det.tv_true,
+                   det.bound_coupling, DETERMINISTIC_SLACK),
+            _worst(f"tv against D theta^(alpha n), n <= {n_max}", det.tv_true,
+                   det.bound_theta, DETERMINISTIC_SLACK),
+            Part("worst epoch reconstruction error", det.worst_reconstruction,
+                 RECONSTRUCTION_TOL)]
 
 
 @_audit("coupling-monte-carlo")
@@ -676,13 +685,12 @@ def audit_coupling_monte_carlo(m: ExpandingMap, *, trials: int = DEFAULT_TRIALS,
     marginals."""
     psi1, psi2 = coupling_pair(resolution)
     trace = monte_carlo_coupling(m, psi1, psi2, 1.0, trials=trials, seed=seed)
-    min_p = min((c["p_value"] for c in trace.chi2), default=1.0)
-    return _gate(
-        min_p - CHI2_P_FLOOR,
-        f"{trials} trials, n_max={int(trace.ns[-1])}, "
-        f"final mismatch {trace.empirical_mismatch[-1]:.4f}, "
-        f"min chi2 p {min_p:.3g}", strict=True,
-    )
+    return [_worst(f"mismatch against (1 - a)^k, {trials} trials, n <= {int(trace.ns[-1])}",
+                   trace.empirical_mismatch, trace.bound_coupling / 2.0, trace.slack),
+            _worst("tv against twice the mismatch", trace.tv_true,
+                   2.0 * trace.empirical_mismatch, trace.slack),
+            _worst("marginal chi2 p-value", [c["p_value"] for c in trace.chi2],
+                   CHI2_P_FLOOR, op=">")]
 
 
 @_audit("correlation-decay", "reduction-chain")
@@ -693,49 +701,43 @@ def audit_correlation_decay(m: ExpandingMap, *, n_max: int = DEFAULT_N_MAX,
     of each normalized observable density psi_g: psi_g obeys its Hoelder
     cap and converges inside the generic density envelope."""
     phi, _ = cached_invariant(m, resolution)
-    cells = 0
-    bad = []
-    rates = []
-    chain_ok = True
-    worst_cap = -np.inf
+    reps, chains, cap_ex = [], [], []
     fs, gs = observable_family(resolution, DEFAULT_ALPHAS)
-    for g_label, g, g_alphas in gs:
-        reps = decay_report(m, [f for _, f in fs], g, g_alphas, n_max=n_max,
-                            full_side_walk=True)
-        chains = convergence_reports(normalized_observable_density(g, phi),
-                                     reps[0][0].side_l1, [r.ledger for r, *_ in reps])
-        for a, per_f, chain in zip(g_alphas, reps, chains, strict=True):
+    for _, g, g_alphas in gs:
+        per_alpha = decay_report(m, [f for _, f in fs], g, g_alphas, n_max=n_max,
+                                 full_side_walk=True)
+        g_chains = convergence_reports(normalized_observable_density(g, phi),
+                                       per_alpha[0][0].side_l1,
+                                       [r.ledger for r, *_ in per_alpha])
+        for per_f, chain in zip(per_alpha, g_chains, strict=True):
             g_rep = per_f[0]
             cap = (g_rep.g_holder / g_rep.g_sup + 3.0) * (2.0 + g_rep.ledger.omega) ** 2
-            worst_cap = max(worst_cap, chain.psi_holder - cap)
-            chain_ok = chain_ok and chain.all_ok()
-            for (f_label, _), rep in zip(fs, per_f, strict=True):
-                cells += 1
-                if not rep.all_ok():
-                    bad.append(f"{f_label}/{g_label}@alpha={a}")
-                if not math.isnan(rep.fitted_rate):
-                    rates.append(rep.fitted_rate)
-    detail = f"{cells} cells"
-    if rates:
-        detail += f", fitted rates {min(rates):.3g}..{max(rates):.3g}"
-    if bad:
-        detail += f", failed: {bad}"
-    return [Verdict(not bad, detail),
-            Verdict(chain_ok and worst_cap <= ROUNDING_SLACK,
-                    f"worst side-density cap excess {worst_cap:.3e}")]
+            cap_ex.append(chain.psi_holder - cap)
+            reps += per_f
+        chains += g_chains
+    corr = np.concatenate([np.abs(rep.corr) for rep in reps])
+    return [
+        [_worst(f"|corr_n| against C sup|f| (sup|g| + H(g)) theta^(alpha n), "
+                f"{len(reps)} (f, g, alpha) cells", corr,
+                np.concatenate([rep.bound for rep in reps]), BOUND_SLACK),
+         _worst("|corr_n| against 3 sup|f| sup|g| ||L^n psi_g - phi||_1", corr,
+                np.concatenate([rep.reduction_bound for rep in reps]), REDUCTION_SLACK)],
+        [_worst("worst H(psi_g) - its cap", cap_ex, 0.0, ROUNDING_SLACK),
+         _worst("||L^n psi_g - phi||_1 against 8 (1 + H) theta^(alpha n)",
+                np.concatenate([c.l1_err for c in chains]),
+                np.concatenate([c.bound for c in chains]), CONVERGENCE_SLACK)],
+    ]
 
 
 @_audit("density-convergence")
 def audit_density_convergence(m: ExpandingMap, *, n_max: int = DEFAULT_N_MAX,
                               resolution: int = DEFAULT_RESOLUTION) -> AuditResult:
     """||L^n psi - phi||_1 against the 8 (1 + H) theta^(alpha n) envelope."""
-    worst = -np.inf
-    ok = True
-    for psi in density_family(resolution):
-        for rep in density_convergence_report(m, psi, DEFAULT_ALPHAS, n_max=n_max):
-            ok = ok and rep.all_ok()
-            worst = max(worst, float((rep.l1_err - rep.bound).max()))
-    return Verdict(ok, f"worst l1 - bound = {worst:.3e}")
+    reps = [rep for psi in density_family(resolution)
+            for rep in density_convergence_report(m, psi, DEFAULT_ALPHAS, n_max=n_max)]
+    return [_worst("||L^n psi - phi||_1 against 8 (1 + H) theta^(alpha n)",
+                   np.concatenate([rep.l1_err for rep in reps]),
+                   np.concatenate([rep.bound for rep in reps]), CONVERGENCE_SLACK)]
 
 
 # ---------------------------------------------------------------------------
@@ -746,31 +748,27 @@ def audit_density_convergence(m: ExpandingMap, *, n_max: int = DEFAULT_N_MAX,
 def audit_quadrature(*, resolution: int = DEFAULT_RESOLUTION) -> AuditResult:
     """Node-mean quadrature: linearity, monotonicity, the l1 triangle
     inequality, Hoelder scaling laws, and the refinement-rate check."""
-    rng = _rng(13)
-    checks = {}
-    f, g, h = itertools.islice(_smooth_functions(rng, resolution), 3)
+    f, g, h = itertools.islice(_smooth_functions(_rng(13), resolution), 3)
     lin = integrate(GridFunction(2.0 * f.values - 3.0 * g.values)) \
         - (2.0 * integrate(f) - 3.0 * integrate(g))
-    checks["linearity"] = abs(lin) <= 1e-13
-    checks["monotonicity"] = integrate(f) <= integrate(
-        GridFunction(f.values + np.abs(g.values)))
-    tri = l1_distance(f, h) - (l1_distance(f, g) + l1_distance(g, h))
-    checks["triangle"] = tri <= 1e-14
     h1 = holder_coefficient(f, 0.5)
-    checks["scaling"] = abs(holder_coefficient(GridFunction(-2.5 * f.values), 0.5)
-                            - 2.5 * h1) <= 1e-12 * max(h1, 1.0)
-    checks["shift"] = abs(holder_coefficient(GridFunction(f.values + 7.0), 0.5)
-                          - h1) <= 1e-12 * max(h1, 1.0)
-    errs = []
-    for m_res in (512, 1024, 2048):
-        x = np.arange(m_res) / m_res
-        d0 = np.minimum(x, 1.0 - x)
-        errs.append(abs(integrate(GridFunction(d0 ** 2)) - 1.0 / 12.0))
-    r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
-    checks["refinement"] = 2.5 <= r1 <= 6.0 and 2.5 <= r2 <= 6.0
-    bad = [k for k, good in checks.items() if not good]
-    return Verdict(not bad, f"failed: {bad}" if bad else
-                   f"refinement ratios {r1:.2f}, {r2:.2f}")
+    nodes = [np.arange(m_res) / m_res for m_res in (512, 1024, 2048)]
+    errs = [abs(integrate(GridFunction(np.minimum(x, 1.0 - x) ** 2)) - 1.0 / 12.0)
+            for x in nodes]
+    ratios = (errs[0] / errs[1], errs[1] / errs[2])
+    return [
+        Part("linearity defect", abs(lin), 1e-13),
+        Part("int f against int (f + |g|)", integrate(f),
+             integrate(GridFunction(f.values + np.abs(g.values)))),
+        Part("l1 triangle excess", l1_distance(f, h) - (l1_distance(f, g) + l1_distance(g, h)),
+             1e-14),
+        Part("|H(-2.5 f) - 2.5 H(f)|", abs(holder_coefficient(GridFunction(-2.5 * f.values), 0.5)
+                                           - 2.5 * h1), 1e-12 * max(h1, 1.0)),
+        Part("|H(f + 7) - H(f)|", abs(holder_coefficient(GridFunction(f.values + 7.0), 0.5)
+                                      - h1), 1e-12 * max(h1, 1.0)),
+        _worst("refinement error ratio, M = 512 to 2048", ratios, 2.5, op=">="),
+        _worst("refinement error ratio, M = 512 to 2048", ratios, 6.0),
+    ]
 
 
 def _ks_uniform(u: np.ndarray) -> float:
@@ -788,46 +786,38 @@ def audit_sampling(*, resolution: int = DEFAULT_RESOLUTION) -> AuditResult:
     """Inverse-CDF sampling of 100000 draws: uniform KS distance, point-mass
     localization, and bit-reproducibility under a fixed seed."""
     u = sample(uniform_density(resolution), _rng(14), 100_000)
-    ks = _ks_uniform(u)
     v = np.zeros(resolution)
     v[resolution // 3] = resolution
     pt = sample(GridDensity(v), _rng(15), 1000)
-    loc = float(circle_distance(pt, (resolution // 3) / resolution).max())
     again = sample(uniform_density(resolution), _rng(14), 100_000)
-    repro = bool(np.array_equal(u, again))
-    ok = ks < 0.01 and loc <= 1.0 / resolution and repro
-    return Verdict(ok, f"KS {ks:.4f}, point-mass radius {loc:.2e}, "
-                   f"reproducible={repro}")
+    return [Part("KS distance from uniform", _ks_uniform(u), 0.01, op="<"),
+            Part("point-mass radius",
+                 float(circle_distance(pt, (resolution // 3) / resolution).max()),
+                 1.0 / resolution),
+            Part("draws that differ on a replay", np.count_nonzero(u != again), 0)]
 
 
 @_audit("constants-reference")
 def audit_constants_reference() -> AuditResult:
-    """The zero-curvature column of the ledger in closed form, plus the
-    range invariants every ledger must satisfy."""
+    """The zero-curvature column of the ledger (linear{2} at alpha 1) in
+    closed form, plus the LEDGER_RANGES every ledger must satisfy, on the
+    standard maps at DEFAULT_ALPHAS."""
     led = compute_ledger(linear_map(2), 1.0)
-    column = {
-        "omega": led.omega == 0.0,
-        "a": abs(led.a - math.exp(-1.0) / 2.0) <= 1e-15,
-        "K": abs(led.big_k - math.exp(4.0)) <= 1e-12,
-        "N_K": led.n_big_k == 6,
-        "C": led.c_corr == 384.0,
-        "theta_paper": abs(led.theta_paper
-                           - (1.0 - math.exp(-3.0)) ** (math.log(2.0) / 4.0)) <= 1e-15,
-        "floor": led.lower_floor == 2.0 * led.a,
-        "N_of_1": led.n_of(1.0) == 1 and led.n_of(0.5) == 1,
-    }
-    ranges = True
-    for m in standard_maps():
-        for a in DEFAULT_ALPHAS:
-            led = compute_ledger(m, a)
-            ranges = ranges and (
-                led.omega >= 0.0 and 0.0 < led.a <= 0.5 and led.big_k > 1.0
-                and 0.0 < led.theta_exact < 1.0 and 0.0 < led.theta_paper < 1.0
-                and led.d_exact <= 4.0 and led.c_corr >= 384.0 and led.n_big_k >= 1
-            )
-    bad = [k for k, good in column.items() if not good]
-    ok = not bad and ranges
-    return Verdict(ok, f"failed: {bad}" if bad else "closed-form column reproduced")
+    ledgers = [compute_ledger(m, a) for m in standard_maps() for a in DEFAULT_ALPHAS]
+    return [
+        Part("|Omega|", abs(led.omega), 0.0),
+        Part("|a - e^-1 / 2|", abs(led.a - math.exp(-1.0) / 2.0), 1e-15),
+        Part("|K - e^4|", abs(led.big_k - math.exp(4.0)), 1e-12),
+        Part("|N_K - 6|", abs(led.n_big_k - 6), 0),
+        Part("|C - 384|", abs(led.c_corr - 384.0), 0.0),
+        Part("|theta_paper - (1 - e^-3)^(ln 2 / 4)|",
+             abs(led.theta_paper - (1.0 - math.exp(-3.0)) ** (math.log(2.0) / 4.0)), 1e-15),
+        Part("|floor - 2a|", abs(led.lower_floor - 2.0 * led.a), 0.0),
+        Part("|N(B) - 1| at B = 1, 1/2", max(abs(led.n_of(b) - 1) for b in (1.0, 0.5)), 0),
+        *(_worst(f"{name} {op} {bound:g} over {len(ledgers)} ledgers",
+                 [getattr(led, field) for led in ledgers], bound, op=op)
+          for name, field, op, bound in LEDGER_RANGES),
+    ]
 
 
 @_audit("constants-monotonic")
@@ -836,9 +826,8 @@ def audit_constants_monotonic() -> AuditResult:
     eps = np.linspace(0.01, 0.1, 10)
     maps = [perturbed_map(2, float(e)) for e in eps]
     omegas = [compute_ledger(pm, 1.0).omega for pm in maps]
-    lams = [pm.lam for pm in maps]
-    ok = bool(np.all(np.diff(omegas) > 0.0) and np.all(np.diff(lams) < 0.0))
-    return Verdict(ok, f"omega {omegas[0]:.3g} -> {omegas[-1]:.3g}")
+    return [_worst("step of Omega along eps = 0.01..0.1", np.diff(omegas), 0.0, op=">"),
+            _worst("step of lambda along it", np.diff([pm.lam for pm in maps]), 0.0, op="<")]
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -193,11 +194,18 @@ def _numpy_to_json(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
+def _finite(fields: dict) -> dict:
+    """``fields`` with each NaN or infinite float as None: JSON has neither."""
+    return {k: None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in fields.items()}
+
+
 def _write_json(path: Path, payload) -> None:
+    # strict JSON: each producer writes a NaN or an infinity as null (_finite);
     # streamed: at one-step epochs and a long horizon, coupling.json's
     # chi-square list held as one string is the command's largest allocation
     with _writing(path), path.open("w") as fh:
-        json.dump(payload, fh, indent=2, default=_numpy_to_json)
+        json.dump(payload, fh, indent=2, default=_numpy_to_json, allow_nan=False)
         fh.write("\n")
 
 
@@ -321,9 +329,14 @@ def cmd_verify(cfg: RunConfig) -> int:
           f"{len(results) - len(failed)} passed, {len(failed)} failed")
     out = _out_dir(cfg)
     _write_json(out / "verify.json", {
-        "map": repr(m), "seed": cfg.seed, "trials": cfg.trials,
+        "schema": 2, "map": repr(m), "seed": cfg.seed, "trials": cfg.trials,
         "resolution": cfg.resolution, "n_max": n_max,
-        "results": [{**asdict(r), "seconds": round(r.seconds, 3)} for r in results],
+        "bodies": [{"body": body, "seconds": round(seconds, 3)}
+                   for body, seconds in {r.body: r.seconds for r in results}.items()],
+        "results": [{"name": r.name, "ok": r.ok, "detail": r.detail, "margin": r.margin,
+                     "body": r.body,
+                     "parts": [_finite({**p._asdict(), "margin": p.margin}) for p in r.parts]}
+                    for r in results],
     })
     print(f"wrote {out / 'verify.json'}")
     return 4 if failed else 0

@@ -104,8 +104,9 @@ class DecayReport:
     corr: np.ndarray
     bound: np.ndarray
     ok: np.ndarray
+    reduction_bound: np.ndarray     # 3 sup|f| sup|g| ||L^n psi_g - phi||_1
     reduction_ok: np.ndarray
-    fitted_rate: float
+    fitted_rate: float              # NaN where no curve is left to fit
     side_l1: np.ndarray     # ||L^n psi_g - phi||_1 for n = 0..need (see decay_report)
 
     def all_ok(self) -> bool:
@@ -118,7 +119,7 @@ class DecayReport:
             "f_sup": self.f_sup,
             "g_sup": self.g_sup,
             "g_holder": self.g_holder,
-            "fitted_rate": self.fitted_rate,
+            "fitted_rate": None if math.isnan(self.fitted_rate) else self.fitted_rate,
             "theta_paper": self.ledger.theta_paper,
             "all_ok": self.all_ok(),
             "ledger": self.ledger.to_dict(),
@@ -201,6 +202,7 @@ def decay_report(
             corr=c,
             bound=bound,
             ok=np.abs(c) <= bound + BOUND_SLACK,
+            reduction_bound=red,
             reduction_ok=np.abs(c) <= red + REDUCTION_SLACK,
             fitted_rate=_fitted_rate(ns, c),
             side_l1=side_err,

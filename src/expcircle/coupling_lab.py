@@ -100,10 +100,6 @@ class DeterministicCoupling:
     bound_theta: np.ndarray              # D theta^(alpha n)
     worst_reconstruction: float = 0.0    # max over epochs and the pair of L1 error
 
-    def max_tv_excess(self) -> float:
-        return float(np.max(np.maximum(self.tv_true - self.bound_coupling,
-                                       self.tv_true - self.bound_theta)))
-
 
 def _start(led: ConstantsLedger, psi1: GridDensity, psi2: GridDensity,
            n_max: int) -> DeterministicCoupling:
@@ -271,6 +267,7 @@ class CouplingTrace(DeterministicCoupling):
 
     trials: int
     seed: int
+    slack: float                         # 5/sqrt(trials), of both mismatch checks
     empirical_mismatch: np.ndarray
     chi2: list                           # {n, marginal, statistic, dof, p_value}
 
@@ -394,5 +391,5 @@ def monte_carlo_coupling(
             raise AuditViolation(f"{c['marginal']} marginal chi2 p-value "
                                  f"{c['p_value']:.3g} not above {CHI2_P_FLOOR:g} "
                                  f"at n = {c['n']}")
-    return CouplingTrace(**vars(run), trials=trials, seed=seed,
+    return CouplingTrace(**vars(run), trials=trials, seed=seed, slack=slack,
                          empirical_mismatch=mismatch, chi2=chi2)

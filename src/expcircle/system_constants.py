@@ -11,8 +11,6 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .circle_map import ExpandingMap
 from .density_grid import (
     GridDensity,
@@ -125,35 +123,37 @@ def compute_ledger(m: ExpandingMap, alpha: float) -> ConstantsLedger:
     return led
 
 
-def hoelder_class_check(psi: GridDensity, cap: float, alpha: float) -> bool:
-    """Membership in the class of unit-mass densities with positive values
-    and Hoelder-log coefficient at most ``cap`` (up to ROUNDING_SLACK).
-
-    With osc = max - min and Lip = lipschitz_estimate of log psi, every
-    node gap at distance d is at most min(osc, Lip d) <= osc^(1-alpha)
-    (Lip d)^alpha, so U = osc^(1-alpha) Lip^alpha bounds the coefficient
-    (the factor 1 + 1e-12 covers rounding).  When U already meets the cap
-    the answer is True without a lag scan; otherwise the exact coefficient
-    decides.  Either way the answer is the exact comparison's."""
-    if inf_value(psi) <= 0.0:
-        return False
-    if abs(integrate(psi) - 1.0) > 1e-10:
-        return False
+def hoelder_log_bound(psi: GridDensity, cap: float, alpha: float) -> float:
+    """An upper bound of the Hoelder-log coefficient of psi, as tight as a
+    class check with ``cap`` needs; inf when psi is not a positive density
+    of unit mass.  With osc = max - min and Lip = lipschitz_estimate of log
+    psi, every node gap at distance d is at most min(osc, Lip d) <=
+    osc^(1-alpha) (Lip d)^alpha, so U = osc^(1-alpha) Lip^alpha, times
+    1 + 1e-12 for rounding, bounds the coefficient.  It is the answer when
+    it meets cap + ROUNDING_SLACK, with no lag scan; else the exact one is."""
+    if inf_value(psi) <= 0.0 or abs(integrate(psi) - 1.0) > 1e-10:
+        return math.inf
     alpha = _check_alpha(alpha)
     log_psi = log_transform(psi)
     osc = float(log_psi.values.max() - log_psi.values.min())
-    upper = osc ** (1.0 - alpha) * lipschitz_estimate(log_psi) ** alpha
-    if upper * (1.0 + 1e-12) <= cap + ROUNDING_SLACK:
-        return True
-    return holder_coefficient(log_psi, alpha) <= cap + ROUNDING_SLACK
+    upper = osc ** (1.0 - alpha) * lipschitz_estimate(log_psi) ** alpha * (1.0 + 1e-12)
+    return upper if upper <= cap + ROUNDING_SLACK else holder_coefficient(log_psi, alpha)
 
 
-def pointwise_log_bounds_hold(psi: GridDensity, h_log: float) -> bool:
-    """exp(-h_log) <= psi <= exp(h_log) node-wise for h_log the Hoelder-log
-    coefficient of psi at any alpha.  Unit mass pins log psi across zero,
-    and h_log bounds the gap between its extreme nodes."""
+def hoelder_class_check(psi: GridDensity, cap: float, alpha: float) -> bool:
+    """Membership in the class of unit-mass densities with positive values
+    and Hoelder-log coefficient at most ``cap`` (up to ROUNDING_SLACK), by
+    hoelder_log_bound: the exact comparison's answer."""
+    return hoelder_log_bound(psi, cap, alpha) <= cap + ROUNDING_SLACK
+
+
+def pointwise_log_excess(psi: GridDensity, h_log: float) -> float:
+    """max(max psi - exp(h_log), exp(-h_log) - min psi): at most 0 exactly
+    where psi stays in [exp(-h_log), exp(h_log)] node-wise, as it does for
+    h_log its Hoelder-log coefficient at any alpha.  Unit mass pins log psi
+    across zero, and h_log bounds the gap between its extreme nodes."""
     v = psi.values
-    return bool(np.all(v <= math.exp(h_log)) and np.all(v >= math.exp(-h_log)))
+    return max(float(v.max()) - math.exp(h_log), math.exp(-h_log) - float(v.min()))
 
 
 def holder_iteration_cap(h: float, ledger: ConstantsLedger) -> float:

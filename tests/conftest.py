@@ -128,6 +128,13 @@ def run_verify(argv, out: Path) -> VerifyRun:
 DEFAULT_MAP = repr(make_map(RunConfig()))
 
 
+def strict_json(text):
+    """``text`` parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 @pytest.fixture(scope="session")
 def verify_run(tmp_path_factory):
     """Returns a function of a standard map that gives its whole

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import inspect
 import logging
+import math
 import weakref
 from pathlib import Path
 
@@ -14,6 +15,8 @@ from scipy import stats
 from expcircle import (AuditResult, custom_map, integrate, linear_map, perturbed_map,
                        standard_maps)
 from expcircle import audits, inverse_branches, transfer_operator
+from expcircle.cli import main
+from expcircle.errors import AuditViolation
 from expcircle.audits import (
     audit_arc_expansion,
     audit_backward_contraction,
@@ -23,6 +26,7 @@ from expcircle.audits import (
     audit_constants_reference,
     audit_correlation_decay,
     audit_density_convergence,
+    audit_invariant_density,
     audit_partition,
     audit_quadrature,
     audit_regularity_sweep,
@@ -33,6 +37,8 @@ from expcircle.audits import (
     smooth_density,
     smooth_function,
 )
+
+from conftest import strict_json
 
 
 def test_audit_result_truthiness():
@@ -134,7 +140,9 @@ def test_anchor_above_a_lift_just_past_an_integer():
 def test_partition_audit_reports_arc_mass_and_route_defects(doubling):
     res = audit_partition(doubling)
     assert res.ok
-    assert "arc band excess" in res.detail and "route mismatch" in res.detail
+    assert [p.label for p in res.parts] == ["worst arc band excess", "mass defect",
+                                            "route mismatch"]
+    assert res.detail == f"tightest of 3: {res.tightest}"
 
 
 @pytest.mark.parametrize("m", [linear_map(2), linear_map(3)], ids=repr)
@@ -152,7 +160,9 @@ def test_partition_fails_when_a_depth_one_preimage_moves(m, monkeypatch):
     monkeypatch.setattr(audits, "walk", moved)
     res = audit_partition(m)
     assert not res.ok
-    assert res.detail.startswith("worst arc band excess 1.0e-03, ")
+    assert res.tightest.label == "worst arc band excess"
+    assert f"{res.tightest.measured:.1e}" == "1.0e-03"
+    assert res.detail.startswith("failed: worst arc band excess = 1.000e-03 <= 0 + ")
     assert len(calls) == 1
 
 
@@ -196,6 +206,120 @@ def test_run_all_roster_and_forwarding(monkeypatch):
         ("audit_constants_reference", (), {}),
         ("audit_constants_monotonic", (), {}),
     ]
+
+
+OPS = {"<=": float.__le__, "<": float.__lt__, ">=": float.__ge__, ">": float.__gt__}
+
+
+@pytest.mark.parametrize("op", OPS)
+def test_a_part_margin_is_its_comparison(op):
+    # the margin is 0 or more exactly where measured op (bound +- slack)
+    # holds on the same floats, a strict op and an edge included; a NaN or
+    # infinite value fails, with margin -inf
+    widen = float.__add__ if op[0] == "<" else float.__sub__
+    one = [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]
+    for measured in [*one, 0.5, 1.5, 1.0 + 2e-16, 1e-300, -0.0]:
+        for bound, slack in [(1.0, 0.0), (0.75, 0.25), (1.25, 0.25), (1e-300, 1e-300)]:
+            part = audits.Part("x", float(measured), bound, slack, op)
+            holds = OPS[op](float(measured), widen(bound, slack))
+            assert (part.margin >= 0.0) == holds, (measured, bound, slack)
+    for value in (math.nan, math.inf, -math.inf):
+        assert audits.Part("x", value, 1.0, 0.0, op).margin == -math.inf
+        assert audits.Part("x", 1.0, value, 0.0, op).margin == -math.inf
+    # the worst of several cells is the one with the smallest margin, a NaN
+    # one first
+    assert audits._worst("x", [0.5, 2.0, 1.5], 1.0, op=op).measured == (
+        2.0 if op[0] == "<" else 0.5)
+    assert math.isnan(audits._worst("x", [0.5, math.nan, 2.0], 1.0, op=op).measured)
+
+
+def test_a_raised_violation_fails_every_result_with_a_null_margin(tmp_path, monkeypatch):
+    monkeypatch.setattr(audits, "_AUDITS", [])
+
+    @audits._audit("breached", "breached-too")
+    def audit_raises(m):
+        raise AuditViolation("tv exceeds its envelope")
+
+    @audits._audit("holds")
+    def audit_holds(m):
+        return [audits.Part("x", 0.5, 1.0)]
+
+    monkeypatch.setattr(audits, "audit_raises", audit_raises, raising=False)
+    monkeypatch.setattr(audits, "audit_holds", audit_holds, raising=False)
+    assert main(["verify", "--trials", "1000", "--out", str(tmp_path)]) == 4
+    report = strict_json((tmp_path / "verify.json").read_text())
+    assert report["schema"] == 2
+    # one body's seconds, once, for its two results
+    assert [b["body"] for b in report["bodies"]] == ["audit_raises", "audit_holds"]
+    assert [(r["name"], r["ok"], r["margin"], r["parts"], r["detail"])
+            for r in report["results"][:2]] == [
+        (name, False, None, [], "tv exceeds its envelope")
+        for name in ("breached", "breached-too")]
+    assert report["results"][2] == {
+        "name": "holds", "ok": True, "detail": "x = 5.000e-01 <= 1", "margin": 0.5,
+        "body": "audit_holds",
+        "parts": [{"label": "x", "measured": 0.5, "bound": 1.0, "slack": 0.0, "op": "<=",
+                   "margin": 0.5}]}
+
+
+def test_a_failing_constants_reference_names_the_breach(monkeypatch):
+    # at the parent its detail read "closed-form column reproduced"
+    ledger = audits.compute_ledger
+    monkeypatch.setattr(audits, "compute_ledger", lambda m, a: dataclasses.replace(
+        ledger(m, a), c_corr=1.0) if m.family == "perturbed" else ledger(m, a))
+    res = audit_constants_reference()
+    assert not res.ok and res.margin == 1.0 - 384.0
+    assert res.tightest.label == "C >= 384 over 15 ledgers"
+    assert res.detail == f"failed: {res.tightest}"
+
+
+def test_a_failing_sup_c1_bound_names_the_breach(monkeypatch):
+    # at the parent its detail read "worst sup-bound excess -1.841e+00"
+    growth_bounds = audits.check_growth_bounds
+
+    def breached(m, f, steps):
+        *rows, (sup_lhs, sup_cap, _, c1_cap) = growth_bounds(m, f, steps)
+        return [*rows, (sup_lhs, sup_cap, 3.0 * c1_cap, c1_cap)]
+
+    monkeypatch.setattr(audits, "check_growth_bounds", breached)
+    res = audit_sup_c1_bounds(linear_map(2), resolution=1024)
+    assert not res.ok and res.margin < 0.0
+    assert res.tightest.label.startswith("C1 size of L^n f")
+    assert res.tightest.measured == 3.0 * res.tightest.bound
+    assert res.detail == f"failed: {res.tightest}"
+
+
+def test_a_failing_invariant_density_names_the_breach(bent, monkeypatch):
+    # the two starts' fixed points are 4.7e-16 apart in L1 on this map
+    monkeypatch.setattr(audits, "UNIQUENESS_TOL", 0.0)
+    res = audit_invariant_density(bent)
+    assert not res.ok and res.margin < 0.0
+    assert res.tightest.label == "seed gap ||phi - phi'||_1"
+    assert 0.0 < res.tightest.measured < 1e-14
+    assert res.detail == f"failed: {res.tightest}"
+
+
+def test_a_nan_preimage_fails_every_walk_audit(bent, monkeypatch):
+    # a NaN node, and its NaN derivative product and pair gap, fail each
+    # result that reads them with no margin; a running max() dropped them
+    def with_nan(a):
+        return None if a is None else np.where(np.arange(a.size) == 3, np.nan, a)
+
+    def nan_walk(*args):
+        for end in inverse_branches.walk(*args):
+            if end.path in ((1,), (1, 0)):
+                end = end._replace(u=with_nan(end.u), du=with_nan(end.du), gap=with_nan(end.gap))
+            yield end
+
+    monkeypatch.setattr(audits, "walk", nan_walk)
+    results = [*audit_arc_expansion(bent), audit_partition(bent),
+               *audit_backward_contraction(bent)]
+    assert [r.name for r in results] == ["arc-expansion", "preimage-roundtrip",
+                                         "preimage-partition", "backward-contraction",
+                                         "distortion"]
+    for r in results:
+        assert not r.ok and r.margin is None, r
+        assert math.isnan(r.tightest.measured) and r.detail.startswith("failed: "), r
 
 
 def test_audit_signature_says_what_run_all_forwards(monkeypatch):
@@ -294,9 +418,8 @@ def _reference_contraction(m, seed=9, pairs=1000, max_depth=8, path_cap=600):
     for end in audits.walk(m, paths, xs, ys):
         rhs = m.lam ** (-len(end.path)) * d
         worst = max(worst, float((end.gap - rhs).max()))
-    return audits._gate(-worst, f"worst lhs - rhs = {worst:.3e} over "
-                        f"{len(paths) * pairs} pair-path cells",
-                        slack=2.0 * audits._step_error(m) / (m.lam - 1.0))
+    return audits.Part(f"worst lhs - rhs over {len(paths) * pairs} pair-path cells", worst,
+                       0.0, 2.0 * audits._step_error(m) / (m.lam - 1.0))
 
 
 def _reference_distortion(m, seed=9, pairs=1000, max_depth=8, path_cap=600):
@@ -314,8 +437,8 @@ def _reference_distortion(m, seed=9, pairs=1000, max_depth=8, path_cap=600):
     for end in audits.walk(m, paths, xs, ys):
         ratio = end.du / end.dv
         worst = max(worst, float((ratio - hi).max()), float((lo - ratio).max()))
-    return audits._gate(-worst, f"worst band excess {worst:.3e} over "
-                        f"{len(paths) * pairs} pair-path cells")
+    return audits.Part(f"worst band excess over {len(paths) * pairs} pair-path cells",
+                       worst, 0.0)
 
 
 @pytest.mark.parametrize("m", standard_maps(), ids=repr)
@@ -332,9 +455,11 @@ def test_pair_audits_share_one_walk(m, monkeypatch):
     merged_solves = len(solves)
     want = [_reference_contraction(m), _reference_distortion(m)]
     assert [r.name for r in merged] == ["backward-contraction", "distortion"]
-    assert [(r.ok, r.detail, r.margin) for r in merged] == [tuple(v) for v in want]
+    assert [r.parts for r in merged] == [(part,) for part in want]
     assert all(r.ok for r in merged)
-    assert merged[1].seconds == 0.0
+    # one body, timed once: both results carry its wall time
+    assert {(r.body, r.seconds) for r in merged} == {("audit_backward_contraction",
+                                                      merged[0].seconds)}
     # one root solve per inner node of the path tree, where two walks made two
     assert len(solves) == 3 * merged_solves
     if repr(m) == "linear{2}":
@@ -410,8 +535,8 @@ def test_preimage_roundtrip_runs_at_degree_235():
     assert all(isinstance(r, AuditResult) for r in res)
     assert [r.name for r in res] == ["arc-expansion", "preimage-roundtrip"]
     assert all(r.ok for r in res), res
-    assert res[0].detail.endswith(" over 9576 arcs")
-    assert res[1].seconds == 0.0
+    assert res[0].tightest.label.endswith(" over 9576 arcs")
+    assert res[0].seconds == res[1].seconds > 0.0
 
 
 @pytest.mark.parametrize("w, eps", [(7, 0.5), (16, 0.3), (16, 0.45), (50, 0.3)])

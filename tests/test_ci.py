@@ -1,6 +1,8 @@
 import json
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -68,3 +70,33 @@ def test_ci_verifies_a_high_degree_map_before_tier1():
     assert config == {"map": {"family": "perturbed", "w": 7, "eps": 0.5}}
     # as tier-1 does, a warning (an overflow, a NaN) fails the run
     assert "PYTHONPATH=src python -W error -m expcircle verify --config" in run
+    # then its verify.json is checked: strict JSON of schema 2, every margin
+    # a number whose sign is its result's verdict
+    assert re.search(r"python -c '[^']+' \"\$RUNNER_TEMP/degree7/verify.json\"", run)
+
+
+def verify_json_check() -> str:
+    """The program the high-degree step runs on its verify.json."""
+    (run,) = [s["run"] for s in tier1_job()["steps"] if s.get("name") == "High-degree verify"]
+    return re.search(r"python -c '([^']+)' ", run).group(1)
+
+
+GOOD = {"schema": 2, "results": [{"name": "a", "ok": True, "margin": 0.0},
+                                 {"name": "b", "ok": False, "margin": -1e-3}]}
+
+
+@pytest.mark.parametrize("text, passes", [
+    (json.dumps(GOOD), True),
+    (json.dumps({**GOOD, "schema": 1}), False),
+    (json.dumps(GOOD).replace("-0.001", "NaN"), False),
+    (json.dumps(GOOD).replace("-0.001", "-Infinity"), False),
+    (json.dumps(GOOD).replace("-0.001", "null"), False),
+    (json.dumps(GOOD).replace("true", "false"), False),
+    (json.dumps(GOOD).replace("false", "true"), False),
+], ids=["good", "schema-1", "nan", "infinity", "null-margin", "passing-fail", "failing-pass"])
+def test_ci_verify_json_check_refuses_what_it_should(tmp_path, text, passes):
+    path = tmp_path / "verify.json"
+    path.write_text(text)
+    proc = subprocess.run([sys.executable, "-c", verify_json_check(), str(path)],
+                          capture_output=True, text=True)
+    assert (proc.returncode == 0) == passes, proc.stderr

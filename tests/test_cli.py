@@ -8,7 +8,6 @@ import os
 import re
 import subprocess
 import sys
-from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -16,18 +15,16 @@ import pytest
 
 import expcircle
 from expcircle import coupling_lab, correlation_suite
-from expcircle.audits import (MASS_TOL, _step_error, audit_coupling_monte_carlo,
-                              cos_observable, coupling_pair, standard_maps)
+from expcircle.audits import (audit_coupling_monte_carlo, cos_observable, coupling_pair,
+                              standard_maps)
 from expcircle.circle_map import linear_map, perturbed_map
 from expcircle import cli
 from expcircle.cli import N_MAX_CEILING, RunConfig, _write_json, main, make_map
 from expcircle.correlation_suite import decay_report
-from expcircle.inverse_branches import _anchor_offset
 from expcircle.coupling_lab import CHI2_P_FLOOR, monte_carlo_coupling
 from expcircle.transfer_operator import invariant_density
-from expcircle.system_constants import ROUNDING_SLACK
 
-from conftest import DEFAULT_MAP
+from conftest import DEFAULT_MAP, strict_json
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -57,7 +54,7 @@ GOLDEN = {
     },
     "decay --n-max 12 on linear{2}": {
         "decay.csv": "5643daf7708fffc4a93807fdb30557ebc073557c63ca1c9ca0804bd4d0b67bcc",
-        "decay.json": "6b45d2e346800f40d2fb4148853bc1cef17d650b6fad90124184e431aa998775",
+        "decay.json": "786933a41359cb019570685f565ff5ccfcda2a6e397e6e74cc150d4fbfc783bf",
     },
     "coupling --trials 20000 --n-max 21": {
         "coupling.csv": "cd0198987ada4852a7aa2c704a1cb5bf5c53629f118780bf64112c022037f8b8",
@@ -68,19 +65,19 @@ GOLDEN = {
         "coupling.json": "f97bfced4bfaabadadfc1e586bb6054fd894313df530f3b91f77333ff63196c8",
     },
     "verify on linear{2}": {
-        "verify.json": "0ebbabb628f7e0d95fa95946d583d28db7e226a7dd91ac7de7b08e6680992947",
+        "verify.json": "897a9ab08d21db23d8345ab343a2b3938edcea5604beeb652e788e6062dfc11b",
     },
     "verify on linear{3}": {
-        "verify.json": "f4078603a24c5dba0e6d140d399126ae2556be53174269957894ae8bad97ae80",
+        "verify.json": "03b4709d9bfdca74e83ef59196b3faaf32a737958bf07bfd5e8f1563861bdab5",
     },
     "verify on perturbed{2,0.02}": {
-        "verify.json": "b27ecf7a7158203405906419b1eaac975fa13047752716589b782b1199d8ad8a",
+        "verify.json": "cd2b8c2cda253374ad3c6cfcb4579784f0d44fd8527e7af6c980a6ba5025df97",
     },
     "verify on perturbed{2,0.05}": {
-        "verify.json": "bd3cd7ade850b68f929b7a59facddf0596574467643a319d5638f73649749c77",
+        "verify.json": "31054e9740de50387284ba6d743e36e2a35ff3d1ee25664d3f25047fb2484d94",
     },
     "verify on perturbed{2,0.1}": {
-        "verify.json": "eebbef78739bc2e5bfd82060d7388ec7d1b3dab609e9601a1c963f95e3ced2b4",
+        "verify.json": "c65210ef9c7e55f452b659637286f90e4ac2c1ac3f594dc0c7e047fae0d1fee7",
     },
 }
 
@@ -90,6 +87,8 @@ def assert_golden(out: Path, run: str) -> None:
     assert written == set(GOLDEN[run])
     for name, digest in GOLDEN[run].items():
         data = (out / name).read_bytes()
+        if name.endswith(".json"):
+            strict_json(data)
         if name == "verify.json":
             data = re.sub(rb'"seconds": [^,\n]+', b'"seconds": 0', data)
         assert hashlib.sha256(data).hexdigest() == digest, name
@@ -174,7 +173,7 @@ def test_decay_csv_layout(tmp_path):
     assert lines[1].startswith("0,") and lines[1].endswith(",1")
     # cos(2 pi x) decorrelates in one doubling step: nothing left to fit
     data = json.loads((tmp_path / "decay.json").read_text())
-    assert math.isnan(data["summary"]["fitted_rate"])
+    assert data["summary"]["fitted_rate"] is None
     assert_golden(tmp_path, "decay --n-max 12 on linear{2}")
 
 
@@ -311,32 +310,6 @@ VERIFY_NAMES = [
     "constants-reference", "constants-monotonic",
 ]
 
-# Every result with a numeric margin: (the number its detail prints last,
-# as a function of the margin less its slack; the slack, or the slack as a
-# function of the map; whether the comparison is strict).  Every other
-# result reports margin null.
-MARGINS = {
-    "second-derivative-fd": (lambda g: -g, 1e-5, False),
-    "arc-expansion": (lambda g: -g, lambda m: 8.0 * np.spacing(_anchor_offset(m) + m.winding)
-                      + (m.lam + 1.5) * np.spacing(1.0), False),
-    "preimage-roundtrip": (lambda g: -g, lambda m: _step_error(m) + 2.0 * np.spacing(1.0),
-                           False),
-    "backward-contraction": (lambda g: -g, lambda m: 2.0 * _step_error(m) / (m.lam - 1.0),
-                             False),
-    "distortion": (lambda g: -g, 0.0, False),   # its band already has a slack
-    "operator-mass": (lambda g: -g, MASS_TOL, False),
-    "operator-positivity": (lambda g: g, 0.0, False),
-    "operator-contraction": (lambda g: -g, MASS_TOL, False),
-    "operator-duality": (lambda g: -g, 0.0, False),
-    "holder-log-contraction": (lambda g: -g, ROUNDING_SLACK, False),
-    "holder-growth-cap": (lambda g: -g, ROUNDING_SLACK, False),
-    "positivity-floor": (lambda g: g, 0.0, False),
-    "holder-from-log": (lambda g: -g, ROUNDING_SLACK, False),
-    "cesaro-almost-invariance": (lambda g: -g, 1e-10, False),
-    "coupling-monte-carlo": (lambda g: g + CHI2_P_FLOOR, 0.0, True),
-}
-
-
 # Operator applications, Hoelder lag scans and the lag rows they visit in one
 # whole verify run: a chain or scan walked again per alpha or per f, or a
 # class check or lag block that a bound could have decided, shows up here.
@@ -379,20 +352,20 @@ def test_verify_standard_maps(verify_run, m):
     assert [r["name"] for r in report["results"]] == VERIFY_NAMES
     assert out.count("PASS") == len(report["results"])
     assert "FAIL" not in out
+    assert report["schema"] == 2
+    # each body is timed once, and every result names one
+    bodies = [b["body"] for b in report["bodies"]]
+    assert bodies == list(dict.fromkeys(r["body"] for r in report["results"]))
     for r in report["results"]:
-        assert set(r) == {"name", "ok", "detail", "seconds", "margin"}
-        if r["name"] not in MARGINS:
-            assert r["margin"] is None, r
-            continue
-        printed, slack, strict = MARGINS[r["name"]]
-        slack = slack(m) if callable(slack) else slack
-        margin = r["margin"]
-        # the margin includes the slack, so its sign is the verdict
-        assert r["ok"] == (margin > 0 if strict else margin >= 0), r
-        # the detail's last decimal number, to its printed precision
-        token = re.findall(r"-?\d+\.\d+(?:e[-+]\d+)?", r["detail"])[-1]
-        half_ulp = 0.5 * 10.0 ** Decimal(token).as_tuple().exponent
-        assert abs(printed(margin - slack) - float(token)) <= half_ulp * (1 + 1e-9), r
+        assert set(r) == {"name", "ok", "detail", "margin", "body", "parts"}
+        assert all(set(p) == {"label", "measured", "op", "bound", "slack", "margin"}
+                   for p in r["parts"])
+        # every margin is a number, the tightest part's, and its sign is
+        # the verdict; the detail shows that part
+        tight = min(r["parts"], key=lambda p: p["margin"])
+        assert isinstance(r["margin"], float) and r["margin"] == tight["margin"], r
+        assert r["ok"] == (r["margin"] >= 0.0), r
+        assert tight["label"] in r["detail"], r
     assert_golden(run.out, f"verify on {m!r}")
 
 

@@ -187,7 +187,12 @@ def test_side_density_is_walked_only_as_far_as_the_check_can_fail(count_work, m)
     assert counts["apply"] == 1 + 60 + 60
     assert whole.side_l1.size == 61
     assert np.array_equal(whole.side_l1[:need + 1], rep.side_l1)
-    assert_same_report(dataclasses.replace(whole, side_l1=rep.side_l1), rep)
+    # past need the cut walk reads the side term, and so the reduction
+    # bound, as 0: the same booleans as the whole walk
+    assert np.array_equal(whole.reduction_bound[:need + 1], rep.reduction_bound[:need + 1])
+    assert not np.any(rep.reduction_bound[need + 1:])
+    assert_same_report(dataclasses.replace(whole, side_l1=rep.side_l1,
+                                           reduction_bound=rep.reduction_bound), rep)
 
 
 def test_short_horizon_walks_the_side_density_to_its_end():

@@ -15,12 +15,12 @@ from expcircle import (
     lipschitz_estimate,
     log_transform,
     perturbed_map,
-    pointwise_log_bounds_hold,
+    pointwise_log_excess,
     positivity_floor,
     uniform_density,
 )
 from expcircle.audits import density_family, smooth_density
-from expcircle.system_constants import ROUNDING_SLACK
+from expcircle.system_constants import ROUNDING_SLACK, hoelder_log_bound
 
 M = 4096
 X = np.arange(M) / M
@@ -108,9 +108,9 @@ def test_class_membership_checks():
     assert not hoelder_class_check(psi, 0.1, 1.0)
     assert hoelder_class_check(uniform_density(M), 1e-6, 1.0)
     h_log = holder_coefficient(log_transform(psi), 1.0)
-    assert pointwise_log_bounds_hold(psi, h_log)
-    assert not pointwise_log_bounds_hold(psi, 0.1)
-    assert pointwise_log_bounds_hold(uniform_density(M), 0.0)
+    assert pointwise_log_excess(psi, h_log) <= 0.0
+    assert pointwise_log_excess(psi, 0.1) > 0.0
+    assert pointwise_log_excess(uniform_density(M), 0.0) <= 0.0
 
 
 def test_class_check_agrees_with_the_exact_coefficient(monkeypatch):
@@ -138,6 +138,8 @@ def test_class_check_agrees_with_the_exact_coefficient(monkeypatch):
                 # an alpha < 1 needs the exact scan
                 decided = upper * (1.0 + 1e-12) <= cap + ROUNDING_SLACK
                 assert len(scans) == (0 if decided or alpha == 1.0 else 1)
+                # the value the check decided on bounds the coefficient
+                assert h <= hoelder_log_bound(psi, cap, alpha)
                 exact_runs += not decided
     assert exact_runs > 0
 

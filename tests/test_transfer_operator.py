@@ -239,8 +239,12 @@ def test_iterate_sup_and_c1_caps(bent):
     f = GridFunction(np.exp(0.2 * cos_k(1)))
     rows = check_growth_bounds(bent, f, (1, 5, 15))
     assert len(rows) == 3
-    for sup_lhs, sup_rhs, c1_lhs, c1_rhs, ok in rows:
-        assert ok and sup_lhs <= sup_rhs * 1.02 and c1_lhs <= c1_rhs * 1.02
+    omega = transfer_operator.compute_ledger(bent, 1.0).omega
+    for sup_lhs, sup_cap, c1_lhs, c1_cap in rows:
+        # each cap is the bound with its 2% slack
+        assert sup_cap == (1.0 + omega) * sup_norm(f) * 1.02
+        assert c1_cap == (1.0 + omega) ** 2 * transfer_operator._c1_size(f) * 1.02
+        assert sup_lhs <= sup_cap and c1_lhs <= c1_cap
 
 
 def reference_tables(m, resolution):
